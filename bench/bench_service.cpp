@@ -1,13 +1,15 @@
 // Microbenchmarks for the service layer (src/service): session churn
 // through the full registry (submit -> quanta -> terminal), the slicing
-// overhead a quantum grid adds over a direct run_simulation call, the
-// checkpoint spill/fault round trip behind the LRU evictor, and the wire
-// dispatch path.  Recorded as BENCH_bench_service.json by
+// overhead a quantum grid adds over a direct run_simulation call, how
+// sliced runs scale with the worker count, the heap a finished session
+// keeps, the checkpoint spill/fault round trip behind the LRU evictor, and
+// the wire dispatch path.  Recorded as BENCH_bench_service.json by
 // bench/run_benches.sh; EXPERIMENTS.md quotes the sustained-throughput
 // numbers next to the daemon-level measurements from
 // scripts/check_service.py.
 
 #include <benchmark/benchmark.h>
+#include <malloc.h>
 
 #include <cstdint>
 #include <filesystem>
@@ -126,6 +128,76 @@ BENCHMARK(BM_RegistrySlicedRun)
     ->Arg(1 << 18)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
+
+/// Four concurrent BM_RegistrySlicedRun/65536 sessions per iteration on
+/// `state.range(0)` workers.  Their batch-engine quanta make tens of
+/// thousands of null skips each, so anything the workers share on the
+/// per-event path shows as items/s that fails to grow with the worker
+/// count.
+void BM_RegistryWorkerScaling(benchmark::State& state) {
+    constexpr int kSessions = 4;
+    RegistryOptions options;
+    options.workers = static_cast<unsigned>(state.range(0));
+    options.spill_dir = bench_spill_dir("scaling");
+    RunRegistry registry(options);
+
+    SessionSpec spec = overhead_spec();
+    spec.quantum = std::uint64_t{1} << 16;
+    for (auto _ : state) {
+        for (int i = 0; i < kSessions; ++i) {
+            ++spec.seed;
+            registry.submit(spec);
+        }
+        registry.wait_idle();
+    }
+    state.SetItemsProcessed(state.iterations() * kSessions * spec.budget);
+    std::filesystem::remove_all(options.spill_dir);
+}
+BENCHMARK(BM_RegistryWorkerScaling)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+/// Daemon heap each finished session keeps: the growth of glibc's in-use
+/// heap bytes over 20,000 tiny sessions, after 2,000 warm-up sessions have
+/// sized the registry's tables and the allocator's caches.  Sessions are
+/// submitted 16 at a time, so live sessions never pile up.  Reported as
+/// the heap_bytes_per_session counter; the time is incidental.
+void BM_FinishedSessionHeap(benchmark::State& state) {
+    constexpr int kWarmup = 2000;
+    constexpr int kSessions = 20000;
+    RegistryOptions options;
+    options.workers = 2;
+    options.spill_dir = bench_spill_dir("heap");
+
+    SessionSpec spec;
+    spec.protocol = "epidemic";
+    spec.counts = {63, 1};
+    spec.engine = "agent";
+
+    double bytes_per_session = 0.0;
+    for (auto _ : state) {
+        RunRegistry registry(options);
+        const auto run = [&](int sessions) {
+            for (int i = 1; i <= sessions; ++i) {
+                ++spec.seed;
+                registry.submit(spec);
+                if (i % 16 == 0) registry.wait_idle();
+            }
+            registry.wait_idle();
+        };
+        run(kWarmup);
+        const double before = static_cast<double>(mallinfo2().uordblks);
+        run(kSessions);
+        bytes_per_session =
+            (static_cast<double>(mallinfo2().uordblks) - before) / kSessions;
+    }
+    state.counters["heap_bytes_per_session"] = bytes_per_session;
+    std::filesystem::remove_all(options.spill_dir);
+}
+BENCHMARK(BM_FinishedSessionHeap)->Iterations(1)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 /// The evictor's spill/fault round trip: atomically write a 2^20-state
 /// count checkpoint, read it back, delete it.  items/s is round trips per

@@ -7,7 +7,9 @@
 #
 # --tsan switches to the data-race gate: a ThreadSanitizer build running the
 # tests that exercise the intra-run parallel machinery (the thread pool, the
-# sharded collapsed engine, and the trial fan-out).  TSan and ASan cannot
+# sharded collapsed engine, and the trial fan-out) and the service registry's
+# multi-worker paths (per-quantum metrics merge, session retirement with
+# live subscribers).  TSan and ASan cannot
 # share a process, hence the separate mode and build directory; the filter
 # keeps the ~10x TSan slowdown off the purely sequential 95% of the suite.
 #
@@ -28,8 +30,10 @@ if [[ "${1:-}" == "--tsan" ]]; then
     SANITIZERS="thread"
     DEFAULT_BUILD_DIR="$ROOT/build-check-tsan"
     # The concurrency surface: ThreadPool / parallel collapsed engine /
-    # multi-threaded trial fan-out tests.
-    CTEST_FILTER=(-R 'ThreadPool|ParallelCollapsed|ThreadOptions|Trials')
+    # multi-threaded trial fan-out tests, plus the registry tests that run
+    # several workers or subscribers (the fast ones: the suspend/drain
+    # tests take minutes under TSan).
+    CTEST_FILTER=(-R 'ThreadPool|ParallelCollapsed|ThreadOptions|Trials|RunRegistryTest\.(Metrics|Hundreds|Subscribers|FairScheduling)')
     LABEL="tsan"
 fi
 

@@ -12,7 +12,9 @@ the first violated guarantee:
   2. serve_popproto + popctl: N (default 1000) concurrent sessions
      submitted over the Unix socket all reach a terminal state; the
      sustained throughput and submit->done latency percentiles are printed
-     (the EXPERIMENTS.md "Service throughput" table quotes these).
+     (the EXPERIMENTS.md "Service throughput" table quotes these).  The
+     daemon's metrics aggregate, merged from per-quantum accumulators, then
+     counts every executed quantum exactly once.
   3. suspend -> evict -> resume: with --max-resident 0 every suspend
      spills to the checkpoint store; the resumed run's final counters are
      bit-identical to an uninterrupted session with the same spec.
@@ -207,6 +209,25 @@ def check_throughput(client: Client, sessions: int) -> None:
           f"p50 {p50 * 1000:.0f} ms, p99 {p99 * 1000:.0f} ms)")
 
 
+def check_metrics_aggregate(client: Client) -> None:
+    """With every session finished, each executed quantum has been folded
+    into stats.metrics exactly once: a dropped or doubled merge breaks one
+    of these equalities."""
+    stats = client.ok({"cmd": "stats"})["stats"]
+    metrics = stats["metrics"]
+    finished = metrics["runs_finished"]
+    if finished != stats["quanta"]:
+        fail(f"metrics.runs_finished {finished} != stats.quanta {stats['quanta']}")
+    stops = sum(metrics[key] for key in ("stops_silent", "stops_stable_outputs",
+                                         "stops_budget", "stops_paused"))
+    if stops != finished:
+        fail(f"stop-reason counts sum to {stops}, runs_finished is {finished}")
+    if metrics["runs_started"] != finished:
+        fail(f"idle daemon: runs_started {metrics['runs_started']} != "
+             f"runs_finished {finished}")
+    print(f"check_service: metrics aggregate counts all {finished} quanta once")
+
+
 def check_suspend_evict_resume(client: Client, spill_dir: str) -> None:
     spec = {**LONG_SPEC, "seed": 77}
     session = client.ok({"cmd": "submit", **spec})["session"]
@@ -289,6 +310,7 @@ def main() -> None:
 
             client = Client(sock_path)
             check_throughput(client, args.sessions)
+            check_metrics_aggregate(client)
             check_suspend_evict_resume(client, spill_dir)
 
             # Remember one terminal session to verify restore preserves it.

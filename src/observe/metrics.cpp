@@ -56,33 +56,40 @@ std::string MetricsReport::to_json() const {
     return out.str();
 }
 
-MetricsReport MetricsCollector::report() const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return data_;
+void MetricsReport::merge(const MetricsReport& other) {
+    if (other.runs_finished > 0) {
+        if (runs_finished == 0 || other.wall_seconds_min < wall_seconds_min)
+            wall_seconds_min = other.wall_seconds_min;
+        if (runs_finished == 0 || other.wall_seconds_max > wall_seconds_max)
+            wall_seconds_max = other.wall_seconds_max;
+    }
+    runs_started += other.runs_started;
+    runs_finished += other.runs_finished;
+    interactions += other.interactions;
+    effective_interactions += other.effective_interactions;
+    stops_silent += other.stops_silent;
+    stops_stable_outputs += other.stops_stable_outputs;
+    stops_budget += other.stops_budget;
+    stops_paused += other.stops_paused;
+    output_changes += other.output_changes;
+    snapshots += other.snapshots;
+    silence_checks += other.silence_checks;
+    null_runs += other.null_runs;
+    null_interactions_skipped += other.null_interactions_skipped;
+    for (std::size_t b = 0; b < null_run_length_log2.size(); ++b)
+        null_run_length_log2[b] += other.null_run_length_log2[b];
+    wall_seconds_total += other.wall_seconds_total;
 }
 
-void MetricsCollector::reset() {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    data_ = MetricsReport();
-}
+void MetricsAccumulator::on_start(const RunStartInfo&) { ++data_.runs_started; }
 
-void MetricsCollector::on_start(const RunStartInfo&) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    ++data_.runs_started;
-}
-
-void MetricsCollector::on_snapshot(std::uint64_t, const CountConfiguration&) {
-    const std::lock_guard<std::mutex> lock(mutex_);
+void MetricsAccumulator::on_snapshot(std::uint64_t, const CountConfiguration&) {
     ++data_.snapshots;
 }
 
-void MetricsCollector::on_output_change(std::uint64_t) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    ++data_.output_changes;
-}
+void MetricsAccumulator::on_output_change(std::uint64_t) { ++data_.output_changes; }
 
-void MetricsCollector::on_null_run(std::uint64_t length) {
-    const std::lock_guard<std::mutex> lock(mutex_);
+void MetricsAccumulator::on_null_run(std::uint64_t length) {
     ++data_.null_runs;
     data_.null_interactions_skipped += length;
     // length >= 1; bucket = floor(log2(length)).
@@ -90,13 +97,9 @@ void MetricsCollector::on_null_run(std::uint64_t length) {
     ++data_.null_run_length_log2[static_cast<std::size_t>(bucket)];
 }
 
-void MetricsCollector::on_silence_check(std::uint64_t, bool) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    ++data_.silence_checks;
-}
+void MetricsAccumulator::on_silence_check(std::uint64_t, bool) { ++data_.silence_checks; }
 
-void MetricsCollector::on_stop(const RunResult& result, double wall_seconds) {
-    const std::lock_guard<std::mutex> lock(mutex_);
+void MetricsAccumulator::on_stop(const RunResult& result, double wall_seconds) {
     if (data_.runs_finished == 0 || wall_seconds < data_.wall_seconds_min)
         data_.wall_seconds_min = wall_seconds;
     if (data_.runs_finished == 0 || wall_seconds > data_.wall_seconds_max)
@@ -119,6 +122,47 @@ void MetricsCollector::on_stop(const RunResult& result, double wall_seconds) {
             ++data_.stops_paused;
             break;
     }
+}
+
+MetricsReport MetricsCollector::report() const {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return accumulator_.report();
+}
+
+void MetricsCollector::reset() {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    accumulator_.reset();
+}
+
+void MetricsCollector::on_start(const RunStartInfo& info) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    accumulator_.on_start(info);
+}
+
+void MetricsCollector::on_snapshot(std::uint64_t interaction_index,
+                                   const CountConfiguration& configuration) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    accumulator_.on_snapshot(interaction_index, configuration);
+}
+
+void MetricsCollector::on_output_change(std::uint64_t interaction_index) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    accumulator_.on_output_change(interaction_index);
+}
+
+void MetricsCollector::on_null_run(std::uint64_t length) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    accumulator_.on_null_run(length);
+}
+
+void MetricsCollector::on_silence_check(std::uint64_t interaction_index, bool silent) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    accumulator_.on_silence_check(interaction_index, silent);
+}
+
+void MetricsCollector::on_stop(const RunResult& result, double wall_seconds) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    accumulator_.on_stop(result, wall_seconds);
 }
 
 }  // namespace popproto

@@ -1,12 +1,19 @@
 // Cross-run metric aggregation.
 //
-// A MetricsCollector accumulates counters and histograms over every run it
+// A MetricsAccumulator tallies counters and histograms over every run it
 // observes: total vs effective interactions, per-stop-reason counts,
 // null-skip run lengths (log2 histogram), silence-check counts, and
-// wall-clock per run.  It is thread-safe — one collector can be attached to
-// TrialOptions::base.observer and fed concurrently by every measure_trials
-// worker — and is the natural hook for exporting serving-style metrics from
-// long-running experiment sweeps.
+// wall-clock per run.  It takes no lock, so it belongs to one thread at a
+// time.  MetricsCollector is the same bookkeeping behind a mutex, for one
+// collector shared by several threads.
+//
+// A shared collector serializes every event on that mutex, including the
+// batch engine's per-skip on_null_run, so threads feeding one collector
+// wait on each other; that includes every measure_trials worker sharing
+// one through TrialOptions::base.observer.  Where throughput matters, give
+// each thread or unit of work its own accumulator and combine the results
+// with MetricsReport::merge; the service registry does this once per work
+// quantum.
 
 #ifndef POPPROTO_OBSERVE_METRICS_H
 #define POPPROTO_OBSERVE_METRICS_H
@@ -21,7 +28,7 @@
 
 namespace popproto {
 
-/// A consistent snapshot of everything a MetricsCollector has aggregated.
+/// Everything a MetricsAccumulator or MetricsCollector has aggregated.
 struct MetricsReport {
     /// Schema version of to_json (bumped on breaking shape changes; the
     /// full schema is documented in DESIGN.md "Observability").
@@ -70,8 +77,37 @@ struct MetricsReport {
     /// printing:
     /// {"schema_version":1,"runs_started":...,"null_run_length_log2":{"4":17,...}}.
     std::string to_json() const;
+
+    /// Adds `other`'s runs to this report: counters and histogram buckets
+    /// sum, the wall-clock minimum and maximum span both.  Observing two
+    /// runs with one accumulator gives the same report as merging the
+    /// reports of two accumulators that observed one run each.
+    void merge(const MetricsReport& other);
+
+    bool operator==(const MetricsReport&) const = default;
 };
 
+/// Unsynchronized aggregation: one thread at a time.
+class MetricsAccumulator final : public RunObserver {
+public:
+    const MetricsReport& report() const { return data_; }
+
+    /// Zeroes every counter.
+    void reset() { data_ = MetricsReport(); }
+
+    void on_start(const RunStartInfo& info) override;
+    void on_snapshot(std::uint64_t interaction_index,
+                     const CountConfiguration& configuration) override;
+    void on_output_change(std::uint64_t interaction_index) override;
+    void on_null_run(std::uint64_t length) override;
+    void on_silence_check(std::uint64_t interaction_index, bool silent) override;
+    void on_stop(const RunResult& result, double wall_seconds) override;
+
+private:
+    MetricsReport data_;
+};
+
+/// A MetricsAccumulator behind a mutex: every event takes the lock.
 class MetricsCollector final : public RunObserver {
 public:
     /// Thread-safe consistent copy of the aggregates.
@@ -90,7 +126,7 @@ public:
 
 private:
     mutable std::mutex mutex_;
-    MetricsReport data_;
+    MetricsAccumulator accumulator_;
 };
 
 }  // namespace popproto

@@ -50,7 +50,84 @@ SessionState parse_session_state_name(const std::string& name) {
     throw std::invalid_argument("unknown session state \"" + name + "\"");
 }
 
+/// A session's spill manifest.  Live sessions carry their spec so restore
+/// can resume them; finished ones carry only their name beside the status
+/// fields.
+std::string manifest_json(const SessionStatus& status, const SessionSpec* spec) {
+    JsonValue::Object object;
+    object.emplace_back("id", JsonValue(status.id));
+    object.emplace_back("state", JsonValue(std::string(session_state_name(status.state))));
+    if (spec != nullptr)
+        object.emplace_back("spec", session_spec_to_json(*spec));
+    else if (!status.name.empty())
+        object.emplace_back("name", JsonValue(status.name));
+    object.emplace_back("interactions", JsonValue(status.interactions));
+    object.emplace_back("effective_interactions", JsonValue(status.effective_interactions));
+    object.emplace_back("last_output_change", JsonValue(status.last_output_change));
+    object.emplace_back("quanta", JsonValue(status.quanta));
+    if (status.stop_reason)
+        object.emplace_back(
+            "stop_reason",
+            JsonValue(std::string(stop_reason_manifest_name(*status.stop_reason))));
+    if (status.consensus)
+        object.emplace_back("consensus", JsonValue(std::uint64_t{*status.consensus}));
+    if (!status.error.empty()) object.emplace_back("error", JsonValue(status.error));
+    return JsonValue(std::move(object)).to_string();
+}
+
+bool is_terminal(SessionState state) {
+    return state == SessionState::kDone || state == SessionState::kFailed ||
+           state == SessionState::kCancelled;
+}
+
 }  // namespace
+
+SessionStatus RunRegistry::Session::status() const {
+    SessionStatus status;
+    status.id = id;
+    status.name = spec.name;
+    status.state = state;
+    status.interactions = interactions;
+    status.effective_interactions = effective_interactions;
+    status.quanta = quanta;
+    status.last_output_change = last_output_change;
+    return status;
+}
+
+RunRegistry::FinishedSession RunRegistry::Session::finished(SessionState terminal,
+                                                           std::string error) const {
+    FinishedSession record;
+    record.text = FinishedSession::make_text(spec.name, std::move(error));
+    record.interactions = interactions;
+    record.effective_interactions = effective_interactions;
+    record.last_output_change = last_output_change;
+    record.quanta = quanta;
+    record.state = terminal;
+    return record;
+}
+
+std::unique_ptr<RunRegistry::FinishedSession::Text> RunRegistry::FinishedSession::make_text(
+    std::string name, std::string error) {
+    if (name.empty() && error.empty()) return nullptr;
+    return std::make_unique<Text>(Text{std::move(name), std::move(error)});
+}
+
+SessionStatus RunRegistry::FinishedSession::status(const std::string& id) const {
+    SessionStatus status;
+    status.id = id;
+    if (text != nullptr) {
+        status.name = text->name;
+        status.error = text->error;
+    }
+    status.state = state;
+    status.interactions = interactions;
+    status.effective_interactions = effective_interactions;
+    status.quanta = quanta;
+    status.stop_reason = stop_reason;
+    status.consensus = consensus;
+    status.last_output_change = last_output_change;
+    return status;
+}
 
 /// Stores the (single, at the pause boundary) checkpoint a quantum emits.
 class RunRegistry::CaptureSink final : public CheckpointSink {
@@ -177,7 +254,8 @@ std::string RunRegistry::submit(const SessionSpec& spec) {
 }
 
 /// Sessions contending for workers right now (the admission-bound metric
-/// and the stats "queue_depth" value).  Caller holds mutex_.
+/// and the stats "queue_depth" value).  Caller holds mutex_; the scan
+/// covers live sessions only.
 std::size_t RunRegistry::backlog_locked() const {
     std::size_t backlog = 0;
     for (const auto& [id, session] : sessions_) {
@@ -188,50 +266,42 @@ std::size_t RunRegistry::backlog_locked() const {
     return backlog;
 }
 
-std::shared_ptr<RunRegistry::Session> RunRegistry::find_session(const std::string& id) const {
+/// The live session `id`, or null once it has finished; throws
+/// std::invalid_argument for unknown ids.  Caller holds mutex_.
+std::shared_ptr<RunRegistry::Session> RunRegistry::find_live_locked(const std::string& id) const {
     const auto it = sessions_.find(id);
-    if (it == sessions_.end()) throw std::invalid_argument("unknown session \"" + id + "\"");
-    return it->second;
+    if (it != sessions_.end()) return it->second;
+    if (finished_.find(id) == finished_.end())
+        throw std::invalid_argument("unknown session \"" + id + "\"");
+    return nullptr;
 }
 
 SessionStatus RunRegistry::status(const std::string& id) const {
     const std::lock_guard<std::mutex> lock(mutex_);
-    const std::shared_ptr<Session> session = find_session(id);
-    SessionStatus status;
-    status.id = session->id;
-    status.name = session->spec.name;
-    status.state = session->state;
-    status.interactions = session->interactions;
-    status.effective_interactions = session->effective_interactions;
-    status.quanta = session->quanta;
-    status.stop_reason = session->stop_reason;
-    status.consensus = session->consensus;
-    status.last_output_change = session->last_output_change;
-    status.error = session->error;
-    return status;
+    if (const std::shared_ptr<Session> session = find_live_locked(id)) return session->status();
+    return finished_.at(id).status(id);
 }
 
 std::vector<SessionStatus> RunRegistry::list() const {
-    std::vector<std::string> ids;
+    std::vector<SessionStatus> statuses;
     {
         const std::lock_guard<std::mutex> lock(mutex_);
-        ids.reserve(sessions_.size());
-        for (const auto& [id, session] : sessions_) ids.push_back(id);
+        statuses.reserve(sessions_.size() + finished_.size());
+        for (const auto& [id, session] : sessions_) statuses.push_back(session->status());
+        for (const auto& [id, record] : finished_) statuses.push_back(record.status(id));
     }
-    std::sort(ids.begin(), ids.end(), [](const std::string& a, const std::string& b) {
-        // Numeric sort on the "s-N" suffix so s-10 follows s-9.
-        return a.size() != b.size() ? a.size() < b.size() : a < b;
-    });
-    std::vector<SessionStatus> statuses;
-    statuses.reserve(ids.size());
-    for (const std::string& id : ids) statuses.push_back(status(id));
+    std::sort(statuses.begin(), statuses.end(),
+              [](const SessionStatus& a, const SessionStatus& b) {
+                  // Numeric sort on the "s-N" suffix so s-10 follows s-9.
+                  return a.id.size() != b.id.size() ? a.id.size() < b.id.size() : a.id < b.id;
+              });
     return statuses;
 }
 
 void RunRegistry::suspend(const std::string& id) {
     std::unique_lock<std::mutex> lock(mutex_);
-    const std::shared_ptr<Session> session = find_session(id);
-    switch (session->state) {
+    const std::shared_ptr<Session> session = find_live_locked(id);
+    switch (session != nullptr ? session->state : finished_.at(id).state) {
         case SessionState::kRunning:
             session->pending = Session::PendingOp::kSuspend;
             session->stop_requested.store(true);
@@ -253,8 +323,8 @@ void RunRegistry::suspend(const std::string& id) {
 
 void RunRegistry::resume(const std::string& id) {
     std::unique_lock<std::mutex> lock(mutex_);
-    const std::shared_ptr<Session> session = find_session(id);
-    switch (session->state) {
+    const std::shared_ptr<Session> session = find_live_locked(id);
+    switch (session != nullptr ? session->state : finished_.at(id).state) {
         case SessionState::kSuspended:
         case SessionState::kEvicted:
             // An evicted session's checkpoint stays on disk and is faulted
@@ -281,8 +351,8 @@ void RunRegistry::resume(const std::string& id) {
 
 void RunRegistry::cancel(const std::string& id) {
     std::unique_lock<std::mutex> lock(mutex_);
-    const std::shared_ptr<Session> session = find_session(id);
-    switch (session->state) {
+    const std::shared_ptr<Session> session = find_live_locked(id);
+    switch (session != nullptr ? session->state : finished_.at(id).state) {
         case SessionState::kRunning:
             session->pending = Session::PendingOp::kCancel;
             session->stop_requested.store(true);
@@ -292,17 +362,13 @@ void RunRegistry::cancel(const std::string& id) {
             [[fallthrough]];
         case SessionState::kSuspended:
         case SessionState::kEvicted: {
-            session->state = SessionState::kCancelled;
-            session->checkpoint.reset();
-            session->protocol.reset();
-            if (session->checkpoint_on_disk) {
-                store_.remove(id);
-                session->checkpoint_on_disk = false;
-            }
+            retire_locked(*session, session->finished(SessionState::kCancelled));
             lock.unlock();
             publish(*session, "{\"session\":" + json_quote(id) +
                                   ",\"event\":\"state\",\"state\":\"cancelled\"}");
             idle_cv_.notify_all();
+            lock.lock();
+            retiring_.erase(id);
             return;
         }
         case SessionState::kCancelled:
@@ -316,32 +382,33 @@ void RunRegistry::cancel(const std::string& id) {
 void RunRegistry::subscribe(const std::string& id, std::uint64_t token, LineSink sink) {
     require(static_cast<bool>(sink), "subscribe: sink must be callable");
     std::unique_lock<std::mutex> lock(mutex_);
-    const std::shared_ptr<Session> session = find_session(id);
-    const SessionState state = session->state;
-    {
+    if (const std::shared_ptr<Session> session = find_live_locked(id)) {
         const std::lock_guard<std::mutex> subscriber_lock(subscriber_mutex_);
-        session->subscribers.emplace_back(token, sink);
+        session->subscribers.emplace_back(token, std::move(sink));
         session->subscriber_count.store(session->subscribers.size(),
                                         std::memory_order_relaxed);
+        return;
     }
+    const SessionState state = finished_.at(id).state;
     lock.unlock();
-    // A subscriber to an already-settled session would otherwise wait
-    // forever for events that fired in the past.
-    if (state == SessionState::kDone || state == SessionState::kFailed ||
-        state == SessionState::kCancelled) {
-        sink("{\"session\":" + json_quote(id) + ",\"event\":\"state\",\"state\":\"" +
-             session_state_name(state) + "\"}");
-    }
+    // A finished session's events all fired in the past: answer with its
+    // final state rather than keep a sink that could never fire.
+    sink("{\"session\":" + json_quote(id) + ",\"event\":\"state\",\"state\":\"" +
+         session_state_name(state) + "\"}");
 }
 
 void RunRegistry::unsubscribe(const std::string& id, std::uint64_t token) {
     std::shared_ptr<Session> session;
     {
         const std::lock_guard<std::mutex> lock(mutex_);
-        const auto it = sessions_.find(id);
-        if (it == sessions_.end()) return;
-        session = it->second;
+        for (const auto* table : {&sessions_, &retiring_}) {
+            if (const auto it = table->find(id); it != table->end()) {
+                session = it->second;
+                break;
+            }
+        }
     }
+    if (session == nullptr) return;  // unknown, or finished with no sink left to reach
     const std::lock_guard<std::mutex> subscriber_lock(subscriber_mutex_);
     auto& subscribers = session->subscribers;
     subscribers.erase(std::remove_if(subscribers.begin(), subscribers.end(),
@@ -386,11 +453,15 @@ void RunRegistry::worker_loop() {
         idle_cv_.notify_all();
         if (!settled.state_event.empty()) publish(*session, settled.state_event);
         lock.lock();
+        retiring_.erase(session->id);  // a no-op unless this quantum finished it
     }
 }
 
 RunRegistry::QuantumOutcome RunRegistry::run_one_quantum(Session& session) {
     QuantumOutcome outcome;
+    // Quantum-local, so the per-event path takes no lock; the registry
+    // folds it into the aggregate when the quantum settles.
+    MetricsAccumulator metrics;
     try {
         if (!session.checkpoint.has_value() && session.checkpoint_on_disk) {
             session.checkpoint = store_.load_checkpoint(session.id);
@@ -402,7 +473,7 @@ RunRegistry::QuantumOutcome RunRegistry::run_one_quantum(Session& session) {
         CaptureSink capture(outcome.checkpoint);
         const bool first_segment = !session.checkpoint.has_value();
         SessionTrace trace(*this, session, first_segment);
-        TeeObserver observers({&metrics_, &trace});
+        TeeObserver observers({&metrics, &trace});
 
         telemetry::RunTelemetryCollector telemetry_collector;
 
@@ -439,6 +510,7 @@ RunRegistry::QuantumOutcome RunRegistry::run_one_quantum(Session& session) {
         outcome.error = error.what();
         if (outcome.error.empty()) outcome.error = "unknown error";
     }
+    outcome.metrics = metrics.report();
     return outcome;
 }
 
@@ -448,6 +520,7 @@ RunRegistry::Settled RunRegistry::settle_after_quantum(Session& session,
     ++quanta_executed_;
     ++session.quanta;
     if (outcome.faulted) ++faults_;
+    metrics_.merge(outcome.metrics);
 
     const auto state_event = [&](const char* state) {
         return "{\"session\":" + json_quote(session.id) +
@@ -455,16 +528,7 @@ RunRegistry::Settled RunRegistry::settle_after_quantum(Session& session,
     };
 
     if (!outcome.error.empty()) {
-        session.state = SessionState::kFailed;
-        session.error = outcome.error;
-        session.checkpoint.reset();
-        session.protocol.reset();
-        if (session.checkpoint_on_disk) {
-            store_.remove(session.id);
-            session.checkpoint_on_disk = false;
-        }
-        session.pending = Session::PendingOp::kNone;
-        session.stop_requested.store(false);
+        retire_locked(session, session.finished(SessionState::kFailed, std::move(outcome.error)));
         settled.state_event = state_event("failed");
         return settled;
     }
@@ -475,17 +539,10 @@ RunRegistry::Settled RunRegistry::settle_after_quantum(Session& session,
     session.last_output_change = result.last_output_change;
 
     if (result.stop_reason != StopReason::kPaused) {
-        session.state = SessionState::kDone;
-        session.stop_reason = result.stop_reason;
-        session.consensus = result.consensus;
-        session.checkpoint.reset();
-        session.protocol.reset();
-        if (session.checkpoint_on_disk) {
-            store_.remove(session.id);
-            session.checkpoint_on_disk = false;
-        }
-        session.pending = Session::PendingOp::kNone;
-        session.stop_requested.store(false);
+        FinishedSession record = session.finished(SessionState::kDone);
+        record.stop_reason = result.stop_reason;
+        record.consensus = result.consensus;
+        retire_locked(session, std::move(record));
         settled.state_event = state_event("done");
         return settled;
     }
@@ -497,13 +554,7 @@ RunRegistry::Settled RunRegistry::settle_after_quantum(Session& session,
     session.stop_requested.store(false);
 
     if (pending == Session::PendingOp::kCancel) {
-        session.state = SessionState::kCancelled;
-        session.checkpoint.reset();
-        session.protocol.reset();
-        if (session.checkpoint_on_disk) {
-            store_.remove(session.id);
-            session.checkpoint_on_disk = false;
-        }
+        retire_locked(session, session.finished(SessionState::kCancelled));
         settled.state_event = state_event("cancelled");
         return settled;
     }
@@ -520,6 +571,19 @@ RunRegistry::Settled RunRegistry::settle_after_quantum(Session& session,
     return settled;
 }
 
+/// Replaces a session that just finished by its compact record and deletes
+/// its spilled files.  The Session waits in retiring_, where unsubscribe
+/// still reaches its sinks, until the caller has published its final state
+/// event and erased it; it then dies with the caller's last reference,
+/// taking its spec, checkpoint, protocol and subscriber list with it.
+/// Caller holds mutex_ and a reference to `session`.
+void RunRegistry::retire_locked(const Session& session, FinishedSession record) {
+    if (session.checkpoint_on_disk) store_.remove(session.id);
+    ++finished_by_state_[static_cast<int>(record.state)];
+    finished_.emplace(session.id, std::move(record));
+    retiring_.insert(sessions_.extract(session.id));
+}
+
 void RunRegistry::evict_lru_locked() {
     for (;;) {
         std::vector<Session*> resident;
@@ -533,7 +597,7 @@ void RunRegistry::evict_lru_locked() {
                 return a->last_dispatched < b->last_dispatched;
             });
         store_.save_checkpoint(victim->id, *victim->checkpoint);
-        store_.save_manifest(victim->id, manifest_json(*victim));
+        store_.save_manifest(victim->id, manifest_json(victim->status(), &victim->spec));
         victim->checkpoint.reset();
         victim->protocol.reset();
         victim->checkpoint_on_disk = true;
@@ -542,41 +606,23 @@ void RunRegistry::evict_lru_locked() {
     }
 }
 
-std::string RunRegistry::manifest_json(const Session& session) const {
-    JsonValue::Object object;
-    object.emplace_back("id", JsonValue(session.id));
-    object.emplace_back("state",
-                        JsonValue(std::string(session_state_name(session.state))));
-    object.emplace_back("spec", session_spec_to_json(session.spec));
-    object.emplace_back("interactions", JsonValue(session.interactions));
-    object.emplace_back("effective_interactions",
-                        JsonValue(session.effective_interactions));
-    object.emplace_back("last_output_change", JsonValue(session.last_output_change));
-    object.emplace_back("quanta", JsonValue(session.quanta));
-    if (session.stop_reason)
-        object.emplace_back(
-            "stop_reason",
-            JsonValue(std::string(stop_reason_manifest_name(*session.stop_reason))));
-    if (session.consensus)
-        object.emplace_back("consensus", JsonValue(std::uint64_t{*session.consensus}));
-    if (!session.error.empty()) object.emplace_back("error", JsonValue(session.error));
-    return JsonValue(std::move(object)).to_string();
-}
-
 std::string RunRegistry::stats_json() const {
-    std::uint64_t by_state[7] = {};
+    std::array<std::uint64_t, 7> by_state{};
     std::uint64_t submitted = 0, evictions = 0, faults = 0, quanta = 0;
     std::size_t num_sessions = 0, queue_depth = 0;
+    MetricsReport metrics;
     {
         const std::lock_guard<std::mutex> lock(mutex_);
+        by_state = finished_by_state_;
         for (const auto& [id, session] : sessions_)
             ++by_state[static_cast<int>(session->state)];
         submitted = submitted_;
         evictions = evictions_;
         faults = faults_;
         quanta = quanta_executed_;
-        num_sessions = sessions_.size();
+        num_sessions = sessions_.size() + finished_.size();
         queue_depth = backlog_locked();
+        metrics = metrics_;
     }
     std::string out = "{\"sessions\":{";
     const SessionState states[] = {
@@ -601,7 +647,7 @@ std::string RunRegistry::stats_json() const {
     out += ",\"faults\":" + std::to_string(faults);
     out += ",\"quanta\":" + std::to_string(quanta);
     out += ",\"workers\":" + std::to_string(workers_.size());
-    out += ",\"metrics\":" + metrics_.report().to_json();
+    out += ",\"metrics\":" + metrics.to_json();
     out += '}';
     return out;
 }
@@ -623,16 +669,14 @@ void RunRegistry::drain() {
     }
     const std::lock_guard<std::mutex> lock(mutex_);
     for (const auto& [id, session] : sessions_) {
-        const SessionState state = session->state;
-        const bool terminal = state == SessionState::kDone ||
-                              state == SessionState::kFailed ||
-                              state == SessionState::kCancelled;
-        if (!terminal && session->checkpoint.has_value()) {
+        if (session->checkpoint.has_value()) {
             store_.save_checkpoint(id, *session->checkpoint);
             session->checkpoint_on_disk = true;
         }
-        store_.save_manifest(id, manifest_json(*session));
+        store_.save_manifest(id, manifest_json(session->status(), &session->spec));
     }
+    for (const auto& [id, record] : finished_)
+        store_.save_manifest(id, manifest_json(record.status(id), nullptr));
 }
 
 std::size_t RunRegistry::restore() {
@@ -644,35 +688,43 @@ std::size_t RunRegistry::restore() {
 
 void RunRegistry::restore_one(const std::string& id, const std::string& manifest) {
     const JsonValue parsed = parse_json(manifest);
-    const JsonValue* spec_value = parsed.find("spec");
-    require(spec_value != nullptr, "manifest for " + id + " has no 'spec'");
-
-    auto session = std::make_shared<Session>();
-    session->id = id;
-    session->spec = parse_session_spec(*spec_value);
-    session->quantum =
-        session->spec.quantum != 0 ? session->spec.quantum : options_.default_quantum;
-    if (const JsonValue* value = parsed.find("interactions"))
-        session->interactions = value->as_u64("'interactions'");
-    if (const JsonValue* value = parsed.find("effective_interactions"))
-        session->effective_interactions = value->as_u64("'effective_interactions'");
-    if (const JsonValue* value = parsed.find("last_output_change"))
-        session->last_output_change = value->as_u64("'last_output_change'");
-    if (const JsonValue* value = parsed.find("quanta"))
-        session->quanta = value->as_u64("'quanta'");
-    if (const JsonValue* value = parsed.find("stop_reason"))
-        session->stop_reason = parse_stop_reason_name(value->as_string("'stop_reason'"));
-    if (const JsonValue* value = parsed.find("consensus"))
-        session->consensus = static_cast<Symbol>(value->as_u64("'consensus'"));
-    if (const JsonValue* value = parsed.find("error"))
-        session->error = value->as_string("'error'");
-
     const JsonValue* state_value = parsed.find("state");
     require(state_value != nullptr, "manifest for " + id + " has no 'state'");
     const SessionState state = parse_session_state_name(state_value->as_string("'state'"));
 
+    // Live sessions need their spec to resume.  Finished ones are drained
+    // without it, but manifests that still carry one load too.
+    const JsonValue* spec_value = parsed.find("spec");
+    require(spec_value != nullptr || is_terminal(state), "manifest for " + id + " has no 'spec'");
+    std::optional<SessionSpec> spec;
+    if (spec_value != nullptr) spec = parse_session_spec(*spec_value);
+
+    FinishedSession record;
+    record.state = state;
+    std::string name, error;
+    if (spec) {
+        name = spec->name;
+    } else if (const JsonValue* value = parsed.find("name")) {
+        name = value->as_string("'name'");
+    }
+    if (const JsonValue* value = parsed.find("error")) error = value->as_string("'error'");
+    record.text = FinishedSession::make_text(std::move(name), std::move(error));
+    if (const JsonValue* value = parsed.find("interactions"))
+        record.interactions = value->as_u64("'interactions'");
+    if (const JsonValue* value = parsed.find("effective_interactions"))
+        record.effective_interactions = value->as_u64("'effective_interactions'");
+    if (const JsonValue* value = parsed.find("last_output_change"))
+        record.last_output_change = value->as_u64("'last_output_change'");
+    if (const JsonValue* value = parsed.find("quanta"))
+        record.quanta = value->as_u64("'quanta'");
+    if (const JsonValue* value = parsed.find("stop_reason"))
+        record.stop_reason = parse_stop_reason_name(value->as_string("'stop_reason'"));
+    if (const JsonValue* value = parsed.find("consensus"))
+        record.consensus = static_cast<Symbol>(value->as_u64("'consensus'"));
+
     std::unique_lock<std::mutex> lock(mutex_);
-    require(sessions_.find(id) == sessions_.end(), "restore: duplicate session " + id);
+    require(sessions_.find(id) == sessions_.end() && finished_.find(id) == finished_.end(),
+            "restore: duplicate session " + id);
     // Keep fresh submissions from colliding with restored ids.
     if (id.size() > 2 && id.compare(0, 2, "s-") == 0) {
         std::uint64_t number = 0;
@@ -687,17 +739,24 @@ void RunRegistry::restore_one(const std::string& id, const std::string& manifest
         if (numeric && number >= next_session_number_) next_session_number_ = number + 1;
     }
 
-    const bool terminal = state == SessionState::kDone || state == SessionState::kFailed ||
-                          state == SessionState::kCancelled;
-    if (terminal) {
-        session->state = state;
-    } else {
-        // Everything in flight resumes from the queue; the spilled
-        // checkpoint (if any) is faulted back on first dispatch.
-        session->state = SessionState::kQueued;
-        session->checkpoint_on_disk = store_.has_checkpoint(id);
-        scheduler_.add(id, session->spec.weight);
+    if (is_terminal(state)) {
+        ++finished_by_state_[static_cast<int>(state)];
+        finished_.emplace(id, std::move(record));
+        return;
     }
+    // Everything in flight resumes from the queue; the spilled checkpoint
+    // (if any) is faulted back on first dispatch.
+    auto session = std::make_shared<Session>();
+    session->id = id;
+    session->spec = std::move(*spec);
+    session->quantum =
+        session->spec.quantum != 0 ? session->spec.quantum : options_.default_quantum;
+    session->interactions = record.interactions;
+    session->effective_interactions = record.effective_interactions;
+    session->last_output_change = record.last_output_change;
+    session->quanta = record.quanta;
+    session->checkpoint_on_disk = store_.has_checkpoint(id);
+    scheduler_.add(id, session->spec.weight);
     sessions_.emplace(id, std::move(session));
 }
 

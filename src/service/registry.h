@@ -18,15 +18,24 @@
 // checkpoints every non-terminal session to disk, and writes one manifest
 // per session; `restore()` reverses this on restart, losing nothing.
 //
-// Locking: one registry mutex guards the session table, the scheduler, and
-// all lifecycle transitions; quanta execute outside the lock (a kRunning
-// session's mutable state is owned by exactly one worker).  Subscriber
-// fan-out uses a separate mutex so trace streaming does not serialize
-// against scheduling.
+// A session that reaches done, failed or cancelled leaves the live table
+// for a compact FinishedSession record holding only what status, list,
+// subscribe, stats and drain report; its spec, checkpoint, protocol and
+// subscribers are released.  The daemon keeps every session it ever ran,
+// so everything that scans sessions under the lock walks only the live
+// table.
+//
+// Locking: one registry mutex guards the session table, the scheduler, the
+// aggregate metrics and all lifecycle transitions; quanta execute outside
+// the lock (a kRunning session's mutable state is owned by exactly one
+// worker) and observe into a quantum-local MetricsAccumulator, folded into
+// the aggregate when the quantum settles.  Subscriber fan-out uses a
+// separate mutex so trace streaming does not serialize against scheduling.
 
 #ifndef POPPROTO_SERVICE_REGISTRY_H
 #define POPPROTO_SERVICE_REGISTRY_H
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
@@ -122,19 +131,21 @@ public:
     /// Streams the session's JSONL trace events ({"session":"s-1",
     /// "event":...}) to `sink` until unsubscribed.  `token` is the caller's
     /// handle for unsubscribe (connection teardown).  A terminal session
-    /// immediately receives a final synthetic "state" event.
+    /// immediately receives a final synthetic "state" event instead, and
+    /// the sink is not kept.
     void subscribe(const std::string& id, std::uint64_t token, LineSink sink);
     void unsubscribe(const std::string& id, std::uint64_t token);
 
     /// Aggregate counters: per-state session counts, eviction/fault
-    /// totals, quanta executed, and the MetricsCollector aggregate over
-    /// every quantum (stats_json embeds MetricsReport::to_json under
-    /// "metrics").
+    /// totals, quanta executed, and the metrics aggregate over every
+    /// settled quantum (stats_json embeds MetricsReport::to_json under
+    /// "metrics"; quanta still executing are not in it yet).
     std::string stats_json() const;
 
     /// Graceful shutdown: stop dispatching, interrupt in-flight quanta at
     /// their next loop boundary, checkpoint every non-terminal session to
-    /// the store, and write one manifest per session.  Idempotent.
+    /// the store, and write one manifest per session (without a spec for
+    /// terminal sessions).  Idempotent.
     void drain();
 
     /// Recreates sessions from the store's manifests (the complement of
@@ -149,6 +160,31 @@ public:
     const CheckpointStore& store() const { return store_; }
 
 private:
+    /// A done, failed or cancelled session, reduced to what status, list,
+    /// subscribe, stats and drain report.
+    struct FinishedSession {
+        /// The session's name and error message (kFailed only), allocated
+        /// only when either is non-empty: most sessions carry neither, and
+        /// two inline strings would double the record.
+        struct Text {
+            std::string name;
+            std::string error;
+        };
+        static std::unique_ptr<Text> make_text(std::string name, std::string error);
+
+        std::uint64_t interactions = 0;
+        std::uint64_t effective_interactions = 0;
+        std::uint64_t last_output_change = 0;
+        std::uint64_t quanta = 0;
+        SessionState state = SessionState::kDone;
+        std::optional<StopReason> stop_reason;  // kDone only
+        std::optional<Symbol> consensus;
+        std::unique_ptr<Text> text;
+
+        SessionStatus status(const std::string& id) const;
+    };
+
+    /// A live session: queued, running, suspended or evicted.
     struct Session {
         std::string id;
         SessionSpec spec;
@@ -168,11 +204,6 @@ private:
         std::optional<RunCheckpoint> checkpoint;
         bool checkpoint_on_disk = false;
 
-        // Terminal outcome.
-        std::optional<StopReason> stop_reason;
-        std::optional<Symbol> consensus;
-        std::string error;
-
         // Compiled protocol, built lazily and dropped on eviction (the
         // spec rebuilds it deterministically).
         std::unique_ptr<TabulatedProtocol> protocol;
@@ -189,6 +220,10 @@ private:
         /// nobody is listening.
         std::vector<std::pair<std::uint64_t, LineSink>> subscribers;
         std::atomic<std::size_t> subscriber_count{0};
+
+        SessionStatus status() const;
+        /// The record this session leaves on reaching terminal `state`.
+        FinishedSession finished(SessionState state, std::string error = {}) const;
     };
 
     /// What one quantum produced, handed from the unlocked execution back
@@ -198,6 +233,7 @@ private:
         std::optional<RunResult> result;          // absent when `error` is set
         std::string error;
         bool faulted = false;  // checkpoint was loaded back from the store
+        MetricsReport metrics;  // the quantum's observer events
     };
 
     /// The locked transition's outputs the worker acts on after unlocking.
@@ -212,8 +248,8 @@ private:
     Settled settle_after_quantum(Session& session, QuantumOutcome outcome);
     void evict_lru_locked();
     void publish(Session& session, const std::string& line);
-    std::shared_ptr<Session> find_session(const std::string& id) const;
-    std::string manifest_json(const Session& session) const;
+    std::shared_ptr<Session> find_live_locked(const std::string& id) const;
+    void retire_locked(const Session& session, FinishedSession record);
     void restore_one(const std::string& id, const std::string& manifest);
 
     class SessionTrace;
@@ -225,7 +261,11 @@ private:
     mutable std::mutex mutex_;
     std::condition_variable work_cv_;
     std::condition_variable idle_cv_;
-    std::unordered_map<std::string, std::shared_ptr<Session>> sessions_;
+    std::unordered_map<std::string, std::shared_ptr<Session>> sessions_;  // live only
+    std::unordered_map<std::string, FinishedSession> finished_;
+    // Finished sessions whose final state event is still being published.
+    std::unordered_map<std::string, std::shared_ptr<Session>> retiring_;
+    std::array<std::uint64_t, 7> finished_by_state_{};  // indexed by SessionState
     DrrScheduler scheduler_;
     std::vector<std::thread> workers_;
     bool stopping_ = false;
@@ -239,10 +279,9 @@ private:
     std::uint64_t evictions_ = 0;
     std::uint64_t faults_ = 0;
     std::uint64_t quanta_executed_ = 0;
+    MetricsReport metrics_;
 
     mutable std::mutex subscriber_mutex_;
-
-    MetricsCollector metrics_;
 };
 
 }  // namespace popproto::service

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <ostream>
 #include <tuple>
 
 #include "analysis/stable_computation.h"
@@ -37,6 +38,14 @@ struct ThresholdCase {
     std::uint64_t max_population;
 };
 
+// Printed as a tuple of its fields so that test names carry the case's
+// values; gtest's default dump of the raw bytes includes the vector's heap
+// address and so changes from run to run.
+void PrintTo(const ThresholdCase& test_case, std::ostream* os) {
+    *os << ::testing::PrintToString(
+        std::make_tuple(test_case.coefficients, test_case.constant, test_case.max_population));
+}
+
 class ThresholdProtocolSweep : public ::testing::TestWithParam<ThresholdCase> {};
 
 TEST_P(ThresholdProtocolSweep, StablyComputesFormula) {
@@ -61,6 +70,11 @@ struct RemainderCase {
     std::int64_t modulus;
     std::uint64_t max_population;
 };
+
+void PrintTo(const RemainderCase& test_case, std::ostream* os) {
+    *os << ::testing::PrintToString(std::make_tuple(test_case.coefficients, test_case.remainder,
+                                                    test_case.modulus, test_case.max_population));
+}
 
 class RemainderProtocolSweep : public ::testing::TestWithParam<RemainderCase> {};
 

@@ -426,6 +426,50 @@ TEST(Observe, MetricsReportExportsValidJson) {
     EXPECT_NE(empty.find("\"null_run_length_log2\":{}"), std::string::npos);
 }
 
+TEST(Observe, MergedReportsEqualOneCollectorOverBothRuns) {
+    // Each run feeds the shared collector and its own accumulator through a
+    // tee, so both see identical events and wall times: the merge of the
+    // two per-run reports must then equal the shared report on every
+    // field, wall-clock ones included.
+    const auto counting = make_counting_protocol(3);
+    const auto epidemic = make_epidemic_protocol();
+    MetricsCollector shared;
+    MetricsAccumulator first, second;
+
+    RunOptions batch = base_options(default_budget(400), 31);
+    batch.engine = SimulationEngine::kCountBatch;
+    batch.snapshots = SnapshotSchedule::every(500);
+    TeeObserver first_tee({&shared, &first});
+    batch.observer = &first_tee;
+    run_simulation(*counting, CountConfiguration::from_input_counts(*counting, {396, 4}), batch);
+
+    RunOptions agent = base_options(default_budget(64), 32);
+    agent.engine = SimulationEngine::kAgentArray;
+    TeeObserver second_tee({&shared, &second});
+    agent.observer = &second_tee;
+    run_simulation(*epidemic, CountConfiguration::from_input_counts(*epidemic, {63, 1}), agent);
+
+    ASSERT_GT(first.report().null_runs, 0u);
+    ASSERT_GT(first.report().snapshots, 0u);
+    ASSERT_GT(second.report().output_changes, 0u);
+
+    MetricsReport merged = first.report();
+    merged.merge(second.report());
+    EXPECT_EQ(merged, shared.report()) << merged.to_json() << "\n" << shared.report().to_json();
+
+    // Merge order does not matter, and an empty report is the identity on
+    // either side (its zero wall-clock extremes do not count as a run).
+    MetricsReport reversed = second.report();
+    reversed.merge(first.report());
+    EXPECT_EQ(reversed, merged);
+    MetricsReport from_empty;
+    from_empty.merge(merged);
+    EXPECT_EQ(from_empty, merged);
+    MetricsReport into = merged;
+    into.merge(MetricsReport());
+    EXPECT_EQ(into, merged);
+}
+
 // --- JsonlTraceWriter and TeeObserver ------------------------------------
 
 TEST(Observe, JsonlWriterEmitsValidJsonl) {

@@ -1,7 +1,8 @@
 // The service layer (src/service): DRR fair scheduling in deterministic
 // virtual time, quantum-sliced execution bit-identical to direct runs,
 // suspend -> evict -> fault-back bit-identity, graceful drain + restore,
-// and the checkpoint spill store.  The wire protocol and socket transport
+// the per-quantum metrics merge, finished-session records, and the
+// checkpoint spill store.  The wire protocol and socket transport
 // are covered in service_wire_test.cpp.
 
 #include <gtest/gtest.h>
@@ -555,6 +556,270 @@ TEST(RunRegistryTest, HundredsOfConcurrentSessionsAllReachTerminalStates) {
     }
     EXPECT_EQ(registry.list().size(), 300u);
     std::filesystem::remove_all(options.spill_dir);
+}
+
+/// The mix the metrics test submits: quantum-sliced batch sessions (null
+/// skips cut at pause boundaries, snapshots streamed), short agent-array
+/// sessions, and adversarial-model sessions.
+std::vector<SessionSpec> metrics_mix() {
+    std::vector<SessionSpec> specs;
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        SessionSpec sliced;
+        sliced.protocol = "epidemic";
+        sliced.counts = {4095, 1};
+        sliced.engine = "batch";
+        sliced.budget = 8 * 4096;
+        sliced.quantum = 4096;
+        sliced.snapshot_every = 1000;
+        sliced.seed = seed;
+        specs.push_back(sliced);
+
+        SessionSpec short_run;
+        short_run.protocol = "epidemic";
+        short_run.counts = {63, 1};
+        short_run.engine = "agent";
+        short_run.seed = seed;
+        specs.push_back(short_run);
+
+        SessionSpec adversarial = short_run;
+        adversarial.engine = "auto";
+        adversarial.model = "adversarial";
+        specs.push_back(adversarial);
+    }
+    return specs;
+}
+
+TEST(RunRegistryTest, MetricsAggregateDoesNotDependOnWorkerCount) {
+    // Each quantum observes into its own accumulator, merged into the
+    // aggregate when the quantum settles: every quantum must count exactly
+    // once however many workers interleave them.  Only the wall-clock
+    // fields may differ between the two registries.
+    const auto stats_after_mix = [](unsigned workers) {
+        RegistryOptions options;
+        options.workers = workers;
+        options.spill_dir = fresh_dir("popproto_registry_metrics_" + std::to_string(workers));
+        RunRegistry registry(options);
+        for (const SessionSpec& spec : metrics_mix()) registry.submit(spec);
+        registry.wait_idle();
+        const JsonValue stats = parse_json(registry.stats_json());
+        std::filesystem::remove_all(options.spill_dir);
+        return stats;
+    };
+    const JsonValue serial = stats_after_mix(1);
+    const JsonValue parallel = stats_after_mix(4);
+
+    for (const JsonValue* stats : {&serial, &parallel}) {
+        const JsonValue& metrics = *stats->find("metrics");
+        const auto count = [&](const char* key) { return metrics.find(key)->as_u64(key); };
+        EXPECT_EQ(count("runs_finished"), stats->find("quanta")->as_u64("quanta"));
+        EXPECT_EQ(count("runs_started"), count("runs_finished"));
+        EXPECT_EQ(count("stops_silent") + count("stops_stable_outputs") +
+                      count("stops_budget") + count("stops_paused"),
+                  count("runs_finished"));
+        EXPECT_GT(count("stops_paused"), 0u) << "no session was sliced";
+        EXPECT_GT(count("null_runs"), 0u);
+        EXPECT_GT(count("snapshots"), 0u);
+    }
+    const JsonValue::Object& serial_metrics = serial.find("metrics")->as_object("metrics");
+    const JsonValue::Object& parallel_metrics = parallel.find("metrics")->as_object("metrics");
+    ASSERT_EQ(serial_metrics.size(), parallel_metrics.size());
+    for (std::size_t i = 0; i < serial_metrics.size(); ++i) {
+        const auto& [key, value] = serial_metrics[i];
+        EXPECT_EQ(key, parallel_metrics[i].first);
+        if (key.rfind("wall_seconds", 0) == 0) continue;
+        EXPECT_EQ(value.to_string(), parallel_metrics[i].second.to_string()) << key;
+    }
+}
+
+/// Every field a SessionStatus exposes.
+void expect_same_status(const SessionStatus& actual, const SessionStatus& expected) {
+    EXPECT_EQ(actual.id, expected.id);
+    EXPECT_EQ(actual.name, expected.name) << expected.id;
+    EXPECT_EQ(actual.state, expected.state) << expected.id;
+    EXPECT_EQ(actual.interactions, expected.interactions) << expected.id;
+    EXPECT_EQ(actual.effective_interactions, expected.effective_interactions) << expected.id;
+    EXPECT_EQ(actual.quanta, expected.quanta) << expected.id;
+    EXPECT_EQ(actual.stop_reason, expected.stop_reason) << expected.id;
+    EXPECT_EQ(actual.consensus, expected.consensus) << expected.id;
+    EXPECT_EQ(actual.last_output_change, expected.last_output_change) << expected.id;
+    EXPECT_EQ(actual.error, expected.error) << expected.id;
+}
+
+/// The std::invalid_argument message `command` throws, or "" if none.
+std::string rejection(const std::function<void()>& command) {
+    try {
+        command();
+    } catch (const std::invalid_argument& error) {
+        return error.what();
+    }
+    return "";
+}
+
+/// What the wire and the registry API report about finished sessions:
+/// status, list, subscribe, the lifecycle errors and the stats counts.
+void expect_finished_sessions_answer(RunRegistry& registry,
+                                     const std::vector<SessionStatus>& expected) {
+    const std::vector<SessionStatus> listed = registry.list();
+    ASSERT_EQ(listed.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+        const SessionStatus& want = expected[i];
+        const std::string& id = want.id;
+        expect_same_status(listed[i], want);
+        expect_same_status(registry.status(id), want);
+
+        EXPECT_EQ(rejection([&] { registry.suspend(id); }),
+                  "suspend: session " + id + " is terminal");
+        EXPECT_EQ(rejection([&] { registry.resume(id); }),
+                  "resume: session " + id + " is terminal");
+        EXPECT_EQ(rejection([&] { registry.cancel(id); }),
+                  want.state == SessionState::kCancelled
+                      ? ""
+                      : "cancel: session " + id + " is terminal");
+
+        // One synthetic state event, delivered before subscribe returns; the
+        // sink (and what it captures) is not kept, since nothing would
+        // ever fire it.
+        const auto held = std::make_shared<int>(0);
+        std::vector<std::string> lines;
+        registry.subscribe(id, /*token=*/9,
+                           [&lines, held](const std::string& line) { lines.push_back(line); });
+        ASSERT_EQ(lines.size(), 1u) << id;
+        EXPECT_EQ(lines[0], "{\"session\":\"" + id + "\",\"event\":\"state\",\"state\":\"" +
+                                session_state_name(want.state) + "\"}");
+        EXPECT_EQ(held.use_count(), 1) << id << ": the registry kept a sink that can never fire";
+        registry.unsubscribe(id, 9);
+    }
+
+    const JsonValue stats = parse_json(registry.stats_json());
+    EXPECT_EQ(stats.find("total_sessions")->as_u64("total_sessions"), expected.size());
+    const JsonValue& by_state = *stats.find("sessions");
+    for (const char* state : {"queued", "running", "suspended", "evicted"})
+        EXPECT_EQ(by_state.find(state)->as_u64(state), 0u) << state;
+    for (const char* state : {"done", "failed", "cancelled"})
+        EXPECT_EQ(by_state.find(state)->as_u64(state), 1u) << state;
+}
+
+TEST(RunRegistryTest, FinishedSessionsAnswerAsBeforeAndSurviveDrainAndRestore) {
+    const std::string dir = fresh_dir("popproto_registry_finished");
+
+    SessionSpec done_spec;
+    done_spec.protocol = "counting";
+    done_spec.threshold = 2;
+    done_spec.counts = {10, 2};
+    done_spec.seed = 5;
+    done_spec.engine = "agent";
+    done_spec.name = "finished-done";
+
+    // Submit validates only that phases exist; the unknown topology throws
+    // inside the first quantum.
+    SessionSpec failed_spec;
+    failed_spec.protocol = "epidemic";
+    failed_spec.counts = {15, 1};
+    failed_spec.model = "dynamic_graph";
+    failed_spec.phases = {"nowhere"};
+    failed_spec.name = "finished-failed";
+
+    SessionSpec cancelled_spec = long_running_spec();
+    cancelled_spec.name = "finished-cancelled";
+
+    std::vector<SessionStatus> before;
+    {
+        RegistryOptions options;
+        options.spill_dir = dir;
+        RunRegistry registry(options);
+        const std::string done = registry.submit(done_spec);
+        const std::string failed = registry.submit(failed_spec);
+        const std::string cancelled = registry.submit(cancelled_spec);
+        registry.cancel(cancelled);
+        registry.wait_idle();
+
+        before = registry.list();
+        ASSERT_EQ(before.size(), 3u);
+        EXPECT_EQ(before[0].state, SessionState::kDone);
+        EXPECT_EQ(before[0].name, "finished-done");
+        EXPECT_TRUE(before[0].stop_reason.has_value());
+        EXPECT_TRUE(before[0].consensus.has_value());
+        EXPECT_GT(before[0].interactions, 0u);
+        EXPECT_EQ(before[1].state, SessionState::kFailed);
+        EXPECT_NE(before[1].error.find("nowhere"), std::string::npos) << before[1].error;
+        EXPECT_FALSE(before[1].stop_reason.has_value());
+        EXPECT_EQ(before[2].state, SessionState::kCancelled);
+        EXPECT_EQ(before[2].name, "finished-cancelled");
+        EXPECT_FALSE(before[2].stop_reason.has_value());
+        expect_finished_sessions_answer(registry, before);
+
+        // Finished sessions drain without a spec; the name rides along.
+        registry.drain();
+        const auto manifests = registry.store().list_manifests();
+        ASSERT_EQ(manifests.size(), 3u);
+        for (const auto& [id, manifest] : manifests) {
+            EXPECT_EQ(manifest.find("\"spec\""), std::string::npos) << manifest;
+            EXPECT_NE(manifest.find("\"name\":\"finished-"), std::string::npos) << manifest;
+        }
+        EXPECT_FALSE(registry.store().has_checkpoint(cancelled));
+    }
+
+    RegistryOptions options;
+    options.spill_dir = dir;
+    RunRegistry restarted(options);
+    EXPECT_EQ(restarted.restore(), 3u);
+    expect_finished_sessions_answer(restarted, before);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(RunRegistryTest, RestoreReadsFinishedManifestsWithOrWithoutSpec) {
+    const std::string dir = fresh_dir("popproto_registry_manifests");
+    {
+        CheckpointStore store(dir);
+        // The layout older daemons drained finished sessions in: with a spec.
+        store.save_manifest(
+            "s-4",
+            "{\"id\":\"s-4\",\"state\":\"done\",\"spec\":{\"protocol\":\"epidemic\","
+            "\"counts\":[15,1],\"name\":\"legacy\"},\"interactions\":120,"
+            "\"effective_interactions\":15,\"last_output_change\":97,\"quanta\":1,"
+            "\"stop_reason\":\"silent\",\"consensus\":1}");
+        // The compact layout: no spec, the name beside the counters.
+        store.save_manifest("s-7",
+                            "{\"id\":\"s-7\",\"state\":\"failed\",\"name\":\"compact\","
+                            "\"interactions\":64,\"effective_interactions\":3,"
+                            "\"last_output_change\":0,\"quanta\":1,\"error\":\"boom\"}");
+    }
+    RegistryOptions options;
+    options.spill_dir = dir;
+    RunRegistry registry(options);
+    EXPECT_EQ(registry.restore(), 2u);
+
+    const SessionStatus legacy = registry.status("s-4");
+    EXPECT_EQ(legacy.state, SessionState::kDone);
+    EXPECT_EQ(legacy.name, "legacy");
+    EXPECT_EQ(legacy.interactions, 120u);
+    EXPECT_EQ(legacy.effective_interactions, 15u);
+    EXPECT_EQ(legacy.last_output_change, 97u);
+    EXPECT_EQ(legacy.stop_reason, StopReason::kSilent);
+    EXPECT_EQ(legacy.consensus, Symbol{1});
+
+    const SessionStatus compact = registry.status("s-7");
+    EXPECT_EQ(compact.state, SessionState::kFailed);
+    EXPECT_EQ(compact.name, "compact");
+    EXPECT_EQ(compact.interactions, 64u);
+    EXPECT_EQ(compact.error, "boom");
+    EXPECT_FALSE(compact.stop_reason.has_value());
+
+    // Fresh ids continue past the restored ones.
+    SessionSpec spec;
+    spec.counts = {15, 1};
+    EXPECT_EQ(registry.submit(spec), "s-8");
+    registry.wait_idle();
+    std::filesystem::remove_all(dir);
+
+    // A live session still needs its spec to resume.
+    const std::string live_dir = fresh_dir("popproto_registry_manifests_live");
+    CheckpointStore(live_dir).save_manifest("s-1", "{\"id\":\"s-1\",\"state\":\"suspended\"}");
+    RegistryOptions live_options;
+    live_options.spill_dir = live_dir;
+    RunRegistry live(live_options);
+    EXPECT_EQ(rejection([&] { live.restore(); }), "manifest for s-1 has no 'spec'");
+    std::filesystem::remove_all(live_dir);
 }
 
 TEST(RunRegistryTest, FairSchedulingLetsTinyRunsFinishUnderAHugeRun) {
