@@ -39,9 +39,7 @@
 #include <cstdint>
 
 #include "bench_util.h"
-#include "core/adaptive_simulator.h"
 #include "core/batch_simulator.h"
-#include "core/collapsed_simulator.h"
 #include "core/configuration.h"
 #include "core/simulator.h"
 #include "protocols/epidemic.h"
@@ -56,8 +54,7 @@ enum class Workload {
     kSparse,  // single seed, budget 3n: pure ignition phase
 };
 
-template <typename Engine>
-void run_epidemic(benchmark::State& state, Workload workload, Engine&& engine) {
+void run_epidemic(benchmark::State& state, Workload workload, SimulationEngine engine) {
     const std::uint64_t n = std::uint64_t{1} << state.range(0);
     const auto protocol = make_epidemic_protocol();
     const auto initial = CountConfiguration::from_input_counts(
@@ -69,10 +66,11 @@ void run_epidemic(benchmark::State& state, Workload workload, Engine&& engine) {
     std::uint64_t silent_runs = 0;
     for (auto _ : state) {
         RunOptions options;
+        options.engine = engine;
         options.seed = ++seed;
         if (workload == Workload::kDense) options.max_interactions = n;
         if (workload == Workload::kSparse) options.max_interactions = 3 * n;
-        const RunResult result = engine(*protocol, initial, options);
+        const RunResult result = run_simulation(*protocol, initial, options);
         interactions += result.interactions;
         silent_runs += result.stop_reason == StopReason::kSilent ? 1 : 0;
         benchmark::DoNotOptimize(result.interactions);
@@ -85,28 +83,18 @@ void run_epidemic(benchmark::State& state, Workload workload, Engine&& engine) {
         benchmark::Counter(static_cast<double>(silent_runs));
 }
 
-const auto kAdaptiveEngine = [](const TabulatedProtocol& p, const CountConfiguration& c,
-                                RunOptions o) {
-    o.engine = SimulationEngine::kAdaptive;
-    return simulate_adaptive(p, c, o);
-};
-const auto kBatchEngine = [](const TabulatedProtocol& p, const CountConfiguration& c,
-                             const RunOptions& o) { return simulate_counts(p, c, o); };
-const auto kCollapsedEngine = [](const TabulatedProtocol& p, const CountConfiguration& c,
-                                 const RunOptions& o) { return simulate_collapsed(p, c, o); };
-
 void BM_MixedRegimeAdaptive(benchmark::State& state) {
-    run_epidemic(state, Workload::kMixed, kAdaptiveEngine);
+    run_epidemic(state, Workload::kMixed, SimulationEngine::kAdaptive);
 }
 BENCHMARK(BM_MixedRegimeAdaptive)->Arg(20)->Arg(22)->Arg(24);
 
 void BM_MixedRegimeCountBatch(benchmark::State& state) {
-    run_epidemic(state, Workload::kMixed, kBatchEngine);
+    run_epidemic(state, Workload::kMixed, SimulationEngine::kCountBatch);
 }
 BENCHMARK(BM_MixedRegimeCountBatch)->Arg(20)->Arg(22)->Arg(24);
 
 void BM_MixedRegimeCollapsed(benchmark::State& state) {
-    run_epidemic(state, Workload::kMixed, kCollapsedEngine);
+    run_epidemic(state, Workload::kMixed, SimulationEngine::kCollapsedBatch);
 }
 BENCHMARK(BM_MixedRegimeCollapsed)->Arg(20)->Arg(22)->Arg(24);
 
@@ -114,22 +102,22 @@ BENCHMARK(BM_MixedRegimeCollapsed)->Arg(20)->Arg(22)->Arg(24);
 // regime outright (collapsed on dense, count-batch on sparse; the losing
 // engine's deficit is already bench_collapsed's table).
 void BM_DenseControlAdaptive(benchmark::State& state) {
-    run_epidemic(state, Workload::kDense, kAdaptiveEngine);
+    run_epidemic(state, Workload::kDense, SimulationEngine::kAdaptive);
 }
 BENCHMARK(BM_DenseControlAdaptive)->Arg(20)->Arg(22);
 
 void BM_DenseControlCollapsed(benchmark::State& state) {
-    run_epidemic(state, Workload::kDense, kCollapsedEngine);
+    run_epidemic(state, Workload::kDense, SimulationEngine::kCollapsedBatch);
 }
 BENCHMARK(BM_DenseControlCollapsed)->Arg(20)->Arg(22);
 
 void BM_SparseControlAdaptive(benchmark::State& state) {
-    run_epidemic(state, Workload::kSparse, kAdaptiveEngine);
+    run_epidemic(state, Workload::kSparse, SimulationEngine::kAdaptive);
 }
 BENCHMARK(BM_SparseControlAdaptive)->Arg(20)->Arg(22);
 
 void BM_SparseControlCountBatch(benchmark::State& state) {
-    run_epidemic(state, Workload::kSparse, kBatchEngine);
+    run_epidemic(state, Workload::kSparse, SimulationEngine::kCountBatch);
 }
 BENCHMARK(BM_SparseControlCountBatch)->Arg(20)->Arg(22);
 

@@ -30,7 +30,6 @@
 
 #include "bench_util.h"
 #include "core/batch_simulator.h"
-#include "core/collapsed_simulator.h"
 #include "core/simulator.h"
 #include "protocols/counting.h"
 #include "protocols/epidemic.h"
@@ -39,8 +38,7 @@ namespace {
 
 using namespace popproto;
 
-template <typename Engine>
-void run_epidemic_transient(benchmark::State& state, Engine&& engine) {
+void run_epidemic_transient(benchmark::State& state, SimulationEngine engine) {
     const std::uint64_t n = static_cast<std::uint64_t>(state.range(0));
     const auto protocol = make_epidemic_protocol();
     const auto initial = CountConfiguration::from_input_counts(*protocol, {n / 2, n - n / 2});
@@ -49,9 +47,10 @@ void run_epidemic_transient(benchmark::State& state, Engine&& engine) {
     std::uint64_t effective = 0;
     for (auto _ : state) {
         RunOptions options;
+        options.engine = engine;
         options.max_interactions = n;  // stay inside the dense transient
         options.seed = ++seed;
-        const RunResult result = engine(*protocol, initial, options);
+        const RunResult result = run_simulation(*protocol, initial, options);
         interactions += result.interactions;
         effective += result.effective_interactions;
         benchmark::DoNotOptimize(result.interactions);
@@ -62,13 +61,8 @@ void run_epidemic_transient(benchmark::State& state, Engine&& engine) {
         static_cast<double>(effective), benchmark::Counter::kIsRate);
 }
 
-const auto kBatchEngine = [](const TabulatedProtocol& p, const CountConfiguration& c,
-                             const RunOptions& o) { return simulate_counts(p, c, o); };
-const auto kCollapsedEngine = [](const TabulatedProtocol& p, const CountConfiguration& c,
-                                 const RunOptions& o) { return simulate_collapsed(p, c, o); };
-
 void BM_EpidemicDenseCountBatch(benchmark::State& state) {
-    run_epidemic_transient(state, kBatchEngine);
+    run_epidemic_transient(state, SimulationEngine::kCountBatch);
 }
 BENCHMARK(BM_EpidemicDenseCountBatch)
     ->Arg(1 << 10)
@@ -78,7 +72,7 @@ BENCHMARK(BM_EpidemicDenseCountBatch)
     ->Arg(1 << 24);
 
 void BM_EpidemicDenseCollapsed(benchmark::State& state) {
-    run_epidemic_transient(state, kCollapsedEngine);
+    run_epidemic_transient(state, SimulationEngine::kCollapsedBatch);
 }
 BENCHMARK(BM_EpidemicDenseCollapsed)
     ->Arg(1 << 10)
@@ -93,8 +87,7 @@ BENCHMARK(BM_EpidemicDenseCollapsed)
 // engine still pays one super-step per ~sqrt(n) interactions, so the batch
 // engine stays ahead here — the reason kAuto keeps it below
 // kAutoCollapsedThreshold.
-template <typename Engine>
-void run_sparse_counting(benchmark::State& state, Engine&& engine) {
+void run_sparse_counting(benchmark::State& state, SimulationEngine engine) {
     const std::uint64_t n = std::uint64_t{1} << 20;
     const auto protocol = make_counting_protocol(5);
     const auto initial = CountConfiguration::from_input_counts(*protocol, {n - 7, 7});
@@ -102,9 +95,10 @@ void run_sparse_counting(benchmark::State& state, Engine&& engine) {
     std::uint64_t interactions = 0;
     for (auto _ : state) {
         RunOptions options;
+        options.engine = engine;
         options.max_interactions = 4'000'000;
         options.seed = ++seed;
-        const RunResult result = engine(*protocol, initial, options);
+        const RunResult result = run_simulation(*protocol, initial, options);
         interactions += result.interactions;
         benchmark::DoNotOptimize(result.interactions);
     }
@@ -113,12 +107,12 @@ void run_sparse_counting(benchmark::State& state, Engine&& engine) {
 }
 
 void BM_SparseCountingCountBatch(benchmark::State& state) {
-    run_sparse_counting(state, kBatchEngine);
+    run_sparse_counting(state, SimulationEngine::kCountBatch);
 }
 BENCHMARK(BM_SparseCountingCountBatch);
 
 void BM_SparseCountingCollapsed(benchmark::State& state) {
-    run_sparse_counting(state, kCollapsedEngine);
+    run_sparse_counting(state, SimulationEngine::kCollapsedBatch);
 }
 BENCHMARK(BM_SparseCountingCollapsed);
 
@@ -149,7 +143,8 @@ void BM_CollapsedScaling(benchmark::State& state) {
         options.max_interactions = n;  // stay inside the dense transient
         options.seed = ++seed;
         options.threads = threads;
-        const RunResult result = simulate_collapsed(*protocol, initial, options);
+        options.engine = SimulationEngine::kCollapsedBatch;
+        const RunResult result = run_simulation(*protocol, initial, options);
         interactions += result.interactions;
         benchmark::DoNotOptimize(result.interactions);
     }

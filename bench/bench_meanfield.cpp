@@ -57,11 +57,12 @@ void BM_BatchSimulateEpidemic(benchmark::State& state) {
     const std::uint64_t n = static_cast<std::uint64_t>(state.range(0));
     const auto initial = epidemic_initial(*protocol, n);
     RunOptions options;
+    options.engine = SimulationEngine::kCountBatch;
     options.max_interactions = static_cast<std::uint64_t>(kHorizon) * n;
     std::uint64_t seed = 1;
     for (auto _ : state) {
         options.seed = seed++;
-        const RunResult result = simulate_counts(*protocol, initial, options);
+        const RunResult result = run_simulation(*protocol, initial, options);
         benchmark::DoNotOptimize(result.interactions);
     }
 }

@@ -56,6 +56,7 @@ RunOptions agent_options(std::uint64_t seed) {
 
 RunOptions batch_options(std::uint64_t seed) {
     RunOptions options;
+    options.engine = SimulationEngine::kCountBatch;
     options.max_interactions = kBatchBudget;
     options.seed = seed;
     return options;
@@ -93,7 +94,7 @@ void run_batch(benchmark::State& state, Runner&& with_options) {
     for (auto _ : state) {
         RunOptions options = batch_options(++seed);
         with_options(options);
-        const RunResult result = simulate_counts(*protocol, initial, options);
+        const RunResult result = run_simulation(*protocol, initial, options);
         interactions += result.interactions;
         benchmark::DoNotOptimize(result.interactions);
     }
@@ -189,7 +190,7 @@ void BM_BatchJsonl(benchmark::State& state) {
         RunOptions options = batch_options(++seed);
         options.observer = &writer;
         options.snapshots = SnapshotSchedule::every(65536);
-        const RunResult result = simulate_counts(*protocol, initial, options);
+        const RunResult result = run_simulation(*protocol, initial, options);
         interactions += result.interactions;
         benchmark::DoNotOptimize(sink.str().size());
     }

@@ -54,8 +54,8 @@ BENCHMARK(BM_SimulateCounting)->Arg(256)->Arg(4096);
 
 constexpr std::uint64_t kHeadToHeadBudget = 4'000'000;
 
-template <typename Engine>
-void run_counting_head_to_head(benchmark::State& state, std::uint64_t ones, Engine&& engine) {
+void run_counting_head_to_head(benchmark::State& state, std::uint64_t ones,
+                               SimulationEngine engine) {
     const std::uint64_t n = static_cast<std::uint64_t>(state.range(0));
     const auto protocol = make_counting_protocol(5);
     const auto initial = CountConfiguration::from_input_counts(*protocol, {n - ones, ones});
@@ -64,9 +64,10 @@ void run_counting_head_to_head(benchmark::State& state, std::uint64_t ones, Engi
     std::uint64_t effective = 0;
     for (auto _ : state) {
         RunOptions options;
+        options.engine = engine;
         options.max_interactions = kHeadToHeadBudget;
         options.seed = ++seed;
-        const RunResult result = engine(*protocol, initial, options);
+        const RunResult result = run_simulation(*protocol, initial, options);
         interactions += result.interactions;
         effective += result.effective_interactions;
         benchmark::DoNotOptimize(result.interactions);
@@ -77,30 +78,25 @@ void run_counting_head_to_head(benchmark::State& state, std::uint64_t ones, Engi
         static_cast<double>(effective), benchmark::Counter::kIsRate);
 }
 
-const auto kAgentArrayEngine = [](const TabulatedProtocol& p, const CountConfiguration& c,
-                                  const RunOptions& o) { return simulate(p, c, o); };
-const auto kBatchEngine = [](const TabulatedProtocol& p, const CountConfiguration& c,
-                             const RunOptions& o) { return simulate_counts(p, c, o); };
-
 void BM_CountingAgentArrayDense(benchmark::State& state) {
     run_counting_head_to_head(state, static_cast<std::uint64_t>(state.range(0)) / 2,
-                              kAgentArrayEngine);
+                              SimulationEngine::kAgentArray);
 }
 BENCHMARK(BM_CountingAgentArrayDense)->Arg(256)->Arg(4096)->Arg(65536)->Arg(1048576);
 
 void BM_CountingBatchDense(benchmark::State& state) {
     run_counting_head_to_head(state, static_cast<std::uint64_t>(state.range(0)) / 2,
-                              kBatchEngine);
+                              SimulationEngine::kCountBatch);
 }
 BENCHMARK(BM_CountingBatchDense)->Arg(256)->Arg(4096)->Arg(65536)->Arg(1048576);
 
 void BM_CountingAgentArraySparse(benchmark::State& state) {
-    run_counting_head_to_head(state, 7, kAgentArrayEngine);
+    run_counting_head_to_head(state, 7, SimulationEngine::kAgentArray);
 }
 BENCHMARK(BM_CountingAgentArraySparse)->Arg(256)->Arg(4096)->Arg(65536)->Arg(1048576);
 
 void BM_CountingBatchSparse(benchmark::State& state) {
-    run_counting_head_to_head(state, 7, kBatchEngine);
+    run_counting_head_to_head(state, 7, SimulationEngine::kCountBatch);
 }
 BENCHMARK(BM_CountingBatchSparse)->Arg(256)->Arg(4096)->Arg(65536)->Arg(1048576);
 
@@ -118,9 +114,10 @@ void BM_BatchCountingFullConvergence(benchmark::State& state) {
     std::uint64_t silent_runs = 0;
     for (auto _ : state) {
         RunOptions options;
+        options.engine = SimulationEngine::kCountBatch;
         options.max_interactions = default_budget(n);
         options.seed = ++seed;
-        const RunResult result = simulate_counts(*protocol, initial, options);
+        const RunResult result = run_simulation(*protocol, initial, options);
         interactions += result.interactions;
         if (result.stop_reason == StopReason::kSilent) ++silent_runs;
         benchmark::DoNotOptimize(result.interactions);

@@ -1,8 +1,8 @@
 // trace_run: stream one simulated run as JSONL for plotting.
 //
 // Runs a built-in protocol — or any protocol compiled from a
-// quantifier-free Presburger predicate — under any of the five engines with
-// a snapshot schedule and writes the trace to stdout, one JSON object per
+// quantifier-free Presburger predicate — under any engine or scenario model
+// with a snapshot schedule and writes the trace to stdout, one JSON object per
 // line — pipe it into jq/python for trajectory plots (README.md shows a
 // matplotlib one-liner).  Long runs can be suspended and resumed: with
 // --checkpoint the run continuously overwrites a checkpoint file, and
@@ -31,14 +31,11 @@
 //                falls silent; adaptive switches batch <-> collapsed mid-run
 //                as the effective-pair density crosses thresholds)
 //   --adaptive   shorthand for --engine adaptive
-//   --switch-thresholds ENTER,EXIT[,DWELL[,PERIOD]]
+//   --switch-thresholds ENTER,EXIT[,DWELL]
 //                adaptive dispatcher tuning: enter/exit the collapsed engine
 //                when the signal rho*E[L] crosses ENTER (up) / EXIT (down);
-//                DWELL = min interactions between switches, PERIOD = poll
-//                spacing (0 picks the defaults)
-//   --fluid-assist  adaptive runs only: fast-forward the dense transient
-//                with the mean-field ODE (approximate — the run is no
-//                longer an exact sample path)
+//                DWELL = min interactions between switches (0 picks the
+//                default)
 //   --threads K  intra-run worker threads (collapsed engine only; 0 = all
 //                hardware threads, default 1).  Fixed (seed, K) runs are
 //                bit-identical; different K agree in distribution only.
@@ -93,13 +90,12 @@
 #include <iostream>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "core/adaptive_simulator.h"
 #include "core/batch_simulator.h"
-#include "core/collapsed_simulator.h"
 #include "core/observer.h"
 #include "core/run_loop.h"
 #include "core/simulator.h"
@@ -112,7 +108,6 @@
 #include "presburger/parser.h"
 #include "protocols/counting.h"
 #include "protocols/epidemic.h"
-#include "meanfield/fluid_assist.h"
 #include "scenarios/games.h"
 #include "scenarios/scenario_spec.h"
 #include "telemetry/chrome_trace.h"
@@ -129,8 +124,7 @@ using namespace popproto;
                  "usage: trace_run [epidemic|counting|majority|pavlov] [--predicate F] [--n N]\n"
                  "                 [--ones K] [--counts C0,C1,...] [--seed S] [--budget B]\n"
                  "                 [--engine batch|collapsed|agent|weighted|graph|adaptive]\n"
-                 "                 [--adaptive] [--switch-thresholds ENTER,EXIT[,DWELL[,PERIOD]]]\n"
-                 "                 [--fluid-assist]\n"
+                 "                 [--adaptive] [--switch-thresholds ENTER,EXIT[,DWELL]]\n"
                  "                 [--threads K] [--graph complete|ring|line|star]\n"
                  "                 [--model round_robin|sweep|adversarial|dynamic_graph|"
                  "grid_mobility]\n"
@@ -257,6 +251,16 @@ private:
     std::thread thread_;
 };
 
+/// The run_simulation engine behind an --engine name other than weighted
+/// and graph (those two take per-agent inputs through their own entry
+/// points).
+SimulationEngine complete_graph_engine(const std::string& name) {
+    if (name == "agent") return SimulationEngine::kAgentArray;
+    if (name == "collapsed") return SimulationEngine::kCollapsedBatch;
+    if (name == "adaptive") return SimulationEngine::kAdaptive;
+    return SimulationEngine::kCountBatch;  // "batch"
+}
+
 /// Expands per-input-symbol counts into a per-agent input vector (for the
 /// engines that address individual agents).
 std::vector<Symbol> expand_inputs(const std::vector<std::uint64_t>& input_counts) {
@@ -281,7 +285,6 @@ int main(int argc, char** argv) {
     std::string engine_name;        // empty = batch, or inferred from --resume
     AdaptiveOptions adaptive_tuning;   // --switch-thresholds
     bool adaptive_tuning_given = false;
-    bool fluid_assist = false;
     std::uint64_t threads = 1;      // --threads; 0 = hardware concurrency
     bool threads_given = false;
     std::string graph_name = "ring";
@@ -336,17 +339,13 @@ int main(int argc, char** argv) {
                     parse_double(arg, list.substr(start, comma - start).c_str()));
                 start = comma + 1;
             }
-            if (values.size() < 2 || values.size() > 4)
-                usage_error("--switch-thresholds: expected ENTER,EXIT[,DWELL[,PERIOD]]");
+            if (values.size() < 2 || values.size() > 3)
+                usage_error("--switch-thresholds: expected ENTER,EXIT[,DWELL]");
             adaptive_tuning.enter_collapsed = values[0];
             adaptive_tuning.exit_collapsed = values[1];
             if (values.size() > 2)
                 adaptive_tuning.min_dwell = static_cast<std::uint64_t>(values[2]);
-            if (values.size() > 3)
-                adaptive_tuning.eval_period = static_cast<std::uint64_t>(values[3]);
             adaptive_tuning_given = true;
-        } else if (std::strcmp(arg, "--fluid-assist") == 0) {
-            fluid_assist = true;
         } else if (std::strcmp(arg, "--threads") == 0) {
             threads = parse_u64(arg, next());
             threads_given = true;
@@ -474,9 +473,6 @@ int main(int argc, char** argv) {
                 // the resume command must repeat them.
                 file_model = resume_checkpoint.interaction_model;
                 break;
-            case ObservedEngine::kScheduler:
-                usage_error("--resume: this checkpoint came from simulate_with_scheduler; "
-                            "resume it through that API");
         }
         // A parallel-collapsed checkpoint fixes the shard count; infer
         // --threads from the file (and reject a conflicting explicit value
@@ -517,9 +513,8 @@ int main(int argc, char** argv) {
 
     if (threads > 1 && engine_name != "collapsed")
         usage_error("--threads: only --engine collapsed runs with more than one thread");
-    if ((adaptive_tuning_given || fluid_assist) && engine_name != "adaptive")
-        usage_error("--switch-thresholds/--fluid-assist: require --engine adaptive "
-                    "(or --adaptive)");
+    if (adaptive_tuning_given && engine_name != "adaptive")
+        usage_error("--switch-thresholds: requires --engine adaptive (or --adaptive)");
 
     RunOptions options;
     options.max_interactions = budget != 0 ? budget : default_budget(n);
@@ -531,10 +526,6 @@ int main(int argc, char** argv) {
                                                                                n / 4, 1));
     if (!resume_path.empty()) options.resume_from = &resume_checkpoint;
     options.adaptive = adaptive_tuning;
-    if (fluid_assist) {
-        options.fluid_assist = true;
-        options.fluid_hook = make_fluid_assist_hook();
-    }
 
     std::unique_ptr<FileCheckpointSink> sink;
     if (!checkpoint_path.empty()) {
@@ -573,15 +564,6 @@ int main(int argc, char** argv) {
                      std::nullopt};
     if (!scenario.model.empty()) {
         result = run_scenario(*protocol, initial, scenario, options);
-    } else if (engine_name == "batch") {
-        result = simulate_counts(*protocol, initial, options);
-    } else if (engine_name == "collapsed") {
-        result = simulate_collapsed(*protocol, initial, options);
-    } else if (engine_name == "adaptive") {
-        options.engine = SimulationEngine::kAdaptive;
-        result = simulate_adaptive(*protocol, initial, options);
-    } else if (engine_name == "agent") {
-        result = simulate(*protocol, initial, options);
     } else if (engine_name == "weighted") {
         // Unit weights demonstrate the inverse-CDF sampler; the distribution
         // coincides with `agent` but the RNG stream (and so the trajectory)
@@ -589,25 +571,24 @@ int main(int argc, char** argv) {
         const auto agents = AgentConfiguration::from_counts(initial);
         const std::vector<double> weights(agents.size(), 1.0);
         result = simulate_weighted(*protocol, agents, weights, options);
-    } else {  // graph
+    } else if (engine_name == "graph") {
         if (n > std::uint32_t(-1)) usage_error("--engine graph: population must fit 32 bits");
-        const auto num_agents = static_cast<std::uint32_t>(n);
-        InteractionGraph graph = InteractionGraph::ring(num_agents);
-        if (graph_name == "complete") {
-            graph = InteractionGraph::complete(num_agents);
-        } else if (graph_name == "line") {
-            graph = InteractionGraph::line(num_agents);
-        } else if (graph_name == "star") {
-            graph = InteractionGraph::star(num_agents);
-        } else if (graph_name != "ring") {
-            usage_error("--graph: expected complete, ring, line, or star, got " + graph_name);
-        }
+        const InteractionGraph graph = [&] {
+            try {
+                return make_named_topology(graph_name, static_cast<std::uint32_t>(n));
+            } catch (const std::invalid_argument& error) {
+                usage_error(std::string("--graph: ") + error.what());
+            }
+        }();
         const GraphRunResult graph_result =
             simulate_on_graph(*protocol, graph, expand_inputs(input_counts), options);
         result = RunResult{graph_result.final_configuration.to_counts(protocol->num_states()),
                            graph_result.stop_reason, graph_result.interactions,
                            graph_result.effective_interactions,
                            graph_result.last_output_change, graph_result.consensus};
+    } else {
+        options.engine = complete_graph_engine(engine_name);
+        result = run_simulation(*protocol, initial, options);
     }
     progress.reset();  // final join before the exports touch the collector
 

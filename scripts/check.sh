@@ -7,9 +7,10 @@
 #
 # --tsan switches to the data-race gate: a ThreadSanitizer build running the
 # tests that exercise the intra-run parallel machinery (the thread pool, the
-# sharded collapsed engine, and the trial fan-out) and the service registry's
+# sharded collapsed engine, and the trial fan-out), the service registry's
 # multi-worker paths (per-quantum metrics merge, session retirement with
-# live subscribers).  TSan and ASan cannot
+# live subscribers), and the wire server's accept and connection threads.
+# TSan and ASan cannot
 # share a process, hence the separate mode and build directory; the filter
 # keeps the ~10x TSan slowdown off the purely sequential 95% of the suite.
 #
@@ -30,10 +31,11 @@ if [[ "${1:-}" == "--tsan" ]]; then
     SANITIZERS="thread"
     DEFAULT_BUILD_DIR="$ROOT/build-check-tsan"
     # The concurrency surface: ThreadPool / parallel collapsed engine /
-    # multi-threaded trial fan-out tests, plus the registry tests that run
+    # multi-threaded trial fan-out tests, the registry tests that run
     # several workers or subscribers (the fast ones: the suspend/drain
-    # tests take minutes under TSan).
-    CTEST_FILTER=(-R 'ThreadPool|ParallelCollapsed|ThreadOptions|Trials|RunRegistryTest\.(Metrics|Hundreds|Subscribers|FairScheduling)')
+    # tests take minutes under TSan), and the wire server tests (accept
+    # thread, per-connection readers, stop()).
+    CTEST_FILTER=(-R 'ThreadPool|ParallelCollapsed|ThreadOptions|Trials|RunRegistryTest\.(Metrics|Hundreds|Subscribers|FairScheduling)|WireServerTest')
     LABEL="tsan"
 fi
 

@@ -32,7 +32,9 @@
 #                                                 committed release baselines)
 #   7. scripts/check.sh                          (asan+ubsan build + ctest)
 #   8. scripts/check.sh --tsan                   (ThreadSanitizer build over
-#                                                 the parallel-engine tests)
+#                                                 the parallel-engine,
+#                                                 registry and wire-server
+#                                                 tests)
 #
 # Usage: scripts/ci.sh [build-dir]
 #   build-dir  defaults to <repo>/build; the sanitizer stages always use

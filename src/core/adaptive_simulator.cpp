@@ -4,7 +4,6 @@
 #include <optional>
 #include <utility>
 
-#include "core/batch_simulator.h"
 #include "core/collapsed_simulator.h"
 #include "core/effective_pairs.h"
 #include "core/engine_monitor.h"
@@ -82,24 +81,18 @@ private:
 
 }  // namespace
 
-RunResult simulate_adaptive(const TabulatedProtocol& protocol,
-                            const CountConfiguration& initial, const RunOptions& options) {
-    require(initial.num_states() == protocol.num_states(),
-            "simulate_adaptive: configuration does not match protocol");
-    const std::uint64_t n = initial.population_size();
-    require(n >= 2, "simulate_adaptive: need at least two agents");
-    require(n < (std::uint64_t{1} << 32), "simulate_adaptive: population must fit 32 bits");
-    require_engine_field(options, SimulationEngine::kAdaptive, "simulate_adaptive");
-    require(options.threads <= 1,
-            "simulate_adaptive: the adaptive dispatcher is serial; threads > 1 pins the "
-            "collapsed engine (run_simulation)");
-    require(!options.fluid_assist || options.fluid_hook,
-            "simulate_adaptive: fluid_assist requires a fluid_hook "
-            "(make_fluid_assist_hook in meanfield/fluid_assist.h)");
-    require(options.switch_monitor == nullptr,
-            "simulate_adaptive: switch_monitor is internal driver plumbing; leave it null");
+namespace engine_detail {
 
-    const std::uint64_t budget = resolved_budget(options, n);
+RunResult run_adaptive(const TabulatedProtocol& protocol, const CountConfiguration& initial,
+                       const RunOptions& options) {
+    require(initial.num_states() == protocol.num_states(),
+            "run_simulation: configuration does not match protocol");
+    const std::uint64_t n = initial.population_size();
+    require(n >= 2, "run_simulation: need at least two agents");
+    require(n < (std::uint64_t{1} << 32), "run_simulation: population must fit 32 bits");
+    require(options.threads <= 1,
+            "run_simulation: the adaptive dispatcher is serial; threads > 1 pins the "
+            "collapsed engine");
 
     // The working cursor: the checkpoint the next segment resumes from
     // (empty for the first segment of a fresh run), plus the monitor that
@@ -112,7 +105,7 @@ RunResult simulate_adaptive(const TabulatedProtocol& protocol,
         cursor = *options.resume_from;
         require(cursor->engine == ObservedEngine::kCountBatch ||
                     cursor->engine == ObservedEngine::kCollapsed,
-                std::string("simulate_adaptive: cannot resume a ") +
+                std::string("run_simulation: cannot resume a ") +
                     observed_engine_name(cursor->engine) + " checkpoint");
         current = cursor->engine;
         monitor.emplace(n, current, options.adaptive);
@@ -140,29 +133,6 @@ RunResult simulate_adaptive(const TabulatedProtocol& protocol,
                       ? ObservedEngine::kCollapsed
                       : ObservedEngine::kCountBatch;
         monitor.emplace(n, current, options.adaptive);
-
-        // Mean-field fast-forward (opt-in, dense entries only): skip the
-        // deterministic bulk of the transient and re-enter the stochastic
-        // simulation near the predicted sparse tail.
-        if (options.fluid_assist && current == ObservedEngine::kCollapsed) {
-            std::optional<RunCheckpoint> assist =
-                options.fluid_hook(protocol, initial, options);
-            if (assist.has_value()) {
-                require(assist->engine == ObservedEngine::kCountBatch ||
-                            assist->engine == ObservedEngine::kCollapsed,
-                        "simulate_adaptive: fluid_hook must produce a count-engine "
-                        "checkpoint");
-                require(assist->population == n && assist->num_states == protocol.num_states(),
-                        "simulate_adaptive: fluid_hook checkpoint does not match the run");
-                require(assist->interactions <= budget,
-                        "simulate_adaptive: fluid_hook fast-forwarded past the "
-                        "interaction budget");
-                cursor = std::move(assist);
-                current = cursor->engine;
-                monitor.emplace(n, current, options.adaptive);
-                monitor->restore(0, 0, cursor->interactions + monitor->eval_period());
-            }
-        }
     }
 
     telemetry::RunTelemetryCollector* const collector =
@@ -179,20 +149,14 @@ RunResult simulate_adaptive(const TabulatedProtocol& protocol,
                      std::nullopt};
     while (true) {
         RunOptions segment = options;
-        segment.engine = current == ObservedEngine::kCollapsed
-                             ? SimulationEngine::kCollapsedBatch
-                             : SimulationEngine::kCountBatch;
         segment.threads = 1;
         segment.resume_from = cursor.has_value() ? &*cursor : nullptr;
         segment.checkpoint_sink = &sink;
-        segment.switch_monitor = &*monitor;
         segment.observer = segment_observer.has_value() ? &*segment_observer : nullptr;
-        segment.fluid_assist = false;
-        segment.fluid_hook = nullptr;
 
         result = current == ObservedEngine::kCollapsed
-                     ? simulate_collapsed(protocol, initial, segment)
-                     : simulate_counts(protocol, initial, segment);
+                     ? run_collapsed(protocol, initial, segment, &*monitor)
+                     : run_count_batch(protocol, initial, segment, &*monitor);
 
         // No pending switch: the segment ended the run for real (silence,
         // budget, stable outputs, or a user pause/stop) — finalize.
@@ -202,7 +166,7 @@ RunResult simulate_adaptive(const TabulatedProtocol& protocol,
         // boundary and the sink holds the transfer checkpoint.  Splice.
         std::optional<RunCheckpoint> fire = sink.take_fire();
         ensure(fire.has_value(),
-               "simulate_adaptive: monitor fired without a transfer checkpoint");
+               "run_simulation: monitor fired without a transfer checkpoint");
         const std::uint64_t switch_index = fire->interactions;
         EngineSwitchInfo info;
         info.interactions = switch_index;
@@ -237,5 +201,7 @@ RunResult simulate_adaptive(const TabulatedProtocol& protocol,
         options.observer->on_stop(result, run_loop_detail::seconds_since(wall_start));
     return result;
 }
+
+}  // namespace engine_detail
 
 }  // namespace popproto

@@ -10,10 +10,12 @@
 // convergence tail — so any static choice loses one phase.  The former
 // kAuto policy picked once, by population size, before the run started.
 //
-// simulate_adaptive picks per *phase* instead.  An EngineSwitchMonitor
+// The adaptive dispatcher picks per *phase* instead.  An EngineSwitchMonitor
 // (engine_monitor.h) watches the dimensionless signal x = rho * E[L]
 // (effective-interaction fraction times expected collision-free run length)
-// that both engines already compute for their silence predicates, and when
+// that both engines already compute for their silence predicates.  The
+// dispatcher hands the monitor to each segment as run_loop's `monitor`
+// argument, and the kernel polls it every n/64 interactions (at least 256).  When
 // hysteresis thresholds say the other engine now wins, the run-loop kernel
 // captures a checkpoint at the current super-step / skip boundary and this
 // driver resumes it under the other engine via transfer_checkpoint_engine.
@@ -34,14 +36,6 @@
 // against a baseline running the same boundary schedule (see
 // tests/adaptive_simulator_test.cpp and collapsed_simulator_test.cpp).
 //
-// Optional mean-field fast-forward (RunOptions::fluid_assist +
-// RunOptions::fluid_hook, see meanfield/fluid_assist.h): a dense-entry run
-// may first integrate the protocol's mean-field ODE to the predicted
-// sparse-tail entry, re-seed a stochastic configuration there, and only
-// then simulate.  Explicitly opt-in because it trades exactness for speed:
-// a fluid-assisted run is *not* bit-identical to (or even a sample path of)
-// the unassisted law.
-//
 // Serial only: the sharded collapsed engine draws from K split RNG streams
 // that the count-batch engine cannot continue, so threads > 1 keeps pinning
 // the (parallel) collapsed engine in run_simulation instead.
@@ -55,14 +49,28 @@
 
 namespace popproto {
 
-/// Runs `protocol` from `initial` under the phase-adaptive dispatcher.
-/// Accepts options.engine == kAdaptive (or kAuto); RunOptions::adaptive
-/// holds the thresholds.  RunResult::engine reports kAdaptive; emitted
-/// checkpoints carry the concrete segment engine plus the monitor's
-/// `adaptive` section and resume here under kAuto/kAdaptive (or under the
-/// segment engine, which pins it statically).  Requires threads <= 1.
-RunResult simulate_adaptive(const TabulatedProtocol& protocol,
-                            const CountConfiguration& initial, const RunOptions& options);
+// Private to src/core: callers choose these engines through run_simulation
+// (batch_simulator.h) with SimulationEngine::kCountBatch / kAdaptive.
+namespace engine_detail {
+
+/// run_simulation's count-batch runner (batch_simulator.cpp), also the
+/// sparse-side segment the adaptive dispatcher chains; the dense side is
+/// run_collapsed (collapsed_simulator.h).  `monitor` is the dispatcher's
+/// engine switch monitor (null otherwise).
+RunResult run_count_batch(const TabulatedProtocol& protocol, const CountConfiguration& initial,
+                          const RunOptions& options, EngineSwitchMonitor* monitor = nullptr);
+
+/// run_simulation's adaptive runner (options.engine == kAdaptive, kAuto at
+/// kAutoCollapsedThreshold and beyond, or kAuto resuming a checkpoint with
+/// an `adaptive` section).  RunOptions::adaptive holds the thresholds.
+/// RunResult::engine reports kAdaptive; emitted checkpoints carry the
+/// concrete segment engine plus the monitor's `adaptive` section and resume
+/// here under kAuto/kAdaptive (or under the segment engine, which pins it
+/// statically).  Requires threads <= 1.
+RunResult run_adaptive(const TabulatedProtocol& protocol, const CountConfiguration& initial,
+                       const RunOptions& options);
+
+}  // namespace engine_detail
 
 }  // namespace popproto
 

@@ -78,7 +78,7 @@ public:
                 u -= pair_weight;
             }
         }
-        ensure(found, "simulate_counts: internal pair-sampling invariant violated");
+        ensure(found, "count_batch: internal pair-sampling invariant violated");
 
         const StatePair next = protocol_.apply_fast(p, q);
         const Symbol out_p = protocol_.output_fast(p);
@@ -108,10 +108,10 @@ public:
 
     void restore(const RunCheckpoint& checkpoint) {
         require(checkpoint.counts.size() == tracker_.counts().size(),
-                "simulate_counts: checkpoint state-count mismatch");
+                "count_batch: checkpoint state-count mismatch");
         std::uint64_t total = 0;
         for (const std::uint64_t count : checkpoint.counts) total += count;
-        require(total == population_, "simulate_counts: checkpoint population mismatch");
+        require(total == population_, "count_batch: checkpoint population mismatch");
         tracker_.reset_counts(checkpoint.counts);
     }
 
@@ -124,30 +124,33 @@ private:
 
 }  // namespace
 
-RunResult simulate_counts(const TabulatedProtocol& protocol, const CountConfiguration& initial,
-                          const RunOptions& options) {
+namespace engine_detail {
+
+RunResult run_count_batch(const TabulatedProtocol& protocol, const CountConfiguration& initial,
+                          const RunOptions& options, EngineSwitchMonitor* monitor) {
     require(initial.num_states() == protocol.num_states(),
-            "simulate_counts: configuration does not match protocol");
+            "run_simulation: configuration does not match protocol");
     const std::uint64_t n = initial.population_size();
-    require(n >= 2, "simulate_counts: need at least two agents");
-    require(n < (std::uint64_t{1} << 32), "simulate_counts: population must fit 32 bits");
-    require_engine_field(options, SimulationEngine::kCountBatch, "simulate_counts");
+    require(n >= 2, "run_simulation: need at least two agents");
+    require(n < (std::uint64_t{1} << 32), "run_simulation: population must fit 32 bits");
 
     CountBatchStepper stepper(protocol, initial);
-    return run_loop(stepper, protocol, options, "simulate_counts");
+    return run_loop(stepper, protocol, options, "run_simulation", monitor);
 }
+
+}  // namespace engine_detail
 
 RunResult run_simulation(const TabulatedProtocol& protocol, const CountConfiguration& initial,
                          const RunOptions& options) {
     switch (options.engine) {
         case SimulationEngine::kCountBatch:
-            return simulate_counts(protocol, initial, options);
+            return engine_detail::run_count_batch(protocol, initial, options);
         case SimulationEngine::kCollapsedBatch:
-            return simulate_collapsed(protocol, initial, options);
+            return engine_detail::run_collapsed(protocol, initial, options);
         case SimulationEngine::kAgentArray:
             return simulate(protocol, initial, options);
         case SimulationEngine::kAdaptive:
-            return simulate_adaptive(protocol, initial, options);
+            return engine_detail::run_adaptive(protocol, initial, options);
         case SimulationEngine::kAuto:
             break;
     }
@@ -155,20 +158,22 @@ RunResult run_simulation(const TabulatedProtocol& protocol, const CountConfigura
     // the only one that honours threads > 1, and letting the size-based
     // choice route the request to a sequential engine would just trip the
     // kernel's never-ignore check.
-    if (options.threads > 1) return simulate_collapsed(protocol, initial, options);
+    if (options.threads > 1) return engine_detail::run_collapsed(protocol, initial, options);
     // A checkpoint that carries an adaptive monitor section was written by
     // the adaptive dispatcher; kAuto resumes it there so the run keeps its
     // switching behaviour instead of silently pinning the segment engine.
     if (options.resume_from != nullptr && options.resume_from->adaptive)
-        return simulate_adaptive(protocol, initial, options);
+        return engine_detail::run_adaptive(protocol, initial, options);
     // Size-based auto-selection (see the threshold constants in
     // simulator.h): the count engines need the multiset view anyway, so the
     // only inputs are the population and the documented crossover points.
     // At collapsed scale the within-run regime matters more than the size,
     // so those runs go to the phase-adaptive dispatcher.
     const std::uint64_t n = initial.population_size();
-    if (n >= kAutoCollapsedThreshold) return simulate_adaptive(protocol, initial, options);
-    if (n >= kAutoCountBatchThreshold) return simulate_counts(protocol, initial, options);
+    if (n >= kAutoCollapsedThreshold)
+        return engine_detail::run_adaptive(protocol, initial, options);
+    if (n >= kAutoCountBatchThreshold)
+        return engine_detail::run_count_batch(protocol, initial, options);
     return simulate(protocol, initial, options);
 }
 

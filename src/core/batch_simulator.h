@@ -53,23 +53,29 @@
 
 namespace popproto {
 
-/// Simulates `protocol` from `initial` under uniform random pairing using
-/// the count-based batch engine.  Requires a population of at least 2 and
-/// fewer than 2^32 agents, and options.engine in {kAuto, kCountBatch}.
-/// Drop-in replacement for `simulate`: same options (silence_check_period
-/// ignored), same result contract (see the file comment for the two
-/// multiset-wise bookkeeping fields).  Runs on the shared run-loop kernel
-/// (core/run_loop.h); checkpoint boundaries inside a geometric null skip are
-/// materialized exactly, so suspend/resume is bit-identical here too.
-RunResult simulate_counts(const TabulatedProtocol& protocol, const CountConfiguration& initial,
-                          const RunOptions& options);
-
-/// Dispatches on `options.engine`: kCountBatch runs `simulate_counts`,
-/// kCollapsedBatch runs `simulate_collapsed`, kAgentArray runs `simulate`.
-/// kAuto selects by population size — agent array below
-/// kAutoCountBatchThreshold, count-batch up to kAutoCollapsedThreshold,
-/// collapsed beyond (see simulator.h for the measured crossovers); the
-/// chosen engine is reported in RunResult::engine.
+/// Simulates `protocol` from `initial` under uniform random pairing on the
+/// engine `options.engine` names — the one way to choose a complete-graph
+/// engine:
+///   * kAgentArray runs `simulate` (simulator.h);
+///   * kCountBatch runs this file's engine: same options as `simulate`
+///     (silence_check_period ignored), same result contract (see the file
+///     comment for the two multiset-wise bookkeeping fields);
+///   * kCollapsedBatch runs the collapsed super-step engine
+///     (collapsed_simulator.h); threads > 1 selects its sharded variant and
+///     at most 4096 threads are accepted;
+///   * kAdaptive runs the phase-adaptive dispatcher (adaptive_simulator.h);
+///     RunOptions::adaptive holds its thresholds, and it requires
+///     threads <= 1;
+///   * kAuto selects by population size — agent array below
+///     kAutoCountBatchThreshold, count-batch up to kAutoCollapsedThreshold,
+///     adaptive beyond (see simulator.h for the measured crossovers).
+///     threads > 1 pins the collapsed engine, and a checkpoint carrying an
+///     `adaptive` section resumes under the adaptive dispatcher.
+/// The chosen engine is reported in RunResult::engine.  The count engines
+/// require fewer than 2^32 agents; every engine requires at least 2.  All of
+/// them run on the shared run-loop kernel (core/run_loop.h), so
+/// suspend/resume is bit-identical on each (for the collapsed and adaptive
+/// engines: against a run checkpointed at the same boundaries).
 RunResult run_simulation(const TabulatedProtocol& protocol, const CountConfiguration& initial,
                          const RunOptions& options);
 

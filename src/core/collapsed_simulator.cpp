@@ -120,7 +120,7 @@ protected:
                     apply_pair_type(p, q, k, touched, outcome);
                 }
             }
-            ensure(left == 0, "simulate_collapsed: internal matching invariant violated");
+            ensure(left == 0, "collapsed: internal matching invariant violated");
         }
     }
 
@@ -197,7 +197,7 @@ protected:
             if (index < counts[s]) return s;
             index -= counts[s];
         }
-        ensure(false, "simulate_collapsed: internal multiset-pick invariant violated");
+        ensure(false, "collapsed: internal multiset-pick invariant violated");
         return 0;
     }
 
@@ -226,10 +226,10 @@ protected:
 
     void restore_counts(const RunCheckpoint& checkpoint) {
         require(checkpoint.counts.size() == counts_.size(),
-                "simulate_collapsed: checkpoint state-count mismatch");
+                "collapsed: checkpoint state-count mismatch");
         std::uint64_t total = 0;
         for (const std::uint64_t count : checkpoint.counts) total += count;
-        require(total == population_, "simulate_collapsed: checkpoint population mismatch");
+        require(total == population_, "collapsed: checkpoint population mismatch");
         counts_ = checkpoint.counts;
         recompute_effective_pairs();
     }
@@ -369,7 +369,7 @@ public:
     ParallelCollapsedStepper(const TabulatedProtocol& protocol,
                              const CountConfiguration& initial, unsigned threads)
         : CollapsedEngineBase(protocol, initial), shards_(threads), pool_(threads) {
-        require(threads >= 2, "simulate_collapsed: parallel stepper needs threads >= 2");
+        require(threads >= 2, "collapsed: parallel stepper needs threads >= 2");
     }
 
     /// Same birthday-law proposal as the serial stepper, but the first call
@@ -481,7 +481,7 @@ public:
     void save(RunCheckpoint& checkpoint) const {
         save_counts(checkpoint);
         ensure(shard_streams_ready_,
-               "simulate_collapsed: checkpoint requested before the first super-step");
+               "collapsed: checkpoint requested before the first super-step");
         checkpoint.shard_rngs.reserve(shards_.size());
         for (const Shard& shard : shards_) checkpoint.shard_rngs.push_back(shard.rng.save_state());
     }
@@ -489,7 +489,7 @@ public:
     void restore(const RunCheckpoint& checkpoint) {
         restore_counts(checkpoint);
         require(checkpoint.shard_rngs.size() == shards_.size(),
-                "simulate_collapsed: checkpoint was taken with " +
+                "collapsed: checkpoint was taken with " +
                     std::to_string(checkpoint.shard_rngs.size()) +
                     " shard streams; resume with RunOptions::threads equal to that count");
         for (std::size_t k = 0; k < shards_.size(); ++k)
@@ -528,25 +528,28 @@ unsigned resolved_threads(const RunOptions& options) {
 
 }  // namespace
 
-RunResult simulate_collapsed(const TabulatedProtocol& protocol,
-                             const CountConfiguration& initial, const RunOptions& options) {
+namespace engine_detail {
+
+RunResult run_collapsed(const TabulatedProtocol& protocol, const CountConfiguration& initial,
+                        const RunOptions& options, EngineSwitchMonitor* monitor) {
     require(initial.num_states() == protocol.num_states(),
-            "simulate_collapsed: configuration does not match protocol");
+            "run_simulation: configuration does not match protocol");
     const std::uint64_t n = initial.population_size();
-    require(n >= 2, "simulate_collapsed: need at least two agents");
-    require(n < (std::uint64_t{1} << 32), "simulate_collapsed: population must fit 32 bits");
-    require_engine_field(options, SimulationEngine::kCollapsedBatch, "simulate_collapsed");
+    require(n >= 2, "run_simulation: need at least two agents");
+    require(n < (std::uint64_t{1} << 32), "run_simulation: population must fit 32 bits");
 
     const unsigned threads = resolved_threads(options);
-    require(threads <= 4096, "simulate_collapsed: threads must be at most 4096");
+    require(threads <= 4096, "run_simulation: threads must be at most 4096");
     if (threads <= 1) {
         CollapsedStepper stepper(protocol, initial);
         stepper.set_telemetry(options.telemetry);
-        return run_loop(stepper, protocol, options, "simulate_collapsed");
+        return run_loop(stepper, protocol, options, "run_simulation", monitor);
     }
     ParallelCollapsedStepper stepper(protocol, initial, threads);
     stepper.set_telemetry(options.telemetry);
-    return run_loop(stepper, protocol, options, "simulate_collapsed");
+    return run_loop(stepper, protocol, options, "run_simulation", monitor);
 }
+
+}  // namespace engine_detail
 
 }  // namespace popproto

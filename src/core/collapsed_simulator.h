@@ -29,18 +29,19 @@
 //    remainder U, with case weights TT : TU : UT = 2L(2L-1) : 2L(n-2L) :
 //    (n-2L)2L.
 //
-// Equivalence contract (sharper than the cross-engine one of PR 2): the
-// distribution of trajectories and RunResults is identical to `simulate` /
-// `simulate_counts`, but equivalence is *distribution-level only* — even
-// against itself across observation setups.  The run-loop kernel clamps a
-// super-step at snapshot, checkpoint, stable-output-window, and
-// silence-check boundaries (exactly: the first m pairs of a collision-free
-// run of length >= m are themselves a collision-free batch of length m, and
-// the count chain is Markov), so boundary *placement* steers where the RNG
-// stream is spent, and the same seed yields different (equally valid)
-// trajectories under different schedules.  Checkpoint/resume remains
-// bit-identical because a resumed run reconstructs the identical boundary
-// sequence: suspend-at-k + resume reproduces the checkpointed run exactly.
+// Equivalence contract (sharper than the cross-engine one of the count-batch
+// engine): the distribution of trajectories and RunResults is identical to
+// the agent-array and count-batch engines', but equivalence is
+// *distribution-level only* — even against itself across observation
+// setups.  The run-loop kernel clamps a super-step at snapshot, checkpoint,
+// stable-output-window, and silence-check boundaries (exactly: the first m
+// pairs of a collision-free run of length >= m are themselves a
+// collision-free batch of length m, and the count chain is Markov), so
+// boundary *placement* steers where the RNG stream is spent, and the same
+// seed yields different (equally valid) trajectories under different
+// schedules.  Checkpoint/resume remains bit-identical because a resumed run
+// reconstructs the identical boundary sequence: suspend-at-k + resume
+// reproduces the checkpointed run exactly.
 //
 // Bookkeeping coarsenings (both documented in DESIGN.md):
 //  * last_output_change is stamped at the end of the super-step containing
@@ -83,17 +84,22 @@
 
 namespace popproto {
 
-/// Simulates `protocol` from `initial` under uniform random pairing using
-/// the collapsed super-step engine.  Requires a population of at least 2
-/// and fewer than 2^32 agents, options.engine in {kAuto, kCollapsedBatch},
-/// and options.threads <= 4096.  Same options and result contract as
-/// simulate_counts (silence_check_period ignored; multiset-wise
+// Private to src/core: callers choose this engine through run_simulation
+// (batch_simulator.h) with SimulationEngine::kCollapsedBatch.
+namespace engine_detail {
+
+/// run_simulation's collapsed runner (options.engine == kCollapsedBatch,
+/// or kAuto with threads > 1).  Same options and result contract as the
+/// count-batch engine (silence_check_period ignored; multiset-wise
 /// effective_interactions and last_output_change), with the super-step
 /// coarsenings described above.  threads > 1 selects the sharded parallel
-/// variant (see the header comment); the RunResult::engine field reports
-/// which variant ran.
-RunResult simulate_collapsed(const TabulatedProtocol& protocol,
-                             const CountConfiguration& initial, const RunOptions& options);
+/// variant; the RunResult::engine field reports which variant ran.
+/// `monitor` is the adaptive dispatcher's engine switch monitor (null
+/// otherwise).
+RunResult run_collapsed(const TabulatedProtocol& protocol, const CountConfiguration& initial,
+                        const RunOptions& options, EngineSwitchMonitor* monitor = nullptr);
+
+}  // namespace engine_detail
 
 }  // namespace popproto
 

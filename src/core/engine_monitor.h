@@ -15,8 +15,8 @@
 // silence predicate), so evaluating x consumes no extra RNG draws and no
 // extra passes over the counts.
 //
-// EngineSwitchMonitor polls x every `eval_period` interactions at run-loop
-// boundaries and requests a mid-run engine switch through hysteresis
+// EngineSwitchMonitor polls x every n/64 interactions (at least 256) at
+// run-loop boundaries and requests a mid-run engine switch through hysteresis
 // thresholds (enter_collapsed > exit_collapsed) plus a minimum dwell, so a
 // workload hovering near the crossover cannot thrash.  The monitor itself
 // is deterministic — pure integer/float arithmetic on counters the loop
@@ -46,27 +46,25 @@ struct AdaptiveOptions {
     /// Switch collapsed -> count-batch when x <= exit_collapsed.  Must be
     /// < enter_collapsed (the gap is the hysteresis band).
     double exit_collapsed = 12.0;
-    /// Interactions between monitor polls; 0 resolves to n/64, clamped to
-    /// >= 256.  The density only evolves over Theta(n) interactions, so
-    /// ~64 polls per regime timescale detect a crossover with <2% lag —
-    /// polling faster (say per collapsed super-step, every ~sqrt(n)) buys
-    /// nothing and its per-poll float arithmetic is measurable against the
-    /// count-batch engine's O(1)-per-run sparse cost (bench_adaptive's
-    /// sparse control).
-    std::uint64_t eval_period = 0;
-    /// Minimum interactions between two switches; 0 resolves to
-    /// 4 * eval_period.
+    /// Minimum interactions between two switches; 0 resolves to four poll
+    /// periods (EngineSwitchMonitor::eval_period).
     std::uint64_t min_dwell = 0;
 
     friend bool operator==(const AdaptiveOptions&, const AdaptiveOptions&) = default;
 };
 
-/// The monitor the adaptive driver (simulate_adaptive) plants into each
-/// engine segment via RunOptions::switch_monitor.  The run-loop kernel
+/// The monitor the adaptive dispatcher (adaptive_simulator.h) hands to each
+/// engine segment as run_loop's `monitor` argument.  The run-loop kernel
 /// polls it at loop-top boundaries; when `consider` requests a switch the
 /// kernel captures a checkpoint-shaped state transfer and pauses, and the
-/// driver resumes it under the other engine.  Internal plumbing — not a
-/// user-facing option surface.
+/// dispatcher resumes it under the other engine.
+///
+/// The poll period is fixed at n/64 interactions, and at least 256.  The
+/// density only evolves over Theta(n) interactions, so ~64 polls per regime
+/// timescale detect a crossover with <2% lag — polling faster (say per
+/// collapsed super-step, every ~sqrt(n)) buys nothing and its per-poll float
+/// arithmetic is measurable against the count-batch engine's O(1)-per-run
+/// sparse cost (bench_adaptive's sparse control).
 class EngineSwitchMonitor {
 public:
     EngineSwitchMonitor(std::uint64_t population, ObservedEngine entry_engine,
@@ -76,7 +74,7 @@ public:
           current_(entry_engine) {
         require(population >= 2, "EngineSwitchMonitor: need at least two agents");
         require(enter_ > exit_ && exit_ >= 0.0,
-                "simulate_adaptive: adaptive thresholds must satisfy "
+                "run_simulation: adaptive thresholds must satisfy "
                 "enter_collapsed > exit_collapsed >= 0");
         require(entry_engine == ObservedEngine::kCountBatch ||
                     entry_engine == ObservedEngine::kCollapsed,
@@ -84,8 +82,7 @@ public:
         const double n = static_cast<double>(population);
         total_pairs_ = n * (n - 1.0);
         expected_run_length_ = 1.2533141373155003 * std::sqrt(n);
-        period_ = options.eval_period != 0 ? options.eval_period
-                                           : std::max<std::uint64_t>(population / 64, 256);
+        period_ = std::max<std::uint64_t>(population / 64, 256);
         dwell_ = options.min_dwell != 0 ? options.min_dwell : 4 * period_;
         next_eval_ = period_;
 

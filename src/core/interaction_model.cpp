@@ -54,7 +54,7 @@ EdgeListPairModel::EdgeListPairModel(
 
 RoundRobinPairModel::RoundRobinPairModel(std::uint64_t num_agents)
     : num_agents_(num_agents), num_pairs_(num_agents * (num_agents - 1)) {
-    require(num_agents >= 2, "scheduler: need at least two agents");
+    require(num_agents >= 2, "round_robin: need at least two agents");
 }
 
 AgentPair RoundRobinPairModel::next_pair() {
@@ -75,7 +75,7 @@ void RoundRobinPairModel::restore_state(const std::vector<std::uint64_t>& words)
 
 SweepPairModel::SweepPairModel(std::uint64_t num_agents, std::uint64_t seed)
     : num_agents_(num_agents), num_pairs_(num_agents * (num_agents - 1)), rng_(seed) {
-    require(num_agents >= 2, "scheduler: need at least two agents");
+    require(num_agents >= 2, "sweep: need at least two agents");
     permutation_ = FeistelPermutation(num_pairs_, rng_);
 }
 

@@ -1,17 +1,17 @@
-// The interaction-model layer: pair selection as a first-class, swappable,
-// checkpointable policy under the run-loop kernel.
+// The interaction-model layer: pair selection as a first-class, swappable
+// policy under the run-loop kernel, with its state carried in checkpoints.
 //
 // The paper's semantics (Sect. 2) is parameterized by *who interacts with
 // whom*: the uniform random scheduler of Sect. 6 is one fair scheduler among
 // many, and Theorem 7's restricted interaction graphs are another.  Before
 // this layer each pairing discipline was a bespoke stepper (uniform pairs in
-// simulator.cpp, weighted pairs, graph edges, deterministic Scheduler
-// cursors) that duplicated both the selection logic and the delta-application
-// bookkeeping.  Now a pairing discipline is an InteractionModel — a small
-// value type that proposes one ordered agent pair per interaction — and one
-// PairStepper template turns any model into a run_loop stepper, so every
-// model inherits silence detection, budgets, observers, telemetry, and
-// checkpoint/resume bit-identity from the kernel.
+// simulator.cpp, weighted pairs, graph edges, deterministic round-robin and
+// sweep cursors) that duplicated both the selection logic and the
+// delta-application bookkeeping.  Now a pairing discipline is an
+// InteractionModel — a small value type that proposes one ordered agent pair
+// per interaction — and one PairStepper template turns any model into a
+// run_loop stepper, so every model inherits silence detection, budgets,
+// observers, telemetry, and checkpoint/resume bit-identity from the kernel.
 //
 // RNG discipline is inherited from the kernel contract: propose_pair is the
 // only place a model may draw from the kernel stream, once per interaction in
@@ -44,24 +44,13 @@ namespace popproto {
 /// Ordered agent pair to interact next.
 using AgentPair = std::pair<std::size_t, std::size_t>;
 
-/// How a model realizes the paper's fairness condition.
-enum class Fairness {
-    /// Fair with probability 1 (uniform, weighted, graph-edge sampling).
-    kProbabilistic,
-    /// Deterministically fair: every permitted ordered pair occurs within a
-    /// bounded window of steps (round-robin, sweep, adversarial cover).
-    kBoundedCover,
-    /// Fairness is the caller's responsibility (user-supplied Scheduler).
-    kExternal,
-};
-
 /// A pairing discipline.  `propose_pair` returns the next ordered pair of
 /// distinct agent indices in [0, states.size()); it may read the current
 /// per-agent states (adaptive/adversarial models) and is the only method
-/// allowed to draw from the kernel RNG.
+/// allowed to draw from the kernel RNG.  Every model is built in and
+/// constructs valid pairs by design, so the stepper does not re-check them.
 ///
 /// Traits:
-///   * kFairness     — how the model satisfies the fairness condition;
 ///   * kCanSilence   — whether the model can reach every ordered pair of
 ///                     *present states*, making the multiset silence test
 ///                     sound (restricted edge sets must say false);
@@ -72,11 +61,9 @@ template <typename M>
 concept InteractionModel =
     requires(M model, const M cmodel, Rng& rng, const std::vector<State>& states,
              std::vector<std::uint64_t>& words) {
-        { M::kFairness } -> std::convertible_to<Fairness>;
         { M::kCanSilence } -> std::convertible_to<bool>;
         { M::kHasState } -> std::convertible_to<bool>;
         { cmodel.name() } -> std::convertible_to<const char*>;
-        { cmodel.checkpointable() } -> std::convertible_to<bool>;
         { model.propose_pair(rng, states) } -> std::same_as<AgentPair>;
         { cmodel.save_state(words) } -> std::same_as<void>;
         { model.restore_state(std::as_const(words)) } -> std::same_as<void>;
@@ -98,12 +85,10 @@ inline AgentPair decode_ordered_pair(std::uint64_t index, std::uint64_t num_agen
 class UniformPairModel {
 public:
     static constexpr const char* kName = "uniform";
-    static constexpr Fairness kFairness = Fairness::kProbabilistic;
     static constexpr bool kCanSilence = true;
     static constexpr bool kHasState = false;
 
     const char* name() const { return kName; }
-    bool checkpointable() const { return true; }
 
     AgentPair propose_pair(Rng& rng, const std::vector<State>& states) {
         const std::uint64_t n = states.size();
@@ -122,7 +107,6 @@ public:
 class WeightedPairModel {
 public:
     static constexpr const char* kName = "weighted";
-    static constexpr Fairness kFairness = Fairness::kProbabilistic;
     static constexpr bool kCanSilence = true;
     static constexpr bool kHasState = false;
 
@@ -131,7 +115,6 @@ public:
     explicit WeightedPairModel(const std::vector<double>& weights);
 
     const char* name() const { return kName; }
-    bool checkpointable() const { return true; }
 
     AgentPair propose_pair(Rng& rng, const std::vector<State>& states) {
         (void)states;
@@ -171,7 +154,6 @@ private:
 class EdgeListPairModel {
 public:
     static constexpr const char* kName = "graph";
-    static constexpr Fairness kFairness = Fairness::kProbabilistic;
     static constexpr bool kCanSilence = false;
     static constexpr bool kHasState = false;
 
@@ -181,7 +163,6 @@ public:
                       std::uint64_t num_agents);
 
     const char* name() const { return kName; }
-    bool checkpointable() const { return true; }
 
     AgentPair propose_pair(Rng& rng, const std::vector<State>& states) {
         (void)states;
@@ -201,14 +182,12 @@ private:
 class RoundRobinPairModel {
 public:
     static constexpr const char* kName = "round_robin";
-    static constexpr Fairness kFairness = Fairness::kBoundedCover;
     static constexpr bool kCanSilence = true;
     static constexpr bool kHasState = true;
 
     explicit RoundRobinPairModel(std::uint64_t num_agents);
 
     const char* name() const { return kName; }
-    bool checkpointable() const { return true; }
     std::uint64_t num_pairs() const { return num_pairs_; }
 
     /// Advances the cursor; no randomness consumed.
@@ -228,7 +207,8 @@ private:
 /// Repeatedly replays one random permutation of all n(n-1) ordered pairs,
 /// reshuffled after each full sweep (a "synchronous-ish" pattern common in
 /// sensor deployments).  The shuffle uses the model's own seeded RNG, not
-/// the kernel stream, matching the historical SweepScheduler draw order.
+/// the kernel stream, so a sweep run's pair sequence depends only on its
+/// seed.
 ///
 /// The permutation is *lazy*: a keyed Feistel permutation over the pair
 /// indices (core/feistel.h) evaluated on demand, so the model's state is
@@ -239,14 +219,12 @@ private:
 class SweepPairModel {
 public:
     static constexpr const char* kName = "sweep";
-    static constexpr Fairness kFairness = Fairness::kBoundedCover;
     static constexpr bool kCanSilence = true;
     static constexpr bool kHasState = true;
 
     SweepPairModel(std::uint64_t num_agents, std::uint64_t seed);
 
     const char* name() const { return kName; }
-    bool checkpointable() const { return true; }
     std::uint64_t num_pairs() const { return num_pairs_; }
 
     /// Advances the sweep; rekeys (from the model's own RNG) when a sweep
@@ -324,14 +302,6 @@ public:
 
     StepOutcome step(Rng& rng) {
         const AgentPair pair = model_.propose_pair(rng, states_);
-        if constexpr (M::kFairness == Fairness::kExternal) {
-            // Built-in models construct valid pairs by design; only
-            // externally supplied ones are validated on the hot path.
-            const std::size_t n = states_.size();
-            require(pair.first != pair.second && pair.first < n && pair.second < n,
-                    std::string(entry_point_) + ": model produced an invalid pair");
-        }
-
         const State p = states_[pair.first];
         const State q = states_[pair.second];
         const StatePair next = protocol_.apply_fast(p, q);
@@ -365,8 +335,6 @@ public:
     void save(RunCheckpoint& checkpoint) const {
         checkpoint.agent_states = states_;
         if constexpr (M::kHasState) {
-            ensure(model_.checkpointable(),
-                   std::string(entry_point_) + ": model rejects checkpointing");
             checkpoint.interaction_model = model_.name();
             model_.save_state(checkpoint.model_state);
         }

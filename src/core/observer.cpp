@@ -79,8 +79,6 @@ const char* observed_engine_name(ObservedEngine engine) {
             return "weighted";
         case ObservedEngine::kGraph:
             return "graph";
-        case ObservedEngine::kScheduler:
-            return "scheduler";
         case ObservedEngine::kPairModel:
             return "pair_model";
         case ObservedEngine::kAdaptive:
@@ -93,7 +91,7 @@ bool observed_engine_from_name(const std::string& name, ObservedEngine& engine) 
     for (const ObservedEngine candidate :
          {ObservedEngine::kAgentArray, ObservedEngine::kCountBatch, ObservedEngine::kCollapsed,
           ObservedEngine::kParallelCollapsed, ObservedEngine::kWeighted, ObservedEngine::kGraph,
-          ObservedEngine::kScheduler, ObservedEngine::kPairModel, ObservedEngine::kAdaptive}) {
+          ObservedEngine::kPairModel, ObservedEngine::kAdaptive}) {
         if (name == observed_engine_name(candidate)) {
             engine = candidate;
             return true;

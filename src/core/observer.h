@@ -83,9 +83,9 @@ private:
     std::uint64_t first_ = 1;    // kLog
 };
 
-/// Which execution path produced the events (simulate, simulate_counts,
-/// simulate_collapsed, simulate_weighted, simulate_on_graph, or
-/// simulate_with_scheduler).
+/// Which execution path produced the events: the complete-graph engines
+/// (agent array, count-batch, collapsed, parallel collapsed, adaptive), the
+/// weighted and graph samplers, or a run_scenario pairing model.
 enum class ObservedEngine {
     kAgentArray,
     kCountBatch,
@@ -96,12 +96,12 @@ enum class ObservedEngine {
     kParallelCollapsed,
     kWeighted,
     kGraph,
-    kScheduler,
     /// Scenario runs driven by a named InteractionModel (run_scenario:
     /// round-robin, sweep, adversarial, dynamic graph, grid mobility).  The
     /// checkpoint's interaction_model section disambiguates which model.
     kPairModel,
-    /// The phase-adaptive dispatcher (simulate_adaptive): one run executed
+    /// The phase-adaptive dispatcher (run_simulation with kAdaptive, or kAuto
+    /// at kAutoCollapsedThreshold and beyond): one run executed
     /// as a chain of collapsed / count-batch segments spliced at runtime
     /// density switches.  Only RunResult::engine and observer events report
     /// this value; checkpoints always carry the concrete segment engine
@@ -129,7 +129,7 @@ struct RunStartInfo {
     const TabulatedProtocol* protocol = nullptr;
 };
 
-/// One phase-adaptive engine switch (simulate_adaptive): the monitor's
+/// One phase-adaptive engine switch (adaptive_simulator.h): the monitor's
 /// decision at the moment the run was spliced from one engine to the other.
 struct EngineSwitchInfo {
     /// Interaction index of the splice point (the checkpoint-shaped state
@@ -178,7 +178,7 @@ public:
     virtual void on_silence_check(std::uint64_t interaction_index, bool silent);
 
     /// The adaptive dispatcher spliced the run onto another engine
-    /// (simulate_adaptive only; static engines never call this).  Delivered
+    /// (kAdaptive runs only; static engines never call this).  Delivered
     /// between the last event of the old segment and the first of the new.
     virtual void on_engine_switch(const EngineSwitchInfo& info);
 

@@ -2,15 +2,16 @@
 //
 // The fairness model of the paper (Sect. 2, and the conjugating-automata
 // randomized scheduler of Sect. 6) is *one* semantics with several samplers:
-// uniform agent pairs (simulate), the count-based multiset sampler
-// (simulate_counts), the collapsed super-step sampler (simulate_collapsed),
-// weighted pairs (simulate_weighted), uniform edges on a restricted graph
-// (simulate_on_graph), and deterministic schedulers
-// (simulate_with_scheduler).  Everything those loops used to duplicate —
-// the interaction budget, the periodic silence check and its max(4n, 1024)
-// default, the stable-output window, observer dispatch, snapshot-boundary
-// clamping of geometric null skips, the budget-vs-silence race at expiry —
-// is policy, not sampling, and lives here exactly once.
+// uniform agent pairs (simulate), the count-based multiset sampler and the
+// collapsed super-step sampler (both behind run_simulation), weighted pairs
+// (simulate_weighted), uniform edges on a restricted graph
+// (simulate_on_graph), and the named pairing models of run_scenario,
+// deterministic round-robin and sweep schedules included.  Everything those
+// loops used to duplicate — the interaction budget, the periodic silence
+// check and its max(4n, 1024) default, the stable-output window, observer
+// dispatch, snapshot-boundary clamping of geometric null skips, the
+// budget-vs-silence race at expiry — is policy, not sampling, and lives here
+// exactly once.
 //
 // An engine contributes a *Stepper* (see the concept below): how to draw
 // and apply one interaction, how to test silence, and how to export /
@@ -51,6 +52,7 @@
 #include <vector>
 
 #include "core/configuration.h"
+#include "core/engine_monitor.h"
 #include "core/observer.h"
 #include "core/require.h"
 #include "core/rng.h"
@@ -80,7 +82,7 @@ bool multiset_silent(const TabulatedProtocol& protocol,
 
 /// Throws unless options.engine is kAuto or `accepted`; `entry_point` names
 /// the caller in the message.  Pass kAuto as `accepted` for engines that
-/// have no SimulationEngine value (weighted, graph, scheduler).
+/// have no SimulationEngine value (weighted, graph, scenario models).
 void require_engine_field(const RunOptions& options, SimulationEngine accepted,
                           const char* entry_point);
 
@@ -124,7 +126,7 @@ struct RunCheckpoint {
     /// requires the same K (the serial engine leaves this empty).
     std::vector<Rng::StreamState> shard_rngs;
 
-    /// Phase-adaptive dispatcher section (simulate_adaptive): the engine
+    /// Phase-adaptive dispatcher section (adaptive_simulator.h): the engine
     /// monitor's mutable state at the cut, so a resumed adaptive run replays
     /// its switch decisions exactly.  `engine` still names the concrete
     /// segment engine (count_batch or collapsed) that wrote the checkpoint —
@@ -145,10 +147,10 @@ struct RunCheckpoint {
     std::string interaction_model;
     std::vector<std::uint64_t> model_state;
 
-    /// Multiset configuration (count engines: simulate_counts).
+    /// Multiset configuration (count engines: count_batch, collapsed).
     std::vector<std::uint64_t> counts;
     /// Per-agent configuration (agent engines: simulate, simulate_weighted,
-    /// simulate_on_graph).
+    /// simulate_on_graph, run_scenario).
     std::vector<State> agent_states;
 
     friend bool operator==(const RunCheckpoint&, const RunCheckpoint&) = default;
@@ -333,10 +335,14 @@ inline double seconds_since(std::chrono::steady_clock::time_point start) {
 }  // namespace run_loop_detail
 
 /// Drives `stepper` under the full run policy and returns the result.
-/// `entry_point` names the public API for error messages.
+/// `entry_point` names the public API for error messages.  `monitor` is the
+/// phase-adaptive dispatcher's switch monitor (adaptive_simulator.cpp);
+/// every other caller leaves it null.  A monitored run marks its checkpoints with
+/// the monitor's `adaptive` section and needs a checkpoint_sink to receive
+/// the transfer checkpoint.
 template <Stepper S>
 RunResult run_loop(S& stepper, const TabulatedProtocol& protocol, const RunOptions& options,
-                   const char* entry_point) {
+                   const char* entry_point, EngineSwitchMonitor* monitor = nullptr) {
     constexpr SilenceMode kMode = S::kSilenceMode;
     const std::string where(entry_point);
 
@@ -350,8 +356,8 @@ RunResult run_loop(S& stepper, const TabulatedProtocol& protocol, const RunOptio
             where + ": checkpoint_every requires a checkpoint_sink");
     require(options.pause_after == 0 || options.checkpoint_sink != nullptr,
             where + ": pause_after requires a checkpoint_sink");
-    require(options.switch_monitor == nullptr || options.checkpoint_sink != nullptr,
-            where + ": switch_monitor requires a checkpoint_sink");
+    require(monitor == nullptr || options.checkpoint_sink != nullptr,
+            where + ": an engine switch monitor requires a checkpoint_sink");
     if constexpr (!ParallelStepper<S>) {
         // threads == 0 (auto) is fine — it resolves to 1 for sequential
         // engines — but an explicit request for parallelism is not.
@@ -440,11 +446,11 @@ RunResult run_loop(S& stepper, const TabulatedProtocol& protocol, const RunOptio
         checkpoint.changed_since_silence_check = changed_since_check != 0;
         checkpoint.has_pending_skip = has_pending;
         checkpoint.pending_null_skips = pending;
-        if (options.switch_monitor != nullptr) {
+        if (monitor != nullptr) {
             checkpoint.adaptive = true;
-            checkpoint.adaptive_switches = options.switch_monitor->switches();
-            checkpoint.adaptive_last_switch = options.switch_monitor->last_switch();
-            checkpoint.adaptive_next_eval = options.switch_monitor->next_eval();
+            checkpoint.adaptive_switches = monitor->switches();
+            checkpoint.adaptive_last_switch = monitor->last_switch();
+            checkpoint.adaptive_next_eval = monitor->next_eval();
         }
         stepper.save(checkpoint);
         options.checkpoint_sink->on_checkpoint(checkpoint);
@@ -528,7 +534,7 @@ RunResult run_loop(S& stepper, const TabulatedProtocol& protocol, const RunOptio
             take_checkpoint(has_pending_skip ? pending_skip : 0, has_pending_skip);
             if (paused) break;
         }
-        // Phase-adaptive dispatch: when the driver planted a switch monitor,
+        // Phase-adaptive dispatch: when the dispatcher passed a monitor,
         // poll it at the same loop boundaries checkpoints land on — but only
         // for steppers that expose their exact effective-pair count W, and
         // never while a pending null skip is outstanding (the uninterrupted
@@ -540,7 +546,6 @@ RunResult run_loop(S& stepper, const TabulatedProtocol& protocol, const RunOptio
         if constexpr (requires(const S& s) {
                           { s.effective_pairs() } -> std::convertible_to<std::uint64_t>;
                       }) {
-            EngineSwitchMonitor* const monitor = options.switch_monitor;
             if (monitor != nullptr && !has_pending_skip && monitor->due(result.interactions) &&
                 monitor->consider(result.interactions, stepper.effective_pairs())) {
                 take_checkpoint(0, false);

@@ -6,19 +6,25 @@
 // protocol that stably computes a predicate converges to the correct answer
 // along almost every run; the simulator additionally measures *when*.
 //
-// All engines (this file, batch_simulator.h, graphs/graph_simulation.h,
-// schedulers.h) share one run-loop kernel (core/run_loop.h) that owns every
-// piece of run policy: the interaction budget, the periodic silence check,
-// the stable-output window, observer dispatch, geometric-skip clamping at
-// snapshot boundaries, and deterministic checkpoint/resume.  The entry
-// points below only differ in how the next interaction is sampled.
+// There are five ways to start a run.  `run_simulation`
+// (batch_simulator.h) is the one way to choose a complete-graph engine: it
+// dispatches on RunOptions::engine.  `simulate` runs the reference
+// agent-array engine directly.  `simulate_weighted` (below) and
+// `simulate_on_graph` (graphs/graph_simulation.h) take per-agent inputs
+// that a CountConfiguration cannot carry.  `run_scenario`
+// (scenarios/scenario_spec.h) runs every named pairing model, including the
+// deterministic round-robin and sweep schedules.  All of them share one
+// run-loop kernel (core/run_loop.h) that owns every piece of run policy: the
+// interaction budget, the periodic silence check, the stable-output window,
+// observer dispatch, geometric-skip clamping at snapshot boundaries, and
+// deterministic checkpoint/resume.  They only differ in how the next
+// interaction is sampled.
 
 #ifndef POPPROTO_CORE_SIMULATOR_H
 #define POPPROTO_CORE_SIMULATOR_H
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 
@@ -40,20 +46,18 @@ struct RunCheckpoint;
 
 /// Which execution engine carries out a run on the complete graph.
 ///
-/// Resolution contract (the historical footgun — direct `simulate` /
-/// `simulate_counts` calls silently ignoring the field — is gone): every
-/// entry point now *checks* the field.  `run_simulation` dispatches on it
-/// (`kAuto` selects the reference agent-array engine); the direct entry
-/// points accept `kAuto` (the default) or their own value and throw on a
-/// mismatch, so a RunOptions that asks for the batch engine can never be
-/// executed by the agent-array loop unnoticed.  Engines without an enum
-/// value (weighted, graph, scheduler) require `kAuto`.
+/// Resolution contract: `run_simulation` is the only function that chooses
+/// an engine, and it dispatches on this field.  Every other entry point
+/// *checks* the field, so a RunOptions that asks for an engine is never
+/// executed by another one unnoticed: `simulate` accepts kAuto (the
+/// default) or kAgentArray, and the engines without an enum value
+/// (weighted, graph, scenario models) require kAuto.
 enum class SimulationEngine {
-    /// Defer to the call site: `run_simulation` selects by population size
-    /// (agent array below kAutoCountBatchThreshold, count-batch up to
-    /// kAutoCollapsedThreshold, the phase-adaptive dispatcher beyond —
-    /// threads > 1 still pins the collapsed engine, the only parallel one),
-    /// and each direct entry point runs itself.
+    /// Let `run_simulation` select by population size (agent array below
+    /// kAutoCountBatchThreshold, count-batch up to kAutoCollapsedThreshold,
+    /// the phase-adaptive dispatcher beyond — threads > 1 still pins the
+    /// collapsed engine, the only parallel one).  The other entry points
+    /// read kAuto as "run yourself".
     kAuto,
     /// Expanded agent array, one RNG draw per agent per interaction.  The
     /// reference implementation: O(n) memory, O(1) per interaction.
@@ -199,36 +203,9 @@ struct RunOptions {
 
     /// Phase-adaptive dispatcher tuning (engine == kAdaptive, or kAuto runs
     /// large enough that run_simulation routes them adaptively): hysteresis
-    /// thresholds on the density signal x = rho * E[L], the monitor poll
-    /// period, and the minimum dwell between switches (engine_monitor.h).
+    /// thresholds on the density signal x = rho * E[L] and the minimum
+    /// dwell between switches (engine_monitor.h).
     AdaptiveOptions adaptive;
-
-    /// Opt-in mean-field fast-forward for the adaptive dispatcher: when the
-    /// run enters on the dense (collapsed) side, hand the dense bulk to the
-    /// fluid-limit ODE and re-seed the stochastic run from the integrated
-    /// densities at the predicted collapse of the signal below
-    /// adaptive.exit_collapsed.  This is an *approximation* — the resumed
-    /// trajectory is sampled from the mean-field densities, not the exact
-    /// chain, and interaction counters advance by the fluid estimate — so
-    /// it is excluded from every bit-identity contract and off by default.
-    /// Requires `fluid_hook` (meanfield/fluid_assist.h supplies the
-    /// standard one; core cannot depend on the meanfield library, hence the
-    /// indirection).
-    bool fluid_assist = false;
-
-    /// The fast-forward implementation consulted when `fluid_assist` is
-    /// set: returns a synthetic count-batch checkpoint to resume from, or
-    /// nullopt to decline (e.g. the ODE never leaves the dense regime
-    /// within its horizon, or the protocol has no usable fluid limit).
-    std::function<std::optional<RunCheckpoint>(
-        const TabulatedProtocol& protocol, const CountConfiguration& initial,
-        const RunOptions& options)>
-        fluid_hook;
-
-    /// Internal plumbing of simulate_adaptive: the per-segment monitor the
-    /// kernel polls at loop boundaries.  Not a user-facing option — the
-    /// driver owns the monitor's lifetime; leave nullptr.
-    EngineSwitchMonitor* switch_monitor = nullptr;
 };
 
 /// Why a run stopped.

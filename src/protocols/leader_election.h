@@ -1,7 +1,7 @@
 // Pairwise leader election (used throughout Sect. 4-6).
 //
 // Every agent starts as a leader; when two leaders meet, the responder
-// abdicates.  Fairness guarantees a unique leader is eventually reached, and
+// abdicates.  Every fair execution eventually reaches a unique leader, and
 // under uniform random pairing the expected number of interactions is
 // exactly sum_{i=2}^{n} C(n,2)/C(i,2) = (n-1)^2 (Sect. 6), the claim
 // reproduced by bench_leader_election.

@@ -40,7 +40,6 @@ namespace popproto {
 class AdversarialCoverModel {
 public:
     static constexpr const char* kName = "adversarial";
-    static constexpr Fairness kFairness = Fairness::kBoundedCover;
     static constexpr bool kCanSilence = true;
     static constexpr bool kHasState = true;
 
@@ -52,7 +51,6 @@ public:
                           std::uint64_t probe_window);
 
     const char* name() const { return kName; }
-    bool checkpointable() const { return true; }
     std::uint64_t num_pairs() const { return num_pairs_; }
 
     AgentPair propose_pair(Rng& rng, const std::vector<State>& states);

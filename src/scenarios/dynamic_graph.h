@@ -25,7 +25,6 @@ namespace popproto {
 class DynamicGraphModel {
 public:
     static constexpr const char* kName = "dynamic_graph";
-    static constexpr Fairness kFairness = Fairness::kProbabilistic;
     /// Like the static graph engine: restricted edge sets make the multiset
     /// silence test a wasted effort (Theorem 7 protocols swap forever), so
     /// runs stop on output stability or budget.
@@ -40,7 +39,6 @@ public:
                       std::uint64_t num_agents);
 
     const char* name() const { return kName; }
-    bool checkpointable() const { return true; }
     std::uint64_t num_phases() const { return phases_.size(); }
     std::uint64_t phase() const { return phase_; }
 

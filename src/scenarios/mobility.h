@@ -31,7 +31,6 @@ namespace popproto {
 class GridMobilityModel {
 public:
     static constexpr const char* kName = "grid_mobility";
-    static constexpr Fairness kFairness = Fairness::kProbabilistic;
     static constexpr bool kCanSilence = true;
     static constexpr bool kHasState = true;
 
@@ -42,7 +41,6 @@ public:
                       std::uint64_t radius);
 
     const char* name() const { return kName; }
-    bool checkpointable() const { return true; }
     std::uint64_t width() const { return width_; }
     std::uint64_t height() const { return height_; }
     const std::vector<std::uint64_t>& positions() const { return positions_; }

@@ -85,10 +85,13 @@ void WireServer::stop() {
         return;
     }
     // Shut the listener down first so accept() unblocks, then every
-    // connection so their readers unblock.
+    // connection so their readers unblock.  The listener is closed only
+    // after the accept thread has exited: accept_loop reads listen_fd_ for
+    // its next accept(), and closing earlier would also let an unrelated
+    // open() reuse the descriptor number underneath it.
     if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
-    close_fd(listen_fd_);
     if (accept_thread_.joinable()) accept_thread_.join();
+    close_fd(listen_fd_);
     std::vector<std::pair<std::shared_ptr<Connection>, std::thread>> connections;
     {
         const std::lock_guard<std::mutex> lock(connections_mutex_);

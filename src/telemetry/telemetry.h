@@ -323,7 +323,7 @@ public:
     void begin_run(const char* engine, std::uint64_t population, unsigned threads);
     void finish_run(std::uint64_t interactions, std::uint64_t effective_interactions);
 
-    /// Adaptive-run scope (simulate_adaptive).  The driver brackets the
+    /// Adaptive-run scope (the kAdaptive engine).  The dispatcher brackets the
     /// whole run with begin_adaptive_run / finish_adaptive_run; in between,
     /// each engine segment's run_loop still calls begin_run / finish_run,
     /// which the scope downgrades to *segment* boundaries: the epoch, phase

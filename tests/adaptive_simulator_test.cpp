@@ -9,15 +9,12 @@
 
 #include <gtest/gtest.h>
 
-#include "core/adaptive_simulator.h"
 #include "core/batch_simulator.h"
-#include "core/collapsed_simulator.h"
 #include "core/configuration.h"
 #include "core/engine_monitor.h"
 #include "core/observer.h"
 #include "core/run_loop.h"
 #include "core/simulator.h"
-#include "meanfield/fluid_assist.h"
 #include "protocols/epidemic.h"
 #include "telemetry/telemetry.h"
 
@@ -70,7 +67,7 @@ TEST(AdaptiveSimulator, BitIdenticalToManualSplice) {
     SwitchRecorder recorder;
     RunOptions options = adaptive_options(7);
     options.observer = &recorder;
-    const RunResult adaptive = simulate_adaptive(*protocol, initial, options);
+    const RunResult adaptive = run_simulation(*protocol, initial, options);
     EXPECT_EQ(adaptive.engine, ObservedEngine::kAdaptive);
     EXPECT_EQ(adaptive.stop_reason, StopReason::kSilent);
     // Full epidemic: sparse tail on both ends of the dense transient.
@@ -90,7 +87,7 @@ TEST(AdaptiveSimulator, BitIdenticalToManualSplice) {
     manual.engine = SimulationEngine::kCountBatch;
     manual.pause_after = recorder.switches[0].interactions;
     manual.checkpoint_sink = &sink;
-    const RunResult leg1 = simulate_counts(*protocol, initial, manual);
+    const RunResult leg1 = run_simulation(*protocol, initial, manual);
     ASSERT_EQ(leg1.stop_reason, StopReason::kPaused);
     ASSERT_FALSE(sink.checkpoints.empty());
     RunCheckpoint cut = sink.checkpoints.back();
@@ -102,7 +99,7 @@ TEST(AdaptiveSimulator, BitIdenticalToManualSplice) {
     manual.engine = SimulationEngine::kCollapsedBatch;
     manual.resume_from = &cut;
     manual.pause_after = recorder.switches[1].interactions;
-    const RunResult leg2 = simulate_collapsed(*protocol, initial, manual);
+    const RunResult leg2 = run_simulation(*protocol, initial, manual);
     ASSERT_EQ(leg2.stop_reason, StopReason::kPaused);
     ASSERT_FALSE(sink.checkpoints.empty());
     RunCheckpoint cut2 = sink.checkpoints.back();
@@ -114,7 +111,7 @@ TEST(AdaptiveSimulator, BitIdenticalToManualSplice) {
     manual.resume_from = &cut2;
     manual.pause_after = 0;
     manual.checkpoint_sink = nullptr;
-    const RunResult tail = simulate_counts(*protocol, initial, manual);
+    const RunResult tail = run_simulation(*protocol, initial, manual);
     expect_same_run(tail, adaptive);
 }
 
@@ -131,7 +128,7 @@ TEST(AdaptiveSimulator, ResumesBitIdenticallyAcrossSwitches) {
     SwitchRecorder recorder;
     RunOptions options = adaptive_options(11);
     options.observer = &recorder;
-    const RunResult baseline = simulate_adaptive(*protocol, initial, options);
+    const RunResult baseline = run_simulation(*protocol, initial, options);
     ASSERT_EQ(recorder.switches.size(), 2u);
     options.observer = nullptr;
 
@@ -140,7 +137,7 @@ TEST(AdaptiveSimulator, ResumesBitIdenticallyAcrossSwitches) {
         RunOptions paused = options;
         paused.pause_after = info.interactions;
         paused.checkpoint_sink = &sink;
-        const RunResult first = simulate_adaptive(*protocol, initial, paused);
+        const RunResult first = run_simulation(*protocol, initial, paused);
         ASSERT_EQ(first.stop_reason, StopReason::kPaused) << "cut at " << info.interactions;
         ASSERT_FALSE(sink.checkpoints.empty()) << "cut at " << info.interactions;
         // The pause checkpoint block runs before the monitor poll, so the
@@ -153,8 +150,45 @@ TEST(AdaptiveSimulator, ResumesBitIdenticallyAcrossSwitches) {
         EXPECT_TRUE(reloaded.adaptive);
         RunOptions resumed = options;
         resumed.resume_from = &reloaded;
-        expect_same_run(simulate_adaptive(*protocol, initial, resumed), baseline);
+        expect_same_run(run_simulation(*protocol, initial, resumed), baseline);
     }
+}
+
+// kAuto hands a checkpoint that carries an `adaptive` section back to the
+// dispatcher, even below kAutoCollapsedThreshold, where kAuto would
+// otherwise pick the count-batch engine by size.  The cut sits on the
+// second switch index, so it lies after the first switch, carries the
+// collapsed segment engine, and resumes onto the uninterrupted run.
+TEST(AdaptiveSimulator, AutoResumesAdaptiveCheckpointBelowCollapsedThreshold) {
+    static_assert(kPopulation < kAutoCollapsedThreshold);
+    const auto protocol = make_epidemic_protocol();
+    const auto initial =
+        CountConfiguration::from_input_counts(*protocol, {kPopulation - 1, 1});
+
+    SwitchRecorder recorder;
+    RunOptions options = adaptive_options(17);
+    options.observer = &recorder;
+    const RunResult baseline = run_simulation(*protocol, initial, options);
+    ASSERT_EQ(recorder.switches.size(), 2u);
+    options.observer = nullptr;
+
+    CollectingSink sink;
+    RunOptions paused = options;
+    paused.pause_after = recorder.switches[1].interactions;
+    paused.checkpoint_sink = &sink;
+    ASSERT_EQ(run_simulation(*protocol, initial, paused).stop_reason, StopReason::kPaused);
+    ASSERT_FALSE(sink.checkpoints.empty());
+    const RunCheckpoint& cut = sink.checkpoints.back();
+    ASSERT_GT(cut.interactions, recorder.switches[0].interactions);
+    ASSERT_TRUE(cut.adaptive);
+    EXPECT_EQ(cut.engine, ObservedEngine::kCollapsed);
+
+    RunOptions resumed;
+    resumed.engine = SimulationEngine::kAuto;
+    resumed.resume_from = &cut;
+    const RunResult result = run_simulation(*protocol, initial, resumed);
+    EXPECT_EQ(result.engine, ObservedEngine::kAdaptive);
+    expect_same_run(result, baseline);
 }
 
 // Cuts that do NOT land on a switch boundary follow the collapsed engine's
@@ -171,7 +205,7 @@ TEST(AdaptiveSimulator, PeriodicCheckpointsResumeThroughSwitches) {
     // Probe run: only to size the checkpoint period.
     RunOptions options = adaptive_options(3);
     const std::uint64_t run_length =
-        simulate_adaptive(*protocol, initial, options).interactions;
+        run_simulation(*protocol, initial, options).interactions;
 
     CollectingSink sink;
     SwitchRecorder recorder;
@@ -179,7 +213,7 @@ TEST(AdaptiveSimulator, PeriodicCheckpointsResumeThroughSwitches) {
     observed.checkpoint_every = run_length / 12 + 1;
     observed.checkpoint_sink = &sink;
     observed.observer = &recorder;
-    const RunResult baseline = simulate_adaptive(*protocol, initial, observed);
+    const RunResult baseline = run_simulation(*protocol, initial, observed);
     ASSERT_EQ(baseline.stop_reason, StopReason::kSilent);
     ASSERT_GE(sink.checkpoints.size(), 8u);
     ASSERT_EQ(recorder.switches.size(), 2u);
@@ -194,7 +228,7 @@ TEST(AdaptiveSimulator, PeriodicCheckpointsResumeThroughSwitches) {
         RunOptions resumed = observed;
         resumed.checkpoint_sink = &resumed_sink;
         resumed.resume_from = &checkpoint;
-        expect_same_run(simulate_adaptive(*protocol, initial, resumed), baseline);
+        expect_same_run(run_simulation(*protocol, initial, resumed), baseline);
     }
 }
 
@@ -213,7 +247,7 @@ TEST(AdaptiveSimulator, MinDwellSuppressesThrashing) {
     options.adaptive.exit_collapsed = 12.0;
     options.adaptive.min_dwell = 50000;
     options.observer = &recorder;
-    const RunResult result = simulate_adaptive(*protocol, initial, options);
+    const RunResult result = run_simulation(*protocol, initial, options);
     EXPECT_EQ(result.stop_reason, StopReason::kSilent);
 
     std::uint64_t previous = 0;
@@ -236,7 +270,7 @@ TEST(AdaptiveSimulator, EntryEngineAndSegmentAttribution) {
     options.telemetry = &sparse_collector;
     const auto sparse =
         CountConfiguration::from_input_counts(*protocol, {kPopulation - 1, 1});
-    const RunResult sparse_run = simulate_adaptive(*protocol, sparse, options);
+    const RunResult sparse_run = run_simulation(*protocol, sparse, options);
     if (telemetry::kCompiledIn) {
         const telemetry::RunTelemetry& data = sparse_collector.telemetry();
         ASSERT_FALSE(data.engine_segments.empty());
@@ -252,7 +286,7 @@ TEST(AdaptiveSimulator, EntryEngineAndSegmentAttribution) {
     options.telemetry = &dense_collector;
     const auto dense = CountConfiguration::from_input_counts(
         *protocol, {kPopulation / 2, kPopulation / 2});
-    simulate_adaptive(*protocol, dense, options);
+    run_simulation(*protocol, dense, options);
     if (telemetry::kCompiledIn) {
         ASSERT_FALSE(dense_collector.telemetry().engine_segments.empty());
         EXPECT_EQ(dense_collector.telemetry().engine_segments.front().engine, "collapsed");
@@ -272,44 +306,16 @@ TEST(AdaptiveSimulator, AdoptsStaticCheckpoints) {
     fixed.engine = SimulationEngine::kCountBatch;
     fixed.pause_after = 3000;
     fixed.checkpoint_sink = &sink;
-    ASSERT_EQ(simulate_counts(*protocol, initial, fixed).stop_reason, StopReason::kPaused);
+    ASSERT_EQ(run_simulation(*protocol, initial, fixed).stop_reason, StopReason::kPaused);
 
     const RunCheckpoint cut = sink.checkpoints.back();
     EXPECT_FALSE(cut.adaptive);
     RunOptions adopt = adaptive_options(13);
     adopt.resume_from = &cut;
-    const RunResult result = simulate_adaptive(*protocol, initial, adopt);
+    const RunResult result = run_simulation(*protocol, initial, adopt);
     EXPECT_EQ(result.stop_reason, StopReason::kSilent);
     EXPECT_EQ(result.effective_interactions, kPopulation - 1);
     EXPECT_EQ(result.consensus, std::optional<bool>(true));
-}
-
-// Fluid assist (opt-in) replaces a dense transient with the mean-field
-// solution: the run still reaches silence and consensus, but simulates far
-// fewer interactions stochastically.  Sparse entries never invoke the hook,
-// so assisted and unassisted sparse runs stay bit-identical.
-TEST(AdaptiveSimulator, FluidAssistFastForwardsDenseEntries) {
-    const auto protocol = make_epidemic_protocol();
-
-    const auto dense = CountConfiguration::from_input_counts(
-        *protocol, {kPopulation / 2, kPopulation / 2});
-    RunOptions plain = adaptive_options(21);
-    const RunResult exact = simulate_adaptive(*protocol, dense, plain);
-
-    RunOptions assisted = adaptive_options(21);
-    assisted.fluid_assist = true;
-    assisted.fluid_hook = make_fluid_assist_hook();
-    const RunResult fast = simulate_adaptive(*protocol, dense, assisted);
-    EXPECT_EQ(fast.stop_reason, StopReason::kSilent);
-    EXPECT_EQ(fast.consensus, std::optional<bool>(true));
-    // The transient was fast-forwarded: only the sparse tail is simulated.
-    EXPECT_LT(fast.effective_interactions, exact.effective_interactions / 4);
-
-    const auto sparse =
-        CountConfiguration::from_input_counts(*protocol, {kPopulation - 1, 1});
-    const RunResult sparse_plain = simulate_adaptive(*protocol, sparse, plain);
-    const RunResult sparse_assisted = simulate_adaptive(*protocol, sparse, assisted);
-    expect_same_run(sparse_assisted, sparse_plain);
 }
 
 // transfer_checkpoint_engine validates its preconditions: only count-shaped

@@ -13,9 +13,12 @@
 #include "presburger/atom_protocols.h"
 #include "protocols/counting.h"
 #include "protocols/epidemic.h"
+#include "test_util.h"
 
 namespace popproto {
 namespace {
+
+using testutil::run_count_batch;
 
 /// A protocol that reaches output consensus quickly but keeps churning its
 /// state multiset forever at a low rate, for exercising the
@@ -49,7 +52,7 @@ TEST(BatchSimulator, AgreesWithReferenceOnCounting) {
         options.max_interactions = default_budget(64);
         options.seed = seed;
         const RunResult reference = simulate(*protocol, initial, options);
-        const RunResult batch = simulate_counts(*protocol, initial, options);
+        const RunResult batch = run_count_batch(*protocol, initial, options);
         EXPECT_EQ(reference.stop_reason, StopReason::kSilent) << seed;
         EXPECT_EQ(batch.stop_reason, StopReason::kSilent) << seed;
         ASSERT_TRUE(reference.consensus && batch.consensus) << seed;
@@ -68,7 +71,7 @@ TEST(BatchSimulator, AgreesWithReferenceOnMajority) {
             options.max_interactions = default_budget(50, 256.0);
             options.seed = seed;
             const RunResult reference = simulate(*protocol, initial, options);
-            const RunResult batch = simulate_counts(*protocol, initial, options);
+            const RunResult batch = run_count_batch(*protocol, initial, options);
             ASSERT_TRUE(reference.consensus && batch.consensus) << zeros << "," << seed;
             EXPECT_EQ(*batch.consensus, *reference.consensus) << zeros << "," << seed;
             EXPECT_EQ(*batch.consensus, zeros < ones ? kOutputTrue : kOutputFalse);
@@ -86,7 +89,7 @@ TEST(BatchSimulator, AgreesWithReferenceOnEpidemic) {
         options.max_interactions = default_budget(31);
         options.seed = seed;
         const RunResult reference = simulate(*protocol, initial, options);
-        const RunResult batch = simulate_counts(*protocol, initial, options);
+        const RunResult batch = run_count_batch(*protocol, initial, options);
         EXPECT_EQ(reference.stop_reason, StopReason::kSilent) << seed;
         EXPECT_EQ(batch.stop_reason, StopReason::kSilent) << seed;
         EXPECT_EQ(batch.final_configuration, reference.final_configuration) << seed;
@@ -106,7 +109,7 @@ TEST(BatchSimulator, ConvergenceTimeMatchesEpidemicClosedForm) {
         RunOptions options;
         options.max_interactions = default_budget(31);
         options.seed = 1000 + trial;
-        const RunResult result = simulate_counts(*protocol, initial, options);
+        const RunResult result = run_count_batch(*protocol, initial, options);
         EXPECT_EQ(result.stop_reason, StopReason::kSilent);
         total += static_cast<double>(result.last_output_change);
     }
@@ -119,7 +122,7 @@ TEST(BatchSimulator, AlreadySilentConfigurationStopsImmediately) {
     initial.add(0, 10);  // ten agents in q_0: (q_0, q_0) -> (q_0, q_0)
     RunOptions options;
     options.max_interactions = 1000;
-    const RunResult batch = simulate_counts(*protocol, initial, options);
+    const RunResult batch = run_count_batch(*protocol, initial, options);
     EXPECT_EQ(batch.stop_reason, StopReason::kSilent);
     EXPECT_EQ(batch.interactions, 0u);
     EXPECT_EQ(batch.effective_interactions, 0u);
@@ -134,7 +137,7 @@ TEST(BatchSimulator, NullSkipMakesSparseEffectivePairsCheap) {
     RunOptions options;
     options.max_interactions = default_budget(1000);
     options.seed = 3;
-    const RunResult batch = simulate_counts(*protocol, initial, options);
+    const RunResult batch = run_count_batch(*protocol, initial, options);
     EXPECT_EQ(batch.stop_reason, StopReason::kSilent);
     ASSERT_TRUE(batch.consensus.has_value());
     EXPECT_EQ(*batch.consensus, kOutputTrue);
@@ -150,7 +153,7 @@ TEST(BatchSimulator, BudgetStopsAtExactInteractionCount) {
     RunOptions options;
     options.max_interactions = 25;  // far below the ~160 needed to finish
     options.seed = 9;
-    const RunResult batch = simulate_counts(*protocol, initial, options);
+    const RunResult batch = run_count_batch(*protocol, initial, options);
     EXPECT_EQ(batch.stop_reason, StopReason::kBudget);
     EXPECT_EQ(batch.interactions, 25u);
 }
@@ -169,7 +172,7 @@ TEST(BatchSimulator, StableOutputStopMatchesReferenceSemantics) {
         options.stop_after_stable_outputs = window;
         options.seed = seed;
         const RunResult reference = simulate(*protocol, initial, options);
-        const RunResult batch = simulate_counts(*protocol, initial, options);
+        const RunResult batch = run_count_batch(*protocol, initial, options);
         EXPECT_EQ(reference.stop_reason, StopReason::kStableOutputs) << seed;
         EXPECT_EQ(batch.stop_reason, StopReason::kStableOutputs) << seed;
         EXPECT_EQ(reference.interactions, reference.last_output_change + window) << seed;
@@ -185,8 +188,8 @@ TEST(BatchSimulator, DeterministicGivenSeed) {
     RunOptions options;
     options.max_interactions = default_budget(48);
     options.seed = 77;
-    const RunResult a = simulate_counts(*protocol, initial, options);
-    const RunResult b = simulate_counts(*protocol, initial, options);
+    const RunResult a = run_count_batch(*protocol, initial, options);
+    const RunResult b = run_count_batch(*protocol, initial, options);
     EXPECT_EQ(a.interactions, b.interactions);
     EXPECT_EQ(a.effective_interactions, b.effective_interactions);
     EXPECT_EQ(a.last_output_change, b.last_output_change);
@@ -201,21 +204,19 @@ TEST(BatchSimulator, RunSimulationDispatchesOnEngine) {
     options.seed = 4;
     options.engine = SimulationEngine::kCountBatch;
     const RunResult batch = run_simulation(*protocol, initial, options);
-    // Same seed, same engine => identical to the direct entry point.
-    const RunResult direct_batch = simulate_counts(*protocol, initial, options);
+    EXPECT_EQ(batch.engine, ObservedEngine::kCountBatch);
     options.engine = SimulationEngine::kAgentArray;
     const RunResult reference = run_simulation(*protocol, initial, options);
+    // Same seed, same engine => identical to the direct agent-array entry.
     const RunResult direct_reference = simulate(*protocol, initial, options);
-    EXPECT_EQ(batch.interactions, direct_batch.interactions);
+    EXPECT_EQ(reference.engine, ObservedEngine::kAgentArray);
     EXPECT_EQ(reference.interactions, direct_reference.interactions);
-    EXPECT_EQ(batch.final_configuration, direct_batch.final_configuration);
-    // The historical footgun is closed: a direct entry point refuses a
-    // RunOptions that names the *other* engine instead of silently running.
-    EXPECT_THROW(simulate_counts(*protocol, initial, options), std::invalid_argument);
+    EXPECT_EQ(reference.final_configuration, direct_reference.final_configuration);
+    // `simulate` refuses a RunOptions that names another engine instead of
+    // silently running the agent array.
     options.engine = SimulationEngine::kCountBatch;
     EXPECT_THROW(simulate(*protocol, initial, options), std::invalid_argument);
     options.engine = SimulationEngine::kAuto;
-    EXPECT_NO_THROW(simulate_counts(*protocol, initial, options));
     EXPECT_NO_THROW(simulate(*protocol, initial, options));
 }
 
@@ -226,14 +227,14 @@ TEST(BatchSimulator, Validation) {
     // max_interactions == 0 resolves to default_budget(n) instead of being
     // rejected; the counting protocol falls silent well inside that budget.
     options.max_interactions = 0;
-    EXPECT_EQ(simulate_counts(*protocol, initial, options).stop_reason, StopReason::kSilent);
+    EXPECT_EQ(run_count_batch(*protocol, initial, options).stop_reason, StopReason::kSilent);
     options.max_interactions = 100;
     CountConfiguration lonely(protocol->num_states());
     lonely.add(0, 1);
-    EXPECT_THROW(simulate_counts(*protocol, lonely, options), std::invalid_argument);
+    EXPECT_THROW(run_count_batch(*protocol, lonely, options), std::invalid_argument);
     const auto other = make_counting_protocol(7);
     const auto mismatched = CountConfiguration::from_input_counts(*other, {4, 4});
-    EXPECT_THROW(simulate_counts(*protocol, mismatched, options), std::invalid_argument);
+    EXPECT_THROW(run_count_batch(*protocol, mismatched, options), std::invalid_argument);
 }
 
 }  // namespace

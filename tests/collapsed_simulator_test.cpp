@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "core/batch_simulator.h"
-#include "core/collapsed_simulator.h"
 #include "core/observer.h"
 #include "core/run_loop.h"
 #include "core/simulator.h"
@@ -42,6 +41,8 @@ namespace {
 
 using testutil::chi_square_gof;
 using testutil::ChiSquareResult;
+using testutil::run_collapsed;
+using testutil::run_count_batch;
 
 // ---------------------------------------------------------------------------
 // Exact k-step distribution of the uniform ordered-pair chain
@@ -101,7 +102,7 @@ void expect_matches_exact_law(const TabulatedProtocol& protocol, const CountVect
                 options.checkpoint_sink = &sink;
                 break;
         }
-        const RunResult result = simulate_collapsed(protocol, initial, options);
+        const RunResult result = run_collapsed(protocol, initial, options);
         // A silent stop before the budget freezes the configuration, so the
         // final counts still equal the configuration at index `steps`.
         ++tally[result.final_configuration.counts()];
@@ -177,7 +178,7 @@ TEST(CollapsedCheckpointResume, BitIdenticalAgainstCheckpointedBaseline) {
     CollectingSink sink;
     options.checkpoint_every = 7;
     options.checkpoint_sink = &sink;
-    const RunResult baseline = simulate_collapsed(*protocol, initial, options);
+    const RunResult baseline = run_collapsed(*protocol, initial, options);
     ASSERT_FALSE(sink.checkpoints.empty());
 
     for (const RunCheckpoint& checkpoint : sink.checkpoints) {
@@ -188,7 +189,7 @@ TEST(CollapsedCheckpointResume, BitIdenticalAgainstCheckpointedBaseline) {
         RunOptions resumed = options;
         resumed.checkpoint_sink = &resumed_sink;
         resumed.resume_from = &reloaded;
-        expect_same_run(simulate_collapsed(*protocol, initial, resumed), baseline);
+        expect_same_run(run_collapsed(*protocol, initial, resumed), baseline);
 
         // The resumed run's checkpoints must be the exact suffix of the
         // baseline's — same cuts, same RNG positions, same counts.
@@ -208,12 +209,12 @@ TEST(CollapsedCheckpointResume, RejectsForeignCheckpoints) {
     CollectingSink sink;
     options.checkpoint_every = 20;
     options.checkpoint_sink = &sink;
-    simulate_counts(*protocol, initial, options);
+    run_count_batch(*protocol, initial, options);
     ASSERT_FALSE(sink.checkpoints.empty());
 
     RunOptions resume;
     resume.resume_from = &sink.checkpoints.front();
-    EXPECT_THROW(simulate_collapsed(*protocol, initial, resume), std::invalid_argument);
+    EXPECT_THROW(run_collapsed(*protocol, initial, resume), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -227,7 +228,7 @@ TEST(CollapsedSimulator, EpidemicRunsSilentWithExactEffectiveCount) {
     const auto initial = CountConfiguration::from_input_counts(*protocol, {25, 5});
     RunOptions options;
     options.seed = 5;
-    const RunResult result = simulate_collapsed(*protocol, initial, options);
+    const RunResult result = run_collapsed(*protocol, initial, options);
     EXPECT_EQ(result.stop_reason, StopReason::kSilent);
     EXPECT_EQ(result.final_configuration.counts(), (CountVector{0, 30}));
     EXPECT_EQ(result.effective_interactions, 25u);
@@ -240,7 +241,7 @@ TEST(CollapsedSimulator, InitiallySilentConfigurationStopsAtZero) {
     const auto initial = CountConfiguration::from_input_counts(*protocol, {0, 30});
     RunOptions options;
     options.seed = 9;
-    const RunResult result = simulate_collapsed(*protocol, initial, options);
+    const RunResult result = run_collapsed(*protocol, initial, options);
     EXPECT_EQ(result.stop_reason, StopReason::kSilent);
     EXPECT_EQ(result.interactions, 0u);
     EXPECT_EQ(result.effective_interactions, 0u);
@@ -250,22 +251,16 @@ TEST(CollapsedSimulator, ValidatesInputs) {
     const auto protocol = make_epidemic_protocol();
     RunOptions options;
     // Population of one.
-    EXPECT_THROW(simulate_collapsed(
+    EXPECT_THROW(run_collapsed(
                      *protocol, CountConfiguration::from_input_counts(*protocol, {1, 0}), options),
                  std::invalid_argument);
     // Configuration from a different protocol shape.
     const auto counting = make_counting_protocol(4);
     EXPECT_THROW(
-        simulate_collapsed(*protocol,
-                           CountConfiguration::from_input_counts(*counting, {5, 5}), options),
+        run_collapsed(*protocol, CountConfiguration::from_input_counts(*counting, {5, 5}), options),
         std::invalid_argument);
-    // Engine-field mismatch in both directions.
     const auto initial = CountConfiguration::from_input_counts(*protocol, {5, 5});
-    options.engine = SimulationEngine::kCountBatch;
-    EXPECT_THROW(simulate_collapsed(*protocol, initial, options), std::invalid_argument);
-    options.engine = SimulationEngine::kCollapsedBatch;
-    EXPECT_THROW(simulate_counts(*protocol, initial, options), std::invalid_argument);
-    EXPECT_NO_THROW(simulate_collapsed(*protocol, initial, options));
+    EXPECT_NO_THROW(run_collapsed(*protocol, initial, options));
 }
 
 TEST(CollapsedSimulator, EngineNameRoundTrips) {
@@ -323,9 +318,8 @@ TEST(RunSimulationDispatch, DirectEntryPointsReportTheirEngine) {
     options.seed = 4;
     options.max_interactions = 50;
     EXPECT_EQ(simulate(*protocol, initial, options).engine, ObservedEngine::kAgentArray);
-    EXPECT_EQ(simulate_counts(*protocol, initial, options).engine, ObservedEngine::kCountBatch);
-    EXPECT_EQ(simulate_collapsed(*protocol, initial, options).engine,
-              ObservedEngine::kCollapsed);
+    EXPECT_EQ(run_count_batch(*protocol, initial, options).engine, ObservedEngine::kCountBatch);
+    EXPECT_EQ(run_collapsed(*protocol, initial, options).engine, ObservedEngine::kCollapsed);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Unit tests for the core model: RNG, tabulated protocols, configurations,
-// combinators, and the random simulator.
+// combinators, the random simulator, and the debug printers.
 
 #include <gtest/gtest.h>
 
@@ -8,6 +8,7 @@
 
 #include "core/combinators.h"
 #include "core/configuration.h"
+#include "core/debug.h"
 #include "core/interner.h"
 #include "core/rng.h"
 #include "core/simulator.h"
@@ -348,6 +349,22 @@ TEST(Rng, GeometricSkipsMatchesGeometricMean) {
 TEST(Rng, GeometricSkipsRareEventIsCapped) {
     Rng rng(29);
     EXPECT_LE(rng.geometric_skips(1e-300), static_cast<std::uint64_t>(1e18));
+}
+
+TEST(Debug, DescribeProtocolListsTransitions) {
+    const auto protocol = make_counting_protocol(2);
+    const std::string text = describe_protocol(*protocol);
+    EXPECT_NE(text.find("states (3)"), std::string::npos);
+    EXPECT_NE(text.find("(q1, q1) -> (q2, q2)"), std::string::npos);
+    EXPECT_NE(text.find("inputs  (2)"), std::string::npos);
+}
+
+TEST(Debug, DotExportIsWellFormed) {
+    const auto protocol = make_counting_protocol(2);
+    const std::string dot = protocol_to_dot(*protocol);
+    EXPECT_EQ(dot.rfind("digraph protocol {", 0), 0u);
+    EXPECT_NE(dot.find("q1 -> q2"), std::string::npos);
+    EXPECT_NE(dot.find("}\n"), std::string::npos);
 }
 
 }  // namespace

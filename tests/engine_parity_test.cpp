@@ -34,7 +34,6 @@
 #include <vector>
 
 #include "core/batch_simulator.h"
-#include "core/collapsed_simulator.h"
 #include "core/observer.h"
 #include "core/simulator.h"
 #include "observe/trace_recorder.h"
@@ -88,13 +87,9 @@ const char* engine_label(SimulationEngine engine) {
 }
 
 RunResult run_engine(const TabulatedProtocol& protocol, const CountConfiguration& initial,
-                     SimulationEngine engine, const RunOptions& options) {
-    switch (engine) {
-        case SimulationEngine::kAgentArray: return simulate(protocol, initial, options);
-        case SimulationEngine::kCollapsedBatch:
-            return simulate_collapsed(protocol, initial, options);
-        default: return simulate_counts(protocol, initial, options);
-    }
+                     SimulationEngine engine, RunOptions options) {
+    options.engine = engine;
+    return run_simulation(protocol, initial, options);
 }
 
 std::vector<std::uint64_t> snapshot_indices(const TraceRecorder& recorder) {

@@ -1,7 +1,7 @@
 // FeistelPermutation and the lazy epoch permutations built on it:
 // bijectivity over awkward domains, chi-square parity with the materialized
 // Fisher-Yates shuffle it replaced, sweep epoch cover and mid-epoch
-// save/restore, exact-silence parity with the scheduler path, and the
+// save/restore, exact silence under the deterministic cover models, and the
 // memory headline — sweep/adversarial epochs at n = 2^16, where the
 // materialized permutation alone was ~34 GB.
 
@@ -17,7 +17,6 @@
 #include "core/interaction_model.h"
 #include "core/rng.h"
 #include "core/run_loop.h"
-#include "core/schedulers.h"
 #include "core/simulator.h"
 #include "protocols/epidemic.h"
 #include "scenarios/adversarial.h"
@@ -189,10 +188,8 @@ TEST(LazyEpochPermutations, SweepAndAdversarialRunAtSixtyFourKAgents) {
 // Exact silence unpins the deterministic cover models from the periodic
 // probe: the run halts at the very interaction that produced silence
 // (interactions == last_output_change for the epidemic, whose final
-// infection is an output change), and the trajectory agrees with the
-// legacy scheduler path, which probes periodically and so can only halt
-// later.
-TEST(ExactSilence, HaltsAtFirstSilentConfigurationAndMatchesSchedulerPath) {
+// infection is an output change).
+TEST(ExactSilence, HaltsAtFirstSilentConfiguration) {
     const auto protocol = make_epidemic_protocol();
     constexpr std::uint64_t kAgents = 20;
     const auto initial =
@@ -207,24 +204,6 @@ TEST(ExactSilence, HaltsAtFirstSilentConfigurationAndMatchesSchedulerPath) {
         EXPECT_EQ(exact.stop_reason, StopReason::kSilent) << model;
         EXPECT_EQ(exact.interactions, exact.last_output_change) << model;
         EXPECT_EQ(exact.effective_interactions, kAgents - 1) << model;
-
-        RunOptions scheduler_options;
-        scheduler_options.seed = 3;
-        RoundRobinScheduler round_robin(kAgents);
-        SweepScheduler sweep(kAgents, scheduler_options.seed);
-        Scheduler& scheduler =
-            spec.model == "sweep" ? static_cast<Scheduler&>(sweep) : round_robin;
-        const RunResult via_scheduler = simulate_with_scheduler(
-            *protocol, AgentConfiguration::from_counts(initial), scheduler,
-            scheduler_options);
-        EXPECT_EQ(via_scheduler.stop_reason, StopReason::kSilent) << model;
-        // Same trajectory: identical final configuration and effective
-        // count; the periodic probe can only stop at or after the exact
-        // halt index.
-        EXPECT_EQ(via_scheduler.final_configuration, exact.final_configuration) << model;
-        EXPECT_EQ(via_scheduler.effective_interactions, exact.effective_interactions)
-            << model;
-        EXPECT_GE(via_scheduler.interactions, exact.interactions) << model;
     }
 }
 

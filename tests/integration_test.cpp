@@ -6,7 +6,6 @@
 #include "analysis/markov.h"
 #include "analysis/stable_computation.h"
 #include "core/protocol_io.h"
-#include "core/schedulers.h"
 #include "core/simulator.h"
 #include "graphs/graph_simulation.h"
 #include "graphs/interaction_graph.h"
@@ -17,6 +16,7 @@
 #include "presburger/parser.h"
 #include "protocols/division.h"
 #include "randomized/population_machine.h"
+#include "scenarios/scenario_spec.h"
 #include "test_util.h"
 
 namespace popproto {
@@ -107,13 +107,12 @@ TEST(Integration, DivisionUnderRoundRobinDecodesViaConvention) {
     const auto protocol = make_divmod_protocol(divisor);
     const IntegerOutputConvention convention = divmod_output_convention(divisor);
 
-    std::vector<Symbol> inputs(9, 1);
-    inputs.insert(inputs.end(), 6, 0);
-    const auto agents = AgentConfiguration::from_inputs(*protocol, inputs);
-    RoundRobinScheduler scheduler(15);
+    const auto initial = CountConfiguration::from_input_counts(*protocol, {6, 9});
+    ScenarioSpec spec;
+    spec.model = "round_robin";
     RunOptions options;
     options.max_interactions = default_budget(15);
-    const RunResult result = simulate_with_scheduler(*protocol, agents, scheduler, options);
+    const RunResult result = run_scenario(*protocol, initial, spec, options);
     EXPECT_EQ(result.stop_reason, StopReason::kSilent);
     const auto decoded =
         convention.decode(result.final_configuration.output_counts(*protocol));

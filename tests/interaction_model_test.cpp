@@ -1,10 +1,10 @@
 // The interaction-model layer (core/interaction_model.h): distributional
 // parity of the refactored built-in models against their closed-form pair
-// laws, O(1) pair decoding, model-state serialization, and checkpoint/resume
-// bit-identity of the built-in schedulers through the new layer.
+// laws, O(1) pair decoding, and model-state serialization.  Checkpoint/resume
+// bit-identity of the round-robin and sweep models through run_scenario is
+// covered by scenarios_test.cpp (ScenarioCheckpoint).
 
 #include <cstdint>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -15,7 +15,6 @@
 #include "core/interaction_model.h"
 #include "core/rng.h"
 #include "core/run_loop.h"
-#include "core/schedulers.h"
 #include "core/simulator.h"
 #include "graphs/interaction_graph.h"
 #include "protocols/counting.h"
@@ -229,105 +228,6 @@ TEST(InteractionModel, CheckpointRejectsMalformedModelLine) {
     ASSERT_NE(at, std::string::npos) << text;
     text.replace(at, good.size(), "interaction_model sweep 4");
     EXPECT_THROW(checkpoint_from_string(text), std::invalid_argument);
-}
-
-// --- Bit-identity through the built-in schedulers --------------------------
-
-void expect_same_run(const RunResult& actual, const RunResult& expected) {
-    EXPECT_EQ(actual.stop_reason, expected.stop_reason);
-    EXPECT_EQ(actual.interactions, expected.interactions);
-    EXPECT_EQ(actual.effective_interactions, expected.effective_interactions);
-    EXPECT_EQ(actual.last_output_change, expected.last_output_change);
-    EXPECT_EQ(actual.final_configuration, expected.final_configuration);
-    EXPECT_EQ(actual.consensus, expected.consensus);
-}
-
-/// Bit-identity harness over a scheduler factory: the scheduler is rebuilt
-/// fresh for every run (exactly how a CLI resume rebuilds it), so the
-/// restored model state — not leftover in-memory state — must account for
-/// the replay.
-template <typename MakeScheduler>
-void check_scheduler_bit_identity(const TabulatedProtocol& protocol,
-                                  const AgentConfiguration& initial,
-                                  MakeScheduler&& make_scheduler,
-                                  std::uint64_t checkpoint_every) {
-    RunOptions options;
-    const auto run = [&](const RunOptions& opts) {
-        auto scheduler = make_scheduler();
-        return simulate_with_scheduler(protocol, initial, *scheduler, opts);
-    };
-    const RunResult baseline = run(options);
-
-    class Sink final : public CheckpointSink {
-    public:
-        void on_checkpoint(const RunCheckpoint& checkpoint) override {
-            checkpoints.push_back(checkpoint);
-        }
-        std::vector<RunCheckpoint> checkpoints;
-    } sink;
-    options.checkpoint_every = checkpoint_every;
-    options.checkpoint_sink = &sink;
-    expect_same_run(run(options), baseline);
-    ASSERT_FALSE(sink.checkpoints.empty());
-
-    options.checkpoint_every = 0;
-    options.checkpoint_sink = nullptr;
-    for (const RunCheckpoint& checkpoint : sink.checkpoints) {
-        const RunCheckpoint reloaded = checkpoint_from_string(checkpoint_to_string(checkpoint));
-        options.resume_from = &reloaded;
-        expect_same_run(run(options), baseline);
-    }
-}
-
-TEST(InteractionModel, RoundRobinSchedulerResumesBitIdentically) {
-    const auto protocol = make_counting_protocol(3);
-    std::vector<Symbol> inputs(9, 0);
-    inputs[0] = inputs[4] = inputs[8] = 1;
-    const auto initial = AgentConfiguration::from_inputs(*protocol, inputs);
-    check_scheduler_bit_identity(
-        *protocol, initial,
-        [&] { return std::make_unique<RoundRobinScheduler>(inputs.size()); },
-        /*checkpoint_every=*/37);  // coprime to the 72-pair cycle: cuts mid-cycle
-}
-
-TEST(InteractionModel, SweepSchedulerResumesBitIdentically) {
-    const auto protocol = make_counting_protocol(3);
-    std::vector<Symbol> inputs(8, 0);
-    inputs[1] = inputs[6] = 1;
-    const auto initial = AgentConfiguration::from_inputs(*protocol, inputs);
-    check_scheduler_bit_identity(
-        *protocol, initial,
-        [&] { return std::make_unique<SweepScheduler>(inputs.size(), /*seed=*/5); },
-        /*checkpoint_every=*/41);  // cuts mid-sweep: the permutation must serialize
-}
-
-TEST(InteractionModel, SchedulerResumeRejectsModelNameMismatch) {
-    const auto protocol = make_counting_protocol(2);
-    const auto initial =
-        AgentConfiguration::from_inputs(*protocol, std::vector<Symbol>{1, 1, 0, 0});
-
-    class Sink final : public CheckpointSink {
-    public:
-        void on_checkpoint(const RunCheckpoint& checkpoint) override {
-            checkpoints.push_back(checkpoint);
-        }
-        std::vector<RunCheckpoint> checkpoints;
-    } sink;
-    RunOptions options;
-    options.max_interactions = 200;
-    options.checkpoint_every = 50;
-    options.checkpoint_sink = &sink;
-    RoundRobinScheduler round_robin(4);
-    simulate_with_scheduler(*protocol, initial, round_robin, options);
-    ASSERT_FALSE(sink.checkpoints.empty());
-
-    // A round_robin checkpoint cannot resume a sweep scheduler.
-    RunOptions resume;
-    resume.max_interactions = 200;
-    resume.resume_from = &sink.checkpoints.front();
-    SweepScheduler sweep(4, 1);
-    EXPECT_THROW(simulate_with_scheduler(*protocol, initial, sweep, resume),
-                 std::invalid_argument);
 }
 
 }  // namespace

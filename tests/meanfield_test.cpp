@@ -23,9 +23,12 @@
 #include "protocols/epidemic.h"
 #include "protocols/leader_election.h"
 #include "randomized/trials.h"
+#include "test_util.h"
 
 namespace popproto {
 namespace {
+
+using testutil::run_count_batch;
 
 /// The built-in protocol zoo the drift property tests sweep over.
 std::vector<std::pair<std::string, std::unique_ptr<TabulatedProtocol>>> builtin_protocols() {
@@ -226,7 +229,7 @@ TEST(MeanfieldComparator, NormalizedTrajectoryRescalesARecordedRun) {
     options.seed = 7;
     options.observer = &recorder;
     options.snapshots = SnapshotSchedule::every(n);
-    simulate_counts(*protocol, initial, options);
+    run_count_batch(*protocol, initial, options);
 
     const EmpiricalTrajectory trajectory = normalized_trajectory(recorder);
     ASSERT_GE(trajectory.times.size(), 3u);

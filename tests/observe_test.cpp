@@ -26,6 +26,7 @@ namespace popproto {
 namespace {
 
 using testutil::JsonChecker;
+using testutil::run_count_batch;
 
 std::vector<std::string> split_lines(const std::string& text) {
     std::vector<std::string> lines;
@@ -134,13 +135,13 @@ TEST(Observe, ObservationDoesNotPerturbBatchEngine) {
     const auto protocol = make_counting_protocol(5);
     const auto initial = CountConfiguration::from_input_counts(*protocol, {57, 7});
     const RunOptions plain = base_options(default_budget(64), 22);
-    const RunResult unobserved = simulate_counts(*protocol, initial, plain);
+    const RunResult unobserved = run_count_batch(*protocol, initial, plain);
 
     TraceRecorder recorder;
     RunOptions observed = plain;
     observed.observer = &recorder;
     observed.snapshots = SnapshotSchedule::log_spaced(1.3);
-    const RunResult result = simulate_counts(*protocol, initial, observed);
+    const RunResult result = run_count_batch(*protocol, initial, observed);
 
     EXPECT_TRUE(results_equal(result, unobserved));
     // Null-run accounting: the recorder saw exactly the skipped interactions.
@@ -259,7 +260,7 @@ TEST(Observe, TraceRecorderClearsBetweenRuns) {
 
     // on_start clears implicitly: a second run does not accumulate.
     options.seed = 10;
-    simulate_counts(*protocol, initial, options);
+    run_count_batch(*protocol, initial, options);
     EXPECT_EQ(recorder.engine(), ObservedEngine::kCountBatch);
     EXPECT_EQ(recorder.seed(), 10u);
     EXPECT_TRUE(recorder.finished());
@@ -286,7 +287,7 @@ TEST(Observe, BatchSnapshotsInsideNullRunsKeepCountsConstant) {
     RunOptions options = base_options(50'000, 77);
     options.observer = &recorder;
     options.snapshots = SnapshotSchedule::every(7);
-    const RunResult result = simulate_counts(*protocol, initial, options);
+    const RunResult result = run_count_batch(*protocol, initial, options);
 
     // The epidemic completes long before 50k interactions; W == 0 then
     // stops the run exactly at the last effective interaction.
@@ -321,7 +322,7 @@ TEST(Observe, BatchBudgetStopEmitsSnapshotsThroughBudget) {
     RunOptions options = base_options(4'096, 3);
     options.observer = &recorder;
     options.snapshots = SnapshotSchedule::every(512);
-    const RunResult result = simulate_counts(*protocol, initial, options);
+    const RunResult result = run_count_batch(*protocol, initial, options);
 
     if (result.stop_reason == StopReason::kSilent) {
         // Silence stops the run exactly at the last effective interaction;
@@ -399,7 +400,7 @@ TEST(Observe, MetricsReportExportsValidJson) {
     RunOptions options = base_options(default_budget(32), 21);
     options.observer = &metrics;
     options.snapshots = SnapshotSchedule::every(64);
-    simulate_counts(*protocol, initial, options);
+    run_count_batch(*protocol, initial, options);
 
     const MetricsReport report = metrics.report();
     const std::string json = report.to_json();
@@ -484,7 +485,7 @@ TEST(Observe, JsonlWriterEmitsValidJsonl) {
     RunOptions options = base_options(default_budget(32), 11);
     options.observer = &tee;
     options.snapshots = SnapshotSchedule::log_spaced(1.4, 8);
-    const RunResult result = simulate_counts(*protocol, initial, options);
+    const RunResult result = run_count_batch(*protocol, initial, options);
 
     const std::vector<std::string> lines = split_lines(out.str());
     ASSERT_GE(lines.size(), 3u);

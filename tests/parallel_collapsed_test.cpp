@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "core/batch_simulator.h"
-#include "core/collapsed_simulator.h"
 #include "core/observer.h"
 #include "core/run_loop.h"
 #include "core/simd.h"
@@ -47,6 +46,8 @@ namespace {
 
 using testutil::chi_square_gof;
 using testutil::ChiSquareResult;
+using testutil::run_collapsed;
+using testutil::run_count_batch;
 
 using CountVector = std::vector<std::uint64_t>;
 
@@ -191,7 +192,7 @@ void expect_matches_exact_law(const TabulatedProtocol& protocol, const CountVect
                 options.checkpoint_sink = &sink;
                 break;
         }
-        const RunResult result = simulate_collapsed(protocol, initial, options);
+        const RunResult result = run_collapsed(protocol, initial, options);
         EXPECT_EQ(result.engine, ObservedEngine::kParallelCollapsed);
         ++tally[result.final_configuration.counts()];
     }
@@ -255,8 +256,8 @@ TEST(ParallelCollapsed, FixedSeedAndThreadCountIsReproducible) {
     RunOptions options;
     options.seed = 17;
     options.threads = 3;
-    const RunResult first = simulate_collapsed(*protocol, initial, options);
-    const RunResult second = simulate_collapsed(*protocol, initial, options);
+    const RunResult first = run_collapsed(*protocol, initial, options);
+    const RunResult second = run_collapsed(*protocol, initial, options);
     EXPECT_EQ(first.engine, ObservedEngine::kParallelCollapsed);
     expect_same_run(second, first);
     // The epidemic invariant holds through sharded batches: every effective
@@ -270,9 +271,9 @@ TEST(ParallelCollapsed, ThreadsOneIsTheSerialEngine) {
     const auto initial = CountConfiguration::from_input_counts(*protocol, {200, 8});
     RunOptions options;
     options.seed = 23;
-    const RunResult baseline = simulate_collapsed(*protocol, initial, options);
+    const RunResult baseline = run_collapsed(*protocol, initial, options);
     options.threads = 1;
-    const RunResult explicit_one = simulate_collapsed(*protocol, initial, options);
+    const RunResult explicit_one = run_collapsed(*protocol, initial, options);
     EXPECT_EQ(explicit_one.engine, ObservedEngine::kCollapsed);
     expect_same_run(explicit_one, baseline);
 }
@@ -292,7 +293,7 @@ TEST(ParallelCollapsedCheckpointResume, BitIdenticalAgainstCheckpointedBaseline)
     CollectingSink sink;
     options.checkpoint_every = 7;
     options.checkpoint_sink = &sink;
-    const RunResult baseline = simulate_collapsed(*protocol, initial, options);
+    const RunResult baseline = run_collapsed(*protocol, initial, options);
     EXPECT_EQ(baseline.engine, ObservedEngine::kParallelCollapsed);
     ASSERT_FALSE(sink.checkpoints.empty());
 
@@ -307,7 +308,7 @@ TEST(ParallelCollapsedCheckpointResume, BitIdenticalAgainstCheckpointedBaseline)
         RunOptions resumed = options;
         resumed.checkpoint_sink = &resumed_sink;
         resumed.resume_from = &reloaded;
-        expect_same_run(simulate_collapsed(*protocol, initial, resumed), baseline);
+        expect_same_run(run_collapsed(*protocol, initial, resumed), baseline);
 
         std::vector<RunCheckpoint> expected_suffix;
         for (const RunCheckpoint& later : sink.checkpoints)
@@ -327,7 +328,7 @@ TEST(ParallelCollapsedCheckpointResume, RejectsMismatchedShardCounts) {
     CollectingSink sink;
     options.checkpoint_every = 20;
     options.checkpoint_sink = &sink;
-    simulate_collapsed(*protocol, initial, options);
+    run_collapsed(*protocol, initial, options);
     ASSERT_FALSE(sink.checkpoints.empty());
     const RunCheckpoint parallel_checkpoint = sink.checkpoints.front();
 
@@ -335,20 +336,20 @@ TEST(ParallelCollapsedCheckpointResume, RejectsMismatchedShardCounts) {
     RunOptions resume;
     resume.resume_from = &parallel_checkpoint;
     resume.threads = 2;
-    EXPECT_THROW(simulate_collapsed(*protocol, initial, resume), std::invalid_argument);
+    EXPECT_THROW(run_collapsed(*protocol, initial, resume), std::invalid_argument);
     // A parallel checkpoint cannot resume on the serial engine...
     resume.threads = 1;
-    EXPECT_THROW(simulate_collapsed(*protocol, initial, resume), std::invalid_argument);
+    EXPECT_THROW(run_collapsed(*protocol, initial, resume), std::invalid_argument);
 
     // ...and a serial checkpoint cannot resume on the parallel engine.
     sink.checkpoints.clear();
     options.threads = 1;
-    simulate_collapsed(*protocol, initial, options);
+    run_collapsed(*protocol, initial, options);
     ASSERT_FALSE(sink.checkpoints.empty());
     EXPECT_TRUE(sink.checkpoints.front().shard_rngs.empty());
     resume.resume_from = &sink.checkpoints.front();
     resume.threads = 3;
-    EXPECT_THROW(simulate_collapsed(*protocol, initial, resume), std::invalid_argument);
+    EXPECT_THROW(run_collapsed(*protocol, initial, resume), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -362,12 +363,12 @@ TEST(ThreadOptions, SequentialEnginesRejectThreadRequests) {
     options.max_interactions = 50;
     options.threads = 2;
     EXPECT_THROW(simulate(*protocol, initial, options), std::invalid_argument);
-    EXPECT_THROW(simulate_counts(*protocol, initial, options), std::invalid_argument);
+    EXPECT_THROW(run_count_batch(*protocol, initial, options), std::invalid_argument);
     // threads == 0 (auto) is accepted by sequential engines — it resolves
     // to a serial run rather than an error.
     options.threads = 0;
     EXPECT_NO_THROW(simulate(*protocol, initial, options));
-    EXPECT_NO_THROW(simulate_counts(*protocol, initial, options));
+    EXPECT_NO_THROW(run_count_batch(*protocol, initial, options));
 }
 
 TEST(ThreadOptions, RunSimulationPinsCollapsedForThreadRequests) {

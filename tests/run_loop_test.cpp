@@ -18,15 +18,17 @@
 #include "core/batch_simulator.h"
 #include "core/rng.h"
 #include "core/run_loop.h"
-#include "core/schedulers.h"
 #include "core/simulator.h"
 #include "graphs/graph_simulation.h"
 #include "graphs/interaction_graph.h"
 #include "protocols/counting.h"
 #include "protocols/epidemic.h"
+#include "test_util.h"
 
 namespace popproto {
 namespace {
+
+using testutil::run_count_batch;
 
 TEST(RngState, SaveRestoreReproducesStreamBitForBit) {
     Rng rng(42);
@@ -157,6 +159,21 @@ TEST(RunCheckpointIO, RejectsMalformedInputWithLineAndToken) {
               "read_checkpoint: line 6: unexpected trailing token '99'");
 }
 
+// The deterministic schedules run as run_scenario pair models, whose
+// checkpoints say `engine pair_model`.  Text that names the retired
+// `scheduler` engine is rejected with the token, never misread.
+TEST(RunCheckpointIO, RejectsRetiredSchedulerEngine) {
+    RunCheckpoint checkpoint;
+    checkpoint.agent_states = {0, 1};
+    std::string text = checkpoint_to_string(checkpoint);
+    const std::string engine_line = "engine agent_array";
+    const std::size_t at = text.find(engine_line);
+    ASSERT_NE(at, std::string::npos);
+    text.replace(at, engine_line.size(), "engine scheduler");
+    EXPECT_THROW(checkpoint_from_string(text), std::invalid_argument);
+    EXPECT_EQ(parse_error_message(text), "read_checkpoint: line 2: unknown engine 'scheduler'");
+}
+
 TEST(RunCheckpointIO, AtomicWriteFailurePathNamesTheFile) {
     // write_checkpoint_atomic into a directory that does not exist cannot
     // open its temporary; the exception must name the path it tried.
@@ -277,7 +294,7 @@ TEST(CheckpointResume, BitIdenticalOnCountBatchInsideNullSkips) {
     RunOptions options;
     options.seed = 3;
     const auto checkpoints = check_resume_bit_identity(
-        [&](const RunOptions& opts) { return simulate_counts(*protocol, initial, opts); },
+        [&](const RunOptions& opts) { return run_count_batch(*protocol, initial, opts); },
         options, /*checkpoint_every=*/10000);
 
     bool any_pending = false;
@@ -390,7 +407,7 @@ TEST(CheckpointResume, ValidatesCheckpointAgainstTheRun) {
     options.checkpoint_sink = nullptr;
     options.resume_from = &checkpoint;
     // Wrong engine: an agent-array checkpoint cannot resume the batch engine.
-    EXPECT_THROW(simulate_counts(*protocol, initial, options), std::invalid_argument);
+    EXPECT_THROW(run_count_batch(*protocol, initial, options), std::invalid_argument);
     // Wrong population.
     const auto larger = CountConfiguration::from_input_counts(*protocol, {20, 2});
     EXPECT_THROW(simulate(*protocol, larger, options), std::invalid_argument);
@@ -404,39 +421,6 @@ TEST(CheckpointResume, ValidatesCheckpointAgainstTheRun) {
     RunOptions no_sink;
     no_sink.checkpoint_every = 10;
     EXPECT_THROW(simulate(*protocol, initial, no_sink), std::invalid_argument);
-}
-
-// A Scheduler that keeps the default checkpoint hooks (checkpointable()
-// false): checkpoint/resume must be rejected up front for it, while the
-// built-in schedulers — which serialize through the interaction-model layer —
-// are accepted (their bit-identity is proven in interaction_model_test.cpp).
-TEST(CheckpointResume, NonCheckpointableSchedulerRejectsCheckpointing) {
-    class FirstPairScheduler final : public Scheduler {
-    public:
-        AgentPair next(const AgentConfiguration&) override { return {0, 1}; }
-    };
-    const auto protocol = make_counting_protocol(2);
-    const auto initial =
-        AgentConfiguration::from_inputs(*protocol, std::vector<Symbol>{1, 1, 0, 0});
-    FirstPairScheduler scheduler;
-    CollectingSink sink;
-    RunOptions options;
-    options.max_interactions = 100;
-    options.checkpoint_every = 10;
-    options.checkpoint_sink = &sink;
-    EXPECT_THROW(simulate_with_scheduler(*protocol, initial, scheduler, options),
-                 std::invalid_argument);
-
-    // The same run without checkpointing is fine.
-    RunOptions plain;
-    plain.max_interactions = 100;
-    EXPECT_NO_THROW(simulate_with_scheduler(*protocol, initial, scheduler, plain));
-
-    // Built-in schedulers accept checkpointing now.
-    RoundRobinScheduler round_robin(4);
-    EXPECT_NO_THROW(simulate_with_scheduler(*protocol, initial, round_robin, options));
-    EXPECT_FALSE(sink.checkpoints.empty());
-    EXPECT_EQ(sink.checkpoints.front().interaction_model, "round_robin");
 }
 
 TEST(RunLoop, ResolvesZeroBudgetAndPeriodDefaults) {
@@ -499,10 +483,10 @@ TEST(PauseResume, ChainedQuantaBitIdenticalInsideNullSkips) {
     const auto initial = CountConfiguration::from_input_counts(*protocol, {998, 2});
     RunOptions options;
     options.seed = 3;
-    const RunResult baseline = simulate_counts(*protocol, initial, options);
+    const RunResult baseline = run_count_batch(*protocol, initial, options);
 
     const auto run = [&](const RunOptions& opts) {
-        return simulate_counts(*protocol, initial, opts);
+        return run_count_batch(*protocol, initial, opts);
     };
     const auto [sliced, quanta] = run_in_quanta(run, options, /*quantum=*/10000);
     expect_same_run(sliced, baseline);

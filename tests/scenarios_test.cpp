@@ -1,7 +1,8 @@
 // The scenario pack (src/scenarios): game-rule compilation, the
-// adversarial-but-fair cover model, time-varying graphs, grid mobility, and
-// the run_scenario front door — convergence, validation, and
-// checkpoint/resume bit-identity including service-style quantum slicing.
+// deterministic round-robin and sweep schedules, the adversarial-but-fair
+// cover model, time-varying graphs, grid mobility, and the run_scenario
+// front door — convergence, validation, and checkpoint/resume bit-identity
+// including service-style quantum slicing.
 
 #include <algorithm>
 #include <cstdint>
@@ -18,6 +19,8 @@
 #include "core/rng.h"
 #include "core/run_loop.h"
 #include "core/simulator.h"
+#include "presburger/atom_protocols.h"
+#include "protocols/counting.h"
 #include "protocols/epidemic.h"
 #include "scenarios/adversarial.h"
 #include "scenarios/dynamic_graph.h"
@@ -105,6 +108,82 @@ TEST(Games, RejectsMalformedSpecs) {
     spec = make_pavlov_prisoners_dilemma();
     spec.strategy_names = {"only-one"};
     EXPECT_THROW(make_game_protocol(spec), std::invalid_argument);
+}
+
+// --- Deterministic schedules -----------------------------------------------
+//
+// Stably computing protocols converge under round-robin and sweep
+// activation, not only under uniform random pairing.  (The paper's footnote
+// 2: "every permitted encounter happens infinitely often" is formally
+// neither necessary nor sufficient for its fairness condition, but these
+// protocols converge, and the tests document exactly that.)  run_scenario
+// places agents in state order, so its round-robin schedule is one fixed,
+// fair order among many.
+
+RunResult run_schedule(const TabulatedProtocol& protocol, const CountConfiguration& initial,
+                       const char* model, const RunOptions& options) {
+    ScenarioSpec spec;
+    spec.model = model;
+    return run_scenario(protocol, initial, spec, options);
+}
+
+TEST(Schedulers, RoundRobinCyclesAllOrderedPairs) {
+    RoundRobinPairModel model(3);
+    std::set<AgentPair> seen;
+    for (int step = 0; step < 6; ++step) seen.insert(model.next_pair());
+    EXPECT_EQ(seen.size(), 6u);  // all 3*2 ordered pairs in one cycle
+    // The cycle repeats.
+    EXPECT_EQ(model.next_pair(), (AgentPair{0, 1}));
+}
+
+TEST(Schedulers, RoundRobinConvergesCounting) {
+    const auto protocol = make_counting_protocol(3);
+    const auto initial = CountConfiguration::from_input_counts(*protocol, {9, 4});
+    RunOptions options;
+    options.max_interactions = default_budget(13);
+    const RunResult result = run_schedule(*protocol, initial, "round_robin", options);
+    EXPECT_EQ(result.stop_reason, StopReason::kSilent);
+    ASSERT_TRUE(result.consensus.has_value());
+    EXPECT_EQ(*result.consensus, kOutputTrue);
+}
+
+TEST(Schedulers, RoundRobinConvergesMajority) {
+    const auto protocol = make_threshold_protocol({1, -1}, 0);
+    const auto initial = CountConfiguration::from_input_counts(*protocol, {7, 9});
+    RunOptions options;
+    options.max_interactions = default_budget(16, 256.0);
+    const RunResult result = run_schedule(*protocol, initial, "round_robin", options);
+    ASSERT_TRUE(result.consensus.has_value());
+    EXPECT_EQ(*result.consensus, kOutputTrue);  // 7 < 9
+}
+
+TEST(Schedulers, SweepConverges) {
+    const auto protocol = make_counting_protocol(2);
+    const auto initial = CountConfiguration::from_input_counts(*protocol, {10, 3});
+    RunOptions options;
+    options.seed = 5;  // seeds the sweep's private shuffle stream
+    options.max_interactions = default_budget(13);
+    const RunResult result = run_schedule(*protocol, initial, "sweep", options);
+    ASSERT_TRUE(result.consensus.has_value());
+    EXPECT_EQ(*result.consensus, kOutputTrue);
+}
+
+TEST(Schedulers, SweepCoversEveryPairEachSweep) {
+    SweepPairModel model(4, 9);
+    std::set<AgentPair> seen;
+    for (int step = 0; step < 12; ++step) seen.insert(model.next_pair());
+    EXPECT_EQ(seen.size(), 12u);
+}
+
+TEST(Schedulers, DeterministicRoundRobinIsReproducible) {
+    const auto protocol = make_counting_protocol(2);
+    const auto initial = CountConfiguration::from_input_counts(*protocol, {6, 2});
+    RunOptions options;
+    options.max_interactions = default_budget(8);
+    const RunResult ra = run_schedule(*protocol, initial, "round_robin", options);
+    const RunResult rb = run_schedule(*protocol, initial, "round_robin", options);
+    EXPECT_EQ(ra.interactions, rb.interactions);
+    EXPECT_EQ(ra.final_configuration, rb.final_configuration);
 }
 
 // --- Adversarial cover -----------------------------------------------------

@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "core/batch_simulator.h"
-#include "core/collapsed_simulator.h"
 #include "core/observer.h"
 #include "core/simulator.h"
 #include "graphs/graph_simulation.h"
@@ -47,6 +46,8 @@ using telemetry::Phase;
 using telemetry::RunTelemetry;
 using telemetry::RunTelemetryCollector;
 using testutil::JsonChecker;
+using testutil::run_collapsed;
+using testutil::run_count_batch;
 
 bool results_equal(const RunResult& a, const RunResult& b) {
     return a.stop_reason == b.stop_reason && a.interactions == b.interactions &&
@@ -156,12 +157,12 @@ TEST(Telemetry, DoesNotPerturbBatchEngine) {
     const auto protocol = make_counting_protocol(5);
     const auto initial = CountConfiguration::from_input_counts(*protocol, {57, 7});
     const RunOptions plain = base_options(default_budget(64), 32);
-    const RunResult unobserved = simulate_counts(*protocol, initial, plain);
+    const RunResult unobserved = run_count_batch(*protocol, initial, plain);
 
     RunTelemetryCollector collector;
     RunOptions instrumented = plain;
     instrumented.telemetry = &collector;
-    const RunResult result = simulate_counts(*protocol, initial, instrumented);
+    const RunResult result = run_count_batch(*protocol, initial, instrumented);
 
     EXPECT_TRUE(results_equal(result, unobserved));
     if (!telemetry::kCompiledIn) return;
@@ -187,12 +188,12 @@ TEST(Telemetry, SkipAccountingMatchesObserverWithoutAnObserver) {
     TraceRecorder recorder;
     RunOptions observed = plain;
     observed.observer = &recorder;
-    simulate_counts(*protocol, initial, observed);
+    run_count_batch(*protocol, initial, observed);
 
     RunTelemetryCollector collector;
     RunOptions instrumented = plain;
     instrumented.telemetry = &collector;
-    const RunResult result = simulate_counts(*protocol, initial, instrumented);
+    const RunResult result = run_count_batch(*protocol, initial, instrumented);
     if (!telemetry::kCompiledIn) return;
     EXPECT_EQ(result.telemetry->null_interactions_skipped, recorder.total_null_skips());
 }
@@ -250,12 +251,12 @@ TEST(Telemetry, DoesNotPerturbCollapsedEngineAcrossThreadCounts) {
         SCOPED_TRACE("threads=" + std::to_string(threads));
         RunOptions plain = base_options(default_budget(4096), 36);
         plain.threads = threads;
-        const RunResult unobserved = simulate_collapsed(*protocol, initial, plain);
+        const RunResult unobserved = run_collapsed(*protocol, initial, plain);
 
         RunTelemetryCollector collector;
         RunOptions instrumented = plain;
         instrumented.telemetry = &collector;
-        const RunResult result = simulate_collapsed(*protocol, initial, instrumented);
+        const RunResult result = run_collapsed(*protocol, initial, instrumented);
 
         EXPECT_TRUE(results_equal(result, unobserved));
         if (!telemetry::kCompiledIn) continue;
@@ -301,7 +302,7 @@ TEST(Telemetry, ShardUtilizationPopulatedOncePoolEngages) {
 
     RunTelemetryCollector collector;
     options.telemetry = &collector;
-    simulate_collapsed(*protocol, initial, options);
+    run_collapsed(*protocol, initial, options);
 
     const RunTelemetry& data = collector.telemetry();
     ASSERT_EQ(data.shards.size(), 2u);
@@ -324,7 +325,7 @@ TEST(Telemetry, CollectorIsReusableAcrossRuns) {
     RunOptions options = base_options(default_budget(64), 38);
     options.telemetry = &collector;
 
-    const RunResult first = simulate_counts(*protocol, initial, options);
+    const RunResult first = run_count_batch(*protocol, initial, options);
     if (!telemetry::kCompiledIn) return;
     const std::shared_ptr<const RunTelemetry> first_data = first.telemetry;
     EXPECT_EQ(first_data->interactions, first.interactions);
@@ -363,7 +364,7 @@ std::shared_ptr<const RunTelemetry> instrumented_collapsed_run() {
     options.threads = 2;
     RunTelemetryCollector collector;
     options.telemetry = &collector;
-    return simulate_collapsed(*protocol, initial, options).telemetry;
+    return run_collapsed(*protocol, initial, options).telemetry;
 }
 
 TEST(ChromeTrace, EmitsValidJsonWithNestedSpans) {
@@ -492,7 +493,7 @@ TEST(Telemetry, JsonlWriterEmitsOneTelemetryEventBeforeStop) {
     RunOptions options = base_options(default_budget(64), 41);
     options.observer = &writer;
     options.telemetry = &collector;
-    simulate_counts(*protocol, initial, options);
+    run_count_batch(*protocol, initial, options);
 
     std::vector<std::string> lines;
     {
@@ -521,7 +522,7 @@ TEST(Telemetry, JsonlWriterEmitsOneTelemetryEventBeforeStop) {
     JsonlTraceWriter plain_writer(plain_out);
     options.telemetry = nullptr;
     options.observer = &plain_writer;
-    simulate_counts(*protocol, initial, options);
+    run_count_batch(*protocol, initial, options);
     EXPECT_EQ(plain_out.str().find("\"event\":\"telemetry\""), std::string::npos);
 }
 

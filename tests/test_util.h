@@ -11,9 +11,34 @@
 #include <string>
 #include <vector>
 
+#include "core/batch_simulator.h"
 #include "core/tabulated_protocol.h"
 
 namespace popproto::testutil {
+
+// --- run_simulation pinned to one engine ---------------------------------
+//
+// Tests name the engine they exercise instead of relying on kAuto's
+// size-based choice; each helper overrides options.engine and dispatches
+// through run_simulation, the one way to choose a complete-graph engine.
+
+inline RunResult run_count_batch(const TabulatedProtocol& protocol,
+                                 const CountConfiguration& initial, RunOptions options) {
+    options.engine = SimulationEngine::kCountBatch;
+    return run_simulation(protocol, initial, options);
+}
+
+inline RunResult run_collapsed(const TabulatedProtocol& protocol,
+                               const CountConfiguration& initial, RunOptions options) {
+    options.engine = SimulationEngine::kCollapsedBatch;
+    return run_simulation(protocol, initial, options);
+}
+
+inline RunResult run_adaptive(const TabulatedProtocol& protocol,
+                              const CountConfiguration& initial, RunOptions options) {
+    options.engine = SimulationEngine::kAdaptive;
+    return run_simulation(protocol, initial, options);
+}
 
 // --- Minimal JSON validator (structure only) -----------------------------
 //
