@@ -1,6 +1,7 @@
 // Head-to-head of the collapsed super-step engine against the count-based
 // batch engine (google-benchmark; the engine-selection evidence behind
-// kAutoCollapsedThreshold in core/simulator.h).
+// kAutoCollapsedThreshold in core/simulator.h), plus the price of the
+// hypergeometric draw its super-steps are built from.
 //
 // The two engines divide the workload space along the effective fraction:
 //
@@ -30,6 +31,7 @@
 
 #include "bench_util.h"
 #include "core/batch_simulator.h"
+#include "core/rng.h"
 #include "core/simulator.h"
 #include "protocols/counting.h"
 #include "protocols/epidemic.h"
@@ -171,6 +173,25 @@ void BM_CollapsedScaling(benchmark::State& state) {
 BENCHMARK(BM_CollapsedScaling)
     ->ArgsProduct({{1 << 20, 1 << 24, 1 << 28}, {1, 2, 4, 8}})
     ->Unit(benchmark::kMillisecond);
+
+// The price of one exact Rng::hypergeometric draw, the unit of every
+// super-step cascade, at the shapes an n = 2^24 epidemic super-step draws
+// (m ~ 0.63 sqrt(n) = 2568 pairs).  Args are (successes, failures, draws):
+// the pool of 2m touched agents out of the count vector at infected
+// fractions I/n = 0.5 and 0.01, and a matching-row split at I/n = 0.5 (an
+// initiator row of ~m/2 draws over the m responders).  All three take the
+// ratio-of-uniforms branch (variance >= 20).
+void BM_HypergeometricDraw(benchmark::State& state) {
+    const auto successes = static_cast<std::uint64_t>(state.range(0));
+    const auto failures = static_cast<std::uint64_t>(state.range(1));
+    const auto draws = static_cast<std::uint64_t>(state.range(2));
+    Rng rng(7);
+    for (auto _ : state) benchmark::DoNotOptimize(rng.hypergeometric(successes, failures, draws));
+}
+BENCHMARK(BM_HypergeometricDraw)
+    ->Args({8388608, 8388608, 5136})
+    ->Args({167772, 16609444, 5136})
+    ->Args({1284, 1284, 1284});
 
 }  // namespace
 

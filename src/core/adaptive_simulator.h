@@ -2,7 +2,7 @@
 // count-batch / collapsed segments spliced at runtime density switches.
 //
 // Neither count engine wins a whole run.  The collapsed super-step engine
-// (collapsed_simulator.h) advances ~1.25 sqrt(n) interactions per O(|Q|^2)
+// (collapsed_simulator.h) advances ~0.63 sqrt(n) interactions per O(|Q|^2)
 // super-step and is unbeatable through dense transients; the count-batch
 // engine (batch_simulator.h) crosses null-heavy sparse tails in O(1)
 // geometric jumps and is unbeatable there.  A single-seed epidemic at

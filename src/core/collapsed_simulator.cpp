@@ -1,8 +1,7 @@
 #include "core/collapsed_simulator.h"
 
-#include <algorithm>
+#include <cmath>
 #include <cstdint>
-#include <functional>
 #include <thread>
 #include <vector>
 
@@ -19,10 +18,11 @@ namespace popproto {
 namespace {
 
 /// Machinery shared by the serial and the sharded collapsed steppers: the
-/// birthday-law survival table, the multivariate-hypergeometric cascades,
-/// the row-matching cascade, the colliding-interaction fixup, and the W
-/// recompute.  Both steppers compose exactly these pieces, so the sharded
-/// engine cannot drift from the serial law by re-implementing a sampler.
+/// birthday-law survival table, the multivariate-hypergeometric cascade,
+/// the split-and-match of a pool of touched agents, the colliding-
+/// interaction fixup, and the W recompute.  Both steppers compose exactly
+/// these pieces, so the sharded engine cannot drift from the serial law by
+/// re-implementing a sampler.
 class CollapsedEngineBase {
 public:
     std::uint64_t population() const { return population_; }
@@ -41,17 +41,12 @@ public:
     }
 
     /// Draws the length L >= 1 of the maximal collision-free run: one
-    /// uniform01 inverted through the precomputed survival table
-    /// (survival_[t-1] = P(L >= t), strictly decreasing, survival_[0] = 1).
+    /// uniform01 inverted through the precomputed survival table.
     std::uint64_t propose_super_step(Rng& rng) {
-        const double u = rng.uniform01();
-        // L = max{t : P(L >= t) > u}; the table is truncated once the
-        // survival mass drops below ~1e-25 (or the population runs out of
-        // disjoint agents), so a u below the last entry clamps to the end.
-        const auto it = std::lower_bound(survival_.begin(), survival_.end(), u,
-                                         std::greater<double>());
-        const auto t = static_cast<std::uint64_t>(it - survival_.begin());
-        return t > 0 ? t : std::uint64_t{1};  // survival_[0] = 1 > u always
+        // L = max{t : P(L >= t) > u}, the index of the first entry <= u; a u
+        // below the truncated table's last entry clamps to the end.
+        const std::uint64_t t = survival_.invert(rng.uniform01());
+        return t > 0 ? t : std::uint64_t{1};  // entries[0] = 1 > u always
     }
 
     CountConfiguration counts() const { return CountConfiguration::from_state_counts(counts_); }
@@ -61,33 +56,57 @@ protected:
         : protocol_(protocol),
           eff_(protocol),
           counts_(initial.counts()),
-          population_(initial.population_size()) {
-        build_survival_table();
+          population_(initial.population_size()),
+          survival_(population_) {
         recompute_effective_pairs();
     }
 
-    /// Multivariate hypergeometric cascade: `out[s]` ~ number of state-s
-    /// items among `draws` draws without replacement from the population
-    /// with per-state counts `base[s] - excluded[s]` (pass nullptr to
-    /// exclude nothing).  `total_items` is the population size of that
-    /// residual multiset; passing it explicitly lets the sharded stepper
-    /// cascade over sub-multisets (a shard's pool) with the same code.
-    static void draw_without_replacement(Rng& rng, const std::vector<std::uint64_t>& base,
-                                         const std::vector<std::uint64_t>* excluded,
+    /// One collision-free batch of m pairs: the pool of its 2m touched
+    /// agents (by pre-transition state) and the split_and_match results.
+    struct PairBatch {
+        std::uint64_t m = 0;
+        std::vector<std::uint64_t> pool;
+        std::vector<std::uint64_t> initiators;
+        std::vector<std::uint64_t> remainder;  // responders not yet matched
+        std::vector<std::uint64_t> touched;    // the pool's post-transition states
+        BatchOutcome outcome;
+    };
+
+    /// Multivariate hypergeometric cascade: moves `draws` items, drawn
+    /// without replacement, out of the multiset `from` (per-state counts
+    /// summing to `total_items`) into `out`, as a cascade of exact
+    /// univariate splits.
+    static void draw_without_replacement(Rng& rng, std::vector<std::uint64_t>& from,
                                          std::uint64_t total_items, std::uint64_t draws,
                                          std::vector<std::uint64_t>& out) {
-        out.assign(base.size(), 0);
+        out.assign(from.size(), 0);
         std::uint64_t remaining_items = total_items;
         std::uint64_t remaining_draws = draws;
-        for (State s = 0; s < base.size() && remaining_draws > 0; ++s) {
-            const std::uint64_t available = base[s] - (excluded == nullptr ? 0 : (*excluded)[s]);
+        for (State s = 0; s < from.size() && remaining_draws > 0; ++s) {
+            const std::uint64_t available = from[s];
             if (available == 0) continue;
             const std::uint64_t k =
                 rng.hypergeometric(available, remaining_items - available, remaining_draws);
             out[s] = k;
+            from[s] -= k;
             remaining_draws -= k;
             remaining_items -= available;
         }
+    }
+
+    /// Splits the batch's pool of 2m agents into m initiators (a uniform
+    /// m-subset) and m responders, matches them uniformly (match_rows), and
+    /// books the result into batch.touched / batch.outcome.  The agents of
+    /// a without-replacement sample are exchangeable, so conditioned on the
+    /// pool this is the law of drawing the m pairs one by one — for the
+    /// serial stepper's single pool and for each shard's carved pool alike.
+    void split_and_match(Rng& rng, PairBatch& batch) const {
+        batch.outcome = BatchOutcome{};
+        batch.touched.assign(eff_.num_states, 0);
+        batch.remainder = batch.pool;
+        draw_without_replacement(rng, batch.remainder, 2 * batch.m, batch.m, batch.initiators);
+        match_rows(rng, batch.initiators, batch.remainder, batch.m, batch.touched,
+                   batch.outcome);
     }
 
     /// Row-matching cascade: conditioned on the initiator multiset A and the
@@ -144,14 +163,15 @@ protected:
 
     /// The ordered pair that terminated the collision-free run: uniform over
     /// the n(n-1) - (n-2m)(n-2m-1) ordered pairs touching at least one of
-    /// the 2m used agents, whose post-batch states are the touched_
-    /// multiset; the untouched remainder is counts_ - touched_.  Requires
-    /// counts_ already updated for the batch and touched_ holding the full
+    /// the 2m used agents, whose post-batch states are the `touched`
+    /// multiset; the untouched remainder is counts_ - touched.  Requires
+    /// counts_ already updated for the batch and `touched` holding the full
     /// (merged) post-transition multiset of the 2m touched agents.
-    void resolve_collision(Rng& rng, std::uint64_t m, BatchOutcome& outcome) {
+    void resolve_collision(Rng& rng, std::uint64_t m, std::vector<std::uint64_t>& touched,
+                           BatchOutcome& outcome) {
         const std::size_t num_states = eff_.num_states;
         untouched_.resize(num_states);
-        for (State s = 0; s < num_states; ++s) untouched_[s] = counts_[s] - touched_[s];
+        for (State s = 0; s < num_states; ++s) untouched_[s] = counts_[s] - touched[s];
 
         const std::uint64_t touched_total = 2 * m;
         const std::uint64_t untouched_total = population_ - touched_total;
@@ -162,16 +182,16 @@ protected:
         State p = 0;
         State q = 0;
         if (which < w_tt) {
-            p = pick(touched_, rng.below(touched_total));
-            --touched_[p];
-            q = pick(touched_, rng.below(touched_total - 1));
-            ++touched_[p];
+            p = pick(touched, rng.below(touched_total));
+            --touched[p];
+            q = pick(touched, rng.below(touched_total - 1));
+            ++touched[p];
         } else if (which < w_tt + w_tu) {
-            p = pick(touched_, rng.below(touched_total));
+            p = pick(touched, rng.below(touched_total));
             q = pick(untouched_, rng.below(untouched_total));
         } else {
             p = pick(untouched_, rng.below(untouched_total));
-            q = pick(touched_, rng.below(touched_total));
+            q = pick(touched, rng.below(touched_total));
         }
 
         const StatePair next = protocol_.apply_fast(p, q);
@@ -241,31 +261,11 @@ protected:
     std::uint64_t effective_pairs_ = 0;
     telemetry::RunTelemetryCollector* collector_ = nullptr;
 
-    // Per-super-step scratch (members to avoid reallocation).
-    std::vector<std::uint64_t> touched_;
+    // Per-super-step scratch (a member to avoid reallocation).
     std::vector<std::uint64_t> untouched_;
 
 private:
-    /// survival_[t-1] = P(first t pairs touch pairwise-disjoint agents)
-    ///               = prod_{i<t} (n-2i)(n-2i-1) / (n(n-1)).
-    /// Depends only on n; ~6.7 sqrt(n) entries before the 1e-25 cutoff.
-    void build_survival_table() {
-        const double n = static_cast<double>(population_);
-        const double total_pairs = n * (n - 1.0);
-        double survival = 1.0;
-        std::uint64_t t = 1;
-        survival_.clear();
-        survival_.push_back(1.0);
-        while (population_ >= 2 * t + 2) {
-            const double free_agents = n - 2.0 * static_cast<double>(t);
-            survival *= free_agents * (free_agents - 1.0) / total_pairs;
-            if (survival < 1e-25) break;
-            survival_.push_back(survival);
-            ++t;
-        }
-    }
-
-    std::vector<double> survival_;
+    engine_detail::SurvivalTable survival_;
 };
 
 /// The serial collapsed super-step sampler (collapsed_simulator.h):
@@ -287,37 +287,26 @@ public:
     /// aggregate count update, then the single colliding interaction when
     /// `with_collision` (the kernel clamps boundary-crossing runs instead).
     BatchOutcome apply_super_step(Rng& rng, std::uint64_t m, bool with_collision) {
-        const std::size_t num_states = eff_.num_states;
-        BatchOutcome outcome;
-
         {
             const telemetry::ScopedTimer timer(collector_, telemetry::Phase::kPairCascade);
-            // Initiator multiset A: m draws without replacement from the
-            // count vector (multivariate hypergeometric, as a cascade of
-            // exact univariate splits); responder multiset B: m more draws
-            // from the remainder.  By exchangeability of the 2m
-            // uniformly-chosen agent slots this matches drawing the pairs
-            // one by one.
-            draw_without_replacement(rng, counts_, nullptr, population_, m, initiators_);
-            draw_without_replacement(rng, counts_, &initiators_, population_ - m, m,
-                                     responders_);
-
-            touched_.assign(num_states, 0);
-            remainder_ = responders_;
-            match_rows(rng, initiators_, remainder_, m, touched_, outcome);
+            // The 2m touched agents: one without-replacement pool drawn out
+            // of the count vector (which keeps the untouched agents), then
+            // split into initiators and responders and matched.
+            batch_.m = m;
+            draw_without_replacement(rng, counts_, population_, 2 * m, batch_.pool);
+            split_and_match(rng, batch_);
         }
 
         {
             const telemetry::ScopedTimer timer(collector_, telemetry::Phase::kDeltaMerge);
-            // New counts: the untouched agents keep their states; the 2m
-            // touched agents land on the post-transition multiset.
-            simd::add_sub_sub(counts_.data(), touched_.data(), initiators_.data(),
-                              responders_.data(), num_states);
+            // The touched agents land on their post-transition states.
+            simd::add(counts_.data(), batch_.touched.data(), eff_.num_states);
         }
 
+        BatchOutcome outcome = batch_.outcome;
         if (with_collision) {
             const telemetry::ScopedTimer timer(collector_, telemetry::Phase::kCollisionFixup);
-            resolve_collision(rng, m, outcome);
+            resolve_collision(rng, m, batch_.touched, outcome);
         }
 
         {
@@ -332,9 +321,7 @@ public:
     void restore(const RunCheckpoint& checkpoint) { restore_counts(checkpoint); }
 
 private:
-    std::vector<std::uint64_t> initiators_;
-    std::vector<std::uint64_t> responders_;
-    std::vector<std::uint64_t> remainder_;
+    PairBatch batch_;
 };
 
 /// The sharded collapsed stepper (RunOptions::threads = K >= 2): each
@@ -407,17 +394,15 @@ public:
             const telemetry::ScopedTimer timer(collector_, telemetry::Phase::kShardCarve);
             // Phase 1, parent stream: carve the 2m touched agents into
             // per-shard pools by a sequential multivariate-hypergeometric
-            // cascade over the residual counts.  Shard sizes m_k = m/K
-            // rounded, sum m; shards with m_k = 0 draw nothing.
-            residual_ = counts_;
+            // cascade out of the count vector, which keeps the agents no
+            // shard drew.  Shard sizes m_k = m/K rounded, sum m; shards
+            // with m_k = 0 draw nothing.
             std::uint64_t remaining_items = population_;
             for (std::size_t k = 0; k < num_shards; ++k) {
-                Shard& shard = shards_[k];
-                shard.m = m / num_shards + (k < m % num_shards ? 1 : 0);
-                draw_without_replacement(rng, residual_, nullptr, remaining_items, 2 * shard.m,
-                                         shard.pool);
-                for (State s = 0; s < num_states; ++s) residual_[s] -= shard.pool[s];
-                remaining_items -= 2 * shard.m;
+                PairBatch& batch = shards_[k].batch;
+                batch.m = m / num_shards + (k < m % num_shards ? 1 : 0);
+                draw_without_replacement(rng, counts_, remaining_items, 2 * batch.m, batch.pool);
+                remaining_items -= 2 * batch.m;
             }
         }
 
@@ -426,18 +411,8 @@ public:
         // its own scratch.  Small batches skip the pool's wakeup round-trip
         // and run inline — bit-identical, since the pool never influences
         // what a shard computes, only where it runs.
-        const auto run_shard = [this, num_states](std::size_t k) {
-            Shard& shard = shards_[k];
-            shard.outcome = BatchOutcome{};
-            shard.touched.assign(num_states, 0);
-            if (shard.m == 0) return;
-            draw_without_replacement(shard.rng, shard.pool, nullptr, 2 * shard.m, shard.m,
-                                     shard.initiators);
-            shard.remainder.resize(num_states);
-            for (State s = 0; s < num_states; ++s)
-                shard.remainder[s] = shard.pool[s] - shard.initiators[s];
-            match_rows(shard.rng, shard.initiators, shard.remainder, shard.m, shard.touched,
-                       shard.outcome);
+        const auto run_shard = [this](std::size_t k) {
+            split_and_match(shards_[k].rng, shards_[k].batch);
         };
         {
             const telemetry::ScopedTimer timer(collector_, telemetry::Phase::kShardTasks);
@@ -452,15 +427,15 @@ public:
         {
             const telemetry::ScopedTimer timer(collector_, telemetry::Phase::kDeltaMerge);
             // Phase 3, fixed-order merge: touched multiset, effective count,
-            // output flag.  New counts = residual (the agents no shard drew)
-            // plus the merged post-transition multiset.
+            // output flag.  New counts = the agents no shard drew plus the
+            // merged post-transition multiset.
             touched_.assign(num_states, 0);
             for (const Shard& shard : shards_) {
-                simd::add(touched_.data(), shard.touched.data(), num_states);
-                outcome.effective += shard.outcome.effective;
-                outcome.output_changed = outcome.output_changed || shard.outcome.output_changed;
+                simd::add(touched_.data(), shard.batch.touched.data(), num_states);
+                outcome.effective += shard.batch.outcome.effective;
+                outcome.output_changed =
+                    outcome.output_changed || shard.batch.outcome.output_changed;
             }
-            counts_ = residual_;
             simd::add(counts_.data(), touched_.data(), num_states);
         }
 
@@ -468,7 +443,7 @@ public:
         // merged touched multiset, exactly as in the serial stepper.
         if (with_collision) {
             const telemetry::ScopedTimer timer(collector_, telemetry::Phase::kCollisionFixup);
-            resolve_collision(rng, m, outcome);
+            resolve_collision(rng, m, touched_, outcome);
         }
 
         {
@@ -504,19 +479,14 @@ private:
 
     struct Shard {
         Rng rng{0};  // replaced by a split of the parent stream before use
-        std::uint64_t m = 0;
-        std::vector<std::uint64_t> pool;
-        std::vector<std::uint64_t> initiators;
-        std::vector<std::uint64_t> remainder;
-        std::vector<std::uint64_t> touched;
-        BatchOutcome outcome;
+        PairBatch batch;
     };
 
     std::vector<Shard> shards_;
     ThreadPool pool_;
     bool shard_streams_ready_ = false;
     bool pool_telemetry_ready_ = false;
-    std::vector<std::uint64_t> residual_;
+    std::vector<std::uint64_t> touched_;  // merged post-transition multiset
 };
 
 /// RunOptions::threads with 0 resolved to the hardware concurrency.
@@ -529,6 +499,34 @@ unsigned resolved_threads(const RunOptions& options) {
 }  // namespace
 
 namespace engine_detail {
+
+SurvivalTable::SurvivalTable(std::uint64_t population)
+    : half_population_(0.5 * static_cast<double>(population)) {
+    const double n = static_cast<double>(population);
+    const double total_pairs = n * (n - 1.0);
+    double survival = 1.0;
+    entries_.push_back(1.0);
+    for (std::uint64_t t = 1; population >= 2 * t + 2; ++t) {
+        const double free_agents = n - 2.0 * static_cast<double>(t);
+        survival *= free_agents * (free_agents - 1.0) / total_pairs;
+        if (survival < 1e-25) break;
+        entries_.push_back(survival);
+    }
+}
+
+std::size_t SurvivalTable::invert(double u) const {
+    // ln P(L >= t) ~= -2t^2 / n, so the answer sits within a step or two of
+    // sqrt(-(n/2) ln u) away from the far tail; u = 0 gives +inf, which
+    // clamps to the end.  The two walks then land on the exact partition
+    // point of the strictly decreasing table.
+    const std::size_t size = entries_.size();
+    const double estimate = std::sqrt(-half_population_ * std::log(u));
+    std::size_t i =
+        estimate < static_cast<double>(size) ? static_cast<std::size_t>(estimate) : size;
+    while (i > 0 && entries_[i - 1] <= u) --i;
+    while (i < size && entries_[i] > u) ++i;
+    return i;
+}
 
 RunResult run_collapsed(const TabulatedProtocol& protocol, const CountConfiguration& initial,
                         const RunOptions& options, EngineSwitchMonitor* monitor) {

@@ -1,19 +1,21 @@
 // Runtime density monitor for the phase-adaptive dispatcher.
 //
-// The collapsed super-step engine advances ~1.25 sqrt(n) interactions per
+// The collapsed super-step engine advances ~0.63 sqrt(n) interactions per
 // O(|Q|^2) super-step regardless of how many of them are effective; the
 // count-batch engine pays O(|Q|) per *effective* interaction and crosses
 // runs of nulls in O(1) geometric jumps.  Which engine wins at a given
 // moment is therefore governed by one dimensionless signal:
 //
-//   x = rho * E[L],   rho = W / (n(n-1)),   E[L] ~= 1.2533 sqrt(n),
+//   x = rho * E[L],   rho = W / (n(n-1)),   E[L] ~= sqrt(pi n / 8) ~= 0.6267 sqrt(n),
 //
 // the expected number of effective interactions inside one collision-free
-// run — "how much useful work one super-step amortizes".  Dense transients
-// (x large) favour the collapsed engine; sparse tails (x small) favour
-// count-batch.  Both engines already maintain W exactly (it is their
-// silence predicate), so evaluating x consumes no extra RNG draws and no
-// extra passes over the counts.
+// run — "how much useful work one super-step amortizes".  E[L] is the mean
+// of the survival law in collapsed_simulator.h; each pair of a run touches
+// two agents, so it is half the single-agent birthday bound sqrt(pi n / 2).
+// Dense transients (x large) favour the collapsed engine; sparse tails
+// (x small) favour count-batch.  Both engines already maintain W exactly
+// (it is their silence predicate), so evaluating x consumes no extra RNG
+// draws and no extra passes over the counts.
 //
 // EngineSwitchMonitor polls x every n/64 interactions (at least 256) at
 // run-loop boundaries and requests a mid-run engine switch through hysteresis
@@ -42,10 +44,10 @@ namespace popproto {
 /// crossover on epidemic workloads at n = 2^20..2^24 (EXPERIMENTS.md).
 struct AdaptiveOptions {
     /// Switch count-batch -> collapsed when x >= enter_collapsed.
-    double enter_collapsed = 48.0;
+    double enter_collapsed = 24.0;
     /// Switch collapsed -> count-batch when x <= exit_collapsed.  Must be
     /// < enter_collapsed (the gap is the hysteresis band).
-    double exit_collapsed = 12.0;
+    double exit_collapsed = 6.0;
     /// Minimum interactions between two switches; 0 resolves to four poll
     /// periods (EngineSwitchMonitor::eval_period).
     std::uint64_t min_dwell = 0;
@@ -81,7 +83,8 @@ public:
                 "EngineSwitchMonitor: entry engine must be count_batch or collapsed");
         const double n = static_cast<double>(population);
         total_pairs_ = n * (n - 1.0);
-        expected_run_length_ = 1.2533141373155003 * std::sqrt(n);
+        // sqrt(pi / 8) sqrt(n), the mean of the survival law.
+        expected_run_length_ = 0.6266570686577502 * std::sqrt(n);
         period_ = std::max<std::uint64_t>(population / 64, 256);
         dwell_ = options.min_dwell != 0 ? options.min_dwell : 4 * period_;
         next_eval_ = period_;

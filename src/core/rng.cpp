@@ -1,9 +1,8 @@
 #include "core/rng.h"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
-#include <vector>
-
-#include "core/simd.h"
 
 namespace popproto {
 
@@ -106,89 +105,98 @@ void Rng::restore_state(const StreamState& state) noexcept {
 
 namespace {
 
-// ln(k!) for k < kLogFactorialTableSize, built once on first use (the
-// thread-safe static covers the parallel trial harness).  Every argument at
-// a call site is an integral count, so small arguments hit the table and
-// skip lgamma — the dominant fixed cost of a binomial/hypergeometric draw
-// for the small splits of the collapsed engine's cascades.
+// ln(k!) for k < kLogFactorialTableSize comes from a table built once on
+// first use (a thread-safe static: the sharded collapsed engine samples on
+// pool threads); larger arguments use the Stirling series
+//   ln x! = (x + 1/2) ln x - x + ln(2 pi) / 2 + 1/(12x) - 1/(360x^3) + 1/(1260x^5),
+// whose first omitted term, 1/(1680x^7), is below 1e-26 from x = 2048 on —
+// finer than the rounding of the result itself.  One log per call, against
+// lgamma's several; the table stays at 16 KB to keep the resident set small.
 constexpr std::size_t kLogFactorialTableSize = 2048;
 
-double log_factorial(double x) noexcept {
-    static const std::vector<double> table = [] {
-        std::vector<double> t(kLogFactorialTableSize, 0.0);
-        for (std::size_t k = 2; k < kLogFactorialTableSize; ++k)
-            t[k] = t[k - 1] + std::log(static_cast<double>(k));
+double log_factorial(std::uint64_t k) noexcept {
+    static const std::array<double, kLogFactorialTableSize> table = [] {
+        std::array<double, kLogFactorialTableSize> t{};
+        for (std::size_t i = 2; i < kLogFactorialTableSize; ++i)
+            t[i] = t[i - 1] + std::log(static_cast<double>(i));
         return t;
     }();
-    if (x < static_cast<double>(kLogFactorialTableSize))
-        return table[static_cast<std::size_t>(x)];
-    return std::lgamma(x + 1.0);
+    if (k < kLogFactorialTableSize) return table[k];
+    constexpr double kHalfLogTwoPi = 0.91893853320467274178;
+    const double x = static_cast<double>(k);
+    const double r = 1.0 / x;
+    const double r2 = r * r;
+    return (x + 0.5) * std::log(x) - x + kHalfLogTwoPi +
+           r * (1.0 / 12.0 - r2 * (1.0 / 360.0 - r2 * (1.0 / 1260.0)));
 }
 
-// log C(a, b) for 0 <= b <= a.
-double log_choose(double a, double b) noexcept {
-    return log_factorial(a) - log_factorial(b) - log_factorial(a - b);
+// Variance at which hypergeometric() switches from the mode-centered walk
+// (O(sigma) pmf steps, one uniform) to the ratio-of-uniforms sampler (O(1)
+// expected uniform pairs, four log-factorials each).
+constexpr double kRatioOfUniformsMinVariance = 20.0;
+
+// The mode floor((d + 1)(s + 1) / (s + f + 2)) of the hypergeometric pmf
+// C(s, k) C(f, d-k) / C(s+f, d), which always lies in the support.  The
+// double quotient is corrected by exact 128-bit products, so pmf(k) <=
+// pmf(mode) for every k even when the quotient rounds across an integer.
+std::uint64_t hypergeometric_mode(std::uint64_t s, std::uint64_t f, std::uint64_t d) noexcept {
+    const std::uint64_t denominator = s + f + 2;
+    const auto numerator = static_cast<__uint128_t>(d + 1) * (s + 1);
+    auto mode = static_cast<std::uint64_t>(static_cast<double>(d + 1) *
+                                           static_cast<double>(s + 1) /
+                                           static_cast<double>(denominator));
+    while (static_cast<__uint128_t>(mode) * denominator > numerator) --mode;
+    while (static_cast<__uint128_t>(mode + 1) * denominator <= numerator) ++mode;
+    return mode;
 }
 
-// log of the hypergeometric pmf at k:
-//   log [ C(s, k) C(f, d - k) / C(s + f, d) ]
-// expanded into its nine log-factorials and evaluated as a 4+4 signed
-// vector sum (core/simd.h) plus the one trailing term.  Identical grouping
-// in the SIMD and scalar builds keeps the two bit-compatible.
-double hypergeometric_log_pmf(double s, double f, double d, double k) noexcept {
-    const double plus[4] = {log_factorial(s), log_factorial(f), log_factorial(d),
-                            log_factorial(s + f - d)};
-    const double minus[4] = {log_factorial(k), log_factorial(s - k),
-                             log_factorial(d - k), log_factorial(f - d + k)};
-    return simd::sum4_minus_sum4(plus, minus) - log_factorial(s + f);
+// ln [k! (s-k)! (d-k)! (f-d+k)!]: the k-dependent denominator of the
+// hypergeometric pmf.
+double log_pmf_denominator(std::uint64_t s, std::uint64_t f, std::uint64_t d,
+                           std::uint64_t k) noexcept {
+    return log_factorial(k) + log_factorial(s - k) + log_factorial(d - k) +
+           log_factorial(f - d + k);
+}
+
+// Stadlober's ratio-of-uniforms sampler with the table-mountain hat
+// (E. Stadlober, "The ratio of uniforms approach for generating discrete
+// random variates", J. Comput. Appl. Math. 31, 1990; the "HRUA" of numpy's
+// random_hypergeometric), for the reduced shape s <= f and d <= (s + f) / 2,
+// where the support is [0, min(s, d)].  A point (U, V) uniform on the unit
+// square maps to X = a + h (V - 1/2) / U and is accepted with K = floor(X)
+// iff U^2 <= pmf(K) / pmf(mode).  The hat width h = 2 sqrt(2/e) c +
+// (3 - 2 sqrt(3/e)), c = sqrt(sigma^2 + 1/2), makes the hat dominate the
+// scaled pmf on the whole support, so the accepted K has exactly the
+// hypergeometric law.
+std::uint64_t hypergeometric_ratio_of_uniforms(Rng& rng, std::uint64_t s, std::uint64_t f,
+                                               std::uint64_t d, double variance) noexcept {
+    constexpr double kTwoSqrtTwoOverE = 1.7155277699214135;
+    constexpr double kThreeMinusTwoSqrtThreeOverE = 0.8989161620588988;
+    const double a =
+        static_cast<double>(d) * static_cast<double>(s) / static_cast<double>(s + f) + 0.5;
+    const double h =
+        kTwoSqrtTwoOverE * std::sqrt(variance + 0.5) + kThreeMinusTwoSqrtThreeOverE;
+    const double log_mode_denominator =
+        log_pmf_denominator(s, f, d, hypergeometric_mode(s, f, d));
+
+    // One past the support's top, so the whole support is reachable.
+    const double end = static_cast<double>(std::min(s, d)) + 1.0;
+    while (true) {
+        const double u = rng.uniform01();
+        const double v = rng.uniform01();
+        if (u == 0.0) continue;  // X would be infinite or NaN
+        const double x = a + h * (v - 0.5) / u;
+        if (!(x >= 0.0 && x < end)) continue;
+        const auto k = static_cast<std::uint64_t>(x);
+        // log(pmf(k) / pmf(mode)) <= 0.
+        const double t = log_mode_denominator - log_pmf_denominator(s, f, d, k);
+        if (u * (4.0 - u) - 3.0 <= t) return k;  // squeeze: 2 ln u <= u(4 - u) - 3
+        if (u * (u - t) >= 1.0) continue;        // squeeze: 2 ln u >= u - 1/u
+        if (2.0 * std::log(u) <= t) return k;
+    }
 }
 
 }  // namespace
-
-std::uint64_t Rng::binomial(std::uint64_t trials, double p) noexcept {
-    if (trials == 0 || p <= 0.0) return 0;
-    if (p >= 1.0) return trials;
-
-    double u = uniform01();
-    const double t = static_cast<double>(trials);
-
-    // Mode of Binomial(t, p), clamped into the support.
-    std::uint64_t mode = static_cast<std::uint64_t>((t + 1.0) * p);
-    if (mode > trials) mode = trials;
-    const double m = static_cast<double>(mode);
-    const double fmode =
-        std::exp(log_choose(t, m) + m * std::log(p) + (t - m) * std::log1p(-p));
-    if (u < fmode) return mode;
-    u -= fmode;
-
-    // Zig-zag outward from the mode: the pmf decreases monotonically on
-    // either side, so this is inverse-CDF sampling in an order that keeps
-    // the expected number of iterations O(std-deviation).
-    const double odds = p / (1.0 - p);
-    double fup = fmode;
-    double fdown = fmode;
-    std::uint64_t kup = mode;
-    std::uint64_t kdown = mode;
-    while (kup < trials || kdown > 0) {
-        if (kup < trials) {
-            fup *= (t - static_cast<double>(kup)) / (static_cast<double>(kup) + 1.0) * odds;
-            ++kup;
-            if (u < fup) return kup;
-            u -= fup;
-        }
-        if (kdown > 0) {
-            fdown *= static_cast<double>(kdown) / (t - static_cast<double>(kdown) + 1.0) / odds;
-            --kdown;
-            if (u < fdown) return kdown;
-            u -= fdown;
-        }
-        // Both running pmfs underflowed: u sits in the O(1e-16) rounding
-        // residue of the total mass.  Any remaining support index has
-        // negligible probability; the mode is as good a tie-break as any.
-        if (fup < 1e-300 && fdown < 1e-300) break;
-    }
-    return mode;
-}
 
 std::uint64_t Rng::hypergeometric(std::uint64_t successes, std::uint64_t failures,
                                   std::uint64_t draws) noexcept {
@@ -202,22 +210,40 @@ std::uint64_t Rng::hypergeometric(std::uint64_t successes, std::uint64_t failure
     const std::uint64_t hi = draws < successes ? draws : successes;
     if (lo == hi) return lo;
 
-    double u = uniform01();
     const double s = static_cast<double>(successes);
     const double f = static_cast<double>(failures);
     const double d = static_cast<double>(draws);
+    const double n = s + f;
+    const double variance = d * (s / n) * (f / n) * (n - d) / (n - 1.0);
+    if (variance >= kRatioOfUniformsMinVariance) {
+        // Reduce to s <= f and d <= N/2 by the two symmetries
+        //   H(s, f, d) = d - H(f, s, d)   and   H(s, f, d) = s - H(s, f, N - d)
+        // (the variance is invariant under both).
+        const bool swap = successes > failures;
+        const bool complement = draws > total - draws;
+        const std::uint64_t rs = swap ? failures : successes;
+        const std::uint64_t rd = complement ? total - draws : draws;
+        std::uint64_t k =
+            hypergeometric_ratio_of_uniforms(*this, rs, total - rs, rd, variance);
+        if (swap) k = rd - k;
+        if (complement) k = successes - k;
+        return k;
+    }
 
-    // Mode of Hypergeometric(successes, failures, draws), clamped.
-    std::uint64_t mode = static_cast<std::uint64_t>((d + 1.0) * (s + 1.0) / (s + f + 2.0));
-    if (mode < lo) mode = lo;
-    if (mode > hi) mode = hi;
-    const double m = static_cast<double>(mode);
-    const double fmode = std::exp(hypergeometric_log_pmf(s, f, d, m));
+    double u = uniform01();
+    const std::uint64_t mode = hypergeometric_mode(successes, failures, draws);
+    const double log_normalizer = log_factorial(successes) + log_factorial(failures) +
+                                  log_factorial(draws) + log_factorial(total - draws) -
+                                  log_factorial(total);
+    const double fmode =
+        std::exp(log_normalizer - log_pmf_denominator(successes, failures, draws, mode));
     if (u < fmode) return mode;
     u -= fmode;
 
-    // Same mode-centered zig-zag as binomial(), with the hypergeometric
-    // pmf recurrence f(k+1)/f(k) = (s-k)(d-k) / ((k+1)(f-d+k+1)).
+    // Zig-zag outward from the mode: the pmf decreases monotonically on
+    // either side, so this is inverse-CDF sampling in an order that keeps
+    // the expected number of iterations O(std-deviation).  Recurrence:
+    // f(k+1)/f(k) = (s-k)(d-k) / ((k+1)(f-d+k+1)).
     double fup = fmode;
     double fdown = fmode;
     std::uint64_t kup = mode;
@@ -237,7 +263,10 @@ std::uint64_t Rng::hypergeometric(std::uint64_t successes, std::uint64_t failure
             if (u < fdown) return kdown;
             u -= fdown;
         }
-        if (fup < 1e-300 && fdown < 1e-300) break;  // rounding residue; see binomial()
+        // Both running pmfs underflowed: u sits in the O(1e-16) rounding
+        // residue of the total mass.  Any remaining support index has
+        // negligible probability; the mode is as good a tie-break as any.
+        if (fup < 1e-300 && fdown < 1e-300) break;
     }
     return mode;
 }

@@ -44,22 +44,24 @@ public:
     /// can add them to interaction counters without overflow.
     std::uint64_t geometric_skips(double success_probability) noexcept;
 
-    /// Number of successes in `trials` independent Bernoulli(p) trials,
-    /// sampled exactly by inverse-CDF: one uniform01 draw walked outward
-    /// from the distribution's mode via the pmf recurrence, so the expected
-    /// cost is O(sqrt(trials * p * (1 - p))).  Degenerate inputs (trials ==
-    /// 0, p <= 0, p >= 1) return without consuming randomness.  Stateless
-    /// apart from the stream position, so save_state/restore_state replay
-    /// it exactly.
-    std::uint64_t binomial(std::uint64_t trials, double p) noexcept;
-
     /// Number of successes when drawing `draws` items without replacement
     /// from a population of `successes` success items and `failures`
-    /// failure items, sampled exactly by the same mode-centered inverse-CDF
-    /// walk as `binomial` (one uniform01 draw).  Degenerate inputs
-    /// (draws == 0, successes == 0, failures == 0, draws >= total) return
-    /// without consuming randomness; draws > successes + failures is
-    /// clamped to the whole population.
+    /// failure items.  Every draw is exact (up to double rounding of the
+    /// pmf); which sampler runs depends on the variance
+    ///     sigma^2 = d (s / N) (f / N) (N - d) / (N - 1),   N = s + f:
+    ///  * sigma^2 < 20: an inverse-CDF walk, one uniform01 draw walked
+    ///    outward from the mode via the pmf recurrence, O(sigma) steps;
+    ///  * sigma^2 >= 20: Stadlober's ratio-of-uniforms sampler ("HRUA"),
+    ///    O(1) expected uniform01 pairs, accepted against the exact pmf
+    ///    ratio over the whole support (no tail cut).
+    /// Log-factorials come from a 2048-entry table, and above it from the
+    /// Stirling series (truncation error below 1e-26); no lgamma call.
+    /// Degenerate inputs (draws == 0, successes == 0, failures == 0,
+    /// draws >= total, a one-point support) return without consuming
+    /// randomness; draws > successes + failures is clamped to the whole
+    /// population.  Stateless apart from the stream position, so
+    /// save_state/restore_state replay it exactly.  There is no binomial
+    /// sampler: no engine draws one.
     std::uint64_t hypergeometric(std::uint64_t successes, std::uint64_t failures,
                                  std::uint64_t draws) noexcept;
 

@@ -3,6 +3,7 @@
 // switch boundary, dwell-based thrash suppression, entry-engine selection,
 // and per-engine telemetry attribution.
 
+#include <cmath>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -13,6 +14,7 @@
 #include "core/configuration.h"
 #include "core/engine_monitor.h"
 #include "core/observer.h"
+#include "core/rng.h"
 #include "core/run_loop.h"
 #include "core/simulator.h"
 #include "protocols/epidemic.h"
@@ -243,8 +245,8 @@ TEST(AdaptiveSimulator, MinDwellSuppressesThrashing) {
     // every poll while the signal hovers near the band.
     SwitchRecorder recorder;
     RunOptions options = adaptive_options(5);
-    options.adaptive.enter_collapsed = 13.0;
-    options.adaptive.exit_collapsed = 12.0;
+    options.adaptive.enter_collapsed = 6.5;
+    options.adaptive.exit_collapsed = 6.0;
     options.adaptive.min_dwell = 50000;
     options.observer = &recorder;
     const RunResult result = run_simulation(*protocol, initial, options);
@@ -257,6 +259,23 @@ TEST(AdaptiveSimulator, MinDwellSuppressesThrashing) {
                 << "switches thrash faster than min_dwell";
         }
         previous = info.interactions;
+    }
+}
+
+// E[L] in the signal is the mean of the collapsed engine's pair survival
+// law, sqrt(pi n / 8): exactly half of the single-agent birthday constant
+// sqrt(pi n / 2) ~= 1.2533 sqrt(n).  Halving is exact in binary floating
+// point, so the halved default thresholds keep every switch decision.
+TEST(EngineSwitchMonitor, SignalIsHalfTheSingleAgentBirthdayBound) {
+    Rng rng(2024);
+    for (int i = 0; i < 2000; ++i) {
+        const std::uint64_t n = 2 + rng.below(std::uint64_t{1} << (1 + rng.below(31)));
+        const std::uint64_t w = rng.below(n * (n - 1) + 1);
+        const EngineSwitchMonitor monitor(n, ObservedEngine::kCountBatch, AdaptiveOptions{});
+        const double nd = static_cast<double>(n);
+        const double single_agent =
+            (static_cast<double>(w) / (nd * (nd - 1.0))) * (1.2533141373155003 * std::sqrt(nd));
+        EXPECT_EQ(monitor.signal(w), 0.5 * single_agent) << "n=" << n << " W=" << w;
     }
 }
 

@@ -18,7 +18,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -27,7 +30,10 @@
 #include <vector>
 
 #include "core/batch_simulator.h"
+#include "core/collapsed_simulator.h"
+#include "core/engine_monitor.h"
 #include "core/observer.h"
+#include "core/rng.h"
 #include "core/run_loop.h"
 #include "core/simulator.h"
 #include "observe/trace_recorder.h"
@@ -159,6 +165,54 @@ void expect_same_run(const RunResult& actual, const RunResult& expected) {
     EXPECT_EQ(actual.final_configuration, expected.final_configuration);
     EXPECT_EQ(actual.consensus, expected.consensus);
     EXPECT_EQ(actual.engine, expected.engine);
+}
+
+// ---------------------------------------------------------------------------
+// The super-step length law
+
+// The O(1) inversion of the survival table lands exactly where a binary
+// search does, for every u: 0, each entry, the doubles on either side of
+// each entry, values below the last entry, and uniform draws.
+TEST(SurvivalTable, InversionMatchesBinarySearch) {
+    const std::vector<std::uint64_t> populations = {
+        2, 3, 4, 5, 1000, std::uint64_t{1} << 20, std::uint64_t{1} << 24,
+        std::uint64_t{1} << 31};
+    for (const std::uint64_t n : populations) {
+        SCOPED_TRACE("n = " + std::to_string(n));
+        const engine_detail::SurvivalTable table(n);
+        const std::vector<double>& entries = table.entries();
+        ASSERT_EQ(entries.front(), 1.0);
+
+        std::vector<double> probes = {0.0, std::nextafter(0.0, 1.0), entries.back() / 2.0,
+                                      std::nextafter(entries.back(), 0.0)};
+        for (const double entry : entries) {
+            probes.push_back(entry);
+            probes.push_back(std::nextafter(entry, 0.0));
+            probes.push_back(std::nextafter(entry, 1.0));
+        }
+        Rng rng(n);
+        for (int i = 0; i < 100000; ++i) probes.push_back(rng.uniform01());
+
+        for (const double u : probes) {
+            if (u >= 1.0) continue;  // uniform01 never returns 1
+            const auto expected = static_cast<std::size_t>(
+                std::lower_bound(entries.begin(), entries.end(), u, std::greater<double>()) -
+                entries.begin());
+            ASSERT_EQ(table.invert(u), expected) << "u = " << u;
+        }
+    }
+}
+
+// The adaptive monitor's E[L] (its signal at density 1) is the mean of this
+// law, sum_t P(L >= t) ~= sqrt(pi n / 8).
+TEST(SurvivalTable, MeanIsTheMonitorsExpectedRunLength) {
+    for (const std::uint64_t n : {std::uint64_t{1} << 20, std::uint64_t{1} << 24}) {
+        const engine_detail::SurvivalTable table(n);
+        double mean = 0.0;
+        for (const double entry : table.entries()) mean += entry;
+        const EngineSwitchMonitor monitor(n, ObservedEngine::kCountBatch, AdaptiveOptions{});
+        EXPECT_NEAR(monitor.signal(n * (n - 1)), mean, 1e-3 * mean) << "n = " << n;
+    }
 }
 
 TEST(CollapsedCheckpointResume, BitIdenticalAgainstCheckpointedBaseline) {

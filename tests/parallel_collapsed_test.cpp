@@ -107,20 +107,6 @@ TEST(ThreadPool, RejectsZeroSize) {
 // ---------------------------------------------------------------------------
 // SIMD kernels (exactness against the scalar definitions)
 
-TEST(SimdKernels, AddSubSubMatchesScalar) {
-    // Odd length exercises the scalar tail after the vector loop; the
-    // "underflowing" intermediate (add < sub1 + sub2 element-wise for some
-    // entries) must wrap back exactly.
-    const std::vector<std::uint64_t> add = {5, 0, 7, 100, 2, 9, 1};
-    const std::vector<std::uint64_t> sub1 = {1, 0, 9, 50, 0, 3, 0};
-    const std::vector<std::uint64_t> sub2 = {2, 0, 1, 50, 1, 6, 1};
-    std::vector<std::uint64_t> dst = {10, 20, 30, 40, 50, 60, 70};
-    std::vector<std::uint64_t> expected = dst;
-    for (std::size_t i = 0; i < dst.size(); ++i) expected[i] += add[i] - sub1[i] - sub2[i];
-    simd::add_sub_sub(dst.data(), add.data(), sub1.data(), sub2.data(), dst.size());
-    EXPECT_EQ(dst, expected);
-}
-
 TEST(SimdKernels, AddMatchesScalar) {
     std::vector<std::uint64_t> dst = {1, 2, 3, 4, 5};
     const std::vector<std::uint64_t> src = {10, 0, 30, 0, 50};
@@ -133,15 +119,6 @@ TEST(SimdKernels, MaskedSumMatchesScalar) {
     const std::vector<std::uint64_t> values = {4, 100, 6, 1, 200, 300, 9};
     EXPECT_EQ(simd::masked_sum(mask.data(), values.data(), values.size()), 4u + 6 + 1 + 9);
     EXPECT_EQ(simd::masked_sum(mask.data(), values.data(), 0), 0u);
-}
-
-TEST(SimdKernels, Sum4MinusSum4MatchesScalarAssociation) {
-    const double plus[4] = {1.5, 2.25, -3.0, 4.125};
-    const double minus[4] = {0.5, 1.0, 2.0, -1.25};
-    const double expected = ((plus[0] - minus[0]) + (plus[1] - minus[1])) +
-                            ((plus[2] - minus[2]) + (plus[3] - minus[3]));
-    // Bit-identical, not just close: both paths use the same association.
-    EXPECT_EQ(simd::sum4_minus_sum4(plus, minus), expected);
 }
 
 // ---------------------------------------------------------------------------

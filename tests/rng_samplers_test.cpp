@@ -1,12 +1,14 @@
-// Chi-square goodness-of-fit coverage for the exact Rng samplers: the new
-// binomial / hypergeometric inverse-CDF walks powering the collapsed
-// super-step engine, and (retroactively) geometric_skips.  All tests use
-// fixed seeds and the 0.999-quantile helper from test_util.h, so they are
-// deterministic; a wrong sampler overshoots the critical value by orders
-// of magnitude.
+// Chi-square goodness-of-fit coverage for the exact Rng samplers: both
+// branches of the hypergeometric sampler powering the collapsed super-step
+// engine (the mode-centered inverse-CDF walk below variance 20, Stadlober's
+// ratio-of-uniforms sampler at and above it, with Stirling log-factorials
+// for large arguments), and geometric_skips.  All tests use fixed seeds and
+// the 0.999-quantile helper from test_util.h, so they are deterministic; a
+// wrong sampler overshoots the critical value by orders of magnitude.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -20,22 +22,6 @@ namespace {
 
 using testutil::chi_square_gof;
 using testutil::ChiSquareResult;
-
-std::vector<double> binomial_pmf(std::uint64_t t, double p) {
-    // f(0) = (1-p)^t, f(k+1) = f(k) (t-k)/(k+1) p/(1-p); computed in logs
-    // for numerical headroom at large t.
-    std::vector<double> pmf(t + 1);
-    const double lp = std::log(p);
-    const double lq = std::log1p(-p);
-    double lc = 0.0;  // log C(t, k)
-    for (std::uint64_t k = 0; k <= t; ++k) {
-        pmf[k] = std::exp(lc + static_cast<double>(k) * lp +
-                          static_cast<double>(t - k) * lq);
-        if (k < t)
-            lc += std::log(static_cast<double>(t - k)) - std::log(static_cast<double>(k + 1));
-    }
-    return pmf;
-}
 
 std::vector<double> hypergeometric_pmf(std::uint64_t succ, std::uint64_t fail,
                                        std::uint64_t draws) {
@@ -55,42 +41,6 @@ std::vector<double> hypergeometric_pmf(std::uint64_t succ, std::uint64_t fail,
 }
 
 constexpr std::uint64_t kDraws = 40000;
-
-TEST(RngBinomial, MatchesPmfAcrossRegimes) {
-    struct Case {
-        std::uint64_t trials;
-        double p;
-    };
-    // Mean >> 1 (t p = 35), mean << 1 (t p = 0.5), symmetric, skewed both
-    // ways, and a single trial.
-    const std::vector<Case> cases = {{50, 0.7}, {500, 0.001}, {40, 0.5},
-                                     {20, 0.05}, {20, 0.95},  {1, 0.3}};
-    std::uint64_t seed = 7;
-    for (const Case& c : cases) {
-        SCOPED_TRACE("binomial(" + std::to_string(c.trials) + ", " + std::to_string(c.p) + ")");
-        Rng rng(seed++);
-        std::vector<std::uint64_t> observed(c.trials + 1, 0);
-        for (std::uint64_t i = 0; i < kDraws; ++i) {
-            const std::uint64_t k = rng.binomial(c.trials, c.p);
-            ASSERT_LE(k, c.trials);
-            ++observed[k];
-        }
-        const ChiSquareResult gof =
-            chi_square_gof(observed, binomial_pmf(c.trials, c.p), kDraws);
-        EXPECT_TRUE(gof.pass) << gof.summary();
-    }
-}
-
-TEST(RngBinomial, BoundariesConsumeNoRandomness) {
-    Rng rng(11);
-    const Rng::StreamState before = rng.save_state();
-    EXPECT_EQ(rng.binomial(0, 0.5), 0u);
-    EXPECT_EQ(rng.binomial(100, 0.0), 0u);
-    EXPECT_EQ(rng.binomial(100, -0.5), 0u);
-    EXPECT_EQ(rng.binomial(100, 1.0), 100u);
-    EXPECT_EQ(rng.binomial(100, 1.5), 100u);
-    EXPECT_EQ(rng.save_state(), before);
-}
 
 TEST(RngHypergeometric, MatchesPmfAcrossRegimes) {
     struct Case {
@@ -117,6 +67,79 @@ TEST(RngHypergeometric, MatchesPmfAcrossRegimes) {
         }
         const ChiSquareResult gof =
             chi_square_gof(observed, hypergeometric_pmf(c.succ, c.fail, c.draws), kDraws);
+        EXPECT_TRUE(gof.pass) << gof.summary();
+    }
+}
+
+// Reference pmf in long double over the window [first, last] of the
+// support; draws outside the window land in chi_square_gof's tail bin.
+std::vector<double> hypergeometric_pmf_window(std::uint64_t succ, std::uint64_t fail,
+                                              std::uint64_t draws, std::uint64_t first,
+                                              std::uint64_t last) {
+    const auto lchoose = [](long double a, long double b) {
+        return std::lgammal(a + 1.0L) - std::lgammal(b + 1.0L) - std::lgammal(a - b + 1.0L);
+    };
+    const long double log_total = lchoose(static_cast<long double>(succ + fail),
+                                          static_cast<long double>(draws));
+    std::vector<double> pmf;
+    for (std::uint64_t k = first; k <= last; ++k) {
+        pmf.push_back(static_cast<double>(
+            std::exp(lchoose(static_cast<long double>(succ), static_cast<long double>(k)) +
+                      lchoose(static_cast<long double>(fail),
+                              static_cast<long double>(draws - k)) -
+                      log_total)));
+    }
+    return pmf;
+}
+
+TEST(RngHypergeometric, MatchesPmfInRatioOfUniformsAndStirlingRegimes) {
+    struct Case {
+        std::uint64_t succ;
+        std::uint64_t fail;
+        std::uint64_t draws;
+    };
+    // Variance sigma^2 = d (s/N) (f/N) (N-d) / (N-1) picks the branch: the
+    // walk below 20, ratio-of-uniforms at and above it.
+    const std::vector<Case> cases = {
+        {8388608, 8388608, 2568},   // n = 2^24 population draw, I/n = 0.5 (sigma^2 ~ 642)
+        {167772, 16609444, 2568},   // n = 2^24 population draw, I/n = 0.01 (sigma^2 ~ 25)
+        {16609444, 167772, 2568},   // successes > failures (sigma^2 ~ 25)
+        {300, 500, 600},            // draws > half the population (sigma^2 ~ 35)
+        {500, 300, 600},            // both symmetry flips (sigma^2 ~ 35)
+        {200, 200, 200},            // support [0, 200] at sigma ~ 5 (sigma^2 ~ 25)
+        {3048, 3048, 2000},         // arguments straddle the 2048-entry table (sigma^2 ~ 336)
+        {8388608, 8388608, 80},     // just below the crossover (sigma^2 = 19.9999): walk
+        {8388608, 8388608, 81},     // just above the crossover (sigma^2 = 20.25)
+        {8388608, 8388608, 400000}, // sigma^2 ~ 97,600
+    };
+    constexpr std::uint64_t kLargeDraws = 200000;
+    std::uint64_t seed = 41;
+    for (const Case& c : cases) {
+        SCOPED_TRACE("hypergeometric(" + std::to_string(c.succ) + ", " +
+                     std::to_string(c.fail) + ", " + std::to_string(c.draws) + ")");
+        const double total = static_cast<double>(c.succ + c.fail);
+        const double mean = static_cast<double>(c.draws) * static_cast<double>(c.succ) / total;
+        const double sigma = std::sqrt(mean * (static_cast<double>(c.fail) / total) *
+                                       (total - static_cast<double>(c.draws)) / (total - 1.0));
+        const std::uint64_t lo = c.draws > c.fail ? c.draws - c.fail : 0;
+        const std::uint64_t hi = c.draws < c.succ ? c.draws : c.succ;
+        // A +-12 sigma window holds all but ~1e-30 of the mass.
+        const auto first = static_cast<std::uint64_t>(
+            std::max(static_cast<double>(lo), std::floor(mean - 12.0 * sigma)));
+        const auto last = static_cast<std::uint64_t>(
+            std::min(static_cast<double>(hi), std::ceil(mean + 12.0 * sigma)));
+
+        Rng rng(seed++);
+        std::vector<std::uint64_t> observed(last - first + 1, 0);
+        for (std::uint64_t i = 0; i < kLargeDraws; ++i) {
+            const std::uint64_t k = rng.hypergeometric(c.succ, c.fail, c.draws);
+            ASSERT_LE(k, hi);
+            ASSERT_GE(k, lo);
+            if (k >= first && k <= last) ++observed[k - first];
+        }
+        const ChiSquareResult gof = chi_square_gof(
+            observed, hypergeometric_pmf_window(c.succ, c.fail, c.draws, first, last),
+            kLargeDraws);
         EXPECT_TRUE(gof.pass) << gof.summary();
     }
 }
@@ -170,20 +193,20 @@ TEST(RngSamplers, SaveRestoreReplaysExactly) {
     // saved state replays an interleaved draw sequence bit for bit — the
     // property collapsed-engine checkpoints rely on.
     Rng rng(101);
-    rng.binomial(37, 0.42);  // advance to an arbitrary position
+    rng.hypergeometric(37, 51, 42);  // advance to an arbitrary position
     const Rng::StreamState cut = rng.save_state();
 
     std::vector<std::uint64_t> first;
     for (int i = 0; i < 50; ++i) {
-        first.push_back(rng.binomial(100, 0.3));
-        first.push_back(rng.hypergeometric(60, 40, 25));
+        first.push_back(rng.hypergeometric(3000, 7000, 1000));  // ratio of uniforms
+        first.push_back(rng.hypergeometric(60, 40, 25));        // walk
         first.push_back(rng.geometric_skips(0.125));
     }
 
     rng.restore_state(cut);
     std::vector<std::uint64_t> second;
     for (int i = 0; i < 50; ++i) {
-        second.push_back(rng.binomial(100, 0.3));
+        second.push_back(rng.hypergeometric(3000, 7000, 1000));
         second.push_back(rng.hypergeometric(60, 40, 25));
         second.push_back(rng.geometric_skips(0.125));
     }
@@ -247,14 +270,14 @@ TEST(RngSplit, ChildStreamsSaveAndRestoreLikeAnyRng) {
     Rng parent(2024);
     parent.split();  // discard one block so the child below is mid-sequence
     Rng child = parent.split();
-    child.binomial(91, 0.77);  // advance to an arbitrary position
+    child.hypergeometric(91, 27, 77);  // advance to an arbitrary position
     const Rng::StreamState cut = child.save_state();
 
     std::vector<std::uint64_t> first;
     for (int i = 0; i < 40; ++i) {
         first.push_back(child());
         first.push_back(child.hypergeometric(33, 21, 17));
-        first.push_back(child.binomial(64, 0.5));
+        first.push_back(child.hypergeometric(640, 640, 320));
     }
 
     Rng fresh(1);  // restore into an unrelated generator
@@ -263,7 +286,7 @@ TEST(RngSplit, ChildStreamsSaveAndRestoreLikeAnyRng) {
     for (int i = 0; i < 40; ++i) {
         second.push_back(fresh());
         second.push_back(fresh.hypergeometric(33, 21, 17));
-        second.push_back(fresh.binomial(64, 0.5));
+        second.push_back(fresh.hypergeometric(640, 640, 320));
     }
     EXPECT_EQ(first, second);
 }
