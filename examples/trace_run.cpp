@@ -221,8 +221,8 @@ private:
         std::uint64_t last_ns = 0;
         while (!wake_.wait_for(lock, std::chrono::seconds(1), [this] { return stop_; })) {
             const std::uint64_t t = collector_.live_interactions();
-            const std::uint64_t now_ns = collector_.live_wall_ns();
-            if (now_ns <= last_ns) continue;  // telemetry compiled out / not started
+            const std::uint64_t now_ns = collector_.now_ns();
+            if (now_ns <= last_ns) continue;  // the clock has not advanced
             const double rate =
                 static_cast<double>(t - last_t) / (static_cast<double>(now_ns - last_ns) / 1e9);
             const double fraction =
@@ -550,13 +550,7 @@ int main(int argc, char** argv) {
     options.observer = print_metrics ? static_cast<RunObserver*>(&tee) : &writer;
 
     telemetry::RunTelemetryCollector collector;
-    if (!profile_base.empty() || show_progress) {
-        if (!telemetry::kCompiledIn)
-            std::fprintf(stderr,
-                         "trace_run: warning: built with POPPROTO_TELEMETRY=OFF; --profile/"
-                         "--progress will report nothing\n");
-        options.telemetry = &collector;
-    }
+    if (!profile_base.empty() || show_progress) options.telemetry = &collector;
     std::unique_ptr<ProgressReporter> progress;
     if (show_progress) progress = std::make_unique<ProgressReporter>(collector, n);
 

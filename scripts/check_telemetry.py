@@ -15,12 +15,17 @@ Checks (exit 1 with a message on the first violation):
   schema_version/engine/population, and a non-empty traceEvents array;
   every event is a complete ("X", with ts/dur/name/tid) or metadata ("M")
   event; per tid, complete events nest properly (no half-overlaps — that
-  is what makes the flame graph render as a stack).
+  is what makes the flame graph render as a stack).  The exporter writes
+  whole nanoseconds as 3-decimal microseconds, so nesting is judged in
+  integer nanoseconds (float sums of ts + dur would invent overlaps).
 
   Prometheus: every line is a comment or `name{labels} value` with a
   finite float value; every # TYPE names a popproto_* family that then
-  appears; the families the ISSUE promises (run info, per-phase seconds,
-  per-shard busy/wait) are present.
+  appears; the documented families (run info, per-phase seconds; per-shard
+  busy/wait and the super-step histogram on the collapsed profile; the
+  engine-segment families and both histograms on the adaptive one) are
+  present; every histogram's cumulative _bucket samples never decrease
+  and its le="+Inf" bucket equals its _count.
 
   JSONL (optional third argument; the trace_run stdout of an *adaptive*
   run): every engine_switch event is well-formed (monotone t, switch_index
@@ -76,7 +81,8 @@ def check_trace(path: str) -> None:
         if event["dur"] < 0:
             fail(f"{path}: negative duration in {event}")
         spans_by_tid.setdefault(event["tid"], []).append(
-            (event["ts"], event["ts"] + event["dur"], event["name"]))
+            (round(event["ts"] * 1000), round((event["ts"] + event["dur"]) * 1000),
+             event["name"]))
 
     if not spans_by_tid:
         fail(f"{path}: no complete ('X') events")
@@ -114,12 +120,14 @@ REQUIRED_FAMILIES = (
     "popproto_phase_calls_total",
 )
 
-# Only the sharded (threads > 1) collapsed profile emits these; the
-# adaptive dispatcher is serial, so its profile legitimately lacks them.
-SHARDED_FAMILIES = (
+# The collapsed profile runs sharded (threads > 1), so it emits the pool
+# families; the adaptive dispatcher is serial, so its profile legitimately
+# lacks them.
+COLLAPSED_FAMILIES = (
     "popproto_shard_busy_seconds_total",
     "popproto_shard_wait_seconds_total",
     "popproto_pool_rounds_total",
+    "popproto_super_step_pairs_log2",
 )
 
 
@@ -127,6 +135,8 @@ ADAPTIVE_FAMILIES = (
     "popproto_engine_switches_total",
     "popproto_engine_segment_seconds_total",
     "popproto_engine_segment_interactions_total",
+    "popproto_null_skip_length_log2",
+    "popproto_super_step_pairs_log2",
 )
 
 
@@ -138,6 +148,8 @@ def check_prometheus(path: str, adaptive: bool = False) -> None:
 
     typed = set()
     seen = set()
+    buckets = {}  # histogram family -> [(lineno, le, cumulative count)]
+    counts = {}   # histogram family -> _count sample
     for lineno, line in enumerate(text.splitlines(), 1):
         if not line:
             continue
@@ -160,10 +172,35 @@ def check_prometheus(path: str, adaptive: bool = False) -> None:
             fail(f"{path}:{lineno}: non-numeric value: {line!r}")
         if math.isnan(value):
             fail(f"{path}:{lineno}: NaN value: {line!r}")
-        seen.add(match.group("name"))
+        name = match.group("name")
+        seen.add(name)
+        if name.endswith("_bucket"):
+            le = re.search(r'le="([^"]*)"', labels or "")
+            if le is None:
+                fail(f"{path}:{lineno}: histogram bucket without le: {line!r}")
+            buckets.setdefault(name[:-len("_bucket")], []).append(
+                (lineno, le.group(1), value))
+        elif name.endswith("_count"):
+            counts[name[:-len("_count")]] = value
+
+    # Histograms: cumulative buckets never decrease, and the +Inf bucket
+    # holds every sample.
+    for family, samples in buckets.items():
+        for (_, _, previous), (lineno, _, value) in zip(samples, samples[1:]):
+            if value < previous:
+                fail(f"{path}:{lineno}: {family}_bucket decreases "
+                     f"({previous} -> {value})")
+        infinite = [value for _, le, value in samples if le == "+Inf"]
+        if len(infinite) != 1:
+            fail(f"{path}: {family} has {len(infinite)} le=\"+Inf\" buckets")
+        if family not in counts:
+            fail(f"{path}: histogram {family} has no _count sample")
+        if infinite[0] != counts[family]:
+            fail(f"{path}: {family} le=\"+Inf\" bucket {infinite[0]} != "
+                 f"_count {counts[family]}")
 
     required = REQUIRED_FAMILIES + (ADAPTIVE_FAMILIES if adaptive
-                                    else SHARDED_FAMILIES)
+                                    else COLLAPSED_FAMILIES)
     for family in required:
         # Histogram samples append _bucket/_sum/_count to the family name.
         if not any(name == family or name.startswith(family + "_") for name in seen):
@@ -173,7 +210,8 @@ def check_prometheus(path: str, adaptive: bool = False) -> None:
             fail(f"{path}: # TYPE {family} declared but no sample emitted")
 
     print(f"check_telemetry: {path}: {len(seen)} metric names, "
-          f"{len(typed)} typed families, all well-formed")
+          f"{len(typed)} typed families, {len(buckets)} histograms, "
+          f"all well-formed")
 
 
 SWITCH_KEYS = ("t", "from", "to", "signal", "enter_threshold",

@@ -13,74 +13,6 @@
 
 namespace popproto {
 
-namespace {
-
-/// The driver's checkpoint sink around the user's: periodic / pause / stop
-/// checkpoints pass through untouched, but the checkpoint the kernel takes
-/// when the monitor fires is the *transfer* — it belongs to the driver, not
-/// the user's checkpoint stream (the user-visible stream stays identical to
-/// a manually spliced run's).
-class SwitchCaptureSink final : public CheckpointSink {
-public:
-    SwitchCaptureSink(const EngineSwitchMonitor& monitor, CheckpointSink* user)
-        : monitor_(monitor), user_(user) {}
-
-    void on_checkpoint(const RunCheckpoint& checkpoint) override {
-        if (monitor_.pending_switch()) {
-            fire_ = checkpoint;
-            return;
-        }
-        if (user_ != nullptr) user_->on_checkpoint(checkpoint);
-    }
-
-    std::optional<RunCheckpoint> take_fire() { return std::exchange(fire_, std::nullopt); }
-
-private:
-    const EngineSwitchMonitor& monitor_;
-    CheckpointSink* const user_;
-    std::optional<RunCheckpoint> fire_;
-};
-
-/// The driver's observer around the user's: exactly one on_start (labelled
-/// kAdaptive) for the whole run, per-segment trajectory events forwarded
-/// as-is, and the per-segment on_stop suppressed — the driver emits the
-/// single final on_stop itself, with the merged result and total wall time.
-class SegmentObserver final : public RunObserver {
-public:
-    explicit SegmentObserver(RunObserver& user) : user_(user) {}
-
-    void on_start(const RunStartInfo& info) override {
-        if (started_) return;
-        started_ = true;
-        RunStartInfo adaptive_info = info;
-        adaptive_info.engine = ObservedEngine::kAdaptive;
-        user_.on_start(adaptive_info);
-    }
-
-    void on_snapshot(std::uint64_t interaction_index,
-                     const CountConfiguration& configuration) override {
-        user_.on_snapshot(interaction_index, configuration);
-    }
-
-    void on_output_change(std::uint64_t interaction_index) override {
-        user_.on_output_change(interaction_index);
-    }
-
-    void on_null_run(std::uint64_t length) override { user_.on_null_run(length); }
-
-    void on_silence_check(std::uint64_t interaction_index, bool silent) override {
-        user_.on_silence_check(interaction_index, silent);
-    }
-
-    void on_stop(const RunResult&, double) override {}
-
-private:
-    RunObserver& user_;
-    bool started_ = false;
-};
-
-}  // namespace
-
 namespace engine_detail {
 
 RunResult run_adaptive(const TabulatedProtocol& protocol, const CountConfiguration& initial,
@@ -135,70 +67,73 @@ RunResult run_adaptive(const TabulatedProtocol& protocol, const CountConfigurati
         monitor.emplace(n, current, options.adaptive);
     }
 
-    telemetry::RunTelemetryCollector* const collector =
-        telemetry::kCompiledIn ? options.telemetry : nullptr;
-    if (collector)
-        collector->begin_adaptive_run(n, 1, cursor.has_value() ? cursor->interactions : 0);
-
-    SwitchCaptureSink sink(*monitor, options.checkpoint_sink);
-    std::optional<SegmentObserver> segment_observer;
-    if (options.observer != nullptr) segment_observer.emplace(*options.observer);
+    // The dispatcher brackets the run; each engine segment only steps it.
+    // Exactly one on_start (labelled kAdaptive) and one on_stop reach the
+    // observer, and one telemetry run spans every segment.
+    telemetry::RunTelemetryCollector* const collector = options.telemetry;
+    if (collector) collector->begin_run(observed_engine_name(ObservedEngine::kAdaptive), n, 1);
+    RunObserver* const observer = options.observer;
     const auto wall_start = std::chrono::steady_clock::now();
+    if (observer) {
+        const CountConfiguration start =
+            cursor ? CountConfiguration::from_state_counts(cursor->counts) : initial;
+        RunStartInfo info;
+        info.engine = ObservedEngine::kAdaptive;
+        info.population = n;
+        info.num_states = protocol.num_states();
+        info.seed = options.seed;
+        info.max_interactions = resolved_budget(options, n);
+        info.initial = &start;
+        info.protocol = &protocol;
+        observer->on_start(info);
+    }
 
+    RunOptions segment = options;
+    segment.threads = 1;
     RunResult result{CountConfiguration(protocol.num_states()), StopReason::kBudget, 0, 0, 0,
                      std::nullopt};
     while (true) {
-        RunOptions segment = options;
-        segment.threads = 1;
         segment.resume_from = cursor.has_value() ? &*cursor : nullptr;
-        segment.checkpoint_sink = &sink;
-        segment.observer = segment_observer.has_value() ? &*segment_observer : nullptr;
-
+        const std::uint64_t segment_start = cursor.has_value() ? cursor->interactions : 0;
+        const std::uint64_t segment_start_ns = collector ? collector->now_ns() : 0;
+        std::optional<RunCheckpoint> transfer;
         result = current == ObservedEngine::kCollapsed
-                     ? run_collapsed(protocol, initial, segment, &*monitor)
-                     : run_count_batch(protocol, initial, segment, &*monitor);
+                     ? run_collapsed(protocol, initial, segment, &*monitor, &transfer)
+                     : run_count_batch(protocol, initial, segment, &*monitor, &transfer);
+        if (collector)
+            collector->record_engine_segment(observed_engine_name(current),
+                                             result.interactions - segment_start,
+                                             segment_start_ns);
 
-        // No pending switch: the segment ended the run for real (silence,
-        // budget, stable outputs, or a user pause/stop) — finalize.
-        if (!monitor->pending_switch()) break;
+        // No transfer: the segment ended the run for real (silence, budget,
+        // stable outputs, or a user pause/stop) — finalize.
+        if (!transfer.has_value()) break;
 
-        // The monitor fired: the kernel paused at a super-step / skip
-        // boundary and the sink holds the transfer checkpoint.  Splice.
-        std::optional<RunCheckpoint> fire = sink.take_fire();
-        ensure(fire.has_value(),
-               "run_simulation: monitor fired without a transfer checkpoint");
-        const std::uint64_t switch_index = fire->interactions;
+        // The monitor booked a switch: the kernel paused at a super-step /
+        // skip boundary and handed over the transfer checkpoint.  Splice.
         EngineSwitchInfo info;
-        info.interactions = switch_index;
+        info.interactions = transfer->interactions;
         info.from = current;
-        info.to = monitor->pending_target();
+        info.to = monitor->current();
         info.signal = monitor->last_signal();
         info.enter_threshold = monitor->enter_collapsed();
         info.exit_threshold = monitor->exit_collapsed();
-        monitor->commit_switch(switch_index);
         info.switch_index = monitor->switches();
-
         {
-            const telemetry::ScopedTimer timer(collector,
-                                               telemetry::Phase::kEngineSwitch);
-            cursor = std::move(fire);
+            const telemetry::ScopedTimer timer(collector, telemetry::Phase::kEngineSwitch);
+            cursor = std::move(transfer);
             transfer_checkpoint_engine(*cursor, monitor->current());
-            // take_checkpoint stamped the pre-commit monitor state; refresh
-            // the switch bookkeeping (next_eval is already post-poll).
-            cursor->adaptive_switches = monitor->switches();
-            cursor->adaptive_last_switch = monitor->last_switch();
         }
-        if (options.observer != nullptr) options.observer->on_engine_switch(info);
+        if (observer) observer->on_engine_switch(info);
         current = monitor->current();
     }
 
     result.engine = ObservedEngine::kAdaptive;
     if (collector) {
-        collector->finish_adaptive_run(result.interactions, result.effective_interactions);
+        collector->finish_run(result.interactions, result.effective_interactions);
         result.telemetry = collector->share();
     }
-    if (options.observer != nullptr)
-        options.observer->on_stop(result, run_loop_detail::seconds_since(wall_start));
+    if (observer) observer->on_stop(result, run_loop_detail::seconds_since(wall_start));
     return result;
 }
 

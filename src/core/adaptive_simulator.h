@@ -55,10 +55,12 @@ namespace engine_detail {
 
 /// run_simulation's count-batch runner (batch_simulator.cpp), also the
 /// sparse-side segment the adaptive dispatcher chains; the dense side is
-/// run_collapsed (collapsed_simulator.h).  `monitor` is the dispatcher's
-/// engine switch monitor (null otherwise).
+/// run_collapsed (collapsed_simulator.h).  `monitor` and `transfer` are the
+/// dispatcher's segment hooks (run_loop's arguments of the same names; null
+/// otherwise).
 RunResult run_count_batch(const TabulatedProtocol& protocol, const CountConfiguration& initial,
-                          const RunOptions& options, EngineSwitchMonitor* monitor = nullptr);
+                          const RunOptions& options, EngineSwitchMonitor* monitor = nullptr,
+                          std::optional<RunCheckpoint>* transfer = nullptr);
 
 /// run_simulation's adaptive runner (options.engine == kAdaptive, kAuto at
 /// kAutoCollapsedThreshold and beyond, or kAuto resuming a checkpoint with

@@ -127,7 +127,8 @@ private:
 namespace engine_detail {
 
 RunResult run_count_batch(const TabulatedProtocol& protocol, const CountConfiguration& initial,
-                          const RunOptions& options, EngineSwitchMonitor* monitor) {
+                          const RunOptions& options, EngineSwitchMonitor* monitor,
+                          std::optional<RunCheckpoint>* transfer) {
     require(initial.num_states() == protocol.num_states(),
             "run_simulation: configuration does not match protocol");
     const std::uint64_t n = initial.population_size();
@@ -135,7 +136,7 @@ RunResult run_count_batch(const TabulatedProtocol& protocol, const CountConfigur
     require(n < (std::uint64_t{1} << 32), "run_simulation: population must fit 32 bits");
 
     CountBatchStepper stepper(protocol, initial);
-    return run_loop(stepper, protocol, options, "run_simulation", monitor);
+    return run_loop(stepper, protocol, options, "run_simulation", monitor, transfer);
 }
 
 }  // namespace engine_detail

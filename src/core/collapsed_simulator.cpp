@@ -36,9 +36,7 @@ public:
     /// Attaches the run's telemetry collector (nullptr = disabled); the
     /// steppers time the super-step sub-phases against it.  Probes never
     /// touch the RNG stream, so results are bit-identical either way.
-    void set_telemetry(telemetry::RunTelemetryCollector* collector) {
-        collector_ = telemetry::kCompiledIn ? collector : nullptr;
-    }
+    void set_telemetry(telemetry::RunTelemetryCollector* collector) { collector_ = collector; }
 
     /// Draws the length L >= 1 of the maximal collision-free run: one
     /// uniform01 inverted through the precomputed survival table.
@@ -529,7 +527,8 @@ std::size_t SurvivalTable::invert(double u) const {
 }
 
 RunResult run_collapsed(const TabulatedProtocol& protocol, const CountConfiguration& initial,
-                        const RunOptions& options, EngineSwitchMonitor* monitor) {
+                        const RunOptions& options, EngineSwitchMonitor* monitor,
+                        std::optional<RunCheckpoint>* transfer) {
     require(initial.num_states() == protocol.num_states(),
             "run_simulation: configuration does not match protocol");
     const std::uint64_t n = initial.population_size();
@@ -541,11 +540,11 @@ RunResult run_collapsed(const TabulatedProtocol& protocol, const CountConfigurat
     if (threads <= 1) {
         CollapsedStepper stepper(protocol, initial);
         stepper.set_telemetry(options.telemetry);
-        return run_loop(stepper, protocol, options, "run_simulation", monitor);
+        return run_loop(stepper, protocol, options, "run_simulation", monitor, transfer);
     }
     ParallelCollapsedStepper stepper(protocol, initial, threads);
     stepper.set_telemetry(options.telemetry);
-    return run_loop(stepper, protocol, options, "run_simulation", monitor);
+    return run_loop(stepper, protocol, options, "run_simulation", monitor, transfer);
 }
 
 }  // namespace engine_detail

@@ -124,10 +124,11 @@ private:
 /// effective_interactions and last_output_change), with the super-step
 /// coarsenings described above.  threads > 1 selects the sharded parallel
 /// variant; the RunResult::engine field reports which variant ran.
-/// `monitor` is the adaptive dispatcher's engine switch monitor (null
-/// otherwise).
+/// `monitor` and `transfer` are the adaptive dispatcher's segment hooks
+/// (run_loop's arguments of the same names; null otherwise).
 RunResult run_collapsed(const TabulatedProtocol& protocol, const CountConfiguration& initial,
-                        const RunOptions& options, EngineSwitchMonitor* monitor = nullptr);
+                        const RunOptions& options, EngineSwitchMonitor* monitor = nullptr,
+                        std::optional<RunCheckpoint>* transfer = nullptr);
 
 }  // namespace engine_detail
 

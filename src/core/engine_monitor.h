@@ -57,7 +57,7 @@ struct AdaptiveOptions {
 
 /// The monitor the adaptive dispatcher (adaptive_simulator.h) hands to each
 /// engine segment as run_loop's `monitor` argument.  The run-loop kernel
-/// polls it at loop-top boundaries; when `consider` requests a switch the
+/// polls it at loop-top boundaries; when `consider` books a switch the
 /// kernel captures a checkpoint-shaped state transfer and pauses, and the
 /// dispatcher resumes it under the other engine.
 ///
@@ -104,7 +104,7 @@ public:
         exit_pairs_ = threshold_image(exit_, max_pairs, /*at_least=*/false);
     }
 
-    /// The engine currently executing (flips on commit_switch).
+    /// The engine currently executing (flips when consider() fires).
     ObservedEngine current() const { return current_; }
 
     /// Cheap hot-path gate: is a poll due at this interaction index?
@@ -116,8 +116,9 @@ public:
     }
 
     /// One poll: reschedules the next evaluation and, subject to hysteresis
-    /// and dwell, requests a switch.  Returns true iff a switch is pending;
-    /// the caller (the kernel) then captures the transfer checkpoint.
+    /// and dwell, books a switch at `interactions`.  Returns true iff it
+    /// switched; the caller (the kernel) then captures the transfer
+    /// checkpoint, which carries the post-switch state.
     bool consider(std::uint64_t interactions, std::uint64_t effective_pairs) {
         // Deterministic poll backoff: more than a factor of two from the
         // active threshold, stretch the next poll to 8x the period.  W
@@ -132,31 +133,18 @@ public:
                              ? effective_pairs / 2 > exit_pairs_
                              : effective_pairs < enter_pairs_ / 2;
         next_eval_ = interactions + (far ? 8 * period_ : period_);
-        if (pending_) return true;
         if (switches_ != 0 && interactions < last_switch_ + dwell_) return false;
         if (current_ == ObservedEngine::kCollapsed) {
             if (effective_pairs > exit_pairs_) return false;
-            target_ = ObservedEngine::kCountBatch;
+            current_ = ObservedEngine::kCountBatch;
         } else {
             if (effective_pairs < enter_pairs_) return false;
-            target_ = ObservedEngine::kCollapsed;
+            current_ = ObservedEngine::kCollapsed;
         }
         last_signal_ = signal(effective_pairs);
-        pending_ = true;
-        return true;
-    }
-
-    bool pending_switch() const { return pending_; }
-    ObservedEngine pending_target() const { return target_; }
-
-    /// Books the pending switch as executed at `interactions` (the driver
-    /// calls this after capturing the transfer checkpoint).
-    void commit_switch(std::uint64_t interactions) {
-        require(pending_, "EngineSwitchMonitor: no switch pending");
         ++switches_;
         last_switch_ = interactions;
-        current_ = target_;
-        pending_ = false;
+        return true;
     }
 
     // Checkpoint plumbing: the serialized `adaptive <switches> <last_switch>
@@ -168,11 +156,10 @@ public:
         switches_ = switches;
         last_switch_ = last_switch;
         next_eval_ = next_eval;
-        pending_ = false;
     }
 
-    /// The signal at the poll that requested the pending/last switch (polls
-    /// that do not fire skip the float evaluation entirely).
+    /// The signal at the poll that booked the last switch (polls that do
+    /// not fire skip the float evaluation entirely).
     double last_signal() const { return last_signal_; }
     double enter_collapsed() const { return enter_; }
     double exit_collapsed() const { return exit_; }
@@ -220,8 +207,6 @@ private:
     std::uint64_t switches_ = 0;
     std::uint64_t last_switch_ = 0;
     std::uint64_t next_eval_ = 0;
-    bool pending_ = false;
-    ObservedEngine target_ = ObservedEngine::kCountBatch;
     double last_signal_ = 0.0;
 };
 

@@ -335,14 +335,19 @@ inline double seconds_since(std::chrono::steady_clock::time_point start) {
 }  // namespace run_loop_detail
 
 /// Drives `stepper` under the full run policy and returns the result.
-/// `entry_point` names the public API for error messages.  `monitor` is the
-/// phase-adaptive dispatcher's switch monitor (adaptive_simulator.cpp);
-/// every other caller leaves it null.  A monitored run marks its checkpoints with
-/// the monitor's `adaptive` section and needs a checkpoint_sink to receive
-/// the transfer checkpoint.
+/// `entry_point` names the public API for error messages.
+///
+/// `monitor` is the phase-adaptive dispatcher's switch monitor
+/// (adaptive_simulator.cpp); every other caller leaves it null.  A monitored
+/// call is one engine *segment* of an adaptive run, not a run: it marks its
+/// checkpoints with the monitor's `adaptive` section, and when the monitor
+/// fires it stores the transfer checkpoint in `*transfer` and returns
+/// kPaused.  The dispatcher owns the run bracket, so a segment emits no
+/// observer on_start / on_stop and opens or closes no telemetry run.
 template <Stepper S>
 RunResult run_loop(S& stepper, const TabulatedProtocol& protocol, const RunOptions& options,
-                   const char* entry_point, EngineSwitchMonitor* monitor = nullptr) {
+                   const char* entry_point, EngineSwitchMonitor* monitor = nullptr,
+                   std::optional<RunCheckpoint>* transfer = nullptr) {
     constexpr SilenceMode kMode = S::kSilenceMode;
     const std::string where(entry_point);
 
@@ -356,8 +361,6 @@ RunResult run_loop(S& stepper, const TabulatedProtocol& protocol, const RunOptio
             where + ": checkpoint_every requires a checkpoint_sink");
     require(options.pause_after == 0 || options.checkpoint_sink != nullptr,
             where + ": pause_after requires a checkpoint_sink");
-    require(monitor == nullptr || options.checkpoint_sink != nullptr,
-            where + ": an engine switch monitor requires a checkpoint_sink");
     if constexpr (!ParallelStepper<S>) {
         // threads == 0 (auto) is fine — it resolves to 1 for sequential
         // engines — but an explicit request for parallelism is not.
@@ -371,14 +374,15 @@ RunResult run_loop(S& stepper, const TabulatedProtocol& protocol, const RunOptio
                      std::nullopt};
     result.engine = S::kEngine;
 
+    // A monitored segment leaves the run bracket to the dispatcher.
+    const bool whole_run = monitor == nullptr;
+
     // Performance probes.  A null collector (the default) costs one
-    // predicted branch per site; with POPPROTO_TELEMETRY=OFF the sites
-    // compile out entirely.  Telemetry never draws randomness and never
+    // predicted branch per site.  Telemetry never draws randomness and never
     // reads the stepper configuration, so the RunResult is bit-identical
     // with and without it (tests/telemetry_test.cpp).
-    telemetry::RunTelemetryCollector* const collector =
-        telemetry::kCompiledIn ? options.telemetry : nullptr;
-    if (collector) {
+    telemetry::RunTelemetryCollector* const collector = options.telemetry;
+    if (collector && whole_run) {
         unsigned run_threads = 1;
         if constexpr (requires { { stepper.threads() } -> std::convertible_to<unsigned>; })
             run_threads = stepper.threads();
@@ -433,7 +437,7 @@ RunResult run_loop(S& stepper, const TabulatedProtocol& protocol, const RunOptio
     };
     advance_checkpoint_schedule();
 
-    const auto take_checkpoint = [&](std::uint64_t pending, bool has_pending) {
+    const auto make_checkpoint = [&](std::uint64_t pending, bool has_pending) {
         RunCheckpoint checkpoint;
         checkpoint.engine = S::kEngine;
         checkpoint.population = n;
@@ -453,7 +457,10 @@ RunResult run_loop(S& stepper, const TabulatedProtocol& protocol, const RunOptio
             checkpoint.adaptive_next_eval = monitor->next_eval();
         }
         stepper.save(checkpoint);
-        options.checkpoint_sink->on_checkpoint(checkpoint);
+        return checkpoint;
+    };
+    const auto take_checkpoint = [&](std::uint64_t pending, bool has_pending) {
+        options.checkpoint_sink->on_checkpoint(make_checkpoint(pending, has_pending));
         if (result.interactions >= pause_at) paused = true;
         advance_checkpoint_schedule();
     };
@@ -481,7 +488,7 @@ RunResult run_loop(S& stepper, const TabulatedProtocol& protocol, const RunOptio
 
     std::chrono::steady_clock::time_point wall_start;
     std::optional<CountConfiguration> initial_counts;
-    if (observer) {
+    if (observer && whole_run) {
         wall_start = std::chrono::steady_clock::now();
         initial_counts.emplace(stepper.counts());
         RunStartInfo info;
@@ -539,16 +546,18 @@ RunResult run_loop(S& stepper, const TabulatedProtocol& protocol, const RunOptio
         // for steppers that expose their exact effective-pair count W, and
         // never while a pending null skip is outstanding (the uninterrupted
         // run evaluates W at the skip's *start* index; re-polling mid-skip
-        // after a resume would diverge from it).  A requested switch is
-        // exactly a pause: capture the transfer checkpoint here and let the
-        // driver resume it under the other engine.  Evaluating the signal
-        // consumes no randomness, so unmonitored segments stay bit-identical.
+        // after a resume would diverge from it).  A switch is exactly a
+        // pause: the monitor has already booked it, so the transfer
+        // checkpoint carries the post-switch monitor state, and the
+        // dispatcher resumes it under the other engine.  Evaluating the
+        // signal consumes no randomness, so unmonitored segments stay
+        // bit-identical.
         if constexpr (requires(const S& s) {
                           { s.effective_pairs() } -> std::convertible_to<std::uint64_t>;
                       }) {
             if (monitor != nullptr && !has_pending_skip && monitor->due(result.interactions) &&
                 monitor->consider(result.interactions, stepper.effective_pairs())) {
-                take_checkpoint(0, false);
+                *transfer = make_checkpoint(0, false);
                 paused = true;
                 break;
             }
@@ -739,6 +748,7 @@ RunResult run_loop(S& stepper, const TabulatedProtocol& protocol, const RunOptio
 
     result.final_configuration = stepper.counts();
     result.consensus = result.final_configuration.consensus_output(protocol);
+    if (!whole_run) return result;
     // Telemetry finishes before on_stop so stop-time consumers (e.g. the
     // JSONL writer's "telemetry" event) see the completed RunTelemetry.
     if (collector) {

@@ -6,10 +6,7 @@
 // row).  This header wraps those loops over GCC/Clang vector extensions
 // (2 x 64-bit lanes — the baseline register width on x86-64 and AArch64, so
 // no ABI or -m flags are needed; the compiler widens to AVX where -march
-// allows), with a scalar fallback that compiles everywhere.  The CMake option
-// POPPROTO_SIMD (default ON) selects between them via the
-// POPPROTO_SIMD_ENABLED define, so `-DPOPPROTO_SIMD=OFF` is the escape hatch
-// for compilers without the extension.
+// allows), with a scalar fallback for compilers without the extension.
 //
 // Every kernel is exact, not approximate: unsigned lanes wrap modulo 2^64
 // exactly like the scalar code, so the kernels are bit-identical to the
@@ -21,7 +18,7 @@
 #include <cstddef>
 #include <cstdint>
 
-#if defined(POPPROTO_SIMD_ENABLED) && (defined(__GNUC__) || defined(__clang__))
+#if defined(__GNUC__) || defined(__clang__)
 #define POPPROTO_SIMD_VECTOR_EXT 1
 #endif
 
@@ -72,15 +69,6 @@ inline std::uint64_t masked_sum(const std::uint8_t* mask, const std::uint64_t* v
     for (; i < n; ++i)
         if (mask[i]) total += values[i];
     return total;
-}
-
-/// Whether this build compiled the vector-extension paths (for logs/tests).
-inline constexpr bool enabled() noexcept {
-#if POPPROTO_SIMD_VECTOR_EXT
-    return true;
-#else
-    return false;
-#endif
 }
 
 }  // namespace popproto::simd

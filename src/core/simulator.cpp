@@ -1,6 +1,7 @@
 #include "core/simulator.h"
 
 #include <cmath>
+#include <stdexcept>
 #include <vector>
 
 #include "core/interaction_model.h"
@@ -8,6 +9,27 @@
 #include "core/run_loop.h"
 
 namespace popproto {
+
+const char* stop_reason_label(StopReason reason) {
+    switch (reason) {
+        case StopReason::kSilent:
+            return "silent";
+        case StopReason::kStableOutputs:
+            return "stable_outputs";
+        case StopReason::kBudget:
+            return "budget";
+        case StopReason::kPaused:
+            return "paused";
+    }
+    return "unknown";
+}
+
+StopReason parse_stop_reason_label(const std::string& label) {
+    for (const StopReason reason : {StopReason::kSilent, StopReason::kStableOutputs,
+                                    StopReason::kBudget, StopReason::kPaused})
+        if (label == stop_reason_label(reason)) return reason;
+    throw std::invalid_argument("unknown stop reason \"" + label + "\"");
+}
 
 RunResult simulate(const TabulatedProtocol& protocol, const CountConfiguration& initial,
                    const RunOptions& options) {

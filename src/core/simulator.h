@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <string>
 
 #include "core/configuration.h"
 #include "core/engine_monitor.h"
@@ -219,6 +220,15 @@ enum class StopReason {
     /// can be resumed bit-identically.
     kPaused,
 };
+
+/// Stable lowercase identifier ("silent", "stable_outputs", "budget",
+/// "paused"): the one spelling of a stop reason in the JSONL trace, the
+/// wire protocol and the service's session manifests.
+const char* stop_reason_label(StopReason reason);
+
+/// Inverse of `stop_reason_label`; throws std::invalid_argument naming an
+/// unknown label.
+StopReason parse_stop_reason_label(const std::string& label);
 
 /// Outcome of a simulated execution.
 struct RunResult {

@@ -103,20 +103,6 @@ std::string telemetry_line(const telemetry::RunTelemetry& data) {
     return line.str();
 }
 
-const char* stop_reason_name(StopReason reason) {
-    switch (reason) {
-        case StopReason::kSilent:
-            return "silent";
-        case StopReason::kStableOutputs:
-            return "stable_outputs";
-        case StopReason::kBudget:
-            return "budget";
-        case StopReason::kPaused:
-            return "paused";
-    }
-    return "unknown";
-}
-
 }  // namespace
 
 JsonlTraceWriter::JsonlTraceWriter(std::ostream& out) : out_(&out) {}
@@ -195,10 +181,9 @@ void JsonlTraceWriter::on_engine_switch(const EngineSwitchInfo& info) {
 }
 
 void JsonlTraceWriter::on_stop(const RunResult& result, double wall_seconds) {
-    if (result.telemetry != nullptr && result.telemetry->enabled)
-        write_line(telemetry_line(*result.telemetry));
+    if (result.telemetry != nullptr) write_line(telemetry_line(*result.telemetry));
     std::ostringstream line;
-    line << "{\"event\":\"stop\",\"reason\":\"" << stop_reason_name(result.stop_reason)
+    line << "{\"event\":\"stop\",\"reason\":\"" << stop_reason_label(result.stop_reason)
          << "\",\"interactions\":" << result.interactions
          << ",\"effective_interactions\":" << result.effective_interactions
          << ",\"last_output_change\":" << result.last_output_change << ",\"consensus\":";

@@ -38,10 +38,6 @@ void TraceRecorder::on_output_change(std::uint64_t interaction_index) {
     output_changes_.push_back(interaction_index);
 }
 
-void TraceRecorder::on_null_run(std::uint64_t length) {
-    total_null_skips_ += length;
-}
-
 void TraceRecorder::on_silence_check(std::uint64_t, bool) {
     ++silence_checks_;
 }

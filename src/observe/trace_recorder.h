@@ -53,10 +53,6 @@ public:
     /// engine) or some agent's output (per-agent engines).
     const std::vector<std::uint64_t>& output_changes() const { return output_changes_; }
 
-    /// Sum of all reported null-run lengths (batch engine only; equals
-    /// interactions - effective_interactions of the recorded run).
-    std::uint64_t total_null_skips() const { return total_null_skips_; }
-
     /// Number of silence-predicate evaluations reported by the engine.
     std::uint64_t silence_checks() const { return silence_checks_; }
 
@@ -78,7 +74,6 @@ public:
     void on_snapshot(std::uint64_t interaction_index,
                      const CountConfiguration& configuration) override;
     void on_output_change(std::uint64_t interaction_index) override;
-    void on_null_run(std::uint64_t length) override;
     void on_silence_check(std::uint64_t interaction_index, bool silent) override;
     void on_stop(const RunResult& result, double wall_seconds) override;
 
@@ -90,7 +85,6 @@ private:
     std::vector<std::uint64_t> initial_counts_;
     std::vector<TraceSnapshot> snapshots_;
     std::vector<std::uint64_t> output_changes_;
-    std::uint64_t total_null_skips_ = 0;
     std::uint64_t silence_checks_ = 0;
     std::optional<RunResult> result_;
     double wall_seconds_ = 0.0;

@@ -15,28 +15,6 @@ namespace popproto::service {
 
 namespace {
 
-StopReason parse_stop_reason_name(const std::string& name) {
-    if (name == "silent") return StopReason::kSilent;
-    if (name == "stable_outputs") return StopReason::kStableOutputs;
-    if (name == "budget") return StopReason::kBudget;
-    if (name == "paused") return StopReason::kPaused;
-    throw std::invalid_argument("unknown stop reason \"" + name + "\"");
-}
-
-const char* stop_reason_manifest_name(StopReason reason) {
-    switch (reason) {
-        case StopReason::kSilent:
-            return "silent";
-        case StopReason::kStableOutputs:
-            return "stable_outputs";
-        case StopReason::kBudget:
-            return "budget";
-        case StopReason::kPaused:
-            return "paused";
-    }
-    return "unknown";
-}
-
 SessionState parse_session_state_name(const std::string& name) {
     if (name == "queued") return SessionState::kQueued;
     if (name == "suspended") return SessionState::kSuspended;
@@ -68,7 +46,7 @@ std::string manifest_json(const SessionStatus& status, const SessionSpec* spec) 
     if (status.stop_reason)
         object.emplace_back(
             "stop_reason",
-            JsonValue(std::string(stop_reason_manifest_name(*status.stop_reason))));
+            JsonValue(std::string(stop_reason_label(*status.stop_reason))));
     if (status.consensus)
         object.emplace_back("consensus", JsonValue(std::uint64_t{*status.consensus}));
     if (!status.error.empty()) object.emplace_back("error", JsonValue(status.error));
@@ -475,7 +453,7 @@ RunRegistry::QuantumOutcome RunRegistry::run_one_quantum(Session& session) {
         SessionTrace trace(*this, session, first_segment);
         TeeObserver observers({&metrics, &trace});
 
-        telemetry::RunTelemetryCollector telemetry_collector;
+        std::optional<telemetry::RunTelemetryCollector> telemetry_collector;
 
         RunOptions options;
         options.engine = parse_engine_name(session.spec.engine);
@@ -485,7 +463,7 @@ RunRegistry::QuantumOutcome RunRegistry::run_one_quantum(Session& session) {
         options.observer = &observers;
         if (session.spec.snapshot_every != 0)
             options.snapshots = SnapshotSchedule::every(session.spec.snapshot_every);
-        if (session.spec.telemetry) options.telemetry = &telemetry_collector;
+        if (session.spec.telemetry) options.telemetry = &telemetry_collector.emplace();
         options.checkpoint_sink = &capture;
         options.stop_flag = &session.stop_requested;
         if (session.checkpoint.has_value()) options.resume_from = &*session.checkpoint;
@@ -718,7 +696,7 @@ void RunRegistry::restore_one(const std::string& id, const std::string& manifest
     if (const JsonValue* value = parsed.find("quanta"))
         record.quanta = value->as_u64("'quanta'");
     if (const JsonValue* value = parsed.find("stop_reason"))
-        record.stop_reason = parse_stop_reason_name(value->as_string("'stop_reason'"));
+        record.stop_reason = parse_stop_reason_label(value->as_string("'stop_reason'"));
     if (const JsonValue* value = parsed.find("consensus"))
         record.consensus = static_cast<Symbol>(value->as_u64("'consensus'"));
 

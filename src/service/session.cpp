@@ -199,24 +199,6 @@ const char* session_state_name(SessionState state) {
     return "unknown";
 }
 
-namespace {
-
-const char* stop_reason_wire_name(StopReason reason) {
-    switch (reason) {
-        case StopReason::kSilent:
-            return "silent";
-        case StopReason::kStableOutputs:
-            return "stable_outputs";
-        case StopReason::kBudget:
-            return "budget";
-        case StopReason::kPaused:
-            return "paused";
-    }
-    return "unknown";
-}
-
-}  // namespace
-
 JsonValue session_status_to_json(const SessionStatus& status) {
     JsonValue::Object object;
     object.emplace_back("session", JsonValue(status.id));
@@ -227,7 +209,7 @@ JsonValue session_status_to_json(const SessionStatus& status) {
     object.emplace_back("quanta", JsonValue(status.quanta));
     if (status.stop_reason) {
         object.emplace_back(
-            "stop_reason", JsonValue(std::string(stop_reason_wire_name(*status.stop_reason))));
+            "stop_reason", JsonValue(std::string(stop_reason_label(*status.stop_reason))));
         object.emplace_back("last_output_change", JsonValue(status.last_output_change));
         if (status.consensus)
             object.emplace_back("consensus", JsonValue(std::uint64_t{*status.consensus}));

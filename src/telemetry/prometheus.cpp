@@ -17,17 +17,26 @@ void family(std::ostream& out, const char* name, const char* type, const char* h
     out << "# HELP " << name << ' ' << help << "\n# TYPE " << name << ' ' << type << '\n';
 }
 
-// Registry names are free-form; Prometheus metric names are
-// [a-zA-Z_:][a-zA-Z0-9_:]*, so anything else maps to '_'.
-std::string sanitize(const std::string& name) {
-    std::string out = name;
-    for (char& c : out) {
-        const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                        (c >= '0' && c <= '9') || c == '_' || c == ':';
-        if (!ok) c = '_';
+/// One log2 histogram family, omitted while empty.  Bucket b of the
+/// histogram becomes the cumulative sample le="2^(b+1)-1", its inclusive
+/// upper edge.
+void log2_histogram(std::ostream& out, const char* name, const char* help,
+                    const Log2Histogram& histogram) {
+    if (histogram.count == 0) return;
+    family(out, name, "histogram", help);
+    std::size_t top = 0;
+    for (std::size_t b = 0; b < Log2Histogram::kNumBuckets; ++b)
+        if (histogram.buckets[b] != 0) top = b;
+    std::uint64_t cumulative = 0;
+    for (std::size_t b = 0; b <= top; ++b) {
+        cumulative += histogram.buckets[b];
+        const std::uint64_t le =
+            b + 1 >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << (b + 1)) - 1;
+        out << name << "_bucket{le=\"" << le << "\"} " << cumulative << '\n';
     }
-    if (out.empty() || (out[0] >= '0' && out[0] <= '9')) out.insert(out.begin(), '_');
-    return out;
+    out << name << "_bucket{le=\"+Inf\"} " << histogram.count << '\n';
+    out << name << "_sum " << histogram.sum << '\n';
+    out << name << "_count " << histogram.count << '\n';
 }
 
 }  // namespace
@@ -147,31 +156,12 @@ void write_prometheus(std::ostream& out, const RunTelemetry& telemetry) {
            "Trace spans beyond the collector capacity (stats stay exact).");
     out << "popproto_trace_spans_dropped_total " << telemetry.spans_dropped << '\n';
 
-    for (const CounterSnapshot& counter : telemetry.counters) {
-        const std::string name = "popproto_" + sanitize(counter.name) + "_total";
-        family(out, name.c_str(), "counter", "Registry counter.");
-        out << name << ' ' << counter.value << '\n';
-    }
-
-    for (const HistogramSnapshot& histogram : telemetry.histograms) {
-        const std::string name = "popproto_" + sanitize(histogram.name);
-        family(out, name.c_str(), "histogram",
-               "Registry log2 histogram (bucket b spans [2^b, 2^(b+1))).");
-        std::size_t top = 0;
-        for (std::size_t b = 0; b < LogHistogram::kNumBuckets; ++b)
-            if (histogram.buckets[b] != 0) top = b;
-        std::uint64_t cumulative = 0;
-        for (std::size_t b = 0; b <= top; ++b) {
-            cumulative += histogram.buckets[b];
-            // le is the inclusive upper edge 2^(b+1)-1 of log2 bucket b.
-            const std::uint64_t le =
-                b + 1 >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << (b + 1)) - 1;
-            out << name << "_bucket{le=\"" << le << "\"} " << cumulative << '\n';
-        }
-        out << name << "_bucket{le=\"+Inf\"} " << histogram.count << '\n';
-        out << name << "_sum " << histogram.sum << '\n';
-        out << name << "_count " << histogram.count << '\n';
-    }
+    log2_histogram(out, "popproto_null_skip_length_log2",
+                   "Geometric null-skip lengths (bucket b spans [2^b, 2^(b+1))).",
+                   telemetry.null_skip_length_log2);
+    log2_histogram(out, "popproto_super_step_pairs_log2",
+                   "Collision-free pairs per super-step (bucket b spans [2^b, 2^(b+1))).",
+                   telemetry.super_step_pairs_log2);
 
     if (!out) throw std::runtime_error("write_prometheus: stream write failed");
 }

@@ -1,5 +1,5 @@
 // Prometheus text-exposition exporter: serializes a RunTelemetry (phase
-// timers, shard utilization, run gauges, registry counters and histograms)
+// timers, shard utilization, run gauges, log2 length histograms)
 // in the Prometheus 0.0.4 text format, one metric family per block with
 // HELP/TYPE headers.  Consumable by promtool, a node-exporter textfile
 // collector, or any human with eyes.

@@ -55,62 +55,11 @@ bool phase_is_nested(Phase phase) {
     }
 }
 
-void LogHistogram::record(std::uint64_t value) {
+void Log2Histogram::record(std::uint64_t value) {
     // bucket = floor(log2(value)), with the zeros folded into bucket 0.
-    const int bucket = value == 0 ? 0 : std::bit_width(value) - 1;
-    buckets_[static_cast<std::size_t>(bucket)].fetch_add(1, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
-    sum_.fetch_add(value, std::memory_order_relaxed);
-}
-
-Counter& TelemetryRegistry::counter(std::string_view name) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    for (auto& [existing, instrument] : counters_)
-        if (existing == name) return instrument;
-    counters_.emplace_back(std::piecewise_construct,
-                           std::forward_as_tuple(std::string(name)), std::forward_as_tuple());
-    return counters_.back().second;
-}
-
-LogHistogram& TelemetryRegistry::histogram(std::string_view name) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    for (auto& [existing, instrument] : histograms_)
-        if (existing == name) return instrument;
-    histograms_.emplace_back(std::piecewise_construct,
-                             std::forward_as_tuple(std::string(name)),
-                             std::forward_as_tuple());
-    return histograms_.back().second;
-}
-
-std::vector<CounterSnapshot> TelemetryRegistry::counters() const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<CounterSnapshot> out;
-    out.reserve(counters_.size());
-    for (const auto& [name, instrument] : counters_)
-        out.push_back({name, instrument.value()});
-    return out;
-}
-
-std::vector<HistogramSnapshot> TelemetryRegistry::histograms() const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<HistogramSnapshot> out;
-    out.reserve(histograms_.size());
-    for (const auto& [name, instrument] : histograms_) {
-        HistogramSnapshot snapshot;
-        snapshot.name = name;
-        snapshot.count = instrument.count();
-        snapshot.sum = instrument.sum();
-        for (std::size_t b = 0; b < LogHistogram::kNumBuckets; ++b)
-            snapshot.buckets[b] = instrument.bucket(b);
-        out.push_back(std::move(snapshot));
-    }
-    return out;
-}
-
-void TelemetryRegistry::clear() {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    counters_.clear();
-    histograms_.clear();
+    ++buckets[value == 0 ? 0 : static_cast<std::size_t>(std::bit_width(value) - 1)];
+    ++count;
+    sum += value;
 }
 
 void PoolTelemetry::configure(std::size_t tasks, std::chrono::steady_clock::time_point epoch,
@@ -153,63 +102,31 @@ RunTelemetryCollector::RunTelemetryCollector(std::size_t max_spans)
     : max_spans_(max_spans), data_(std::make_shared<RunTelemetry>()) {}
 
 void RunTelemetryCollector::reset() {
-    if constexpr (!kCompiledIn) return;
     // A fresh RunTelemetry rather than clearing in place: the previous run's
     // result may still be shared via RunResult::telemetry.
     data_ = std::make_shared<RunTelemetry>();
-    registry_.clear();
     pool_ = PoolTelemetry();
     live_interactions_.store(0, std::memory_order_relaxed);
-    running_ = false;
-    adaptive_scope_ = false;
-    segment_engine_.clear();
-    segment_start_ns_ = 0;
-    segment_boundary_interactions_ = 0;
 }
 
 void RunTelemetryCollector::begin_run(const char* engine, std::uint64_t population,
                                       unsigned threads) {
-    if constexpr (!kCompiledIn) return;
-    if (adaptive_scope_ && running_) {
-        // Segment boundary inside an adaptive run: keep the epoch, phase
-        // stats, and counters accumulating; just note which concrete engine
-        // the next stretch of interactions executes on.
-        segment_engine_ = engine;
-        segment_start_ns_ = now_ns();
-        return;
-    }
     reset();
     epoch_ = std::chrono::steady_clock::now();
-    data_->enabled = true;
     data_->engine = engine;
     data_->population = population;
     data_->threads = threads;
     data_->spans.reserve(std::min<std::size_t>(max_spans_, 4096));
-    running_ = true;
 }
 
 void RunTelemetryCollector::finish_run(std::uint64_t interactions,
                                        std::uint64_t effective_interactions) {
-    if constexpr (!kCompiledIn) return;
-    if (!running_) return;
-    if (adaptive_scope_) {
-        // Segment boundary: close this segment's attribution entry using
-        // the loop's exact final interaction index (the live counter may be
-        // stale — the loop publishes *after* the iteration that broke) and
-        // keep the run open for the next segment.
-        data_->engine_segments.push_back({segment_engine_,
-                                          interactions - segment_boundary_interactions_,
-                                          now_ns() - segment_start_ns_});
-        segment_boundary_interactions_ = interactions;
-        publish_interactions(interactions);
-        return;
-    }
-    running_ = false;
     RunTelemetry& data = *data_;
     data.wall_ns = now_ns();
     data.interactions = interactions;
     data.effective_interactions = effective_interactions;
     publish_interactions(interactions);
+    if (!data.engine_segments.empty()) data.engine_switches = data.engine_segments.size() - 1;
 
     // Derived stepping time: the loop remainder no explicit timer covers.
     // Per-interaction engines spend it sampling and applying interactions
@@ -236,33 +153,16 @@ void RunTelemetryCollector::finish_run(std::uint64_t interactions,
     data.pool_rounds = pool_.rounds;
     data.spans.insert(data.spans.end(), pool_.spans.begin(), pool_.spans.end());
     data.spans_dropped += pool_.spans_dropped;
-
-    data.counters = registry_.counters();
-    data.histograms = registry_.histograms();
 }
 
-void RunTelemetryCollector::begin_adaptive_run(std::uint64_t population, unsigned threads,
-                                               std::uint64_t start_interactions) {
-    if constexpr (!kCompiledIn) return;
-    begin_run("adaptive", population, threads);
-    adaptive_scope_ = true;
-    segment_boundary_interactions_ = start_interactions;
-}
-
-void RunTelemetryCollector::finish_adaptive_run(std::uint64_t interactions,
-                                                std::uint64_t effective_interactions) {
-    if constexpr (!kCompiledIn) return;
-    adaptive_scope_ = false;
-    if (running_) {
-        data_->engine_switches =
-            data_->engine_segments.empty() ? 0 : data_->engine_segments.size() - 1;
-        finish_run(interactions, effective_interactions);
-    }
+void RunTelemetryCollector::record_engine_segment(const char* engine,
+                                                  std::uint64_t interactions,
+                                                  std::uint64_t begin_ns) {
+    data_->engine_segments.push_back({engine, interactions, now_ns() - begin_ns});
 }
 
 void RunTelemetryCollector::record_phase(Phase phase, std::uint64_t begin_ns,
                                          std::uint64_t end_ns, std::uint32_t tid) {
-    if constexpr (!kCompiledIn) return;
     const std::uint64_t duration = end_ns > begin_ns ? end_ns - begin_ns : 0;
     PhaseStat& stat = data_->phases[static_cast<std::size_t>(phase)];
     ++stat.calls;
@@ -276,18 +176,16 @@ void RunTelemetryCollector::record_phase(Phase phase, std::uint64_t begin_ns,
 }
 
 void RunTelemetryCollector::record_skip(std::uint64_t length) {
-    if constexpr (!kCompiledIn) return;
     ++data_->geometric_skips;
     data_->null_interactions_skipped += length;
-    registry_.histogram("null_skip_length_log2").record(length);
+    data_->null_skip_length_log2.record(length);
 }
 
 void RunTelemetryCollector::record_super_step(std::uint64_t pairs, bool clamped) {
-    if constexpr (!kCompiledIn) return;
     ++data_->super_steps;
     if (clamped) ++data_->clamped_super_steps;
     data_->super_step_pairs += pairs;
-    registry_.histogram("super_step_pairs_log2").record(pairs);
+    data_->super_step_pairs_log2.record(pairs);
 }
 
 namespace {

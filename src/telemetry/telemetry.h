@@ -17,9 +17,7 @@
 //    one predicted-not-taken branch per probe site — no clock reads, no
 //    stores.  bench_observe's *TelemetryOff rows pin this at <= 2% against
 //    the unobserved baselines.
-//  * POPPROTO_TELEMETRY=OFF at configure time compiles every probe body out
-//    entirely (kCompiledIn == false below); the API keeps compiling so call
-//    sites need no #ifdefs.
+//  * Collector attached: every probe records.
 //  * Telemetry never touches the RNG stream or the configuration: a run
 //    with a collector attached is bit-identical (same interactions, same
 //    RunResult) to one without, on every engine — proven by
@@ -27,10 +25,10 @@
 //
 // Threading: a RunTelemetryCollector instruments exactly ONE run at a time
 // (reset() between runs; measure_trials rejects a shared collector).  The
-// driving thread owns phase stats and counters; the thread pool's workers
-// write only disjoint per-task slots whose reads happen after the round
-// barrier; the live interaction counter is a relaxed atomic so a progress
-// thread may poll it concurrently.
+// driving thread owns phase stats, counters and histograms; the thread
+// pool's workers write only disjoint per-task slots whose reads happen after
+// the round barrier; the live interaction counter is a relaxed atomic so a
+// progress thread may poll it concurrently.
 
 #ifndef POPPROTO_TELEMETRY_TELEMETRY_H
 #define POPPROTO_TELEMETRY_TELEMETRY_H
@@ -39,23 +37,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <string_view>
 #include <vector>
 
-#ifndef POPPROTO_TELEMETRY_ENABLED
-#define POPPROTO_TELEMETRY_ENABLED 1
-#endif
-
 namespace popproto::telemetry {
-
-/// False when the tree was configured with -DPOPPROTO_TELEMETRY=OFF: every
-/// probe below compiles to an empty inline body and exporters see an
-/// all-zero RunTelemetry with enabled == false.
-inline constexpr bool kCompiledIn = POPPROTO_TELEMETRY_ENABLED != 0;
 
 // ---------------------------------------------------------------------------
 // Phases
@@ -122,70 +108,16 @@ struct TraceSpan {
     std::uint64_t end_ns = 0;
 };
 
-// ---------------------------------------------------------------------------
-// The generic registry (named counters + log2 histograms)
-
-/// A monotonically increasing named counter.  Relaxed atomic: increments
-/// may come from any thread; totals are read after the run.
-class Counter {
-public:
-    void add(std::uint64_t delta) { value_.fetch_add(delta, std::memory_order_relaxed); }
-    std::uint64_t value() const { return value_.load(std::memory_order_relaxed); }
-
-private:
-    std::atomic<std::uint64_t> value_{0};
-};
-
 /// A log2-bucketed histogram of nonnegative values: bucket b counts samples
 /// in [2^b, 2^(b+1)) (bucket 0 additionally holds the zeros).
-class LogHistogram {
-public:
-    void record(std::uint64_t value);
-    std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
-    std::uint64_t sum() const { return sum_.load(std::memory_order_relaxed); }
-    std::uint64_t bucket(std::size_t b) const {
-        return buckets_[b].load(std::memory_order_relaxed);
-    }
+struct Log2Histogram {
     static constexpr std::size_t kNumBuckets = 64;
 
-private:
-    std::array<std::atomic<std::uint64_t>, kNumBuckets> buckets_{};
-    std::atomic<std::uint64_t> count_{0};
-    std::atomic<std::uint64_t> sum_{0};
-};
+    void record(std::uint64_t value);
 
-/// Read-only copies for exporters.
-struct CounterSnapshot {
-    std::string name;
-    std::uint64_t value = 0;
-};
-struct HistogramSnapshot {
-    std::string name;
+    std::array<std::uint64_t, kNumBuckets> buckets{};
     std::uint64_t count = 0;
     std::uint64_t sum = 0;
-    std::array<std::uint64_t, LogHistogram::kNumBuckets> buckets{};
-};
-
-/// Named metric registry.  Registration is mutex-guarded and returns a
-/// stable reference (deque-backed), so hot paths register once up front and
-/// then increment lock-free; lookup of an existing name returns the same
-/// instrument.  Usable standalone (e.g. process-wide counters for a future
-/// simulation service) and embedded per-run by RunTelemetryCollector.
-class TelemetryRegistry {
-public:
-    Counter& counter(std::string_view name);
-    LogHistogram& histogram(std::string_view name);
-
-    std::vector<CounterSnapshot> counters() const;
-    std::vector<HistogramSnapshot> histograms() const;
-
-    /// Drops every instrument (references obtained earlier dangle).
-    void clear();
-
-private:
-    mutable std::mutex mutex_;
-    std::deque<std::pair<std::string, Counter>> counters_;
-    std::deque<std::pair<std::string, LogHistogram>> histograms_;
 };
 
 // ---------------------------------------------------------------------------
@@ -198,9 +130,6 @@ struct RunTelemetry {
     /// Schema version of the exported forms (chrome trace metadata,
     /// prometheus HELP text, JsonlTraceWriter's "telemetry" event).
     static constexpr int kSchemaVersion = 1;
-
-    /// True iff probes were compiled in AND a collector was attached.
-    bool enabled = false;
 
     std::string engine;  ///< observed_engine_name of the executing engine
     std::uint64_t population = 0;
@@ -244,9 +173,10 @@ struct RunTelemetry {
     std::vector<TraceSpan> spans;
     std::uint64_t spans_dropped = 0;
 
-    /// Registry snapshot (skip/run-length histograms, ad-hoc counters).
-    std::vector<CounterSnapshot> counters;
-    std::vector<HistogramSnapshot> histograms;
+    /// Length distributions of the geometric null skips and of the
+    /// super-steps' collision-free pair runs.
+    Log2Histogram null_skip_length_log2;
+    Log2Histogram super_step_pairs_log2;
 
     /// Human-readable multi-line summary (phase table + shard table).
     std::string to_string() const;
@@ -318,24 +248,17 @@ public:
                 .count());
     }
 
-    // --- probes (no-ops when !kCompiledIn) --------------------------------
+    // --- probes ------------------------------------------------------------
 
     void begin_run(const char* engine, std::uint64_t population, unsigned threads);
     void finish_run(std::uint64_t interactions, std::uint64_t effective_interactions);
 
-    /// Adaptive-run scope (the kAdaptive engine).  The dispatcher brackets the
-    /// whole run with begin_adaptive_run / finish_adaptive_run; in between,
-    /// each engine segment's run_loop still calls begin_run / finish_run,
-    /// which the scope downgrades to *segment* boundaries: the epoch, phase
-    /// stats, and counters accumulate across segments, and each inner
-    /// finish_run closes one RunTelemetry::engine_segments entry instead of
-    /// finalizing.  `start_interactions` is the resume point (nonzero when
-    /// the adaptive run itself resumed from a checkpoint), so segment
-    /// interaction attribution stays exact across suspends.
-    void begin_adaptive_run(std::uint64_t population, unsigned threads,
-                            std::uint64_t start_interactions);
-    void finish_adaptive_run(std::uint64_t interactions,
-                             std::uint64_t effective_interactions);
+    /// One engine segment of a phase-adaptive run, begun at `begin_ns` (a
+    /// now_ns() stamp) and ending now.  The dispatcher brackets the whole
+    /// run with begin_run / finish_run and closes one segment per engine
+    /// stretch in between; finish_run counts the switches as segments - 1.
+    void record_engine_segment(const char* engine, std::uint64_t interactions,
+                               std::uint64_t begin_ns);
 
     void record_phase(Phase phase, std::uint64_t begin_ns, std::uint64_t end_ns,
                       std::uint32_t tid = 0);
@@ -349,14 +272,10 @@ public:
 
     /// One sub-threshold parallel-stepper round executed inline (no pool
     /// dispatch; see ParallelCollapsedStepper::kMinPairsPerWorker).
-    void record_inline_round() {
-        if constexpr (!kCompiledIn) return;
-        ++data_->inline_rounds;
-    }
+    void record_inline_round() { ++data_->inline_rounds; }
 
     /// Publishes the loop's interaction counter for concurrent polling.
     void publish_interactions(std::uint64_t interactions) {
-        if constexpr (!kCompiledIn) return;
         live_interactions_.store(interactions, std::memory_order_relaxed);
     }
 
@@ -367,9 +286,6 @@ public:
         return live_interactions_.load(std::memory_order_relaxed);
     }
 
-    /// Wall nanoseconds since begin_run (any thread; 0 before begin_run).
-    std::uint64_t live_wall_ns() const { return kCompiledIn ? now_ns() : 0; }
-
     // --- post-run API ------------------------------------------------------
 
     /// The pool telemetry handed to a ThreadPool (shards sized on demand by
@@ -379,8 +295,6 @@ public:
     /// Epoch for external span stampers (the ThreadPool via PoolTelemetry).
     std::chrono::steady_clock::time_point epoch() const { return epoch_; }
     std::size_t max_spans() const { return max_spans_; }
-
-    TelemetryRegistry& registry() { return registry_; }
 
     /// The finished telemetry (valid after finish_run; begin_run resets it).
     const RunTelemetry& telemetry() const { return *data_; }
@@ -396,23 +310,15 @@ private:
     std::chrono::steady_clock::time_point epoch_{};
     std::shared_ptr<RunTelemetry> data_;
     std::atomic<std::uint64_t> live_interactions_{0};
-    TelemetryRegistry registry_;
     PoolTelemetry pool_;
-    bool running_ = false;
-    // Adaptive-run scope state (see begin_adaptive_run).
-    bool adaptive_scope_ = false;
-    std::string segment_engine_;
-    std::uint64_t segment_start_ns_ = 0;
-    std::uint64_t segment_boundary_interactions_ = 0;
 };
 
 /// RAII phase timer: records one record_phase interval on destruction.
-/// With a null collector (telemetry disabled at runtime) or kCompiledIn ==
-/// false it performs no clock reads at all.
+/// With a null collector (telemetry detached) it performs no clock reads.
 class ScopedTimer {
 public:
     ScopedTimer(RunTelemetryCollector* collector, Phase phase, std::uint32_t tid = 0)
-        : collector_(kCompiledIn ? collector : nullptr), phase_(phase), tid_(tid) {
+        : collector_(collector), phase_(phase), tid_(tid) {
         if (collector_ != nullptr) begin_ns_ = collector_->now_ns();
     }
     ~ScopedTimer() {

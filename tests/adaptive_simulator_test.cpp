@@ -33,8 +33,12 @@ public:
 
 class SwitchRecorder final : public RunObserver {
 public:
+    void on_start(const RunStartInfo& info) override { starts.push_back(info.engine); }
     void on_engine_switch(const EngineSwitchInfo& info) override { switches.push_back(info); }
+    void on_stop(const RunResult&, double) override { ++stops; }
+    std::vector<ObservedEngine> starts;
     std::vector<EngineSwitchInfo> switches;
+    int stops = 0;
 };
 
 void expect_same_run(const RunResult& actual, const RunResult& expected) {
@@ -120,8 +124,8 @@ TEST(AdaptiveSimulator, BitIdenticalToManualSplice) {
 // Pausing exactly ON a switch boundary is transparent: a switch index is a
 // natural loop top (the super-step ending there is never clamped — see the
 // splice argument in adaptive_simulator.h), so a pause checkpoint cut there
-// resumes bit-identically onto the *un*-checkpointed baseline, re-firing the
-// pending switch on the first resumed loop top.
+// resumes bit-identically onto the *un*-checkpointed baseline, firing the
+// switch on the first resumed loop top.
 TEST(AdaptiveSimulator, ResumesBitIdenticallyAcrossSwitches) {
     const auto protocol = make_epidemic_protocol();
     const auto initial =
@@ -199,22 +203,34 @@ TEST(AdaptiveSimulator, AutoResumesAdaptiveCheckpointBelowCollapsedThreshold) {
 // boundary schedule.  A periodic schedule straddles both switches, giving
 // cuts strictly before the first and strictly after the last; every one
 // resumes (with the schedule kept) onto the checkpointed baseline.
+//
+// The baseline carries an observer, a checkpoint sink and a telemetry
+// collector at once, and the dispatcher — not its segments — owns the run:
+// one on_start (kAdaptive), one on_stop, only periodic checkpoints in the
+// sink (the transfers stay inside the dispatcher), and every interaction
+// attributed to one engine segment.
 TEST(AdaptiveSimulator, PeriodicCheckpointsResumeThroughSwitches) {
     const auto protocol = make_epidemic_protocol();
     const auto initial =
         CountConfiguration::from_input_counts(*protocol, {kPopulation - 1, 1});
 
-    // Probe run: only to size the checkpoint period.
+    // Probe run: sizes the checkpoint period, and switches without a sink.
+    SwitchRecorder probe;
     RunOptions options = adaptive_options(3);
+    options.observer = &probe;
     const std::uint64_t run_length =
         run_simulation(*protocol, initial, options).interactions;
+    EXPECT_EQ(probe.switches.size(), 2u);
+    options.observer = nullptr;
 
     CollectingSink sink;
     SwitchRecorder recorder;
+    telemetry::RunTelemetryCollector collector;
     RunOptions observed = options;
     observed.checkpoint_every = run_length / 12 + 1;
     observed.checkpoint_sink = &sink;
     observed.observer = &recorder;
+    observed.telemetry = &collector;
     const RunResult baseline = run_simulation(*protocol, initial, observed);
     ASSERT_EQ(baseline.stop_reason, StopReason::kSilent);
     ASSERT_GE(sink.checkpoints.size(), 8u);
@@ -222,7 +238,21 @@ TEST(AdaptiveSimulator, PeriodicCheckpointsResumeThroughSwitches) {
     // The schedule straddles the switch window: at least one cut on each side.
     EXPECT_LT(sink.checkpoints.front().interactions, recorder.switches.front().interactions);
     EXPECT_GT(sink.checkpoints.back().interactions, recorder.switches.back().interactions);
+
+    EXPECT_EQ(recorder.starts, std::vector<ObservedEngine>{ObservedEngine::kAdaptive});
+    EXPECT_EQ(recorder.stops, 1);
+    // Exactly the multiples of the period below the stop index, in order.
+    EXPECT_EQ(sink.checkpoints.size(), (baseline.interactions - 1) / observed.checkpoint_every);
+    for (std::size_t k = 0; k < sink.checkpoints.size(); ++k)
+        EXPECT_EQ(sink.checkpoints[k].interactions, (k + 1) * observed.checkpoint_every);
+    const telemetry::RunTelemetry& data = *baseline.telemetry;
+    ASSERT_EQ(data.engine_segments.size(), 3u);
+    std::uint64_t attributed = 0;
+    for (const auto& segment : data.engine_segments) attributed += segment.interactions;
+    EXPECT_EQ(attributed, baseline.interactions);
+    EXPECT_EQ(data.engine_switches, 2u);
     observed.observer = nullptr;
+    observed.telemetry = nullptr;
 
     for (const RunCheckpoint& checkpoint : sink.checkpoints) {
         EXPECT_TRUE(checkpoint.adaptive);
@@ -290,26 +320,22 @@ TEST(AdaptiveSimulator, EntryEngineAndSegmentAttribution) {
     const auto sparse =
         CountConfiguration::from_input_counts(*protocol, {kPopulation - 1, 1});
     const RunResult sparse_run = run_simulation(*protocol, sparse, options);
-    if (telemetry::kCompiledIn) {
-        const telemetry::RunTelemetry& data = sparse_collector.telemetry();
-        ASSERT_FALSE(data.engine_segments.empty());
-        EXPECT_EQ(data.engine, "adaptive");
-        EXPECT_EQ(data.engine_segments.front().engine, "count_batch");
-        EXPECT_EQ(data.engine_switches, data.engine_segments.size() - 1);
-        std::uint64_t attributed = 0;
-        for (const auto& segment : data.engine_segments) attributed += segment.interactions;
-        EXPECT_EQ(attributed, sparse_run.interactions);
-    }
+    const telemetry::RunTelemetry& data = sparse_collector.telemetry();
+    ASSERT_FALSE(data.engine_segments.empty());
+    EXPECT_EQ(data.engine, "adaptive");
+    EXPECT_EQ(data.engine_segments.front().engine, "count_batch");
+    EXPECT_EQ(data.engine_switches, data.engine_segments.size() - 1);
+    std::uint64_t attributed = 0;
+    for (const auto& segment : data.engine_segments) attributed += segment.interactions;
+    EXPECT_EQ(attributed, sparse_run.interactions);
 
     telemetry::RunTelemetryCollector dense_collector;
     options.telemetry = &dense_collector;
     const auto dense = CountConfiguration::from_input_counts(
         *protocol, {kPopulation / 2, kPopulation / 2});
     run_simulation(*protocol, dense, options);
-    if (telemetry::kCompiledIn) {
-        ASSERT_FALSE(dense_collector.telemetry().engine_segments.empty());
-        EXPECT_EQ(dense_collector.telemetry().engine_segments.front().engine, "collapsed");
-    }
+    ASSERT_FALSE(dense_collector.telemetry().engine_segments.empty());
+    EXPECT_EQ(dense_collector.telemetry().engine_segments.front().engine, "collapsed");
 }
 
 // A checkpoint taken by a *static* engine run can be adopted by the

@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <set>
+#include <stdexcept>
+#include <utility>
 
 #include "core/combinators.h"
 #include "core/configuration.h"
@@ -328,6 +330,22 @@ TEST(Simulator, SilenceBetweenChecksBeatsBudgetExpiry) {
     EXPECT_EQ(result.stop_reason, StopReason::kSilent);
     ASSERT_TRUE(result.consensus.has_value());
     EXPECT_EQ(*result.consensus, kOutputTrue);
+}
+
+TEST(Simulator, StopReasonLabelsRoundTrip) {
+    // The JSONL trace, the wire protocol and session manifests all spell a
+    // stop reason with these labels.
+    const std::pair<StopReason, const char*> labels[] = {
+        {StopReason::kSilent, "silent"},
+        {StopReason::kStableOutputs, "stable_outputs"},
+        {StopReason::kBudget, "budget"},
+        {StopReason::kPaused, "paused"},
+    };
+    for (const auto& [reason, label] : labels) {
+        EXPECT_STREQ(stop_reason_label(reason), label);
+        EXPECT_EQ(parse_stop_reason_label(label), reason);
+    }
+    EXPECT_THROW(parse_stop_reason_label("converged"), std::invalid_argument);
 }
 
 TEST(Rng, GeometricSkipsCertainEventNeverWaits) {

@@ -138,14 +138,17 @@ TEST(Observe, ObservationDoesNotPerturbBatchEngine) {
     const RunResult unobserved = run_count_batch(*protocol, initial, plain);
 
     TraceRecorder recorder;
+    MetricsAccumulator metrics;
+    TeeObserver observers({&recorder, &metrics});
     RunOptions observed = plain;
-    observed.observer = &recorder;
+    observed.observer = &observers;
     observed.snapshots = SnapshotSchedule::log_spaced(1.3);
     const RunResult result = run_count_batch(*protocol, initial, observed);
 
     EXPECT_TRUE(results_equal(result, unobserved));
-    // Null-run accounting: the recorder saw exactly the skipped interactions.
-    EXPECT_EQ(recorder.total_null_skips(), result.interactions - result.effective_interactions);
+    // Null-run accounting: the observer saw exactly the skipped interactions.
+    EXPECT_EQ(metrics.report().null_interactions_skipped,
+              result.interactions - result.effective_interactions);
 }
 
 TEST(Observe, ObservationDoesNotPerturbWeightedEngine) {
@@ -252,8 +255,10 @@ TEST(Observe, TraceRecorderClearsBetweenRuns) {
     const auto initial = CountConfiguration::from_input_counts(*protocol, {15, 1});
 
     TraceRecorder recorder;
+    MetricsAccumulator metrics;
+    TeeObserver observers({&recorder, &metrics});
     RunOptions options = base_options(default_budget(16), 9);
-    options.observer = &recorder;
+    options.observer = &observers;
     options.snapshots = SnapshotSchedule::every(10);
     simulate(*protocol, initial, options);
     const std::size_t first_snapshots = recorder.snapshots().size();
@@ -267,11 +272,12 @@ TEST(Observe, TraceRecorderClearsBetweenRuns) {
     EXPECT_LT(recorder.snapshots().size(), first_snapshots + 100);
 
     recorder.clear();
+    metrics.reset();
     EXPECT_FALSE(recorder.started());
     EXPECT_FALSE(recorder.finished());
     EXPECT_TRUE(recorder.snapshots().empty());
     EXPECT_TRUE(recorder.output_changes().empty());
-    EXPECT_EQ(recorder.total_null_skips(), 0u);
+    EXPECT_EQ(metrics.report().null_interactions_skipped, 0u);
 }
 
 // --- Batch engine: snapshots inside geometric null jumps -----------------

@@ -30,7 +30,7 @@
 #include "graphs/graph_simulation.h"
 #include "graphs/interaction_graph.h"
 #include "observe/jsonl_writer.h"
-#include "observe/trace_recorder.h"
+#include "observe/metrics.h"
 #include "protocols/counting.h"
 #include "protocols/epidemic.h"
 #include "randomized/trials.h"
@@ -71,31 +71,10 @@ std::uint64_t phase_calls(const RunTelemetry& data, Phase phase) {
     return data.phases[static_cast<std::size_t>(phase)].calls;
 }
 
-// --- Registry ------------------------------------------------------------
+// --- Histograms ----------------------------------------------------------
 
-TEST(TelemetryRegistry, CountersAreNamedStableAndCumulative) {
-    telemetry::TelemetryRegistry registry;
-    telemetry::Counter& a = registry.counter("alpha");
-    a.add(3);
-    // Lookup by the same name returns the same instrument.
-    registry.counter("alpha").add(4);
-    EXPECT_EQ(a.value(), 7u);
-
-    registry.counter("beta").add(1);
-    const std::vector<telemetry::CounterSnapshot> counters = registry.counters();
-    ASSERT_EQ(counters.size(), 2u);
-    EXPECT_EQ(counters[0].name, "alpha");
-    EXPECT_EQ(counters[0].value, 7u);
-    EXPECT_EQ(counters[1].name, "beta");
-    EXPECT_EQ(counters[1].value, 1u);
-
-    registry.clear();
-    EXPECT_TRUE(registry.counters().empty());
-}
-
-TEST(TelemetryRegistry, LogHistogramBucketsByFloorLog2) {
-    telemetry::TelemetryRegistry registry;
-    telemetry::LogHistogram& h = registry.histogram("lengths");
+TEST(Telemetry, Log2HistogramBucketsByFloorLog2) {
+    telemetry::Log2Histogram h;
     // Bucket b holds [2^b, 2^(b+1)); zero lands in bucket 0 alongside 1.
     h.record(0);
     h.record(1);
@@ -103,19 +82,28 @@ TEST(TelemetryRegistry, LogHistogramBucketsByFloorLog2) {
     h.record(3);
     h.record(4);
     h.record(1023);
-    EXPECT_EQ(h.count(), 6u);
-    EXPECT_EQ(h.sum(), 0u + 1 + 2 + 3 + 4 + 1023);
-    EXPECT_EQ(h.bucket(0), 2u);  // 0 and 1
-    EXPECT_EQ(h.bucket(1), 2u);  // 2 and 3
-    EXPECT_EQ(h.bucket(2), 1u);  // 4
-    EXPECT_EQ(h.bucket(9), 1u);  // 1023
-    EXPECT_EQ(h.bucket(10), 0u);
+    EXPECT_EQ(h.count, 6u);
+    EXPECT_EQ(h.sum, 0u + 1 + 2 + 3 + 4 + 1023);
+    EXPECT_EQ(h.buckets[0], 2u);  // 0 and 1
+    EXPECT_EQ(h.buckets[1], 2u);  // 2 and 3
+    EXPECT_EQ(h.buckets[2], 1u);  // 4
+    EXPECT_EQ(h.buckets[9], 1u);  // 1023
+    EXPECT_EQ(h.buckets[10], 0u);
 
-    const std::vector<telemetry::HistogramSnapshot> histograms = registry.histograms();
-    ASSERT_EQ(histograms.size(), 1u);
-    EXPECT_EQ(histograms[0].name, "lengths");
-    EXPECT_EQ(histograms[0].count, 6u);
-    EXPECT_EQ(histograms[0].buckets[9], 1u);
+    // A run fills the fixed histograms once per skip / super-step.
+    const auto protocol = make_epidemic_protocol();
+    const auto initial = CountConfiguration::from_input_counts(*protocol, {4000, 96});
+    RunTelemetryCollector collector;
+    RunOptions options = base_options(default_budget(4096), 42);
+    options.telemetry = &collector;
+    const auto batch = run_count_batch(*protocol, initial, options).telemetry;
+    EXPECT_EQ(batch->null_skip_length_log2.count, batch->geometric_skips);
+    EXPECT_EQ(batch->null_skip_length_log2.sum, batch->null_interactions_skipped);
+    EXPECT_EQ(batch->super_step_pairs_log2.count, 0u);
+    const auto collapsed = run_collapsed(*protocol, initial, options).telemetry;
+    EXPECT_EQ(collapsed->super_step_pairs_log2.count, collapsed->super_steps);
+    EXPECT_EQ(collapsed->super_step_pairs_log2.sum, collapsed->super_step_pairs);
+    EXPECT_EQ(collapsed->null_skip_length_log2.count, 0u);
 }
 
 TEST(Telemetry, ScopedTimerWithNullCollectorIsANoOp) {
@@ -140,9 +128,7 @@ TEST(Telemetry, DoesNotPerturbAgentArray) {
     const RunResult result = simulate(*protocol, initial, instrumented);
 
     EXPECT_TRUE(results_equal(result, unobserved));
-    if (!telemetry::kCompiledIn) return;
     ASSERT_NE(result.telemetry, nullptr);
-    EXPECT_TRUE(result.telemetry->enabled);
     EXPECT_EQ(result.telemetry->engine, "agent_array");
     EXPECT_EQ(result.telemetry->population, 64u);
     EXPECT_EQ(result.telemetry->threads, 1u);
@@ -165,7 +151,6 @@ TEST(Telemetry, DoesNotPerturbBatchEngine) {
     const RunResult result = run_count_batch(*protocol, initial, instrumented);
 
     EXPECT_TRUE(results_equal(result, unobserved));
-    if (!telemetry::kCompiledIn) return;
     ASSERT_NE(result.telemetry, nullptr);
     // Geometric-skip accounting reconciles exactly with the run totals —
     // and with what an observer would have been told (the counting
@@ -185,17 +170,17 @@ TEST(Telemetry, SkipAccountingMatchesObserverWithoutAnObserver) {
     const auto initial = CountConfiguration::from_input_counts(*protocol, {57, 7});
     const RunOptions plain = base_options(default_budget(64), 33);
 
-    TraceRecorder recorder;
+    MetricsAccumulator metrics;
     RunOptions observed = plain;
-    observed.observer = &recorder;
+    observed.observer = &metrics;
     run_count_batch(*protocol, initial, observed);
 
     RunTelemetryCollector collector;
     RunOptions instrumented = plain;
     instrumented.telemetry = &collector;
     const RunResult result = run_count_batch(*protocol, initial, instrumented);
-    if (!telemetry::kCompiledIn) return;
-    EXPECT_EQ(result.telemetry->null_interactions_skipped, recorder.total_null_skips());
+    EXPECT_EQ(result.telemetry->null_interactions_skipped,
+              metrics.report().null_interactions_skipped);
 }
 
 TEST(Telemetry, DoesNotPerturbWeightedEngine) {
@@ -215,7 +200,6 @@ TEST(Telemetry, DoesNotPerturbWeightedEngine) {
     const RunResult result = simulate_weighted(*protocol, initial, weights, instrumented);
 
     EXPECT_TRUE(results_equal(result, unobserved));
-    if (!telemetry::kCompiledIn) return;
     ASSERT_NE(result.telemetry, nullptr);
     EXPECT_EQ(result.telemetry->engine, "weighted");
 }
@@ -240,7 +224,6 @@ TEST(Telemetry, DoesNotPerturbGraphEngine) {
     EXPECT_EQ(result.last_output_change, unobserved.last_output_change);
     EXPECT_EQ(result.consensus, unobserved.consensus);
     EXPECT_EQ(result.final_configuration.states(), unobserved.final_configuration.states());
-    if (!telemetry::kCompiledIn) return;
     EXPECT_EQ(collector.telemetry().engine, "graph");
 }
 
@@ -259,7 +242,6 @@ TEST(Telemetry, DoesNotPerturbCollapsedEngineAcrossThreadCounts) {
         const RunResult result = run_collapsed(*protocol, initial, instrumented);
 
         EXPECT_TRUE(results_equal(result, unobserved));
-        if (!telemetry::kCompiledIn) continue;
         const RunTelemetry& data = *result.telemetry;
         EXPECT_EQ(data.engine, threads > 1 ? "parallel_collapsed" : "collapsed");
         EXPECT_EQ(data.threads, threads);
@@ -293,7 +275,6 @@ TEST(Telemetry, ShardUtilizationPopulatedOncePoolEngages) {
     // (~0.63 sqrt(n) per step), so use a population large enough that the
     // pool actually engages: n = 2^16, K = 2 gives ~161-pair steps against
     // a 128-pair threshold.
-    if (!telemetry::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
     const auto protocol = make_epidemic_protocol();
     const auto initial =
         CountConfiguration::from_input_counts(*protocol, {(1u << 16) - 1, 1});
@@ -326,7 +307,6 @@ TEST(Telemetry, CollectorIsReusableAcrossRuns) {
     options.telemetry = &collector;
 
     const RunResult first = run_count_batch(*protocol, initial, options);
-    if (!telemetry::kCompiledIn) return;
     const std::shared_ptr<const RunTelemetry> first_data = first.telemetry;
     EXPECT_EQ(first_data->interactions, first.interactions);
 
@@ -368,7 +348,6 @@ std::shared_ptr<const RunTelemetry> instrumented_collapsed_run() {
 }
 
 TEST(ChromeTrace, EmitsValidJsonWithNestedSpans) {
-    if (!telemetry::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
     const std::shared_ptr<const RunTelemetry> data = instrumented_collapsed_run();
     ASSERT_NE(data, nullptr);
     ASSERT_FALSE(data->spans.empty());
@@ -427,7 +406,6 @@ TEST(ChromeTrace, FileWriterNamesThePathOnFailure) {
 // --- Prometheus exporter -------------------------------------------------
 
 TEST(Prometheus, EmitsDocumentedMetricFamilies) {
-    if (!telemetry::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
     const std::shared_ptr<const RunTelemetry> data = instrumented_collapsed_run();
     ASSERT_NE(data, nullptr);
 
@@ -483,7 +461,6 @@ TEST(Prometheus, FileWriterNamesThePathOnFailure) {
 // --- JsonlTraceWriter integration + error-path regressions ---------------
 
 TEST(Telemetry, JsonlWriterEmitsOneTelemetryEventBeforeStop) {
-    if (!telemetry::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
     const auto protocol = make_epidemic_protocol();
     const auto initial = CountConfiguration::from_input_counts(*protocol, {63, 1});
 
