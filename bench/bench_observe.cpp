@@ -18,8 +18,8 @@
 //    mutex-guarded collector.
 //  * *TelemetryOff/*TelemetryOn: the runtime telemetry probes
 //    (src/telemetry) with no collector attached (the one-branch fast path
-//    — the <=2% acceptance bar of the telemetry subsystem, gated against
-//    the committed baseline by run_benches.sh --compare) and with a
+//    — the <=2% acceptance bar of the telemetry subsystem, gated by
+//    scripts/compare_bench.py) and with a
 //    RunTelemetryCollector attached (what `trace_run --profile` pays).
 
 #include <benchmark/benchmark.h>

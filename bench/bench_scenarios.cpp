@@ -6,7 +6,7 @@
 // workload's convergence point, so each measurement executes the same
 // deterministic amount of work (seed-pinned; stop_reason is always
 // kBudget) — which is what makes the rows stable enough for
-// bench/run_benches.sh --compare to regression-gate.  Recorded as
+// scripts/compare_bench.py to regression-gate.  Recorded as
 // BENCH_bench_scenarios.json at the repository root.
 
 #include <benchmark/benchmark.h>

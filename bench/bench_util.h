@@ -72,11 +72,10 @@ inline double stddev(const std::vector<double>& values) {
 /// "popproto_build_type" before running.  google-benchmark's own
 /// "library_build_type" describes the distro-packaged *library* — Debian
 /// ships it as a debug build, so that key says "debug" even for a -O3
-/// binary — and bench/run_benches.sh --compare trusts our key over it when
-/// refusing debug baselines.  "popproto_lto" records whether the toolchain
-/// applied interprocedural optimization (CMakeLists.txt sets POPPROTO_LTO
-/// on Release builds when supported), so a baseline records the exact
-/// optimization regime it was measured under.
+/// binary.  "popproto_lto" records whether the toolchain applied
+/// interprocedural optimization (CMakeLists.txt sets POPPROTO_LTO on
+/// Release builds when supported), so a recorded BENCH_*.json names the
+/// exact optimization regime it was measured under.
 #ifdef NDEBUG
 #define POPPROTO_BENCH_BUILD_TYPE "release"
 #else

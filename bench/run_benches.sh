@@ -1,47 +1,23 @@
 #!/usr/bin/env bash
 # Runs the google-benchmark targets and records their JSON output as
-# BENCH_<name>.json at the repository root, giving successive PRs a
-# perf trajectory to compare against.
+# BENCH_<name>.json at the repository root: absolute numbers from one host,
+# kept as documentation.  Changes are judged by scripts/compare_bench.py,
+# which runs both sides in alternation and reads none of these files.
 #
-# Usage: bench/run_benches.sh [--smoke|--compare] [build-dir] [extra google-benchmark args...]
+# Usage: bench/run_benches.sh [--smoke] [build-dir] [extra google-benchmark args...]
 # The build directory defaults to <repo>/build and must already contain the
 # bench binaries (cmake --build <build-dir>).
 #
 # --smoke runs every suite for a single short iteration and writes the
 # JSON under <build-dir>/bench/smoke/ instead of the repository root, so a
 # CI pass can prove the binaries run without clobbering recorded numbers.
-#
-# --compare runs a fresh short pass of the engine suites (bench_throughput
-# and bench_collapsed) and diffs their per-benchmark real_time against the
-# committed BENCH_<name>.json baselines at the repository root, failing when
-# any benchmark regresses by more than 15% beyond the suite-wide median
-# ratio (host-drift normalization: shared boxes swing the whole suite
-# together, a real regression moves its benchmarks away from the pack) —
-# the perf gate for run-loop/engine refactors (wired into scripts/ci.sh).
-# Baselines must come from Release builds: the gate refuses "debug"
-# recordings outright (bench_util.h stamps popproto_build_type into the
-# JSON context).  Both sides are reduced to the per-benchmark MINIMUM over
-# repetitions, so refresh a committed baseline with the same protocol the
-# gate uses:
-#
-#   build/bench/bench_throughput --benchmark_format=json \
-#       --benchmark_min_time=0.05 --benchmark_repetitions=5 \
-#       > BENCH_bench_throughput.json
-#
-# A single full-run sample per benchmark is NOT a stable baseline on a
-# loaded box (±25% run-to-run swings); min-of-repetitions vs
-# min-of-repetitions is.
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 
 SMOKE=0
-COMPARE=0
 if [[ "${1:-}" == "--smoke" ]]; then
     SMOKE=1
-    shift
-elif [[ "${1:-}" == "--compare" ]]; then
-    COMPARE=1
     shift
 fi
 
@@ -51,21 +27,6 @@ shift || true
 # The google-benchmark suites (the remaining bench_* binaries are
 # experiment tables with their own output formats).
 GBENCH_TARGETS=(bench_throughput bench_collapsed bench_observe bench_meanfield bench_service bench_scenarios bench_adaptive)
-if (( COMPARE )); then
-    # The perf gate judges the simulation engines plus the observation /
-    # telemetry hooks that ride the hot loops (bench_observe's TelemetryOff
-    # rows are the <=2% probe-overhead bar), the interaction-model layer
-    # (bench_scenarios: fixed-budget seed-pinned rows), bench_service's
-    # single-threaded wire-dispatch rows (scripts/compare_bench.py's
-    # GATE_ONLY_SUBSTRINGS keeps its registry rows — worker-pool wakeups,
-    # scheduler-latency noise — out of the gate), and bench_adaptive's
-    # n = 2^20 adaptive-vs-static rows (the bigger rows are recorded for
-    # EXPERIMENTS.md but too slow to repeat here).  The meanfield suite is
-    # an ODE solver with no hook in the interaction path and too noisy at
-    # short iteration counts; recorded for the trajectory but not
-    # regression-judged.
-    GBENCH_TARGETS=(bench_throughput bench_collapsed bench_observe bench_service bench_scenarios bench_adaptive)
-fi
 
 # Check every target up front and report the complete list of missing
 # binaries in one message, instead of failing one target at a time.
@@ -89,13 +50,6 @@ if (( SMOKE )); then
     OUT_DIR="$BUILD_DIR/bench/smoke"
     mkdir -p "$OUT_DIR"
     EXTRA_ARGS=(--benchmark_min_time=0.01)
-elif (( COMPARE )); then
-    OUT_DIR="$BUILD_DIR/bench/compare"
-    mkdir -p "$OUT_DIR"
-    # Short repetitions instead of one long run: the gate compares the
-    # *minimum* across repetitions, which is far more robust to scheduler
-    # noise than any single measurement.
-    EXTRA_ARGS=(--benchmark_min_time=0.05 --benchmark_repetitions=5)
 fi
 
 for name in "${GBENCH_TARGETS[@]}"; do
@@ -104,16 +58,3 @@ for name in "${GBENCH_TARGETS[@]}"; do
     echo "running $name -> ${out#"$ROOT"/}"
     "$bin" --benchmark_format=json "${EXTRA_ARGS[@]}" "$@" > "$out"
 done
-
-if (( COMPARE )); then
-  for name in "${GBENCH_TARGETS[@]}"; do
-    baseline="$ROOT/BENCH_${name}.json"
-    fresh="$OUT_DIR/BENCH_${name}.json"
-    if [[ ! -f "$baseline" ]]; then
-        echo "error: no committed baseline at $baseline" >&2
-        exit 1
-    fi
-    echo "== $name vs committed baseline =="
-    python3 "$ROOT/scripts/compare_bench.py" "$baseline" "$fresh" "$BUILD_DIR/bench/$name"
-  done
-fi

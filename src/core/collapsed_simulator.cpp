@@ -9,7 +9,6 @@
 #include "core/require.h"
 #include "core/rng.h"
 #include "core/run_loop.h"
-#include "core/simd.h"
 #include "core/thread_pool.h"
 #include "telemetry/telemetry.h"
 
@@ -222,9 +221,6 @@ protected:
     // W = number of effective ordered agent pairs; W == 0 iff silent.
     // Recomputed O(|Q|^2) once per super-step (amortized over ~sqrt(n)
     // interactions, unlike the count-batch engine's per-step bookkeeping).
-    // Each row is a masked sum over the count vector (core/simd.h) — exact
-    // 64-bit integer arithmetic, so the SIMD and scalar paths agree bit for
-    // bit.
     void recompute_effective_pairs() {
         const std::size_t num_states = eff_.num_states;
         std::uint64_t w = 0;
@@ -232,7 +228,9 @@ protected:
             if (counts_[p] == 0) continue;
             const std::uint8_t* row =
                 eff_.eff_row.data() + static_cast<std::size_t>(p) * num_states;
-            const std::uint64_t row_sum = simd::masked_sum(row, counts_.data(), num_states);
+            std::uint64_t row_sum = 0;
+            for (State q = 0; q < num_states; ++q)
+                if (row[q]) row_sum += counts_[q];
             w += counts_[p] * (row_sum - (row[p] ? 1 : 0));
         }
         effective_pairs_ = w;
@@ -298,7 +296,7 @@ public:
         {
             const telemetry::ScopedTimer timer(collector_, telemetry::Phase::kDeltaMerge);
             // The touched agents land on their post-transition states.
-            simd::add(counts_.data(), batch_.touched.data(), eff_.num_states);
+            for (std::size_t s = 0; s < eff_.num_states; ++s) counts_[s] += batch_.touched[s];
         }
 
         BatchOutcome outcome = batch_.outcome;
@@ -429,12 +427,12 @@ public:
             // merged post-transition multiset.
             touched_.assign(num_states, 0);
             for (const Shard& shard : shards_) {
-                simd::add(touched_.data(), shard.batch.touched.data(), num_states);
+                for (std::size_t s = 0; s < num_states; ++s) touched_[s] += shard.batch.touched[s];
                 outcome.effective += shard.batch.outcome.effective;
                 outcome.output_changed =
                     outcome.output_changed || shard.batch.outcome.output_changed;
             }
-            simd::add(counts_.data(), touched_.data(), num_states);
+            for (std::size_t s = 0; s < num_states; ++s) counts_[s] += touched_[s];
         }
 
         // Phase 4, parent stream: the colliding interaction sees only the

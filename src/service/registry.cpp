@@ -192,23 +192,13 @@ RunRegistry::~RunRegistry() {
 }
 
 std::string RunRegistry::submit(const SessionSpec& spec) {
-    // Validate eagerly: instantiate the protocol and initial configuration
-    // now so a bad submit fails at the wire, not inside a worker.
+    // Validate eagerly, before any state changes: check the spec's rules
+    // and instantiate the protocol and initial configuration now, so a bad
+    // submit fails at the wire, not inside a worker.
+    validate_session_spec(spec);
     std::unique_ptr<TabulatedProtocol> protocol = build_protocol(spec);
     const CountConfiguration initial = build_initial(*protocol, spec);
     require(initial.population_size() >= 2, "submit: population must be at least 2");
-    parse_engine_name(spec.engine);
-    require(spec.threads <= 1 || spec.engine == "auto" || spec.engine == "collapsed",
-            "submit: threads > 1 requires the collapsed engine");
-    if (spec.model != "uniform") {
-        const std::vector<std::string>& names = scenario_model_names();
-        require(std::find(names.begin(), names.end(), spec.model) != names.end(),
-                "submit: unknown model \"" + spec.model + "\"");
-        require(spec.engine == "auto" && spec.threads <= 1,
-                "submit: non-uniform models require engine \"auto\" and threads <= 1");
-        if (spec.model == "dynamic_graph")
-            require(!spec.phases.empty(), "submit: dynamic_graph requires phases");
-    }
 
     std::unique_lock<std::mutex> lock(mutex_);
     require(!draining_ && !stopping_, "submit: registry is draining");

@@ -42,7 +42,6 @@ SessionSpec parse_session_spec(const JsonValue& object) {
     spec.snapshot_every = u64_field(object, "snapshot_every", spec.snapshot_every);
     if (const JsonValue* telemetry = object.find("telemetry"); telemetry != nullptr)
         spec.telemetry = telemetry->as_bool("'telemetry'");
-    require(spec.weight >= 1, "'weight' must be at least 1");
 
     const std::uint64_t threshold = u64_field(object, "threshold", spec.threshold);
     require(threshold >= 1 && threshold <= std::numeric_limits<std::uint32_t>::max(),
@@ -57,7 +56,6 @@ SessionSpec parse_session_spec(const JsonValue& object) {
     require(counts != nullptr, "submit requires 'counts' (agents per input symbol)");
     for (const JsonValue& element : counts->as_array("'counts'"))
         spec.counts.push_back(element.as_u64("'counts' element"));
-    require(!spec.counts.empty(), "'counts' must be non-empty");
 
     spec.model = string_field(object, "model", spec.model);
     spec.probe = u64_field(object, "probe", spec.probe);
@@ -70,11 +68,18 @@ SessionSpec parse_session_spec(const JsonValue& object) {
             spec.phases.push_back(element.as_string("'phases' element"));
     }
 
-    // Validate the cross-field contract eagerly, so a bad submit fails at
-    // the wire instead of inside a worker quantum.
+    validate_session_spec(spec);
+    return spec;
+}
+
+void validate_session_spec(const SessionSpec& spec) {
     parse_engine_name(spec.engine);
+    require(!spec.counts.empty(), "'counts' must be non-empty");
+    require(spec.weight >= 1, "'weight' must be at least 1");
     if (spec.protocol == "predicate")
         require(!spec.predicate.empty(), "protocol \"predicate\" requires 'predicate'");
+    require(spec.threads <= 1 || spec.engine == "auto" || spec.engine == "collapsed",
+            "'threads' > 1 requires engine \"collapsed\" or \"auto\"");
     if (spec.model != "uniform") {
         const std::vector<std::string>& names = scenario_model_names();
         require(std::find(names.begin(), names.end(), spec.model) != names.end(),
@@ -86,7 +91,6 @@ SessionSpec parse_session_spec(const JsonValue& object) {
         if (spec.model == "dynamic_graph")
             require(!spec.phases.empty(), "model \"dynamic_graph\" requires 'phases'");
     }
-    return spec;
 }
 
 JsonValue session_spec_to_json(const SessionSpec& spec) {

@@ -109,10 +109,16 @@ struct SessionSpec {
 };
 
 /// Parses/serializes a spec for the wire protocol and spill manifests.
-/// `parse_session_spec` validates types and ranges and throws
-/// std::invalid_argument naming the offending field.
+/// `parse_session_spec` checks types and ranges, then runs
+/// validate_session_spec; both throw std::invalid_argument naming the
+/// offending field.
 SessionSpec parse_session_spec(const JsonValue& object);
 JsonValue session_spec_to_json(const SessionSpec& spec);
+
+/// The spec's cross-field rules (engine name, non-empty counts, weight,
+/// predicate source, threads, model), shared by the wire parser and
+/// RunRegistry::submit so both reject the same specs with the same message.
+void validate_session_spec(const SessionSpec& spec);
 
 /// Instantiates the spec's protocol (throws std::invalid_argument for an
 /// unknown name or an uncompilable predicate) and its initial

@@ -1,6 +1,5 @@
-// Intra-run parallelism: the sharded collapsed engine, its thread pool, and
-// the SIMD kernels (core/collapsed_simulator.cpp, core/thread_pool.h,
-// core/simd.h).
+// Intra-run parallelism: the sharded collapsed engine and its thread pool
+// (core/collapsed_simulator.cpp, core/thread_pool.h).
 //
 // Three contracts are under test:
 //
@@ -31,7 +30,6 @@
 #include "core/batch_simulator.h"
 #include "core/observer.h"
 #include "core/run_loop.h"
-#include "core/simd.h"
 #include "core/simulator.h"
 #include "core/thread_pool.h"
 #include "observe/trace_recorder.h"
@@ -102,23 +100,6 @@ TEST(ThreadPool, RunsEveryTaskAndRethrowsFirstExceptionAfterTheBarrier) {
 
 TEST(ThreadPool, RejectsZeroSize) {
     EXPECT_THROW(ThreadPool pool(0), std::invalid_argument);
-}
-
-// ---------------------------------------------------------------------------
-// SIMD kernels (exactness against the scalar definitions)
-
-TEST(SimdKernels, AddMatchesScalar) {
-    std::vector<std::uint64_t> dst = {1, 2, 3, 4, 5};
-    const std::vector<std::uint64_t> src = {10, 0, 30, 0, 50};
-    simd::add(dst.data(), src.data(), dst.size());
-    EXPECT_EQ(dst, (std::vector<std::uint64_t>{11, 2, 33, 4, 55}));
-}
-
-TEST(SimdKernels, MaskedSumMatchesScalar) {
-    const std::vector<std::uint8_t> mask = {1, 0, 1, 1, 0, 0, 1};
-    const std::vector<std::uint64_t> values = {4, 100, 6, 1, 200, 300, 9};
-    EXPECT_EQ(simd::masked_sum(mask.data(), values.data(), values.size()), 4u + 6 + 1 + 9);
-    EXPECT_EQ(simd::masked_sum(mask.data(), values.data(), 0), 0u);
 }
 
 // ---------------------------------------------------------------------------

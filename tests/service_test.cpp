@@ -413,6 +413,28 @@ TEST(RunRegistryTest, BoundedAdmissionQueueRejectsThenRecovers) {
     std::filesystem::remove_all(options.spill_dir);
 }
 
+TEST(RunRegistryTest, RejectedSubmitLeavesNoSessionBehind) {
+    // A weight-0 submit must fail before the registry changes state: no
+    // session stays queued forever, and none counts against max_queued.
+    RegistryOptions options;
+    options.workers = 1;
+    options.max_queued = 1;
+    options.spill_dir = fresh_dir("popproto_registry_weight0");
+    RunRegistry registry(options);
+
+    SessionSpec spec;
+    spec.counts = {63, 1};
+    spec.weight = 0;
+    EXPECT_THROW(registry.submit(spec), std::invalid_argument);
+    EXPECT_TRUE(registry.list().empty());
+
+    spec.weight = 1;
+    const std::string id = registry.submit(spec);
+    registry.wait_idle();
+    EXPECT_EQ(registry.status(id).state, SessionState::kDone);
+    std::filesystem::remove_all(options.spill_dir);
+}
+
 /// A session big enough that suspend reliably lands mid-run: 128 quanta
 /// of dense agent-array work.  The budget sits well below the epidemic's
 /// ~16n silence point (measured ~16.8M interactions at n = 2^20), so the

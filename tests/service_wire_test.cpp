@@ -7,6 +7,7 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -163,6 +164,57 @@ TEST(Wire, ScenarioModelSpecsRoundTripAndValidate) {
                     "engine");
     expect_rejected("{\"counts\":[10,2],\"model\":\"sweep\",\"threads\":4}", "threads");
     expect_rejected("{\"counts\":[10,2],\"model\":\"dynamic_graph\"}", "phases");
+}
+
+TEST(Wire, WireAndInProcessSubmitsRejectSpecsWithTheSameMessage) {
+    RegistryOptions options;
+    options.spill_dir =
+        (std::filesystem::temp_directory_path() / "popproto_wire_same_rules").string();
+    std::filesystem::remove_all(options.spill_dir);
+    RunRegistry registry(options);
+
+    // Each rule of validate_session_spec, broken once.  The same spec goes
+    // over the wire (as its manifest JSON) and to RunRegistry::submit.
+    const std::vector<std::function<void(SessionSpec&)>> breaks = {
+        [](SessionSpec& spec) { spec.counts.clear(); },
+        [](SessionSpec& spec) { spec.engine = "warp"; },
+        [](SessionSpec& spec) { spec.weight = 0; },
+        [](SessionSpec& spec) { spec.protocol = "predicate"; },
+        [](SessionSpec& spec) {
+            spec.threads = 4;
+            spec.engine = "batch";
+        },
+        [](SessionSpec& spec) { spec.model = "teleport"; },
+        [](SessionSpec& spec) {
+            spec.model = "sweep";
+            spec.engine = "batch";
+        },
+        [](SessionSpec& spec) {
+            spec.model = "sweep";
+            spec.threads = 4;
+        },
+        [](SessionSpec& spec) { spec.model = "dynamic_graph"; },
+    };
+    for (const auto& break_rule : breaks) {
+        SessionSpec spec;
+        spec.counts = {10, 2};
+        break_rule(spec);
+        const JsonValue payload = session_spec_to_json(spec);
+        const auto response =
+            dispatch_request(registry, WireRequest{"submit", std::nullopt, payload});
+        ASSERT_TRUE(response.has_value());
+        const JsonValue wire = parse_json(*response);
+        ASSERT_FALSE(wire.find("ok")->as_bool("ok")) << payload.to_string();
+        try {
+            registry.submit(spec);
+            ADD_FAILURE() << "in-process submit accepted " << payload.to_string();
+        } catch (const std::invalid_argument& error) {
+            EXPECT_EQ(wire.find("error")->as_string("error"), error.what())
+                << payload.to_string();
+        }
+    }
+    EXPECT_TRUE(registry.list().empty());
+    std::filesystem::remove_all(options.spill_dir);
 }
 
 TEST(Wire, QueueFullRejectionsAreStructured) {
