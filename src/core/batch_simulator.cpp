@@ -48,7 +48,8 @@ public:
 
     StepOutcome step(Rng& rng) {
         // Sample the effective ordered pair (p, q) with probability
-        // proportional to c_p * (c_q - [p == q]) over effective pairs.
+        // proportional to c_p * (c_q - [p == q]) over effective pairs: an
+        // O(|Q|) scan of the row weights, then of the chosen row.
         const EffectTables& eff = tracker_.tables();
         const std::vector<std::uint64_t>& counts = tracker_.counts();
         const std::size_t num_states = eff.num_states;
@@ -91,12 +92,9 @@ public:
         outcome.output_changed =
             !((out_pn == out_p && out_qn == out_q) || (out_pn == out_q && out_qn == out_p));
 
-        // The tracker keeps rowdot and W consistent in O(|Q|) per changed
-        // state (see EffectivePairTracker::adjust_count).
-        tracker_.adjust_count(p, -1);
-        tracker_.adjust_count(q, -1);
-        tracker_.adjust_count(next.initiator, +1);
-        tracker_.adjust_count(next.responder, +1);
+        // The tracker nets the four unit moves per state and keeps rowdot
+        // and W consistent in O(column degree) per changed state.
+        tracker_.apply_transition(p, q, next);
         return outcome;
     }
 
@@ -107,11 +105,8 @@ public:
     void save(RunCheckpoint& checkpoint) const { checkpoint.counts = tracker_.counts(); }
 
     void restore(const RunCheckpoint& checkpoint) {
-        require(checkpoint.counts.size() == tracker_.counts().size(),
-                "count_batch: checkpoint state-count mismatch");
-        std::uint64_t total = 0;
-        for (const std::uint64_t count : checkpoint.counts) total += count;
-        require(total == population_, "count_batch: checkpoint population mismatch");
+        require_checkpoint_counts(checkpoint.counts, tracker_.counts().size(), population_,
+                                  "count_batch");
         tracker_.reset_counts(checkpoint.counts);
     }
 

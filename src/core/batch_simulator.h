@@ -38,11 +38,14 @@
 // `last_output_change` records the last interaction that changed the
 // multiset of outputs (not any individual agent's output).
 //
-// Cost model: O(|Q|^2) setup, O(|Q|) per effective interaction, O(1) per
-// skipped null.  The agent-array engine remains preferable only when the
-// effective fraction stays near 1 *and* |Q| is large; for the protocols in
-// this repository the batch engine wins by orders of magnitude at large n
-// (see bench_throughput).
+// Cost model: O(|Q|^2) setup, O(1) per skipped null, and per effective
+// interaction one geometric skip draw (a log and a log1p), the O(|Q|) pair
+// search over row weights, and the W bookkeeping: O(column degree) for each
+// of the at most four states whose net count changes (two for an epidemic
+// infection; core/effective_pairs.h).  A step allocates nothing.  The
+// agent-array engine remains preferable only when the effective fraction
+// stays near 1 *and* |Q| is large; for the protocols in this repository the
+// batch engine wins by orders of magnitude at large n (see bench_throughput).
 
 #ifndef POPPROTO_CORE_BATCH_SIMULATOR_H
 #define POPPROTO_CORE_BATCH_SIMULATOR_H

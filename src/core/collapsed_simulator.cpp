@@ -241,11 +241,7 @@ protected:
     void save_counts(RunCheckpoint& checkpoint) const { checkpoint.counts = counts_; }
 
     void restore_counts(const RunCheckpoint& checkpoint) {
-        require(checkpoint.counts.size() == counts_.size(),
-                "collapsed: checkpoint state-count mismatch");
-        std::uint64_t total = 0;
-        for (const std::uint64_t count : checkpoint.counts) total += count;
-        require(total == population_, "collapsed: checkpoint population mismatch");
+        require_checkpoint_counts(checkpoint.counts, counts_.size(), population_, "collapsed");
         counts_ = checkpoint.counts;
         recompute_effective_pairs();
     }

@@ -9,12 +9,21 @@
 // This tracker is the bookkeeping half of the count-batch stepper
 // (batch_simulator.cpp), factored out so that the exact-silence PairStepper
 // variant (interaction_model.h) and the adaptive dispatcher
-// (adaptive_simulator.cpp) maintain W with the same O(|Q|)-per-changed-state
-// incremental update instead of re-deriving it.
+// (adaptive_simulator.cpp) maintain W with the same incremental update
+// instead of re-deriving it.
+//
+// Cost model: O(#effective transitions) to build or reset.  One
+// interaction (p, q) -> (p', q') changes the counts of at most four distinct
+// states, and apply_transition visits only the states whose *net* change is
+// non-zero — an epidemic infection moves one agent from S to I, so two —
+// each in O(column degree): the rows with an effective pair against that
+// state (EffectTables' sparse columns).  Nothing allocates after
+// construction.
 
 #ifndef POPPROTO_CORE_EFFECTIVE_PAIRS_H
 #define POPPROTO_CORE_EFFECTIVE_PAIRS_H
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -41,15 +50,42 @@ public:
         return counts_[p] * static_cast<std::uint64_t>(rowdot_[p] - diag(p));
     }
 
-    std::int64_t diag(State p) const {
-        return eff_.eff_row[static_cast<std::size_t>(p) * eff_.num_states + p];
+    std::int64_t diag(State p) const { return eff_.effective(p, p); }
+
+    /// Books one interaction: an agent in p and an agent in q (p == q needs
+    /// two) leave for next.initiator and next.responder.  The four unit
+    /// moves are netted per distinct state first, so a swap or an identity
+    /// costs nothing and an epidemic infection updates two states.
+    void apply_transition(State p, State q, StatePair next) {
+        State states[4] = {p, q, next.initiator, next.responder};
+        std::int64_t deltas[4] = {-1, -1, +1, +1};
+        std::size_t distinct = 0;
+        for (std::size_t i = 0; i < 4; ++i) {
+            std::size_t j = 0;
+            while (j < distinct && states[j] != states[i]) ++j;
+            if (j < distinct) {
+                deltas[j] += deltas[i];
+            } else {
+                states[distinct] = states[i];
+                deltas[distinct] = deltas[i];
+                ++distinct;
+            }
+        }
+        for (std::size_t j = 0; j < distinct; ++j)
+            if (deltas[j] != 0) adjust_count(states[j], deltas[j]);
     }
 
+    /// Replaces the count vector wholesale (checkpoint restore) and rebuilds
+    /// rowdot and W from scratch.
+    void reset_counts(const std::vector<std::uint64_t>& counts) {
+        counts_.assign(counts.begin(), counts.end());
+        rebuild();
+    }
+
+private:
     /// Applies `delta` to the count of state s and keeps rowdot *and W_*
-    /// consistent.  W changes only through the rows the column touches, so
-    /// maintaining it here is O(|Q|) per changed state instead of the O(|Q|)
-    /// full resummation per *step* that a recount would cost — a step
-    /// touches at most 4 states, most of whose columns are sparse.
+    /// consistent.  W changes only through the rows of s's sparse column,
+    /// so this is O(column degree).
     ///
     /// With c = counts_[s], R = rowdot_[s], e = eff[s][s] all read *before*
     /// the update, and colsum = sum_p counts_[p] * eff[p][s] (also pre-
@@ -61,19 +97,20 @@ public:
     ///                                      the diagonal term re-enters with
     ///                                      the new count)
     ///
-    /// |dW| <= 4n, so the int64 arithmetic is exact; W itself can exceed
-    /// int64 (W <= n(n-1) with n < 2^32), so the signed delta is applied to
-    /// the uint64 accumulator via two's-complement wraparound.
+    /// |delta| <= 2 and |dW| <= 6n + 4, so the int64 arithmetic is exact; W
+    /// itself can exceed int64 (W <= n(n-1) with n < 2^32), so the signed
+    /// delta is applied to the uint64 accumulator via two's-complement
+    /// wraparound.
     void adjust_count(State s, std::int64_t delta) {
-        const std::uint8_t* col =
-            eff_.eff_col.data() + static_cast<std::size_t>(s) * eff_.num_states;
+        const State* col = eff_.col_initiators.data() + eff_.col_start[s];
+        const State* const col_end = eff_.col_initiators.data() + eff_.col_start[s + 1];
         const auto c = static_cast<std::int64_t>(counts_[s]);
         const std::int64_t rowsum = rowdot_[s];
         const std::int64_t e = diag(s);
         std::int64_t colsum = 0;
-        for (State p = 0; p < eff_.num_states; ++p) {
-            colsum += static_cast<std::int64_t>(col[p]) * static_cast<std::int64_t>(counts_[p]);
-            rowdot_[p] += static_cast<std::int64_t>(col[p]) * delta;
+        for (; col != col_end; ++col) {
+            colsum += static_cast<std::int64_t>(counts_[*col]);
+            rowdot_[*col] += delta;
         }
         counts_[s] = static_cast<std::uint64_t>(c + delta);
         const std::int64_t dw =
@@ -81,27 +118,18 @@ public:
         W_ += static_cast<std::uint64_t>(dw);
     }
 
-    /// Replaces the count vector wholesale (checkpoint restore) and rebuilds
-    /// rowdot and W from scratch.
-    void reset_counts(std::vector<std::uint64_t> counts) {
-        counts_ = std::move(counts);
-        rebuild();
-    }
-
-private:
     // rowdot[p] = sum_q eff[p][q] * counts[q]: the number of agents whose
     // state forms an effective ordered pair with an initiator in state p
-    // (before the diagonal "needs two agents" correction).
+    // (before the diagonal "needs two agents" correction), accumulated
+    // column by column.
     void rebuild() {
         const std::size_t num_states = eff_.num_states;
         rowdot_.assign(num_states, 0);
-        for (State p = 0; p < num_states; ++p) {
-            std::int64_t dot = 0;
-            const std::uint8_t* row =
-                eff_.eff_row.data() + static_cast<std::size_t>(p) * num_states;
-            for (State q = 0; q < num_states; ++q)
-                dot += static_cast<std::int64_t>(row[q]) * static_cast<std::int64_t>(counts_[q]);
-            rowdot_[p] = dot;
+        for (State s = 0; s < num_states; ++s) {
+            const auto c = static_cast<std::int64_t>(counts_[s]);
+            if (c == 0) continue;
+            for (std::size_t i = eff_.col_start[s]; i < eff_.col_start[s + 1]; ++i)
+                rowdot_[eff_.col_initiators[i]] += c;
         }
         // Partial sums are bounded by n^2 + n, so uint64 is exact.
         std::uint64_t w = 0;

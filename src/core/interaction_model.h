@@ -27,6 +27,7 @@
 #include <concepts>
 #include <cstdint>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -257,7 +258,7 @@ private:
 ///
 /// `kExactSilence` swaps the periodic multiset scan for exact silence: an
 /// EffectivePairTracker maintains the count of effective ordered state
-/// pairs incrementally (O(|Q|) per changed interaction), so the kernel
+/// pairs incrementally (O(column degree) per changed state), so the kernel
 /// polls is_silent() every step and the run halts on the *first* silent
 /// configuration instead of at the next √n-spaced probe.  Deterministic
 /// bounded-cover models (round-robin, sweep) use this: their convergence
@@ -317,12 +318,7 @@ public:
             --counts_[q];
             ++counts_[next.initiator];
             ++counts_[next.responder];
-            if constexpr (kExactSilence) {
-                tracker_->adjust_count(p, -1);
-                tracker_->adjust_count(q, -1);
-                tracker_->adjust_count(next.initiator, +1);
-                tracker_->adjust_count(next.responder, +1);
-            }
+            if constexpr (kExactSilence) tracker_->apply_transition(p, q, next);
         }
         return outcome;
     }
@@ -346,8 +342,9 @@ public:
         states_ = checkpoint.agent_states;
         std::fill(counts_.begin(), counts_.end(), 0);
         for (const State q : states_) {
-            require(q < counts_.size(),
-                    std::string(entry_point_) + ": checkpoint state out of range");
+            if (q >= counts_.size())
+                throw std::invalid_argument(std::string(entry_point_) +
+                                            ": checkpoint state out of range");
             ++counts_[q];
         }
         if constexpr (kExactSilence) tracker_->reset_counts(counts_);

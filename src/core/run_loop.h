@@ -86,6 +86,14 @@ bool multiset_silent(const TabulatedProtocol& protocol,
 void require_engine_field(const RunOptions& options, SimulationEngine accepted,
                           const char* entry_point);
 
+/// The count engines' restore check: throws std::invalid_argument unless
+/// `counts` holds `num_states` entries summing to exactly `population`.  The
+/// sum is checked against what is left of the population as it goes, so
+/// counts whose uint64 sum wraps around to `population` are rejected too.
+/// `engine` prefixes the message ("count_batch", "collapsed").
+void require_checkpoint_counts(const std::vector<std::uint64_t>& counts, std::size_t num_states,
+                               std::uint64_t population, const char* engine);
+
 // ---------------------------------------------------------------------------
 // Checkpoints
 

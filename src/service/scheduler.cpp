@@ -1,5 +1,7 @@
 #include "service/scheduler.h"
 
+#include <stdexcept>
+
 #include "core/require.h"
 
 namespace popproto::service {
@@ -7,7 +9,8 @@ namespace popproto::service {
 void DrrScheduler::add(std::string id, std::uint64_t weight) {
     require(weight >= 1, "DrrScheduler: weight must be at least 1");
     for (const Entry& entry : ring_)
-        require(entry.id != id, "DrrScheduler: session already queued: " + id);
+        if (entry.id == id)
+            throw std::invalid_argument("DrrScheduler: session already queued: " + id);
     ring_.push_back(Entry{std::move(id), weight, 0});
 }
 

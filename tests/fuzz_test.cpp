@@ -3,16 +3,19 @@
 // Two families:
 //   * random small protocols: the analyzer's verdict must match a
 //     brute-force implementation of the definitions (output-stability by
-//     direct reachability, convergence by Lemma 1), and the simulator must
-//     agree with the multiset semantics step by step;
+//     direct reachability, convergence by Lemma 1), the simulator must
+//     agree with the multiset semantics step by step, and the count
+//     engines' effective-pair bookkeeping must match a rebuild;
 //   * random Presburger formulas: compile and check against the evaluator
 //     on every small input (an end-to-end compiler fuzz).
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <deque>
 
 #include "analysis/stable_computation.h"
+#include "core/effective_pairs.h"
 #include "core/rng.h"
 #include "core/protocol_io.h"
 #include "core/simulator.h"
@@ -163,6 +166,76 @@ TEST(Fuzz, CountAndAgentSemanticsAgree) {
                 << "round " << round << " step " << step;
         }
     }
+}
+
+/// The state of the `index`-th agent (0-based) of the multiset `counts`.
+State state_of_agent(const std::vector<std::uint64_t>& counts, std::uint64_t index) {
+    State s = 0;
+    while (index >= counts[s]) index -= counts[s++];
+    return s;
+}
+
+TEST(Fuzz, EffectivePairTrackerMatchesARebuildAfterEveryTransition) {
+    // The incremental bookkeeping (net deltas over sparse columns) against
+    // a tracker built from scratch and a brute-force W, after every booked
+    // interaction.  The moves are drawn to hit every way the four unit
+    // moves p, q -> p', q' can alias; each pattern must occur.
+    enum Alias { kSameState, kSwap, kInitiatorStays, kSameTarget, kNetTwo, kAliasCount };
+    std::array<int, kAliasCount> seen{};
+    Rng rng(1848);
+    for (int round = 0; round < 60; ++round) {
+        const std::size_t num_states = 2 + rng.below(5);
+        const auto protocol = random_protocol(rng, num_states);
+        std::vector<std::uint64_t> counts(num_states);
+        for (std::uint64_t& count : counts) count = rng.below(5);
+        counts[rng.below(num_states)] += 2;
+        std::uint64_t n = 0;
+        for (const std::uint64_t count : counts) n += count;
+        EffectivePairTracker tracker(*protocol, counts);
+
+        for (int step = 0; step < 100; ++step) {
+            const State p = state_of_agent(counts, rng.below(n));
+            --counts[p];
+            const State q = state_of_agent(counts, rng.below(n - 1));
+            ++counts[p];
+            const auto any = [&] { return static_cast<State>(rng.below(num_states)); };
+            StatePair next{};
+            switch (rng.below(5)) {
+                case 0: next = protocol->apply_fast(p, q); break;
+                case 1: next = {q, p}; break;
+                case 2: next = {p, any()}; break;
+                case 3: next.initiator = next.responder = any(); break;
+                default: next = {any(), any()}; break;
+            }
+            --counts[p];
+            --counts[q];
+            ++counts[next.initiator];
+            ++counts[next.responder];
+            tracker.apply_transition(p, q, next);
+
+            if (p == q) ++seen[kSameState];
+            if (p != q && next.initiator == q && next.responder == p) ++seen[kSwap];
+            if (next.initiator == p) ++seen[kInitiatorStays];
+            if (next.initiator == next.responder) ++seen[kSameTarget];
+            if (p == q && next.initiator == next.responder && next.initiator != p)
+                ++seen[kNetTwo];
+
+            const EffectivePairTracker fresh(*protocol, counts);
+            std::uint64_t brute_w = 0;
+            for (const EffectiveTransition& t : protocol->effective_transitions())
+                brute_w += counts[t.initiator] *
+                           (counts[t.responder] - (t.initiator == t.responder ? 1 : 0));
+            ASSERT_EQ(tracker.counts(), counts) << "round " << round << " step " << step;
+            ASSERT_EQ(fresh.effective_pairs(), brute_w) << "round " << round;
+            ASSERT_EQ(tracker.effective_pairs(), brute_w)
+                << "round " << round << " step " << step;
+            for (State s = 0; s < num_states; ++s)
+                ASSERT_EQ(tracker.row_weight(s), fresh.row_weight(s))
+                    << "round " << round << " step " << step << " state " << s;
+        }
+    }
+    for (int alias = 0; alias < kAliasCount; ++alias)
+        EXPECT_GT(seen[alias], 0) << "aliasing pattern " << alias << " never drawn";
 }
 
 TEST(Fuzz, SerializationRoundTripsRandomProtocols) {

@@ -423,6 +423,50 @@ TEST(CheckpointResume, ValidatesCheckpointAgainstTheRun) {
     EXPECT_THROW(simulate(*protocol, initial, no_sink), std::invalid_argument);
 }
 
+TEST(CheckpointResume, CountEnginesRejectCountsWhoseSumWraps) {
+    // {2^64 - 1, n + 1} sums to n modulo 2^64, so a plain uint64 total
+    // matched the population.  Count-batch then ran on with ~2^64 agents in
+    // state 0, and collapsed tripped its internal matching invariant.
+    const auto protocol = make_epidemic_protocol();
+    const std::uint64_t n = 1024;
+    const auto initial = CountConfiguration::from_input_counts(*protocol, {n - 1, 1});
+    RunOptions options;
+    options.seed = 9;
+    options.max_interactions = 1'000'000;
+    CollectingSink sink;
+    options.checkpoint_every = 100;
+    options.checkpoint_sink = &sink;
+    run_count_batch(*protocol, initial, options);
+    ASSERT_FALSE(sink.checkpoints.empty());
+    RunCheckpoint wrapped = sink.checkpoints.front();
+    wrapped.counts = {~std::uint64_t{0}, n + 1};
+    wrapped = checkpoint_from_string(checkpoint_to_string(wrapped));
+    options.checkpoint_every = 0;
+    options.checkpoint_sink = nullptr;
+
+    const auto resume_error = [&](SimulationEngine engine, ObservedEngine written_by) {
+        RunCheckpoint checkpoint = wrapped;
+        checkpoint.engine = written_by;
+        RunOptions resume = options;
+        resume.engine = engine;
+        resume.resume_from = &checkpoint;
+        try {
+            run_simulation(*protocol, initial, resume);
+        } catch (const std::invalid_argument& error) {
+            return std::string(error.what());
+        }
+        return std::string("resumed without an error");
+    };
+    EXPECT_EQ(resume_error(SimulationEngine::kCountBatch, ObservedEngine::kCountBatch),
+              "count_batch: checkpoint population mismatch");
+    EXPECT_EQ(resume_error(SimulationEngine::kCollapsedBatch, ObservedEngine::kCollapsed),
+              "collapsed: checkpoint population mismatch");
+    EXPECT_EQ(resume_error(SimulationEngine::kAdaptive, ObservedEngine::kCountBatch),
+              "count_batch: checkpoint population mismatch");
+    EXPECT_EQ(resume_error(SimulationEngine::kAdaptive, ObservedEngine::kCollapsed),
+              "collapsed: checkpoint population mismatch");
+}
+
 TEST(RunLoop, ResolvesZeroBudgetAndPeriodDefaults) {
     RunOptions options;  // both 0
     EXPECT_EQ(resolved_budget(options, 100), default_budget(100));
