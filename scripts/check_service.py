@@ -22,6 +22,9 @@ the first violated guarantee:
      session on SIGTERM; a fresh daemon over the same spill directory
      restores them, finishes the interrupted run bit-identically, and
      preserves terminal sessions verbatim.
+  5. malformed submits: counts that wrap past 2^64 and a predicate whose
+     constants overflow int64 are answered ok:false with the named error,
+     and the daemon then still runs a normal session to done.
 """
 
 import argparse
@@ -228,6 +231,34 @@ def check_metrics_aggregate(client: Client) -> None:
     print(f"check_service: metrics aggregate counts all {finished} quanta once")
 
 
+# Submits that must be refused, each with the error it must name.
+MALFORMED_SUBMITS = (
+    # 2^64 - 1 + 3 wraps to a population of 2.
+    ({"protocol": "epidemic", "counts": [(1 << 64) - 1, 3], "engine": "batch",
+      "budget": 100},
+     "from_input_counts: counts sum past 2^64 - 1 agents"),
+    # The constant sum overflows int64 inside the Presburger parser.
+    ({"protocol": "predicate", "counts": [5, 3],
+      "predicate": "x0 + 9223372036854775807 + 9223372036854775807 < 1"},
+     "parse_formula: integer overflow at position 27"),
+)
+
+
+def check_malformed_submits(client: Client) -> None:
+    for spec, expected in MALFORMED_SUBMITS:
+        response = client.request({"cmd": "submit", **spec})
+        if response.get("ok") is not False or expected not in response.get("error", ""):
+            fail(f"submit {spec} answered {response}; expected ok:false naming "
+                 f"{expected!r}")
+    session = client.ok({"cmd": "submit", "protocol": "epidemic", "counts": [63, 1],
+                         "engine": "batch", "seed": 3})["session"]
+    status = wait_status(client, session, is_terminal, "terminal state")
+    if status["state"] != "done":
+        fail(f"session after the malformed submits ended {status['state']}: {status}")
+    print(f"check_service: {len(MALFORMED_SUBMITS)} malformed submits refused by name; "
+          f"a normal session still runs to done")
+
+
 def check_suspend_evict_resume(client: Client, spill_dir: str) -> None:
     spec = {**LONG_SPEC, "seed": 77}
     session = client.ok({"cmd": "submit", **spec})["session"]
@@ -311,6 +342,7 @@ def main() -> None:
             client = Client(sock_path)
             check_throughput(client, args.sessions)
             check_metrics_aggregate(client)
+            check_malformed_submits(client)
             check_suspend_evict_resume(client, spill_dir)
 
             # Remember one terminal session to verify restore preserves it.

@@ -20,8 +20,10 @@
 #   5. scripts/check_service.py                  (service smoke: trace_run
 #                                                 SIGINT checkpointing, 1000
 #                                                 concurrent daemon sessions,
-#                                                 suspend/evict/resume and
-#                                                 SIGTERM drain bit-identity)
+#                                                 malformed submits refused
+#                                                 by name, suspend/evict/
+#                                                 resume and SIGTERM drain
+#                                                 bit-identity)
 #   6. scripts/compare_bench.py HEAD             (paired A/B perf judge:
 #                                                 the working tree against
 #                                                 HEAD, gated gbench rows
@@ -122,7 +124,8 @@ python3 "$ROOT/scripts/check_telemetry.py" \
 
 echo "ci.sh: [5/8] service end-to-end smoke"
 # Drives the real serve_popproto/popctl/trace_run binaries over a Unix
-# socket: 1000 concurrent sessions all reach terminal states, suspends
+# socket: 1000 concurrent sessions all reach terminal states, submits with
+# wrapping counts or an overflowing predicate are refused by name, suspends
 # spill and fault back bit-identically, and a SIGTERM drain + restart
 # loses nothing (EXPERIMENTS.md quotes the printed throughput numbers).
 python3 "$ROOT/scripts/check_service.py" "$BUILD_DIR" --sessions 1000

@@ -1,8 +1,10 @@
 #include "analysis/markov.h"
 
+#include <algorithm>
 #include <cmath>
-#include <deque>
+#include <optional>
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -12,40 +14,6 @@
 namespace popproto {
 
 namespace {
-
-/// Transition probabilities out of one configuration, aggregated per
-/// successor configuration.  The missing mass (null interactions and pure
-/// swaps) is an implicit self-loop.
-std::unordered_map<ConfigId, double> transition_row(
-    const TabulatedProtocol& protocol, const ConfigurationGraph& graph,
-    const std::unordered_map<CountConfiguration, ConfigId, CountConfigurationHash>& index,
-    ConfigId from) {
-    const CountConfiguration& config = graph.configs[from];
-    const double n = static_cast<double>(config.population_size());
-    const double pairs = n * (n - 1.0);
-
-    std::unordered_map<ConfigId, double> row;
-    for (State p = 0; p < config.num_states(); ++p) {
-        const std::uint64_t cp = config.count(p);
-        if (cp == 0) continue;
-        for (State q = 0; q < config.num_states(); ++q) {
-            const std::uint64_t cq = config.count(q) - (p == q ? 1 : 0);
-            if (cq == 0) continue;
-            const StatePair next = protocol.apply_fast(p, q);
-            if (next.initiator == p && next.responder == q) continue;  // self mass
-            CountConfiguration successor = config;
-            successor.remove(p);
-            successor.remove(q);
-            successor.add(next.initiator);
-            successor.add(next.responder);
-            if (successor == config) continue;  // pure swap: self mass
-            const auto it = index.find(successor);
-            ensure(it != index.end(), "transition_row: successor missing from graph");
-            row[it->second] += static_cast<double>(cp) * static_cast<double>(cq) / pairs;
-        }
-    }
-    return row;
-}
 
 /// Solves `matrix * x = rhs` (row-major, m x m) in place by Gaussian
 /// elimination with partial pivoting; returns x.
@@ -81,6 +49,67 @@ std::vector<double> solve_linear(std::vector<double>& matrix, std::vector<double
     return solution;
 }
 
+/// The first-step system both solvers share.  For every configuration c
+/// with transient[c],
+///   h(c) = base + sum_d P(c, d) * (transient[d] ? h(d) : boundary(d)),
+/// i.e. (I - P_tt) h = b with b(c) = base + sum over absorbing d of
+/// P(c, d) boundary(d).  Row c of P comes from for_each_pairwise_successor:
+/// each pair (p, q) adds c_p (c_q - [p = q]) / (n (n - 1)) to its
+/// successor, and the mass of null interactions and swaps folds into the
+/// diagonal.  Returns h(initial); `caller` names the solver in errors.
+double solve_first_step(const TabulatedProtocol& protocol, const ConfigurationGraph& graph,
+                        ConfigId initial, const std::vector<bool>& transient, double base,
+                        const std::function<double(ConfigId)>& boundary,
+                        std::size_t max_transient, const char* caller) {
+    std::vector<ConfigId> rows;
+    std::vector<std::int64_t> row_of(graph.size(), -1);
+    for (ConfigId c = 0; c < graph.size(); ++c) {
+        if (transient[c]) {
+            row_of[c] = static_cast<std::int64_t>(rows.size());
+            rows.push_back(c);
+        }
+    }
+    const std::size_t m = rows.size();
+    if (m > max_transient)
+        throw std::runtime_error(std::string(caller) + ": transient system too large");
+    ensure(row_of[initial] >= 0, std::string(caller) + ": initial configuration is absorbing");
+
+    std::unordered_map<CountConfiguration, ConfigId, CountConfigurationHash> index;
+    for (ConfigId c = 0; c < graph.size(); ++c) index.emplace(graph.configs[c], c);
+
+    std::vector<double> matrix(m * m, 0.0);
+    std::vector<double> rhs(m, base);
+    for (std::size_t row = 0; row < m; ++row) {
+        const CountConfiguration& config = graph.configs[rows[row]];
+        const double n = static_cast<double>(config.population_size());
+        const double pairs = n * (n - 1.0);
+        // Aggregated per successor; the map's iteration order is the order
+        // the row's mass is summed in below.
+        std::unordered_map<ConfigId, double> probabilities;
+        for_each_pairwise_successor(
+            protocol, config, [&](const CountConfiguration& successor, State p, State q) {
+                const auto it = index.find(successor);
+                ensure(it != index.end(), "solve_first_step: successor missing from graph");
+                const std::uint64_t cq = config.count(q) - (p == q ? 1 : 0);
+                probabilities[it->second] += static_cast<double>(config.count(p)) *
+                                             static_cast<double>(cq) / pairs;
+            });
+
+        matrix[row * m + row] = 1.0;
+        double outgoing = 0.0;
+        for (const auto& [succ, prob] : probabilities) {
+            outgoing += prob;
+            if (row_of[succ] >= 0) {
+                matrix[row * m + static_cast<std::size_t>(row_of[succ])] -= prob;
+            } else {
+                rhs[row] += prob * boundary(succ);
+            }
+        }
+        matrix[row * m + row] -= (1.0 - outgoing);  // self-loop mass
+    }
+    return solve_linear(matrix, rhs, m)[static_cast<std::size_t>(row_of[initial])];
+}
+
 }  // namespace
 
 double expected_hitting_time(const TabulatedProtocol& protocol, const ConfigurationGraph& graph,
@@ -89,79 +118,31 @@ double expected_hitting_time(const TabulatedProtocol& protocol, const Configurat
     require(graph.complete, "expected_hitting_time: incomplete configuration graph");
     require(initial < graph.size(), "expected_hitting_time: initial id out of range");
 
-    if (target(graph.configs[initial])) return 0.0;
+    std::vector<bool> transient(graph.size());
+    for (ConfigId c = 0; c < graph.size(); ++c) transient[c] = !target(graph.configs[c]);
+    if (!transient[initial]) return 0.0;
 
-    // Index configurations for successor lookup.
-    std::unordered_map<CountConfiguration, ConfigId, CountConfigurationHash> index;
-    for (ConfigId c = 0; c < graph.size(); ++c) index.emplace(graph.configs[c], c);
-
-    // Verify every reachable configuration can reach the target (else the
-    // expectation is infinite): reverse BFS from target states.
-    std::vector<std::vector<ConfigId>> predecessors(graph.size());
-    for (ConfigId c = 0; c < graph.size(); ++c)
-        for (ConfigId d : graph.successors[c]) predecessors[d].push_back(c);
-    std::vector<bool> reaches_target(graph.size(), false);
-    std::deque<ConfigId> queue;
-    for (ConfigId c = 0; c < graph.size(); ++c) {
-        if (target(graph.configs[c])) {
-            reaches_target[c] = true;
-            queue.push_back(c);
-        }
-    }
-    if (queue.empty())
+    // The expectation is finite iff every configuration can reach the
+    // target, i.e. iff every final SCC (which no path leaves) holds a target
+    // configuration.
+    if (std::all_of(transient.begin(), transient.end(), [](bool t) { return t; }))
         throw std::runtime_error("expected_hitting_time: target unreachable");
-    while (!queue.empty()) {
-        const ConfigId c = queue.front();
-        queue.pop_front();
-        for (ConfigId p : predecessors[c]) {
-            if (!reaches_target[p]) {
-                reaches_target[p] = true;
-                queue.push_back(p);
-            }
-        }
-    }
-    for (ConfigId c = 0; c < graph.size(); ++c) {
-        if (!reaches_target[c])
+    const SccDecomposition sccs = condense(graph);
+    std::vector<bool> holds_target(sccs.num_components, false);
+    for (ConfigId c = 0; c < graph.size(); ++c)
+        if (!transient[c]) holds_target[sccs.component[c]] = true;
+    for (std::uint32_t s = 0; s < sccs.num_components; ++s) {
+        if (sccs.is_final[s] && !holds_target[s])
             throw std::runtime_error(
                 "expected_hitting_time: a reachable configuration cannot reach "
                 "the target; expectation is infinite");
     }
 
-    // Enumerate transient configurations.
-    std::vector<ConfigId> transient;
-    std::vector<std::int64_t> transient_index(graph.size(), -1);
-    for (ConfigId c = 0; c < graph.size(); ++c) {
-        if (!target(graph.configs[c])) {
-            transient_index[c] = static_cast<std::int64_t>(transient.size());
-            transient.push_back(c);
-        }
-    }
-    const std::size_t m = transient.size();
-    if (m > max_transient)
-        throw std::runtime_error("expected_hitting_time: transient system too large");
-
-    // Build (I - P_transient) t = 1 and solve by Gaussian elimination with
-    // partial pivoting.
-    std::vector<double> matrix(m * m, 0.0);
-    std::vector<double> rhs(m, 1.0);
-    for (std::size_t row = 0; row < m; ++row) {
-        matrix[row * m + row] = 1.0;
-        const auto probabilities = transition_row(protocol, graph, index, transient[row]);
-        double outgoing = 0.0;
-        for (const auto& [succ, prob] : probabilities) {
-            outgoing += prob;
-            if (transient_index[succ] >= 0)
-                matrix[row * m + static_cast<std::size_t>(transient_index[succ])] -= prob;
-        }
-        // Self-loop mass (1 - outgoing) folds into the diagonal.
-        matrix[row * m + row] -= (1.0 - outgoing);
-    }
-
-    const std::vector<double> times = solve_linear(matrix, rhs, m);
-
-    const std::int64_t initial_row = transient_index[initial];
-    ensure(initial_row >= 0, "expected_hitting_time: initial vanished");
-    return times[static_cast<std::size_t>(initial_row)];
+    // First-step system: t = 1 + P_tt t over the configurations outside the
+    // target.
+    return solve_first_step(protocol, graph, initial, transient, 1.0,
+                            [](ConfigId) { return 0.0; }, max_transient,
+                            "expected_hitting_time");
 }
 
 double expected_hitting_time(const TabulatedProtocol& protocol,
@@ -169,8 +150,7 @@ double expected_hitting_time(const TabulatedProtocol& protocol,
                              const ConfigPredicate& target, std::size_t max_configs,
                              std::size_t max_transient) {
     const ConfigurationGraph graph = explore_reachable(protocol, initial_config, max_configs);
-    if (!graph.complete)
-        throw std::runtime_error("expected_hitting_time: reachable set exceeds max_configs");
+    require_complete(graph, "expected_hitting_time");
     return expected_hitting_time(protocol, graph, 0, target, max_transient);
 }
 
@@ -182,62 +162,30 @@ double absorption_probability(const TabulatedProtocol& protocol, const Configura
 
     const SccDecomposition sccs = condense(graph);
 
-    // Classify final SCCs and insist the target predicate is constant on
-    // each (otherwise "absorbed into a target component" is ill-defined).
-    enum class Verdict : std::uint8_t { kUnseen, kTarget, kOther };
-    std::vector<Verdict> final_verdict(sccs.num_components, Verdict::kUnseen);
+    // Each final SCC's target value.  The target must be constant on it
+    // (otherwise "absorbed into a target component" is ill-defined).
+    std::vector<std::optional<bool>> final_value(sccs.num_components);
     for (ConfigId c = 0; c < graph.size(); ++c) {
         const std::uint32_t s = sccs.component[c];
         if (!sccs.is_final[s]) continue;
-        const Verdict verdict = target(graph.configs[c]) ? Verdict::kTarget : Verdict::kOther;
-        if (final_verdict[s] == Verdict::kUnseen) {
-            final_verdict[s] = verdict;
-        } else if (final_verdict[s] != verdict) {
+        const bool value = target(graph.configs[c]);
+        if (final_value[s].value_or(value) != value)
             throw std::runtime_error(
                 "absorption_probability: target is not constant on a final SCC");
-        }
+        final_value[s] = value;
     }
 
-    const auto absorbed_value = [&](ConfigId c) -> double {
-        return final_verdict[sccs.component[c]] == Verdict::kTarget ? 1.0 : 0.0;
+    const auto absorbed_value = [&](ConfigId c) {
+        return *final_value[sccs.component[c]] ? 1.0 : 0.0;
     };
     if (sccs.is_final[sccs.component[initial]]) return absorbed_value(initial);
 
-    std::unordered_map<CountConfiguration, ConfigId, CountConfigurationHash> index;
-    for (ConfigId c = 0; c < graph.size(); ++c) index.emplace(graph.configs[c], c);
-
-    // Transient configurations: everything outside final SCCs.
-    std::vector<ConfigId> transient;
-    std::vector<std::int64_t> transient_index(graph.size(), -1);
-    for (ConfigId c = 0; c < graph.size(); ++c) {
-        if (!sccs.is_final[sccs.component[c]]) {
-            transient_index[c] = static_cast<std::int64_t>(transient.size());
-            transient.push_back(c);
-        }
-    }
-    const std::size_t m = transient.size();
-    if (m > max_transient)
-        throw std::runtime_error("absorption_probability: transient system too large");
-
-    // h = P_tt h + P_ta * value  ->  (I - P_tt) h = b.
-    std::vector<double> matrix(m * m, 0.0);
-    std::vector<double> rhs(m, 0.0);
-    for (std::size_t row = 0; row < m; ++row) {
-        matrix[row * m + row] = 1.0;
-        const auto probabilities = transition_row(protocol, graph, index, transient[row]);
-        double outgoing = 0.0;
-        for (const auto& [succ, prob] : probabilities) {
-            outgoing += prob;
-            if (transient_index[succ] >= 0) {
-                matrix[row * m + static_cast<std::size_t>(transient_index[succ])] -= prob;
-            } else {
-                rhs[row] += prob * absorbed_value(succ);
-            }
-        }
-        matrix[row * m + row] -= (1.0 - outgoing);  // self-loop mass
-    }
-    const std::vector<double> probabilities = solve_linear(matrix, rhs, m);
-    return probabilities[static_cast<std::size_t>(transient_index[initial])];
+    // First-step system: h = P_tt h + P_ta value over everything outside
+    // the final SCCs.
+    std::vector<bool> transient(graph.size());
+    for (ConfigId c = 0; c < graph.size(); ++c) transient[c] = !sccs.is_final[sccs.component[c]];
+    return solve_first_step(protocol, graph, initial, transient, 0.0, absorbed_value,
+                            max_transient, "absorption_probability");
 }
 
 double absorption_probability(const TabulatedProtocol& protocol,
@@ -245,8 +193,7 @@ double absorption_probability(const TabulatedProtocol& protocol,
                               const ConfigPredicate& target, std::size_t max_configs,
                               std::size_t max_transient) {
     const ConfigurationGraph graph = explore_reachable(protocol, initial_config, max_configs);
-    if (!graph.complete)
-        throw std::runtime_error("absorption_probability: reachable set exceeds max_configs");
+    require_complete(graph, "absorption_probability");
     return absorption_probability(protocol, graph, 0, target, max_transient);
 }
 

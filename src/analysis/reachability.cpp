@@ -1,9 +1,5 @@
 #include "analysis/reachability.h"
 
-#include <algorithm>
-#include <deque>
-#include <unordered_map>
-
 #include "core/require.h"
 
 namespace popproto {
@@ -15,65 +11,14 @@ ConfigurationGraph explore_reachable(const TabulatedProtocol& protocol,
             "explore_reachable: configuration does not match protocol");
     require(initial.population_size() >= 1, "explore_reachable: empty population");
     require(max_configs >= 1, "explore_reachable: zero configuration limit");
-
-    ConfigurationGraph graph;
-    std::unordered_map<CountConfiguration, ConfigId, CountConfigurationHash> index;
-
-    const auto intern = [&](const CountConfiguration& config) -> ConfigId {
-        auto it = index.find(config);
-        if (it != index.end()) return it->second;
-        const auto id = static_cast<ConfigId>(graph.configs.size());
-        index.emplace(config, id);
-        graph.configs.push_back(config);
-        graph.successors.emplace_back();
-        return id;
-    };
-
-    intern(initial);
-    std::deque<ConfigId> frontier{0};
-
-    while (!frontier.empty()) {
-        const ConfigId current = frontier.front();
-        frontier.pop_front();
-
-        // Collect present states once; the config vector may relocate as we
-        // intern successors, so copy the counts we need.
-        std::vector<State> present;
-        for (State q = 0; q < protocol.num_states(); ++q)
-            if (graph.configs[current].count(q) > 0) present.push_back(q);
-        const std::vector<std::uint64_t> counts = graph.configs[current].counts();
-
-        // Note: interning successors may reallocate graph.successors, so
-        // collect edges locally and store them afterwards.
-        std::vector<ConfigId> out_edges;
-        for (State p : present) {
-            for (State q : present) {
-                if (p == q && counts[p] < 2) continue;
-                const StatePair next = protocol.apply_fast(p, q);
-                if (next.initiator == p && next.responder == q) continue;  // null
-                CountConfiguration successor = graph.configs[current];
-                successor.remove(p);
-                successor.remove(q);
-                successor.add(next.initiator);
-                successor.add(next.responder);
-                if (successor == graph.configs[current]) continue;  // e.g. pure swap
-                const bool is_new = index.find(successor) == index.end();
-                const ConfigId succ_id = intern(successor);
-                out_edges.push_back(succ_id);
-                if (is_new) {
-                    if (graph.configs.size() > max_configs) {
-                        graph.complete = false;
-                        return graph;
-                    }
-                    frontier.push_back(succ_id);
-                }
-            }
-        }
-        std::sort(out_edges.begin(), out_edges.end());
-        out_edges.erase(std::unique(out_edges.begin(), out_edges.end()), out_edges.end());
-        graph.successors[current] = std::move(out_edges);
-    }
-    return graph;
+    return explore<CountConfiguration, CountConfigurationHash>(
+        initial, max_configs,
+        [&](const CountConfiguration& config, std::vector<CountConfiguration>& listed) {
+            for_each_pairwise_successor(protocol, config,
+                                        [&](CountConfiguration&& successor, State, State) {
+                                            listed.push_back(std::move(successor));
+                                        });
+        });
 }
 
 }  // namespace popproto

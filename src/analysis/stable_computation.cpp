@@ -1,7 +1,6 @@
 #include "analysis/stable_computation.h"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "core/require.h"
 
@@ -9,14 +8,7 @@ namespace popproto {
 
 std::optional<Symbol> StableComputationResult::consensus() const {
     if (!single_valued()) return std::nullopt;
-    const OutputSignature& signature = stable_signatures.front();
-    std::optional<Symbol> only;
-    for (Symbol y = 0; y < signature.size(); ++y) {
-        if (signature[y] == 0) continue;
-        if (only) return std::nullopt;
-        only = y;
-    }
-    return only;
+    return consensus_of(stable_signatures.front(), [](Symbol y) { return y; });
 }
 
 SccDecomposition condense_edges(const std::vector<std::vector<ConfigId>>& successors) {
@@ -134,16 +126,9 @@ StableComputationResult analyze_stable_computation(const TabulatedProtocol& prot
                                                    const CountConfiguration& initial,
                                                    std::size_t max_configs) {
     const ConfigurationGraph graph = explore_reachable(protocol, initial, max_configs);
-    if (!graph.complete) {
-        throw std::runtime_error(
-            "analyze_stable_computation: reachable set exceeds max_configs; "
-            "verdict would be unsound");
-    }
-    std::vector<OutputSignature> signatures;
-    signatures.reserve(graph.size());
-    for (const CountConfiguration& config : graph.configs)
-        signatures.push_back(config.output_counts(protocol));
-    return summarize_stable_computation(graph.successors, signatures);
+    require_complete(graph, "analyze_stable_computation");
+    return summarize_stable_computation(
+        graph, [&](const CountConfiguration& config) { return config.output_counts(protocol); });
 }
 
 bool stably_computes_integer_function(const TabulatedProtocol& protocol,
@@ -165,9 +150,7 @@ bool stably_computes_bool(const TabulatedProtocol& protocol, const CountConfigur
             "stably_computes_bool: protocol must have Boolean outputs");
     const StableComputationResult result =
         analyze_stable_computation(protocol, initial, max_configs);
-    const std::optional<Symbol> consensus = result.consensus();
-    if (!consensus) return false;
-    return *consensus == (expected ? kOutputTrue : kOutputFalse);
+    return result.consensus() == (expected ? kOutputTrue : kOutputFalse);
 }
 
 }  // namespace popproto

@@ -96,6 +96,17 @@ StableComputationResult summarize_stable_computation(
     const std::vector<std::vector<ConfigId>>& successors,
     const std::vector<OutputSignature>& signatures);
 
+/// The Lemma 1 verdict of a complete explored graph, with
+/// `signature_of(config)` giving each configuration's output signature.
+template <class Config, class SignatureOf>
+StableComputationResult summarize_stable_computation(const ReachableGraph<Config>& graph,
+                                                     const SignatureOf& signature_of) {
+    std::vector<OutputSignature> signatures;
+    signatures.reserve(graph.size());
+    for (const Config& config : graph.configs) signatures.push_back(signature_of(config));
+    return summarize_stable_computation(graph.successors, signatures);
+}
+
 }  // namespace popproto
 
 #endif  // POPPROTO_ANALYSIS_STABLE_COMPUTATION_H

@@ -22,6 +22,8 @@ CountConfiguration CountConfiguration::from_input_counts(
     const Protocol& protocol, const std::vector<std::uint64_t>& symbol_counts) {
     require(symbol_counts.size() == protocol.num_input_symbols(),
             "from_input_counts: need one count per input symbol");
+    require(checked_sum(symbol_counts).has_value(),
+            "from_input_counts: counts sum past 2^64 - 1 agents");
     CountConfiguration config(protocol.num_states());
     for (Symbol x = 0; x < symbol_counts.size(); ++x)
         if (symbol_counts[x] > 0) config.add(protocol.initial_state(x), symbol_counts[x]);
@@ -29,10 +31,11 @@ CountConfiguration CountConfiguration::from_input_counts(
 }
 
 CountConfiguration CountConfiguration::from_state_counts(std::vector<std::uint64_t> counts) {
+    const std::optional<std::uint64_t> population = checked_sum(counts);
+    require(population.has_value(), "from_state_counts: counts sum past 2^64 - 1 agents");
     CountConfiguration config(counts.size());
     config.counts_ = std::move(counts);
-    config.population_ = 0;
-    for (std::uint64_t count : config.counts_) config.population_ += count;
+    config.population_ = *population;
     return config;
 }
 
@@ -43,6 +46,7 @@ std::uint64_t CountConfiguration::count(State q) const {
 
 void CountConfiguration::add(State q, std::uint64_t agents) {
     require(q < counts_.size(), "CountConfiguration: state out of range");
+    require(agents <= ~population_, "CountConfiguration: population past 2^64 - 1 agents");
     counts_[q] += agents;
     population_ += agents;
 }
@@ -67,25 +71,12 @@ void CountConfiguration::apply_interaction(const Protocol& protocol, State p, St
 }
 
 std::vector<std::uint64_t> CountConfiguration::output_counts(const Protocol& protocol) const {
-    std::vector<std::uint64_t> outputs(protocol.num_output_symbols(), 0);
-    for (State q = 0; q < counts_.size(); ++q)
-        if (counts_[q] > 0) outputs[protocol.output(q)] += counts_[q];
-    return outputs;
+    return output_counts(protocol.num_output_symbols(),
+                         [&protocol](State q) { return protocol.output(q); });
 }
 
 std::optional<Symbol> CountConfiguration::consensus_output(const Protocol& protocol) const {
-    if (population_ == 0) return std::nullopt;
-    std::optional<Symbol> consensus;
-    for (State q = 0; q < counts_.size(); ++q) {
-        if (counts_[q] == 0) continue;
-        const Symbol y = protocol.output(q);
-        if (!consensus) {
-            consensus = y;
-        } else if (*consensus != y) {
-            return std::nullopt;
-        }
-    }
-    return consensus;
+    return consensus_of(counts_, [&protocol](State q) { return protocol.output(q); });
 }
 
 bool CountConfiguration::is_silent(const Protocol& protocol) const {
@@ -102,6 +93,13 @@ bool CountConfiguration::is_silent(const Protocol& protocol) const {
         }
     }
     return true;
+}
+
+std::optional<std::uint64_t> checked_sum(const std::vector<std::uint64_t>& counts) {
+    std::uint64_t total = 0;
+    for (const std::uint64_t count : counts)
+        if (__builtin_add_overflow(total, count, &total)) return std::nullopt;
+    return total;
 }
 
 std::size_t CountConfigurationHash::operator()(const CountConfiguration& config) const noexcept {

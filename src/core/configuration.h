@@ -30,12 +30,14 @@ public:
                                           const std::vector<Symbol>& inputs);
 
     /// Configuration I(x) for the symbol-count input convention: agent counts
-    /// per input symbol (Sect. 3.4, "Domain Z^k").
+    /// per input symbol (Sect. 3.4, "Domain Z^k").  Throws
+    /// std::invalid_argument if the counts sum past 2^64 - 1.
     static CountConfiguration from_input_counts(const Protocol& protocol,
                                                 const std::vector<std::uint64_t>& symbol_counts);
 
     /// Configuration holding counts[q] agents in state q (a raw count vector
     /// adopted as-is, e.g. an engine's working vector at a snapshot).
+    /// Throws std::invalid_argument if the counts sum past 2^64 - 1.
     static CountConfiguration from_state_counts(std::vector<std::uint64_t> counts);
 
     /// Total number of agents n.
@@ -45,7 +47,8 @@ public:
 
     std::uint64_t count(State q) const;
 
-    /// Adds `agents` agents in state `q`.
+    /// Adds `agents` agents in state `q`; throws std::invalid_argument if
+    /// the population would pass 2^64 - 1.
     void add(State q, std::uint64_t agents = 1);
 
     /// Removes `agents` agents in state `q`; throws if fewer are present.
@@ -58,6 +61,18 @@ public:
 
     /// Number of agents per output symbol under O.
     std::vector<std::uint64_t> output_counts(const Protocol& protocol) const;
+
+    /// Number of agents per output symbol, with `output(q)` giving state q's
+    /// symbol: the one fold behind every protocol family's output signature
+    /// (families without a Protocol base pass their own output map).
+    template <class Output>
+    std::vector<std::uint64_t> output_counts(std::size_t num_output_symbols,
+                                             const Output& output) const {
+        std::vector<std::uint64_t> outputs(num_output_symbols, 0);
+        for (State q = 0; q < counts_.size(); ++q)
+            if (counts_[q] > 0) outputs[output(q)] += counts_[q];
+        return outputs;
+    }
 
     /// The common output symbol if every agent agrees (all-agents output
     /// convention), otherwise nullopt.  Empty populations return nullopt.
@@ -79,6 +94,27 @@ private:
     std::vector<std::uint64_t> counts_;
     std::uint64_t population_ = 0;
 };
+
+/// The sum of `counts`, or nullopt when it wraps past 2^64: the one checked
+/// total behind every count-vector constructor and checkpoint restore.
+std::optional<std::uint64_t> checked_sum(const std::vector<std::uint64_t>& counts);
+
+/// The one consensus fold, for every protocol family: the output symbol
+/// `output(i)` shared by every index i with counts[i] > 0, or nullopt when
+/// two symbols occur or every count is zero.  Over a state-count vector with
+/// a protocol's output map this is the all-agents consensus; over an output
+/// signature (agents per symbol) with the identity map, its one held symbol.
+template <class Output>
+std::optional<Symbol> consensus_of(const std::vector<std::uint64_t>& counts, const Output& output) {
+    std::optional<Symbol> only;
+    for (std::size_t i = 0; i < counts.size(); ++i) {
+        if (counts[i] == 0) continue;
+        const Symbol y = output(static_cast<State>(i));
+        if (only && *only != y) return std::nullopt;
+        only = y;
+    }
+    return only;
+}
 
 /// FNV-1a hash over the count vector, for use in unordered containers during
 /// reachability exploration.

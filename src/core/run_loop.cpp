@@ -83,15 +83,8 @@ void require_checkpoint_counts(const std::vector<std::uint64_t>& counts, std::si
                                std::uint64_t population, const char* engine) {
     if (counts.size() != num_states)
         throw std::invalid_argument(std::string(engine) + ": checkpoint state-count mismatch");
-    const auto mismatch = [engine] {
-        return std::invalid_argument(std::string(engine) + ": checkpoint population mismatch");
-    };
-    std::uint64_t remaining = population;
-    for (const std::uint64_t count : counts) {
-        if (count > remaining) throw mismatch();
-        remaining -= count;
-    }
-    if (remaining != 0) throw mismatch();
+    if (checked_sum(counts) != population)
+        throw std::invalid_argument(std::string(engine) + ": checkpoint population mismatch");
 }
 
 namespace {

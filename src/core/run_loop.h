@@ -88,8 +88,8 @@ void require_engine_field(const RunOptions& options, SimulationEngine accepted,
 
 /// The count engines' restore check: throws std::invalid_argument unless
 /// `counts` holds `num_states` entries summing to exactly `population`.  The
-/// sum is checked against what is left of the population as it goes, so
-/// counts whose uint64 sum wraps around to `population` are rejected too.
+/// sum is checked_sum's, so counts whose uint64 sum wraps around to
+/// `population` are rejected too.
 /// `engine` prefixes the message ("count_batch", "collapsed").
 void require_checkpoint_counts(const std::vector<std::uint64_t>& counts, std::size_t num_states,
                                std::uint64_t population, const char* engine);

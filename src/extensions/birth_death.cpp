@@ -1,9 +1,7 @@
 #include "extensions/birth_death.h"
 
 #include <algorithm>
-#include <deque>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "core/require.h"
 
@@ -85,18 +83,8 @@ BirthDeathRunResult simulate_birth_death(const BirthDeathProtocol& protocol,
 
     CountConfiguration final_config(protocol.num_states());
     for (State q : states) final_config.add(q);
-    std::optional<Symbol> consensus;
-    bool uniform = !states.empty();
-    for (State q = 0; q < final_config.num_states() && uniform; ++q) {
-        if (final_config.count(q) == 0) continue;
-        const Symbol y = protocol.output(q);
-        if (!consensus) {
-            consensus = y;
-        } else if (*consensus != y) {
-            uniform = false;
-        }
-    }
-    result.consensus = uniform ? consensus : std::nullopt;
+    result.consensus =
+        consensus_of(final_config.counts(), [&](State q) { return protocol.output(q); });
     result.final_configuration = std::move(final_config);
     return result;
 }
@@ -107,70 +95,35 @@ StableComputationResult analyze_birth_death_stable_computation(
     require(initial.num_states() == protocol.num_states(),
             "analyze_birth_death_stable_computation: configuration mismatch");
 
-    std::vector<CountConfiguration> configs;
-    std::vector<std::vector<ConfigId>> successors;
-    std::unordered_map<CountConfiguration, ConfigId, CountConfigurationHash> index;
-
-    const auto intern = [&](const CountConfiguration& config) -> ConfigId {
-        auto it = index.find(config);
-        if (it != index.end()) return it->second;
-        const auto id = static_cast<ConfigId>(configs.size());
-        index.emplace(config, id);
-        configs.push_back(config);
-        successors.emplace_back();
-        return id;
-    };
-
-    intern(initial);
-    std::deque<ConfigId> frontier{0};
-    while (!frontier.empty()) {
-        const ConfigId current = frontier.front();
-        frontier.pop_front();
-        const CountConfiguration config = configs[current];  // copy: vector may move
-        if (config.population_size() < 2) continue;          // terminal
-
-        std::vector<State> present;
-        for (State q = 0; q < config.num_states(); ++q)
-            if (config.count(q) > 0) present.push_back(q);
-
-        std::vector<ConfigId> out_edges;
-        for (State p : present) {
-            for (State q : present) {
-                if (p == q && config.count(p) < 2) continue;
-                const std::vector<State> offspring = protocol.apply(p, q);
-                CountConfiguration successor = config;
-                successor.remove(p);
-                successor.remove(q);
-                for (State s : offspring) successor.add(s);
-                if (successor == config) continue;
-                if (successor.population_size() > max_population)
-                    throw std::runtime_error(
-                        "analyze_birth_death_stable_computation: population exploded");
-                const bool is_new = index.find(successor) == index.end();
-                const ConfigId succ_id = intern(successor);
-                out_edges.push_back(succ_id);
-                if (is_new) {
-                    if (configs.size() > max_configs)
+    // Successor rule: the pairwise pairs, each replaced by its offspring
+    // multiset.  Configurations with fewer than two agents are terminal.
+    const ConfigurationGraph graph = explore<CountConfiguration, CountConfigurationHash>(
+        initial, max_configs,
+        [&](const CountConfiguration& config, std::vector<CountConfiguration>& listed) {
+            if (config.population_size() < 2) return;
+            const std::vector<std::uint64_t>& counts = config.counts();
+            for (State p = 0; p < counts.size(); ++p) {
+                if (counts[p] == 0) continue;
+                for (State q = 0; q < counts.size(); ++q) {
+                    if (counts[q] == 0 || (p == q && counts[p] < 2)) continue;
+                    CountConfiguration successor = config;
+                    successor.remove(p);
+                    successor.remove(q);
+                    for (State s : protocol.apply(p, q)) successor.add(s);
+                    // A null interaction is no growth, even from an initial
+                    // configuration already past the cap.
+                    if (successor.population_size() > max_population && !(successor == config))
                         throw std::runtime_error(
-                            "analyze_birth_death_stable_computation: too many configurations");
-                    frontier.push_back(succ_id);
+                            "analyze_birth_death_stable_computation: population exploded");
+                    listed.push_back(std::move(successor));
                 }
             }
-        }
-        std::sort(out_edges.begin(), out_edges.end());
-        out_edges.erase(std::unique(out_edges.begin(), out_edges.end()), out_edges.end());
-        successors[current] = std::move(out_edges);
-    }
-
-    std::vector<OutputSignature> signatures;
-    signatures.reserve(configs.size());
-    for (const CountConfiguration& config : configs) {
-        OutputSignature signature(protocol.num_output_symbols(), 0);
-        for (State q = 0; q < config.num_states(); ++q)
-            signature[protocol.output(q)] += config.count(q);
-        signatures.push_back(std::move(signature));
-    }
-    return summarize_stable_computation(successors, signatures);
+        });
+    require_complete(graph, "analyze_birth_death_stable_computation");
+    return summarize_stable_computation(graph, [&](const CountConfiguration& config) {
+        return config.output_counts(protocol.num_output_symbols(),
+                                    [&](State q) { return protocol.output(q); });
+    });
 }
 
 namespace {

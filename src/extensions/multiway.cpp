@@ -1,10 +1,7 @@
 #include "extensions/multiway.h"
 
 #include <algorithm>
-#include <deque>
 #include <functional>
-#include <stdexcept>
-#include <unordered_map>
 
 #include "core/require.h"
 
@@ -72,55 +69,31 @@ MultiwayRunResult simulate_multiway(const MultiwayProtocol& protocol,
 
     CountConfiguration final_config(protocol.num_states());
     for (State q : states) final_config.add(q);
-    // Consensus by hand (CountConfiguration::consensus_output expects a
-    // pairwise Protocol).
-    std::optional<Symbol> consensus;
-    bool uniform = true;
-    for (State q = 0; q < final_config.num_states() && uniform; ++q) {
-        if (final_config.count(q) == 0) continue;
-        const Symbol y = protocol.output(q);
-        if (!consensus) {
-            consensus = y;
-        } else if (*consensus != y) {
-            uniform = false;
-        }
-    }
-    result.consensus = uniform ? consensus : std::nullopt;
+    result.consensus =
+        consensus_of(final_config.counts(), [&](State q) { return protocol.output(q); });
     result.final_configuration = std::move(final_config);
     return result;
 }
 
 namespace {
 
-/// Enumerates all multisets of size g over the present states and invokes
-/// `visit` with each (as a vector of states, non-decreasing).
-void for_each_group(const std::vector<State>& present, std::size_t g,
-                    std::vector<State>& group,
+/// Calls visit(group) for every multiset of g agents' states that `config`
+/// can supply, as a non-decreasing state vector, in lexicographic order.
+void for_each_group(const CountConfiguration& config, std::size_t g, std::vector<State>& group,
                     const std::function<void(const std::vector<State>&)>& visit,
-                    std::size_t from = 0) {
+                    State from = 0) {
     if (group.size() == g) {
         visit(group);
         return;
     }
-    for (std::size_t i = from; i < present.size(); ++i) {
-        group.push_back(present[i]);
-        for_each_group(present, g, group, visit, i);
+    for (State q = from; q < config.num_states(); ++q) {
+        if (config.count(q) <= static_cast<std::uint64_t>(
+                                   std::count(group.begin(), group.end(), q)))
+            continue;
+        group.push_back(q);
+        for_each_group(config, g, group, visit, q);
         group.pop_back();
     }
-}
-
-/// True iff `config` supplies the multiset `group` (counts available).
-bool group_available(const CountConfiguration& config, const std::vector<State>& group) {
-    std::uint64_t needed = 1;
-    for (std::size_t i = 1; i <= group.size(); ++i) {
-        if (i < group.size() && group[i] == group[i - 1]) {
-            ++needed;
-        } else {
-            if (config.count(group[i - 1]) < needed) return false;
-            needed = 1;
-        }
-    }
-    return true;
 }
 
 }  // namespace
@@ -134,71 +107,30 @@ StableComputationResult analyze_multiway_stable_computation(const MultiwayProtoc
     require(initial.population_size() >= g,
             "analyze_multiway_stable_computation: population smaller than one group");
 
-    std::vector<CountConfiguration> configs;
-    std::vector<std::vector<ConfigId>> successors;
-    std::unordered_map<CountConfiguration, ConfigId, CountConfigurationHash> index;
-
-    const auto intern = [&](const CountConfiguration& config) -> ConfigId {
-        auto it = index.find(config);
-        if (it != index.end()) return it->second;
-        const auto id = static_cast<ConfigId>(configs.size());
-        index.emplace(config, id);
-        configs.push_back(config);
-        successors.emplace_back();
-        return id;
-    };
-
-    intern(initial);
-    std::deque<ConfigId> frontier{0};
-    while (!frontier.empty()) {
-        const ConfigId current = frontier.front();
-        frontier.pop_front();
-        const CountConfiguration config = configs[current];  // copy: vector may move
-
-        std::vector<State> present;
-        for (State q = 0; q < config.num_states(); ++q)
-            if (config.count(q) > 0) present.push_back(q);
-
-        std::vector<ConfigId> out_edges;
-        std::vector<State> group;
-        // Every ordered arrangement of each multiset; delta may be
-        // order-sensitive, so apply it to all distinct permutations.
-        for_each_group(present, g, group, [&](const std::vector<State>& multiset) {
-            if (!group_available(config, multiset)) return;
-            std::vector<State> arrangement = multiset;
-            std::sort(arrangement.begin(), arrangement.end());
-            do {
-                std::vector<State> next = arrangement;
-                protocol.apply(next);
-                CountConfiguration successor = config;
-                for (State q : arrangement) successor.remove(q);
-                for (State q : next) successor.add(q);
-                if (successor == config) continue;
-                const bool is_new = index.find(successor) == index.end();
-                const ConfigId succ_id = intern(successor);
-                out_edges.push_back(succ_id);
-                if (is_new) {
-                    if (configs.size() > max_configs)
-                        throw std::runtime_error(
-                            "analyze_multiway_stable_computation: too many configurations");
-                    frontier.push_back(succ_id);
-                }
-            } while (std::next_permutation(arrangement.begin(), arrangement.end()));
+    // Successor rule: every multiset of g agents, then every distinct
+    // ordered arrangement of it (delta may be order-sensitive), in
+    // lexicographic order.
+    const ConfigurationGraph graph = explore<CountConfiguration, CountConfigurationHash>(
+        initial, max_configs,
+        [&](const CountConfiguration& config, std::vector<CountConfiguration>& listed) {
+            std::vector<State> group;
+            for_each_group(config, g, group, [&](const std::vector<State>& multiset) {
+                std::vector<State> arrangement = multiset;
+                do {
+                    std::vector<State> next = arrangement;
+                    protocol.apply(next);
+                    CountConfiguration successor = config;
+                    for (State q : arrangement) successor.remove(q);
+                    for (State q : next) successor.add(q);
+                    listed.push_back(std::move(successor));
+                } while (std::next_permutation(arrangement.begin(), arrangement.end()));
+            });
         });
-        std::sort(out_edges.begin(), out_edges.end());
-        out_edges.erase(std::unique(out_edges.begin(), out_edges.end()), out_edges.end());
-        successors[current] = std::move(out_edges);
-    }
-
-    std::vector<OutputSignature> signatures;
-    signatures.reserve(configs.size());
-    for (const CountConfiguration& config : configs) {
-        OutputSignature signature(protocol.num_output_symbols(), 0);
-        for (State q = 0; q < config.num_states(); ++q)
-            signature[protocol.output(q)] += config.count(q);
-        signatures.push_back(std::move(signature));
-    }
-    return summarize_stable_computation(successors, signatures);
+    require_complete(graph, "analyze_multiway_stable_computation");
+    return summarize_stable_computation(graph, [&](const CountConfiguration& config) {
+        return config.output_counts(protocol.num_output_symbols(),
+                                    [&](State q) { return protocol.output(q); });
+    });
 }
 
 namespace {

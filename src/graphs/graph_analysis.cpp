@@ -1,10 +1,5 @@
 #include "graphs/graph_analysis.h"
 
-#include <algorithm>
-#include <deque>
-#include <stdexcept>
-#include <unordered_map>
-
 #include "core/require.h"
 
 namespace popproto {
@@ -36,58 +31,28 @@ StableComputationResult analyze_graph_stable_computation(const TabulatedProtocol
     initial.reserve(inputs.size());
     for (Symbol x : inputs) initial.push_back(protocol.initial_state(x));
 
-    std::vector<std::vector<State>> configs;
-    std::vector<std::vector<ConfigId>> successors;
-    std::unordered_map<std::vector<State>, ConfigId, VectorHash> index;
-
-    const auto intern = [&](const std::vector<State>& config) -> ConfigId {
-        auto it = index.find(config);
-        if (it != index.end()) return it->second;
-        const auto id = static_cast<ConfigId>(configs.size());
-        index.emplace(config, id);
-        configs.push_back(config);
-        successors.emplace_back();
-        return id;
-    };
-
-    intern(initial);
-    std::deque<ConfigId> frontier{0};
-    while (!frontier.empty()) {
-        const ConfigId current = frontier.front();
-        frontier.pop_front();
-        const std::vector<State> config = configs[current];  // copy: vector may relocate
-        std::vector<ConfigId> out_edges;
-        for (const Edge& edge : graph.edges()) {
-            const State p = config[edge.first];
-            const State q = config[edge.second];
-            const StatePair next = protocol.apply_fast(p, q);
-            if (next.initiator == p && next.responder == q) continue;
-            std::vector<State> successor = config;
-            successor[edge.first] = next.initiator;
-            successor[edge.second] = next.responder;
-            const bool is_new = index.find(successor) == index.end();
-            const ConfigId succ_id = intern(successor);
-            if (succ_id != current) out_edges.push_back(succ_id);
-            if (is_new) {
-                if (configs.size() > max_configs)
-                    throw std::runtime_error(
-                        "analyze_graph_stable_computation: reachable set exceeds max_configs");
-                frontier.push_back(succ_id);
+    // Successor rule: every edge (u, v) applies delta to the ordered agent
+    // pair, in edge-list order.
+    using Agents = std::vector<State>;
+    const ReachableGraph<Agents> explored = explore<Agents, VectorHash>(
+        initial, max_configs, [&](const Agents& config, std::vector<Agents>& listed) {
+            for (const Edge& edge : graph.edges()) {
+                const State p = config[edge.first];
+                const State q = config[edge.second];
+                const StatePair next = protocol.apply_fast(p, q);
+                if (next.initiator == p && next.responder == q) continue;
+                Agents successor = config;
+                successor[edge.first] = next.initiator;
+                successor[edge.second] = next.responder;
+                listed.push_back(std::move(successor));
             }
-        }
-        std::sort(out_edges.begin(), out_edges.end());
-        out_edges.erase(std::unique(out_edges.begin(), out_edges.end()), out_edges.end());
-        successors[current] = std::move(out_edges);
-    }
-
-    std::vector<OutputSignature> signatures;
-    signatures.reserve(configs.size());
-    for (const std::vector<State>& config : configs) {
+        });
+    require_complete(explored, "analyze_graph_stable_computation");
+    return summarize_stable_computation(explored, [&](const Agents& config) {
         OutputSignature signature(protocol.num_output_symbols(), 0);
         for (State q : config) ++signature[protocol.output_fast(q)];
-        signatures.push_back(std::move(signature));
-    }
-    return summarize_stable_computation(successors, signatures);
+        return signature;
+    });
 }
 
 bool graph_stably_computes_bool(const TabulatedProtocol& protocol, const InteractionGraph& graph,
@@ -97,9 +62,7 @@ bool graph_stably_computes_bool(const TabulatedProtocol& protocol, const Interac
             "graph_stably_computes_bool: protocol must have Boolean outputs");
     const StableComputationResult result =
         analyze_graph_stable_computation(protocol, graph, inputs, max_configs);
-    const std::optional<Symbol> consensus = result.consensus();
-    if (!consensus) return false;
-    return *consensus == (expected ? kOutputTrue : kOutputFalse);
+    return result.consensus() == (expected ? kOutputTrue : kOutputFalse);
 }
 
 }  // namespace popproto

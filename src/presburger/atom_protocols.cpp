@@ -1,6 +1,8 @@
 #include "presburger/atom_protocols.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <string>
 
 #include "core/require.h"
@@ -23,6 +25,14 @@ struct AtomLayout {
     std::size_t num_states() const { return static_cast<std::size_t>(4 * num_slots); }
 };
 
+/// The most slots whose 4 * num_slots states still fit a State.
+constexpr std::uint64_t kMaxSlots = (std::uint64_t{std::numeric_limits<State>::max()} + 1) / 4 - 1;
+
+/// |v|, exact for every int64 (|INT64_MIN| = 2^63 fits in 64 unsigned bits).
+std::uint64_t magnitude(std::int64_t v) {
+    return v >= 0 ? static_cast<std::uint64_t>(v) : -static_cast<std::uint64_t>(v);
+}
+
 std::vector<std::string> input_symbol_names(std::size_t count) {
     std::vector<std::string> names;
     names.reserve(count);
@@ -36,11 +46,11 @@ std::unique_ptr<TabulatedProtocol> make_threshold_protocol(
     const std::vector<std::int64_t>& coefficients, std::int64_t constant) {
     require(!coefficients.empty(), "make_threshold_protocol: no input symbols");
 
-    std::int64_t max_coefficient = 1;
-    for (std::int64_t a : coefficients)
-        max_coefficient = std::max(max_coefficient, a >= 0 ? a : -a);
-    const std::int64_t s =
-        std::max<std::int64_t>({(constant >= 0 ? constant : -constant) + 1, max_coefficient, 1});
+    std::uint64_t radius = magnitude(constant) + 1;
+    for (std::int64_t a : coefficients) radius = std::max(radius, magnitude(a));
+    require(radius <= (kMaxSlots - 1) / 2,
+            "make_threshold_protocol: coefficients or constant too large for a state table");
+    const auto s = static_cast<std::int64_t>(radius);
 
     const AtomLayout layout{2 * s + 1};  // slot = u + s, u in [-s, s]
     const auto u_of_slot = [s](std::int64_t slot) { return slot - s; };
@@ -89,6 +99,8 @@ std::unique_ptr<TabulatedProtocol> make_remainder_protocol(
     const std::vector<std::int64_t>& coefficients, std::int64_t remainder, std::int64_t modulus) {
     require(!coefficients.empty(), "make_remainder_protocol: no input symbols");
     require(modulus >= 2, "make_remainder_protocol: modulus must be at least 2");
+    require(static_cast<std::uint64_t>(modulus) <= kMaxSlots,
+            "make_remainder_protocol: modulus too large for a state table");
 
     const auto reduce = [modulus](std::int64_t v) { return ((v % modulus) + modulus) % modulus; };
     const std::int64_t target = reduce(remainder);

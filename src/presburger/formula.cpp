@@ -1,6 +1,7 @@
 #include "presburger/formula.h"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "core/require.h"
@@ -36,14 +37,20 @@ Formula Formula::congruence(std::vector<std::int64_t> coefficients, std::int64_t
 }
 
 Formula Formula::at_most(std::vector<std::int64_t> coefficients, std::int64_t constant) {
+    require(constant < std::numeric_limits<std::int64_t>::max(),
+            "Formula::at_most: constant + 1 overflows int64");
     return threshold(std::move(coefficients), constant + 1);
 }
 
 Formula Formula::at_least(std::vector<std::int64_t> coefficients, std::int64_t constant) {
     // sum >= c  <=>  -sum < -c + 1.
+    constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+    require(constant > kMin + 1, "Formula::at_least: -constant + 1 overflows int64");
     std::vector<std::int64_t> negated(coefficients.size());
-    std::transform(coefficients.begin(), coefficients.end(), negated.begin(),
-                   [](std::int64_t a) { return -a; });
+    std::transform(coefficients.begin(), coefficients.end(), negated.begin(), [](std::int64_t a) {
+        require(a != kMin, "Formula::at_least: a negated coefficient overflows int64");
+        return -a;
+    });
     return threshold(std::move(negated), -constant + 1);
 }
 

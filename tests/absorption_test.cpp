@@ -4,8 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <vector>
+
 #include "analysis/markov.h"
 #include "analysis/stable_computation.h"
+#include "core/batch_simulator.h"
 #include "core/simulator.h"
 #include "protocols/counting.h"
 
@@ -120,6 +124,53 @@ TEST(Absorption, AgreesWithMonteCarloOnWar) {
     }
     const double observed = static_cast<double>(all_r) / trials;
     EXPECT_NEAR(observed, exact, 0.02);
+}
+
+TEST(Absorption, CountEnginesAgreeWithExactAbsorptionOnWar) {
+    // The frequency of all-R consensus under each count engine, against the
+    // exact absorption probability, within four binomial standard errors.
+    // The adaptive dispatcher is entered on each side: thresholds out of
+    // reach pin it to count-batch, thresholds at zero to collapsed.
+    const auto protocol = make_war_protocol();
+    const std::uint64_t n = 6;
+    const auto initial = CountConfiguration::from_input_counts(*protocol, {2, n - 2});
+    const auto all_r = [n](const CountConfiguration& c) { return c.count(0) == n; };
+    const double exact = absorption_probability(*protocol, initial, all_r);
+
+    struct Engine {
+        const char* name;
+        SimulationEngine engine;
+        double enter_collapsed;
+        double exit_collapsed;
+    };
+    const AdaptiveOptions defaults;
+    const std::vector<Engine> engines = {
+        {"count_batch", SimulationEngine::kCountBatch, defaults.enter_collapsed,
+         defaults.exit_collapsed},
+        {"collapsed", SimulationEngine::kCollapsedBatch, defaults.enter_collapsed,
+         defaults.exit_collapsed},
+        {"adaptive entered as count_batch", SimulationEngine::kAdaptive, 1e18, 0.0},
+        {"adaptive entered as collapsed", SimulationEngine::kAdaptive, 1e-12, 0.0},
+    };
+    const int trials = 4000;
+    const double standard_error = std::sqrt(exact * (1.0 - exact) / trials);
+    for (const Engine& engine : engines) {
+        int absorbed = 0;
+        for (int trial = 0; trial < trials; ++trial) {
+            RunOptions options;
+            options.engine = engine.engine;
+            options.adaptive.enter_collapsed = engine.enter_collapsed;
+            options.adaptive.exit_collapsed = engine.exit_collapsed;
+            options.max_interactions = 1u << 20;
+            options.seed = 7000 + trial;
+            const RunResult result = run_simulation(*protocol, initial, options);
+            ASSERT_EQ(result.stop_reason, StopReason::kSilent) << engine.name;
+            if (all_r(result.final_configuration)) ++absorbed;
+        }
+        const double observed = static_cast<double>(absorbed) / trials;
+        EXPECT_LE(std::fabs(observed - exact), 4.0 * standard_error)
+            << engine.name << ": exact " << exact << ", observed " << observed;
+    }
 }
 
 }  // namespace

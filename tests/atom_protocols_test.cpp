@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <numeric>
+#include <stdexcept>
 #include <ostream>
 #include <tuple>
 
@@ -170,6 +172,20 @@ TEST(AtomProtocols, RejectEmptyAlphabetAndBadModulus) {
     EXPECT_THROW(make_threshold_protocol({}, 0), std::invalid_argument);
     EXPECT_THROW(make_remainder_protocol({}, 0, 2), std::invalid_argument);
     EXPECT_THROW(make_remainder_protocol({1}, 0, 1), std::invalid_argument);
+}
+
+TEST(AtomProtocols, RejectLayoutsPastTheStateRange) {
+    // |Q| = 4 (2s + 1) with s = max(|c| + 1, max |a_i|) for a threshold, and
+    // 4m for a remainder; both must fit a State, and |c| + 1 must not
+    // overflow at the ends of the int64 range.
+    constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+    constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+    EXPECT_THROW(make_threshold_protocol({1}, kMax), std::invalid_argument);
+    EXPECT_THROW(make_threshold_protocol({1}, kMin), std::invalid_argument);
+    EXPECT_THROW(make_threshold_protocol({kMin, 1}, 0), std::invalid_argument);
+    EXPECT_THROW(make_threshold_protocol({1}, std::int64_t{1} << 40), std::invalid_argument);
+    EXPECT_THROW(make_remainder_protocol({1}, 0, kMax), std::invalid_argument);
+    EXPECT_EQ(make_threshold_protocol({-3, 2}, -5)->num_states(), 4u * 13u);
 }
 
 }  // namespace

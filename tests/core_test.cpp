@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "core/combinators.h"
@@ -135,6 +136,34 @@ TEST(CountConfiguration, AddRemoveAndPopulation) {
     EXPECT_EQ(config.population_size(), 2u);
     EXPECT_THROW(config.remove(2, 5), std::invalid_argument);
     EXPECT_THROW(config.count(9), std::invalid_argument);
+}
+
+TEST(CountConfiguration, RejectsCountsThatSumPast64Bits) {
+    // {2^64 - 1, 3} sums past 2^64; it must not wrap to a population of 2.
+    const auto protocol = make_counting_protocol(5);
+    const std::uint64_t max = ~std::uint64_t{0};
+    const auto rejection = [](const auto& build) -> std::string {
+        try {
+            build();
+        } catch (const std::invalid_argument& error) {
+            return error.what();
+        }
+        return "accepted";
+    };
+    EXPECT_EQ(rejection([&] { CountConfiguration::from_input_counts(*protocol, {max, 3}); }),
+              "from_input_counts: counts sum past 2^64 - 1 agents");
+    EXPECT_EQ(rejection([&] { CountConfiguration::from_state_counts({max, 0, 1}); }),
+              "from_state_counts: counts sum past 2^64 - 1 agents");
+    CountConfiguration config(2);
+    config.add(0, max);
+    EXPECT_EQ(rejection([&] { config.add(1); }),
+              "CountConfiguration: population past 2^64 - 1 agents");
+    EXPECT_EQ(config.population_size(), max);  // the rejected add changed nothing
+    EXPECT_EQ(config.count(1), 0u);
+
+    EXPECT_EQ(CountConfiguration::from_input_counts(*protocol, {max - 3, 3}).population_size(),
+              max);
+    EXPECT_EQ(CountConfiguration::from_state_counts({max, 0, 0}).population_size(), max);
 }
 
 TEST(CountConfiguration, FromInputsMatchesCounts) {

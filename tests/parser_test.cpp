@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "presburger/parser.h"
 
 namespace popproto {
@@ -111,6 +116,50 @@ TEST(Parser, Errors) {
     EXPECT_THROW(parse_formula("y0 < 3"), std::invalid_argument);       // unknown identifier
     EXPECT_THROW(parse_formula("x0 = 1 mod"), std::invalid_argument);   // missing modulus
     EXPECT_THROW(parse_formula("x0 = 1 mod 1"), std::invalid_argument); // modulus < 2
+}
+
+/// The message parse_formula rejects `text` with, or "parsed" if it parses.
+std::string rejection(const std::string& text) {
+    try {
+        parse_formula(text);
+    } catch (const std::invalid_argument& error) {
+        return error.what();
+    }
+    return "parsed";
+}
+
+TEST(Parser, RejectsInt64OverflowByPosition) {
+    // Each input overflows int64 arithmetic somewhere in parsing or
+    // normalizing; the parser must refuse it by name and position rather
+    // than compute with a wrapped (undefined) value.
+    const std::vector<std::pair<std::string, std::string>> cases = {
+        // The coefficient sum -(2^63 - 1) - (2^63 - 1), at the second term.
+        {"-9223372036854775807*x0 - 9223372036854775807*x0 < 1",
+         "parse_formula: integer overflow at position 26"},
+        // left - right = (2^63 - 1) - (-(2^63 - 1)), at the comparison.
+        {"9223372036854775807*x0 < -9223372036854775807*x0",
+         "parse_formula: integer overflow at position 23"},
+        // The constant sum (2^63 - 1) + (2^63 - 1), at the second literal.
+        {"x0 + 9223372036854775807 + 9223372036854775807 < 1",
+         "parse_formula: integer overflow at position 27"},
+        // A literal past int64 (std::stoll threw std::out_of_range).
+        {"x0 < 9223372036854775808",
+         "parse_formula: integer literal out of int64 range at position 5"},
+        // Normalizing to an atom: the bound -diff.constant = -(-2^63), and
+        // at_most's bound + 1.
+        {"-9223372036854775807 - 1 + x0 < 0", "parse_formula: integer overflow at position 30"},
+        {"x0 <= 9223372036854775807",
+         "parse_formula: Formula::at_most: constant + 1 overflows int64 at position 3"},
+        {"x65536 < 1", "parse_formula: variable index past x65535 at position 1"},
+    };
+    for (const auto& [text, message] : cases) {
+        const std::string expected = message + " in \"" + text + "\"";
+        EXPECT_EQ(rejection(text), expected) << text;
+    }
+    // The largest magnitudes that fit still parse.
+    EXPECT_EQ(rejection("9223372036854775807*x0 - 9223372036854775807*x1 < 0"), "parsed");
+    EXPECT_EQ(rejection("x0 < -9223372036854775807"), "parsed");
+    EXPECT_EQ(rejection("-9223372036854775807 - 1 + x0 < -1"), "parsed");
 }
 
 TEST(Parser, ModIsAKeywordNotAPrefix) {

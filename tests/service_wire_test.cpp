@@ -217,6 +217,35 @@ TEST(Wire, WireAndInProcessSubmitsRejectSpecsWithTheSameMessage) {
     std::filesystem::remove_all(options.spill_dir);
 }
 
+TEST(Wire, SubmitsWithWrappingCountsOrOverflowingPredicatesAreRejectedByName) {
+    RegistryOptions options;
+    options.spill_dir =
+        (std::filesystem::temp_directory_path() / "popproto_wire_overflow").string();
+    std::filesystem::remove_all(options.spill_dir);
+    RunRegistry registry(options);
+    const auto error_of = [&](const std::string& line) {
+        const auto response = dispatch_request(registry, parse_request(line));
+        EXPECT_TRUE(response.has_value()) << line;
+        const JsonValue reply = parse_json(response.value_or("{}"));
+        EXPECT_FALSE(reply.find("ok")->as_bool("ok")) << *response;
+        const JsonValue* error = reply.find("error");
+        return error != nullptr ? error->as_string("error") : std::string("no error");
+    };
+
+    // 2^64 - 1 + 3 must not wrap to a population of 2 and run.
+    EXPECT_EQ(error_of("{\"cmd\":\"submit\",\"protocol\":\"epidemic\","
+                       "\"counts\":[18446744073709551615,3],\"engine\":\"batch\","
+                       "\"budget\":100}"),
+              "from_input_counts: counts sum past 2^64 - 1 agents");
+    // The constant sum overflows int64 inside the Presburger parser.
+    const std::string formula = "x0 + 9223372036854775807 + 9223372036854775807 < 1";
+    EXPECT_EQ(error_of("{\"cmd\":\"submit\",\"protocol\":\"predicate\",\"predicate\":\"" +
+                       formula + "\",\"counts\":[5,3]}"),
+              "parse_formula: integer overflow at position 27 in \"" + formula + "\"");
+    EXPECT_TRUE(registry.list().empty());
+    std::filesystem::remove_all(options.spill_dir);
+}
+
 TEST(Wire, QueueFullRejectionsAreStructured) {
     RegistryOptions options;
     options.workers = 1;
