@@ -11,7 +11,7 @@
 //    pre-instrumentation numbers).
 //  * *NoopObserver: a base RunObserver with every callback a no-op and no
 //    snapshot schedule — the pure cost of virtual dispatch on the
-//    non-snapshot events (output changes, null runs, silence checks).
+//    non-snapshot events (output changes, null runs).
 //  * *Traced: a TraceRecorder with a fixed-period snapshot schedule — what
 //    a trajectory experiment actually pays.
 //  * Jsonl/Metrics: the streaming writer (to an in-memory sink) and the

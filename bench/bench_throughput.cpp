@@ -28,7 +28,6 @@ void BM_SimulateCounting(benchmark::State& state) {
     for (auto _ : state) {
         RunOptions options;
         options.max_interactions = 200000;
-        options.silence_check_period = 1u << 30;  // measure the raw loop
         options.seed = ++seed;
         const RunResult result = simulate(*protocol, initial, options);
         interactions += result.interactions;
@@ -137,7 +136,6 @@ void BM_SimulateMajorityProtocol(benchmark::State& state) {
     for (auto _ : state) {
         RunOptions options;
         options.max_interactions = 200000;
-        options.silence_check_period = 1u << 30;
         options.seed = ++seed;
         const RunResult result = simulate(*protocol, initial, options);
         interactions += result.interactions;

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Validates the two `trace_run --profile` artifacts.
+"""Validates the two `trace_run --profile` artifacts, or a silent stop.
 
 Usage: scripts/check_telemetry.py <base>.trace.json <base>.prom [<run>.jsonl]
+       scripts/check_telemetry.py <epidemic-run>.jsonl
 
 Holds the Chrome trace-event JSON and the Prometheus text exposition to the
 schema documented in DESIGN.md "Telemetry" — the CI smoke stage
@@ -35,6 +36,13 @@ Checks (exit 1 with a message on the first violation):
   attribute every interaction of the final stop event to exactly one
   segment; and the Prometheus exposition carries the per-engine families
   (popproto_engine_switches_total, popproto_engine_segment_*).
+
+  One argument (the trace_run stdout of an epidemic run): the stop event
+  is silent and lands on the last output change.  Every effective
+  epidemic interaction infects an agent and so changes an output, and every
+  engine stops at its first silent configuration, so a silent stop has
+  interactions == last_output_change.  An engine that tested silence only
+  now and then would stop later.
 """
 
 import json
@@ -298,7 +306,33 @@ def check_adaptive_jsonl(path: str) -> None:
           f"{len(segments)} segments, every interaction attributed")
 
 
+def check_silent_epidemic(path: str) -> None:
+    stop = None
+    with open(path) as f:
+        for lineno, line in enumerate(f, 1):
+            try:
+                event = json.loads(line)
+            except json.JSONDecodeError as error:
+                fail(f"{path}:{lineno}: not valid JSON: {error}")
+            if event.get("event") == "stop":
+                stop = event
+    if stop is None:
+        fail(f"{path}: no stop event")
+    if stop["reason"] != "silent":
+        fail(f"{path}: epidemic stopped on {stop['reason']!r}, not silence")
+    if stop["interactions"] != stop["last_output_change"]:
+        fail(f"{path}: silent stop at interaction {stop['interactions']}, "
+             f"but the last infection was at {stop['last_output_change']}: "
+             f"the engine ran past its first silent configuration")
+    print(f"check_telemetry: {path}: silent stop at the last infection, "
+          f"interaction {stop['interactions']}")
+
+
 def main() -> None:
+    if len(sys.argv) == 2:
+        check_silent_epidemic(sys.argv[1])
+        print("check_telemetry: OK")
+        return
     if len(sys.argv) not in (3, 4):
         print(__doc__, file=sys.stderr)
         sys.exit(2)

@@ -14,8 +14,11 @@
 #   4. trace_run --profile smoke                 (a short collapsed threads=4
 #                                                 profile plus an adaptive
 #                                                 profile with its JSONL
-#                                                 switch events; all
-#                                                 artifacts validated by
+#                                                 switch events, and an
+#                                                 agent-engine epidemic that
+#                                                 must stop at its last
+#                                                 infection; all artifacts
+#                                                 validated by
 #                                                 scripts/check_telemetry.py)
 #   5. scripts/check_service.py                  (service smoke: trace_run
 #                                                 SIGINT checkpointing, 1000
@@ -121,6 +124,11 @@ python3 "$ROOT/scripts/check_telemetry.py" \
     "$PROFILE_DIR/telemetry_adaptive.trace.json" \
     "$PROFILE_DIR/telemetry_adaptive.prom" \
     "$PROFILE_DIR/telemetry_adaptive.jsonl"
+# The agent engine, through the real CLI, stops at its first silent
+# configuration: an epidemic's last infection.
+"$BUILD_DIR/examples/trace_run" epidemic --n 4096 --engine agent --no-counts \
+    > "$PROFILE_DIR/agent_epidemic.jsonl"
+python3 "$ROOT/scripts/check_telemetry.py" "$PROFILE_DIR/agent_epidemic.jsonl"
 
 echo "ci.sh: [5/8] service end-to-end smoke"
 # Drives the real serve_popproto/popctl/trace_run binaries over a Unix

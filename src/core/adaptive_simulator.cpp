@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "core/collapsed_simulator.h"
-#include "core/effective_pairs.h"
 #include "core/engine_monitor.h"
 #include "core/require.h"
 #include "core/run_loop.h"
@@ -35,10 +34,10 @@ RunResult run_adaptive(const TabulatedProtocol& protocol, const CountConfigurati
 
     if (options.resume_from != nullptr) {
         cursor = *options.resume_from;
-        require(cursor->engine == ObservedEngine::kCountBatch ||
-                    cursor->engine == ObservedEngine::kCollapsed,
-                std::string("run_simulation: cannot resume a ") +
-                    observed_engine_name(cursor->engine) + " checkpoint");
+        if (cursor->engine != ObservedEngine::kCountBatch &&
+            cursor->engine != ObservedEngine::kCollapsed)
+            throw std::invalid_argument(std::string("run_simulation: cannot resume a ") +
+                                        observed_engine_name(cursor->engine) + " checkpoint");
         current = cursor->engine;
         monitor.emplace(n, current, options.adaptive);
         if (cursor->adaptive) {

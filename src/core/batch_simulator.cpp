@@ -21,7 +21,6 @@ namespace {
 class CountBatchStepper {
 public:
     static constexpr ObservedEngine kEngine = ObservedEngine::kCountBatch;
-    static constexpr SilenceMode kSilenceMode = SilenceMode::kExact;
     static constexpr bool kGeometricSkips = true;
     static constexpr bool kSuperSteps = false;
 

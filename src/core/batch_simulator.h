@@ -20,8 +20,7 @@
 //    The long convergence tail - where almost every pair is null - costs
 //    O(1) per *effective* interaction instead of O(1) per interaction.
 //  * W == 0 is exactly the silence predicate, so silence is detected at the
-//    precise interaction after which no further change is possible;
-//    RunOptions::silence_check_period is not needed and is ignored.
+//    precise interaction after which no further change is possible.
 //  * Observation (core/observer.h): scheduled snapshot indices that fall
 //    inside a geometric jump are emitted with the current (unchanged)
 //    counts and stamped with their exact interaction index — null runs
@@ -60,9 +59,9 @@ namespace popproto {
 /// engine `options.engine` names — the one way to choose a complete-graph
 /// engine:
 ///   * kAgentArray runs `simulate` (simulator.h);
-///   * kCountBatch runs this file's engine: same options as `simulate`
-///     (silence_check_period ignored), same result contract (see the file
-///     comment for the two multiset-wise bookkeeping fields);
+///   * kCountBatch runs this file's engine: same options and result
+///     contract as `simulate` (see the file comment for the two
+///     multiset-wise bookkeeping fields);
 ///   * kCollapsedBatch runs the collapsed super-step engine
 ///     (collapsed_simulator.h); threads > 1 selects its sharded variant and
 ///     at most 4096 threads are accepted;

@@ -268,7 +268,6 @@ private:
 class CollapsedStepper : public CollapsedEngineBase {
 public:
     static constexpr ObservedEngine kEngine = ObservedEngine::kCollapsed;
-    static constexpr SilenceMode kSilenceMode = SilenceMode::kExact;
     static constexpr bool kGeometricSkips = false;
     static constexpr bool kSuperSteps = true;
 
@@ -340,7 +339,6 @@ private:
 class ParallelCollapsedStepper : public CollapsedEngineBase {
 public:
     static constexpr ObservedEngine kEngine = ObservedEngine::kParallelCollapsed;
-    static constexpr SilenceMode kSilenceMode = SilenceMode::kExact;
     static constexpr bool kGeometricSkips = false;
     static constexpr bool kSuperSteps = true;
     static constexpr bool kParallel = true;

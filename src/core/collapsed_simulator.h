@@ -36,7 +36,7 @@
 // the agent-array and count-batch engines', but equivalence is
 // *distribution-level only* — even against itself across observation
 // setups.  The run-loop kernel clamps a super-step at snapshot, checkpoint,
-// stable-output-window, and silence-check boundaries (exactly: the first m
+// stable-output-window, and budget boundaries (exactly: the first m
 // pairs of a collision-free run of length >= m are themselves a
 // collision-free batch of length m, and the count chain is Markov), so
 // boundary *placement* steers where the RNG stream is spent, and the same
@@ -120,8 +120,8 @@ private:
 
 /// run_simulation's collapsed runner (options.engine == kCollapsedBatch,
 /// or kAuto with threads > 1).  Same options and result contract as the
-/// count-batch engine (silence_check_period ignored; multiset-wise
-/// effective_interactions and last_output_change), with the super-step
+/// count-batch engine (multiset-wise effective_interactions and
+/// last_output_change), with the super-step
 /// coarsenings described above.  threads > 1 selects the sharded parallel
 /// variant; the RunResult::engine field reports which variant ran.
 /// `monitor` and `transfer` are the adaptive dispatcher's segment hooks

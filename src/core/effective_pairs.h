@@ -7,10 +7,9 @@
 // geometric null skips and the phase-adaptive engine monitor consume.
 //
 // This tracker is the bookkeeping half of the count-batch stepper
-// (batch_simulator.cpp), factored out so that the exact-silence PairStepper
-// variant (interaction_model.h) and the adaptive dispatcher
-// (adaptive_simulator.cpp) maintain W with the same incremental update
-// instead of re-deriving it.
+// (batch_simulator.cpp).  The per-agent steppers need only W == 0 and keep
+// the cheaper SupportSilenceTest (interaction_model.h) instead: this
+// tracker does O(column degree) work on every effective step.
 //
 // Cost model: O(#effective transitions) to build or reset.  One
 // interaction (p, q) -> (p', q') changes the counts of at most four distinct

@@ -1,10 +1,68 @@
 #include "core/interaction_model.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numeric>
 
 namespace popproto {
+
+SupportSilenceTest::SupportSilenceTest(const TabulatedProtocol& protocol,
+                                       const std::vector<std::uint64_t>& counts)
+    : words_((protocol.num_states() + 63) / 64),
+      partners_(protocol.num_states() * words_, 0),
+      self_effective_(protocol.num_states(), 0),
+      present_(words_, 0),
+      level_(protocol.num_states(), 0) {
+    for (const EffectiveTransition& t : protocol.effective_transitions()) {
+        const State p = t.initiator;
+        const State q = t.responder;
+        if (p == q) {
+            self_effective_[p] = 1;
+            continue;
+        }
+        partners_[p * words_ + q / 64] |= std::uint64_t{1} << (q % 64);
+        partners_[q * words_ + p / 64] |= std::uint64_t{1} << (p % 64);
+    }
+    reset(counts);
+}
+
+void SupportSilenceTest::update(const std::vector<std::uint64_t>& counts, State p, State q,
+                                StatePair next) {
+    touch(p, counts[p]);
+    touch(q, counts[q]);
+    touch(next.initiator, counts[next.initiator]);
+    touch(next.responder, counts[next.responder]);
+}
+
+void SupportSilenceTest::reset(const std::vector<std::uint64_t>& counts) {
+    std::fill(present_.begin(), present_.end(), 0);
+    std::fill(level_.begin(), level_.end(), 0);
+    enabled_ = 0;
+    for (State s = 0; s < level_.size(); ++s) touch(s, counts[s]);
+}
+
+void SupportSilenceTest::touch(State s, std::uint64_t count) {
+    const auto level = static_cast<std::uint8_t>(count < 2 ? count : 2);
+    const std::uint8_t old = level_[s];
+    if (level == old) return;
+    level_[s] = level;
+    if (self_effective_[s] != 0) {
+        if (old == 2) --enabled_;
+        if (level == 2) ++enabled_;
+    }
+    if ((old == 0) == (level == 0)) return;  // present before and after
+    // s is never its own partner, so its presence bit can flip first.
+    present_[s / 64] ^= std::uint64_t{1} << (s % 64);
+    const std::uint64_t* const partners = partners_.data() + s * words_;
+    std::uint64_t enabled = 0;
+    for (std::size_t w = 0; w < words_; ++w)
+        enabled += static_cast<std::uint64_t>(std::popcount(partners[w] & present_[w]));
+    if (level == 0)
+        enabled_ -= enabled;
+    else
+        enabled_ += enabled;
+}
 
 WeightedPairModel::WeightedPairModel(const std::vector<double>& weights) : weights_(weights) {
     require(weights_.size() >= 2, "WeightedPairModel: need at least two agents");

@@ -33,7 +33,6 @@
 #include <vector>
 
 #include "core/configuration.h"
-#include "core/effective_pairs.h"
 #include "core/feistel.h"
 #include "core/require.h"
 #include "core/rng.h"
@@ -248,6 +247,43 @@ private:
 // ---------------------------------------------------------------------------
 // The one stepper over all models
 
+/// The per-agent steppers' exact silence test, kept on the configuration's
+/// support.  An effective state pair (one whose interaction changes the
+/// multiset) is *enabled* when its agents exist: both states present, or two
+/// agents in p for the pair (p, p).  The configuration is silent iff no
+/// effective pair is enabled.  Enabledness changes only when a count crosses
+/// 0/1/2, so the test counts enabled pairs and updates the count only at
+/// those crossings: a step that crosses none pays a few compares, and a
+/// state that appears or vanishes pays one masked popcount over |Q|/64 words
+/// (its effective partners against the presence mask).  Count-batch keeps
+/// the finer W of effective_pairs.h, which its skips need.
+class SupportSilenceTest {
+public:
+    SupportSilenceTest(const TabulatedProtocol& protocol,
+                       const std::vector<std::uint64_t>& counts);
+
+    bool silent() const { return enabled_ == 0; }
+
+    /// Books (p, q) -> next; `counts` holds the counts after it.  A caller
+    /// may skip a move none of whose four unit moves (two decrements, then
+    /// two increments) leaves a count at 2 or below: it crosses no level.
+    void update(const std::vector<std::uint64_t>& counts, State p, State q, StatePair next);
+
+    /// Rebuilds the test from a whole count vector (checkpoint restore).
+    void reset(const std::vector<std::uint64_t>& counts);
+
+private:
+    void touch(State s, std::uint64_t count);
+
+    std::size_t words_;
+    /// Row s, words_ long: bit t iff t != s and (s, t) or (t, s) is effective.
+    std::vector<std::uint64_t> partners_;
+    std::vector<std::uint8_t> self_effective_;  ///< (s, s) is effective
+    std::vector<std::uint64_t> present_;        ///< bit s: count[s] >= 1
+    std::vector<std::uint8_t> level_;           ///< min(count[s], 2)
+    std::uint64_t enabled_ = 0;                 ///< enabled effective pairs
+};
+
 /// Turns any InteractionModel into a run_loop stepper: per-agent state array
 /// plus multiset counts, one model-proposed ordered pair per step, delta
 /// applied via the protocol's fast tables.  `kEngineTag` is the ObservedEngine
@@ -256,28 +292,15 @@ private:
 /// kPairModel for scenario runs, where the checkpoint's interaction_model
 /// section names the concrete model).
 ///
-/// `kExactSilence` swaps the periodic multiset scan for exact silence: an
-/// EffectivePairTracker maintains the count of effective ordered state
-/// pairs incrementally (O(column degree) per changed state), so the kernel
-/// polls is_silent() every step and the run halts on the *first* silent
-/// configuration instead of at the next √n-spaced probe.  Deterministic
-/// bounded-cover models (round-robin, sweep) use this: their convergence
-/// proofs count exact interactions, and a periodic probe would let a
-/// cursor walk past the silent point, re-reporting silence up to a full
-/// probe period late.  Checkpoint format is unchanged (the tracker is
-/// rebuilt from the agent states on restore).
-template <InteractionModel M, ObservedEngine kEngineTag, bool kExactSilence = false>
+/// A model that can fall silent (kCanSilence) carries a SupportSilenceTest,
+/// so the run halts on its *first* silent configuration; restore rebuilds
+/// the test from the agent states.
+template <InteractionModel M, ObservedEngine kEngineTag>
 class PairStepper {
 public:
     static constexpr ObservedEngine kEngine = kEngineTag;
-    static constexpr SilenceMode kSilenceMode =
-        kExactSilence ? SilenceMode::kExact
-                      : (M::kCanSilence ? SilenceMode::kPeriodic : SilenceMode::kNever);
     static constexpr bool kGeometricSkips = false;
     static constexpr bool kSuperSteps = false;
-
-    static_assert(!kExactSilence || M::kCanSilence,
-                  "exact silence needs a model that can reach every pair of present states");
 
     /// `entry_point` names the caller in error messages ("simulate",
     /// "run_scenario", ...).
@@ -289,14 +312,14 @@ public:
           model_(std::move(model)),
           entry_point_(entry_point) {
         for (const State q : states_) ++counts_[q];
-        if constexpr (kExactSilence) tracker_.emplace(protocol_, counts_);
+        if constexpr (M::kCanSilence) silence_.emplace(protocol_, counts_);
     }
 
     std::uint64_t population() const { return states_.size(); }
 
     bool is_silent() const {
-        if constexpr (kExactSilence) return tracker_->effective_pairs() == 0;
-        return multiset_silent(protocol_, counts_);
+        if constexpr (M::kCanSilence) return silence_->silent();
+        return false;
     }
 
     std::uint64_t propose_skip(Rng&) { return 0; }
@@ -314,11 +337,14 @@ public:
                 protocol_.output_fast(next.responder) != protocol_.output_fast(q);
             states_[pair.first] = next.initiator;
             states_[pair.second] = next.responder;
-            --counts_[p];
-            --counts_[q];
-            ++counts_[next.initiator];
-            ++counts_[next.responder];
-            if constexpr (kExactSilence) tracker_->apply_transition(p, q, next);
+            // Only a unit move that leaves a count at 2 or below can cross
+            // the 0/1/2 levels the silence test tracks.
+            bool low = --counts_[p] <= 2;
+            low |= --counts_[q] <= 2;
+            low |= ++counts_[next.initiator] <= 2;
+            low |= ++counts_[next.responder] <= 2;
+            if constexpr (M::kCanSilence)
+                if (low) silence_->update(counts_, p, q, next);
         }
         return outcome;
     }
@@ -336,9 +362,12 @@ public:
         }
     }
 
+    /// Every check builds its message only when it fails, so a resume
+    /// allocates no more than a fresh run.
     void restore(const RunCheckpoint& checkpoint) {
-        require(checkpoint.agent_states.size() == states_.size(),
-                std::string(entry_point_) + ": checkpoint agent count mismatch");
+        if (checkpoint.agent_states.size() != states_.size())
+            throw std::invalid_argument(std::string(entry_point_) +
+                                        ": checkpoint agent count mismatch");
         states_ = checkpoint.agent_states;
         std::fill(counts_.begin(), counts_.end(), 0);
         for (const State q : states_) {
@@ -347,20 +376,15 @@ public:
                                             ": checkpoint state out of range");
             ++counts_[q];
         }
-        if constexpr (kExactSilence) tracker_->reset_counts(counts_);
-        if constexpr (M::kHasState) {
-            require(checkpoint.interaction_model == model_.name(),
-                    std::string(entry_point_) + ": checkpoint was taken under interaction "
-                    "model '" + checkpoint.interaction_model + "', but this run uses '" +
-                    model_.name() + "'");
-            model_.restore_state(checkpoint.model_state);
-        } else {
-            require(checkpoint.interaction_model.empty() ||
-                        checkpoint.interaction_model == model_.name(),
-                    std::string(entry_point_) + ": checkpoint was taken under interaction "
-                    "model '" + checkpoint.interaction_model + "', but this run uses '" +
-                    model_.name() + "'");
-        }
+        if constexpr (M::kCanSilence) silence_->reset(counts_);
+        // A stateless model also accepts a checkpoint that names no model.
+        if (checkpoint.interaction_model != model_.name() &&
+            (M::kHasState || !checkpoint.interaction_model.empty()))
+            throw std::invalid_argument(std::string(entry_point_) +
+                                        ": checkpoint was taken under interaction model '" +
+                                        checkpoint.interaction_model + "', but this run uses '" +
+                                        model_.name() + "'");
+        if constexpr (M::kHasState) model_.restore_state(checkpoint.model_state);
     }
 
 private:
@@ -369,9 +393,9 @@ private:
     std::vector<std::uint64_t> counts_;
     M model_;
     const char* entry_point_;
-    // Engaged iff kExactSilence (optional keeps the periodic variants free
-    // of the tracker's O(|Q|^2) tables).
-    std::optional<EffectivePairTracker> tracker_;
+    // Engaged iff M::kCanSilence (a model that cannot fall silent skips the
+    // O(|Q|^2 / 64) masks).
+    std::optional<SupportSilenceTest> silence_;
 };
 
 }  // namespace popproto

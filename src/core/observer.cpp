@@ -104,7 +104,6 @@ void RunObserver::on_start(const RunStartInfo&) {}
 void RunObserver::on_snapshot(std::uint64_t, const CountConfiguration&) {}
 void RunObserver::on_output_change(std::uint64_t) {}
 void RunObserver::on_null_run(std::uint64_t) {}
-void RunObserver::on_silence_check(std::uint64_t, bool) {}
 void RunObserver::on_engine_switch(const EngineSwitchInfo&) {}
 void RunObserver::on_stop(const RunResult&, double) {}
 
@@ -130,11 +129,6 @@ void TeeObserver::on_output_change(std::uint64_t interaction_index) {
 
 void TeeObserver::on_null_run(std::uint64_t length) {
     for (RunObserver* observer : observers_) observer->on_null_run(length);
-}
-
-void TeeObserver::on_silence_check(std::uint64_t interaction_index, bool silent) {
-    for (RunObserver* observer : observers_)
-        observer->on_silence_check(interaction_index, silent);
 }
 
 void TeeObserver::on_engine_switch(const EngineSwitchInfo& info) {

@@ -171,12 +171,6 @@ public:
     /// rule cuts the jump short).  Per-agent engines never call this.
     virtual void on_null_run(std::uint64_t length);
 
-    /// The engine evaluated the silence predicate after
-    /// `interaction_index` interactions (periodic-check engines only; the
-    /// batch engine detects silence exactly via W == 0 and never calls
-    /// this).
-    virtual void on_silence_check(std::uint64_t interaction_index, bool silent);
-
     /// The adaptive dispatcher spliced the run onto another engine
     /// (kAdaptive runs only; static engines never call this).  Delivered
     /// between the last event of the old segment and the first of the new.
@@ -198,7 +192,6 @@ public:
                      const CountConfiguration& configuration) override;
     void on_output_change(std::uint64_t interaction_index) override;
     void on_null_run(std::uint64_t length) override;
-    void on_silence_check(std::uint64_t interaction_index, bool silent) override;
     void on_engine_switch(const EngineSwitchInfo& info) override;
     void on_stop(const RunResult& result, double wall_seconds) override;
 

@@ -1,6 +1,5 @@
 #include "core/run_loop.h"
 
-#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
@@ -27,31 +26,6 @@ std::uint64_t default_budget(std::uint64_t population, double factor) {
 
 std::uint64_t resolved_budget(const RunOptions& options, std::uint64_t population) {
     return options.max_interactions != 0 ? options.max_interactions : default_budget(population);
-}
-
-std::uint64_t resolved_silence_check_period(const RunOptions& options,
-                                            std::uint64_t population) {
-    return options.silence_check_period != 0
-               ? options.silence_check_period
-               : std::max<std::uint64_t>(4 * population, 1024);
-}
-
-bool multiset_silent(const TabulatedProtocol& protocol,
-                     const std::vector<std::uint64_t>& counts) {
-    std::vector<State> present;
-    for (State q = 0; q < counts.size(); ++q)
-        if (counts[q] > 0) present.push_back(q);
-    for (State p : present) {
-        for (State q : present) {
-            if (p == q && counts[p] < 2) continue;
-            const StatePair result = protocol.apply_fast(p, q);
-            const bool multiset_preserved =
-                (result.initiator == p && result.responder == q) ||
-                (result.initiator == q && result.responder == p);
-            if (!multiset_preserved) return false;
-        }
-    }
-    return true;
 }
 
 void require_engine_field(const RunOptions& options, SimulationEngine accepted,
@@ -99,8 +73,10 @@ namespace {
 //   interactions <i>
 //   effective <e>
 //   last_output_change <l>
-//   next_silence_check <c>
-//   changed_since_check <0|1>
+//   next_silence_check 0                (written as 0 and 1 and ignored on
+//   changed_since_check 1                read: the retired periodic silence
+//                                        probe's state, kept so v1 files read
+//                                        both ways)
 //   pending_skip <0|1> <remaining>
 //   interaction_model <name> <k> <w...> (stateful pairing models only;
 //                                        k serialized model words)
@@ -109,11 +85,14 @@ namespace {
 //   adaptive <switches> <last_switch> <next_eval>
 //                                       (adaptive dispatcher segments only;
 //                                        engine-switch monitor state)
-//   counts <k> <c0> ... <c{k-1}>        (count engines)
-//   agents <k> <s0> ... <s{k-1}>        (agent engines)
+//   counts <k> <c0> ... <c{k-1}>        (count engines; k == num_states)
+//   agents <k> <s0> ... <s{k-1}>        (agent engines; k == population)
 //   end
 //
-// All integers are decimal.  Exactly one of counts/agents is present; the
+// All integers are decimal.  A declared length is checked against the
+// header and against the values the line holds, which the reader appends as
+// it parses them, so a corrupt length is a named error and never sizes a
+// vector.  Exactly one of counts/agents is present; the
 // interaction_model, shard_rngs, and adaptive lines are present exactly
 // when the run carries a stateful pairing model / shard streams / a
 // switch monitor (all are optional lines, so v1 readers of old checkpoints
@@ -209,8 +188,8 @@ void write_checkpoint(std::ostream& out, const RunCheckpoint& checkpoint) {
     out << "interactions " << checkpoint.interactions << "\n";
     out << "effective " << checkpoint.effective_interactions << "\n";
     out << "last_output_change " << checkpoint.last_output_change << "\n";
-    out << "next_silence_check " << checkpoint.next_silence_check << "\n";
-    out << "changed_since_check " << (checkpoint.changed_since_silence_check ? 1 : 0) << "\n";
+    out << "next_silence_check 0\n";
+    out << "changed_since_check 1\n";
     out << "pending_skip " << (checkpoint.has_pending_skip ? 1 : 0) << ' '
         << checkpoint.pending_null_skips << "\n";
     if (!checkpoint.interaction_model.empty()) {
@@ -275,8 +254,8 @@ RunCheckpoint read_checkpoint(std::istream& in) {
     checkpoint.interactions = parser.u64_line("interactions");
     checkpoint.effective_interactions = parser.u64_line("effective");
     checkpoint.last_output_change = parser.u64_line("last_output_change");
-    checkpoint.next_silence_check = parser.u64_line("next_silence_check");
-    checkpoint.changed_since_silence_check = parser.u64_line("changed_since_check") != 0;
+    parser.u64_line("next_silence_check");
+    parser.u64_line("changed_since_check");
 
     parser.next_line("pending_skip");
     parser.expect("pending_skip");
@@ -290,10 +269,8 @@ RunCheckpoint read_checkpoint(std::istream& in) {
     if (payload == "interaction_model") {
         checkpoint.interaction_model = parser.token("interaction model name");
         const std::uint64_t words = parser.u64("model state length");
-        if (words > (std::uint64_t{1} << 32))
-            parser.fail("bad model state length '" + std::to_string(words) + "'");
-        checkpoint.model_state.resize(words);
-        for (std::uint64_t& word : checkpoint.model_state) word = parser.u64("model word");
+        for (std::uint64_t i = 0; i < words; ++i)
+            checkpoint.model_state.push_back(parser.u64("model word"));
         parser.end_line();
         parser.next_line("counts");
         payload = parser.token("'shard_rngs', 'adaptive', 'counts' or 'agents'");
@@ -322,17 +299,20 @@ RunCheckpoint read_checkpoint(std::istream& in) {
     if (payload != "counts" && payload != "agents")
         parser.fail("expected 'counts' or 'agents', got '" + payload + "'");
     const std::uint64_t length = parser.u64("payload length");
-    if (payload == "counts") {
-        checkpoint.counts.resize(length);
-        for (std::uint64_t& count : checkpoint.counts) count = parser.u64("count");
-    } else {
-        checkpoint.agent_states.resize(length);
-        for (State& state : checkpoint.agent_states) {
-            const std::uint64_t value = parser.u64("agent state");
-            if (value > ~State{0})
-                parser.fail("agent state '" + std::to_string(value) + "' does not fit 32 bits");
-            state = static_cast<State>(value);
+    const bool counts = payload == "counts";
+    const std::uint64_t declared = counts ? checkpoint.num_states : checkpoint.population;
+    if (length != declared)
+        parser.fail(payload + " length " + std::to_string(length) + " does not match " +
+                    (counts ? "num_states " : "population ") + std::to_string(declared));
+    for (std::uint64_t i = 0; i < length; ++i) {
+        if (counts) {
+            checkpoint.counts.push_back(parser.u64("count"));
+            continue;
         }
+        const std::uint64_t value = parser.u64("agent state");
+        if (value > ~State{0})
+            parser.fail("agent state '" + std::to_string(value) + "' does not fit 32 bits");
+        checkpoint.agent_states.push_back(static_cast<State>(value));
     }
     parser.end_line();
 
@@ -345,10 +325,10 @@ RunCheckpoint read_checkpoint(std::istream& in) {
 void transfer_checkpoint_engine(RunCheckpoint& checkpoint, ObservedEngine target) {
     require(target == ObservedEngine::kCountBatch || target == ObservedEngine::kCollapsed,
             "transfer_checkpoint_engine: target must be count_batch or collapsed");
-    require(checkpoint.engine == ObservedEngine::kCountBatch ||
-                checkpoint.engine == ObservedEngine::kCollapsed,
-            std::string("transfer_checkpoint_engine: cannot transfer a ") +
-                observed_engine_name(checkpoint.engine) + " checkpoint");
+    if (checkpoint.engine != ObservedEngine::kCountBatch &&
+        checkpoint.engine != ObservedEngine::kCollapsed)
+        throw std::invalid_argument(std::string("transfer_checkpoint_engine: cannot transfer a ") +
+                                    observed_engine_name(checkpoint.engine) + " checkpoint");
     require(!checkpoint.has_pending_skip,
             "transfer_checkpoint_engine: checkpoint carries a pending null skip");
     require(checkpoint.shard_rngs.empty(),

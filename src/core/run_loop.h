@@ -7,11 +7,15 @@
 // (simulate_weighted), uniform edges on a restricted graph
 // (simulate_on_graph), and the named pairing models of run_scenario,
 // deterministic round-robin and sweep schedules included.  Everything those
-// loops used to duplicate — the interaction budget, the periodic silence
-// check and its max(4n, 1024) default, the stable-output window, observer
-// dispatch, snapshot-boundary clamping of geometric null skips, the
-// budget-vs-silence race at expiry — is policy, not sampling, and lives here
-// exactly once.
+// loops used to duplicate — the interaction budget, the silence stop, the
+// stable-output window, observer dispatch, snapshot-boundary clamping of
+// geometric null skips — is policy, not sampling, and lives here exactly
+// once.
+//
+// Silence has one rule on every engine: the run stops at its first silent
+// configuration.  A silent configuration is one no interaction can change, so
+// its outputs are stable (Lemma 1), and each stepper keeps an exact O(1)
+// is_silent() up to date as it steps.
 //
 // An engine contributes a *Stepper* (see the concept below): how to draw
 // and apply one interaction, how to test silence, and how to export /
@@ -32,9 +36,10 @@
 //    remainder of the skip (`pending_null_skips`), and the resumed loop
 //    consumes it before drawing again.  This mirrors how snapshots are
 //    clamped at schedule boundaries.
-//  * Resuming a periodic-silence engine does *not* re-test silence at the
-//    cut: the uninterrupted run would not have tested there either, and an
-//    early kSilent stop would change the reported interaction count.
+//  * A resumed run tests silence at the cut, as a fresh run does at index 0.
+//    The loop takes checkpoints only while the run is not silent, so the
+//    test passes on every checkpoint this kernel writes.  A checkpoint whose
+//    configuration is already silent stops at the cut with kSilent.
 //
 // The only observable difference a checkpointed run may exhibit is that an
 // observer's on_null_run events can be split at checkpoint boundaries
@@ -68,17 +73,6 @@ namespace popproto {
 /// The effective interaction budget: options.max_interactions, or
 /// default_budget(population) when the option is 0.
 std::uint64_t resolved_budget(const RunOptions& options, std::uint64_t population);
-
-/// The effective silence-check period: options.silence_check_period, or
-/// max(4 * population, 1024) when the option is 0.
-std::uint64_t resolved_silence_check_period(const RunOptions& options,
-                                            std::uint64_t population);
-
-/// True iff no ordered pair of present states changes the multiset (swaps
-/// and identities are null) — the silence predicate evaluated directly on a
-/// raw count vector, shared by the per-agent steppers.
-bool multiset_silent(const TabulatedProtocol& protocol,
-                     const std::vector<std::uint64_t>& counts);
 
 /// Throws unless options.engine is kAuto or `accepted`; `entry_point` names
 /// the caller in the message.  Pass kAuto as `accepted` for engines that
@@ -114,11 +108,6 @@ struct RunCheckpoint {
     std::uint64_t interactions = 0;
     std::uint64_t effective_interactions = 0;
     std::uint64_t last_output_change = 0;
-
-    // Stop-tracker state of the periodic silence check (unused by engines
-    // with exact or no silence detection, but carried for uniformity).
-    std::uint64_t next_silence_check = 0;
-    bool changed_since_silence_check = true;
 
     /// Batch engine only: the geometric null-skip draw preceding the next
     /// effective interaction was already consumed from the RNG stream, and
@@ -215,22 +204,6 @@ void transfer_checkpoint_engine(RunCheckpoint& checkpoint, ObservedEngine target
 // ---------------------------------------------------------------------------
 // The Stepper concept
 
-/// How a stepper participates in silence detection.
-enum class SilenceMode {
-    /// is_silent() is an O(1) exact predicate maintained by step() (the
-    /// batch engine's W == 0); evaluated after every effective interaction,
-    /// never reported via on_silence_check.
-    kExact,
-    /// is_silent() is an expensive full test; the kernel schedules it every
-    /// resolved_silence_check_period interactions, skips it when nothing
-    /// changed since the last test, re-tests at budget expiry (so a sound
-    /// kSilent is never misreported as kBudget), and reports each test via
-    /// on_silence_check.
-    kPeriodic,
-    /// Silence is never tested (graph runs: group (d) swaps fire forever).
-    kNever,
-};
-
 /// One interaction's outcome, reported by Stepper::step.
 struct StepOutcome {
     /// The interaction changed the engine's configuration (state multiset
@@ -264,7 +237,6 @@ template <typename S>
 concept StepperBase = requires(S stepper, const S const_stepper, RunCheckpoint& checkpoint,
                                const RunCheckpoint& const_checkpoint) {
     { S::kEngine } -> std::convertible_to<ObservedEngine>;
-    { S::kSilenceMode } -> std::convertible_to<SilenceMode>;
     /// Whether propose_skip can return nonzero.  False compiles the whole
     /// skip/clamp machinery out of the loop, keeping per-interaction
     /// engines on the same tight hot path their private loops had.
@@ -274,6 +246,10 @@ concept StepperBase = requires(S stepper, const S const_stepper, RunCheckpoint& 
     /// interaction.  Mutually exclusive with kGeometricSkips.
     { S::kSuperSteps } -> std::convertible_to<bool>;
     { const_stepper.population() } -> std::convertible_to<std::uint64_t>;
+    /// Exact and O(1), kept up to date by the stepping methods; the kernel
+    /// reads it at the start and after every step that changed the
+    /// configuration.  A stepper whose configuration cannot fall silent
+    /// (graph runs: group (d) swaps fire forever) returns false.
     { const_stepper.is_silent() } -> std::convertible_to<bool>;
     /// Current configuration as a state multiset (snapshots, final result).
     { const_stepper.counts() } -> std::same_as<CountConfiguration>;
@@ -298,7 +274,7 @@ concept SingleStepStepper = StepperBase<S> && !S::kSuperSteps &&
 /// The super-step flavour (collapsed_simulator.cpp): propose_super_step
 /// draws the length of the maximal collision-free run of pairs; the kernel
 /// clamps it at the earliest boundary it must observe exactly (snapshot,
-/// checkpoint, stable-output window, silence check, budget) and calls
+/// checkpoint, stable-output window, budget) and calls
 /// apply_super_step(rng, m, with_collision) to execute m collision-free
 /// pairs, plus the single colliding interaction when the run was not
 /// clamped.  Clamping is exact, not approximate: the first m pairs of a
@@ -340,6 +316,13 @@ inline double seconds_since(std::chrono::steady_clock::time_point start) {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 }
 
+/// require() for the kernel's checks: the message is `entry_point` + `what`,
+/// built only when `condition` fails, so a passing run or resume allocates
+/// nothing here.
+inline void require_at(bool condition, const char* entry_point, std::string_view what) {
+    if (!condition) throw std::invalid_argument(std::string(entry_point).append(what));
+}
+
 }  // namespace run_loop_detail
 
 /// Drives `stepper` under the full run policy and returns the result.
@@ -356,25 +339,23 @@ template <Stepper S>
 RunResult run_loop(S& stepper, const TabulatedProtocol& protocol, const RunOptions& options,
                    const char* entry_point, EngineSwitchMonitor* monitor = nullptr,
                    std::optional<RunCheckpoint>* transfer = nullptr) {
-    constexpr SilenceMode kMode = S::kSilenceMode;
-    const std::string where(entry_point);
+    using run_loop_detail::require_at;
 
     const std::uint64_t n = stepper.population();
-    require(n >= 2, where + ": need at least two agents");
+    require_at(n >= 2, entry_point, ": need at least two agents");
     const std::uint64_t budget = resolved_budget(options, n);
-    const std::uint64_t check_period = resolved_silence_check_period(options, n);
     const std::uint64_t window = options.stop_after_stable_outputs;
     const std::uint64_t checkpoint_every = options.checkpoint_every;
-    require(checkpoint_every == 0 || options.checkpoint_sink != nullptr,
-            where + ": checkpoint_every requires a checkpoint_sink");
-    require(options.pause_after == 0 || options.checkpoint_sink != nullptr,
-            where + ": pause_after requires a checkpoint_sink");
+    require_at(checkpoint_every == 0 || options.checkpoint_sink != nullptr, entry_point,
+               ": checkpoint_every requires a checkpoint_sink");
+    require_at(options.pause_after == 0 || options.checkpoint_sink != nullptr, entry_point,
+               ": pause_after requires a checkpoint_sink");
     if constexpr (!ParallelStepper<S>) {
         // threads == 0 (auto) is fine — it resolves to 1 for sequential
         // engines — but an explicit request for parallelism is not.
-        require(options.threads <= 1,
-                where + ": this engine is sequential; threads > 1 is only "
-                        "supported by the collapsed engine");
+        require_at(options.threads <= 1, entry_point,
+                   ": this engine is sequential; threads > 1 is only supported by the "
+                   "collapsed engine");
     }
 
     Rng rng(options.seed);
@@ -397,28 +378,25 @@ RunResult run_loop(S& stepper, const TabulatedProtocol& protocol, const RunOptio
         collector->begin_run(observed_engine_name(S::kEngine), n, run_threads);
     }
 
-    std::uint64_t next_check = check_period;
-    std::uint64_t changed_since_check = 1;
     std::uint64_t pending_skip = 0;
     bool has_pending_skip = false;
 
     if (options.resume_from != nullptr) {
         const RunCheckpoint& checkpoint = *options.resume_from;
-        require(checkpoint.engine == S::kEngine,
-                where + ": checkpoint was taken by the " +
-                    observed_engine_name(checkpoint.engine) + " engine");
-        require(checkpoint.population == n, where + ": checkpoint population mismatch");
-        require(checkpoint.num_states == protocol.num_states(),
-                where + ": checkpoint state-count mismatch");
-        require(checkpoint.interactions <= budget,
-                where + ": checkpoint lies beyond max_interactions");
+        if (checkpoint.engine != S::kEngine)
+            throw std::invalid_argument(std::string(entry_point) +
+                                        ": checkpoint was taken by the " +
+                                        observed_engine_name(checkpoint.engine) + " engine");
+        require_at(checkpoint.population == n, entry_point, ": checkpoint population mismatch");
+        require_at(checkpoint.num_states == protocol.num_states(), entry_point,
+                   ": checkpoint state-count mismatch");
+        require_at(checkpoint.interactions <= budget, entry_point,
+                   ": checkpoint lies beyond max_interactions");
         stepper.restore(checkpoint);
         rng.restore_state(checkpoint.rng);
         result.interactions = checkpoint.interactions;
         result.effective_interactions = checkpoint.effective_interactions;
         result.last_output_change = checkpoint.last_output_change;
-        next_check = checkpoint.next_silence_check;
-        changed_since_check = checkpoint.changed_since_silence_check ? 1 : 0;
         has_pending_skip = checkpoint.has_pending_skip;
         pending_skip = checkpoint.pending_null_skips;
     }
@@ -429,8 +407,8 @@ RunResult run_loop(S& stepper, const TabulatedProtocol& protocol, const RunOptio
     // checkpoint there additionally ends the run with kPaused.
     const std::uint64_t pause_at =
         options.pause_after != 0 ? options.pause_after : SnapshotSchedule::kNever;
-    require(pause_at == SnapshotSchedule::kNever || pause_at > result.interactions,
-            where + ": pause_after lies at or before the resume point");
+    require_at(pause_at == SnapshotSchedule::kNever || pause_at > result.interactions,
+               entry_point, ": pause_after lies at or before the resume point");
     bool paused = false;
 
     std::uint64_t next_checkpoint = SnapshotSchedule::kNever;
@@ -454,8 +432,6 @@ RunResult run_loop(S& stepper, const TabulatedProtocol& protocol, const RunOptio
         checkpoint.interactions = result.interactions;
         checkpoint.effective_interactions = result.effective_interactions;
         checkpoint.last_output_change = result.last_output_change;
-        checkpoint.next_silence_check = next_check;
-        checkpoint.changed_since_silence_check = changed_since_check != 0;
         checkpoint.has_pending_skip = has_pending;
         checkpoint.pending_null_skips = pending;
         if (monitor != nullptr) {
@@ -510,23 +486,7 @@ RunResult run_loop(S& stepper, const TabulatedProtocol& protocol, const RunOptio
         observer->on_start(info);
     }
 
-    bool silent = false;
-    if constexpr (kMode == SilenceMode::kExact) {
-        silent = stepper.is_silent();
-    } else if constexpr (kMode == SilenceMode::kPeriodic) {
-        if (options.resume_from == nullptr) {
-            // A configuration that starts silent terminates immediately.  A
-            // *resumed* run skips this test: the uninterrupted run would not
-            // test at the cut either, and stopping early would change the
-            // reported interaction count.
-            {
-                const telemetry::ScopedTimer timer(collector,
-                                                   telemetry::Phase::kSilenceCheck);
-                silent = stepper.is_silent();
-            }
-            if (observer) observer->on_silence_check(0, silent);
-        }
-    }
+    bool silent = stepper.is_silent();  // a silent start or resume stops at once
 
     const std::atomic<bool>* const stop_flag = options.stop_flag;
     while (!silent && result.interactions < budget) {
@@ -588,9 +548,6 @@ RunResult run_loop(S& stepper, const TabulatedProtocol& protocol, const RunOptio
             if (window != 0 && result.last_output_change != 0 &&
                 result.last_output_change + window < boundary)
                 boundary = result.last_output_change + window;
-            if constexpr (kMode == SilenceMode::kPeriodic) {
-                if (next_check < boundary) boundary = next_check;
-            }
             // Every boundary lies strictly ahead of the current index
             // (due snapshots/checkpoints were already emitted above, stop
             // rules would have fired), so at least one interaction fits.
@@ -611,15 +568,12 @@ RunResult run_loop(S& stepper, const TabulatedProtocol& protocol, const RunOptio
             }
             result.interactions += pairs + (clamped ? 0 : 1);
             if (collector) collector->record_super_step(pairs, clamped);
-            if (outcome.effective != 0) {
-                result.effective_interactions += outcome.effective;
-                changed_since_check = 1;
-            }
+            result.effective_interactions += outcome.effective;
             if (outcome.output_changed) {
                 result.last_output_change = result.interactions;
                 if (observer) observer->on_output_change(result.interactions);
             }
-            if constexpr (kMode == SilenceMode::kExact) silent = stepper.is_silent();
+            silent = stepper.is_silent();
         } else if constexpr (S::kGeometricSkips) {
             std::uint64_t skips;
             if (has_pending_skip) {
@@ -698,13 +652,12 @@ RunResult run_loop(S& stepper, const TabulatedProtocol& protocol, const RunOptio
             const StepOutcome outcome = stepper.step(rng);
             if (outcome.changed) {
                 ++result.effective_interactions;
-                changed_since_check = 1;
                 if (outcome.output_changed) {
                     result.last_output_change = result.interactions;
                     if (observer) observer->on_output_change(result.interactions);
                 }
+                silent = stepper.is_silent();
             }
-            if constexpr (kMode == SilenceMode::kExact) silent = stepper.is_silent();
         }
 
         if (result.interactions >= next_snapshot) emit_snapshots_through(result.interactions);
@@ -715,41 +668,12 @@ RunResult run_loop(S& stepper, const TabulatedProtocol& protocol, const RunOptio
             break;
         }
 
-        if constexpr (kMode == SilenceMode::kPeriodic) {
-            if (result.interactions >= next_check) {
-                next_check = result.interactions + check_period;
-                if (changed_since_check != 0) {
-                    // Only re-test silence if something changed since last test.
-                    {
-                        const telemetry::ScopedTimer timer(collector,
-                                                           telemetry::Phase::kSilenceCheck);
-                        silent = stepper.is_silent();
-                    }
-                    changed_since_check = 0;
-                    if (observer) observer->on_silence_check(result.interactions, silent);
-                }
-            }
-        }
-
         if (collector) collector->publish_interactions(result.interactions);
     }
 
-    if constexpr (kMode == SilenceMode::kPeriodic) {
-        if (!paused && !silent && result.interactions >= budget) {
-            // The budget can expire between silence checks; a final test
-            // keeps the sound kSilent certificate from being misreported as
-            // kBudget.
-            {
-                const telemetry::ScopedTimer timer(collector,
-                                                   telemetry::Phase::kSilenceCheck);
-                silent = stepper.is_silent();
-            }
-            if (observer) observer->on_silence_check(result.interactions, silent);
-        }
-    }
-    if constexpr (kMode != SilenceMode::kNever) {
-        if (silent) result.stop_reason = StopReason::kSilent;
-    }
+    // Silence outranks a stable-output window or a budget that expires at
+    // the same index.
+    if (silent) result.stop_reason = StopReason::kSilent;
     // A pause is never also a terminal stop: the loop breaks before
     // stepping, so `silent` cannot have been set in the same iteration.
     if (paused) result.stop_reason = StopReason::kPaused;

@@ -15,7 +15,7 @@
 // (scenarios/scenario_spec.h) runs every named pairing model, including the
 // deterministic round-robin and sweep schedules.  All of them share one
 // run-loop kernel (core/run_loop.h) that owns every piece of run policy: the
-// interaction budget, the periodic silence check, the stable-output window,
+// interaction budget, the silence stop, the stable-output window,
 // observer dispatch, geometric-skip clamping at snapshot boundaries, and
 // deterministic checkpoint/resume.  They only differ in how the next
 // interaction is sampled.
@@ -104,11 +104,6 @@ struct RunOptions {
     /// Hard cap on interactions; the run reports `hit_budget` if reached.
     /// 0 selects `default_budget(n)` for the population at hand.
     std::uint64_t max_interactions = 0;
-
-    /// How often (in interactions) to test whether the configuration is
-    /// silent.  0 selects max(4n, 1024) automatically.  Silence is a sound
-    /// stopping rule: a silent configuration can never change again.
-    std::uint64_t silence_check_period = 0;
 
     /// If nonzero, additionally stop once no agent's *output* has changed for
     /// this many consecutive interactions.  This is a heuristic stopping rule

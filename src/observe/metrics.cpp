@@ -13,8 +13,7 @@ std::string MetricsReport::to_string() const {
     out << "interactions: " << interactions << " total, " << effective_interactions
         << " effective, " << null_interactions_skipped << " skipped in " << null_runs
         << " null runs\n";
-    out << "events: " << snapshots << " snapshots, " << output_changes << " output changes, "
-        << silence_checks << " silence checks\n";
+    out << "events: " << snapshots << " snapshots, " << output_changes << " output changes\n";
     out << "wall seconds: " << wall_seconds_total << " total";
     if (runs_finished > 0)
         out << " (min " << wall_seconds_min << ", max " << wall_seconds_max << ")";
@@ -39,7 +38,7 @@ std::string MetricsReport::to_json() const {
         << ",\"stops_stable_outputs\":" << stops_stable_outputs
         << ",\"stops_budget\":" << stops_budget << ",\"stops_paused\":" << stops_paused
         << ",\"output_changes\":" << output_changes
-        << ",\"snapshots\":" << snapshots << ",\"silence_checks\":" << silence_checks
+        << ",\"snapshots\":" << snapshots
         << ",\"null_runs\":" << null_runs
         << ",\"null_interactions_skipped\":" << null_interactions_skipped
         << ",\"null_run_length_log2\":{";
@@ -73,7 +72,6 @@ void MetricsReport::merge(const MetricsReport& other) {
     stops_paused += other.stops_paused;
     output_changes += other.output_changes;
     snapshots += other.snapshots;
-    silence_checks += other.silence_checks;
     null_runs += other.null_runs;
     null_interactions_skipped += other.null_interactions_skipped;
     for (std::size_t b = 0; b < null_run_length_log2.size(); ++b)
@@ -96,8 +94,6 @@ void MetricsAccumulator::on_null_run(std::uint64_t length) {
     const int bucket = std::bit_width(length) - 1;
     ++data_.null_run_length_log2[static_cast<std::size_t>(bucket)];
 }
-
-void MetricsAccumulator::on_silence_check(std::uint64_t, bool) { ++data_.silence_checks; }
 
 void MetricsAccumulator::on_stop(const RunResult& result, double wall_seconds) {
     if (data_.runs_finished == 0 || wall_seconds < data_.wall_seconds_min)
@@ -153,11 +149,6 @@ void MetricsCollector::on_output_change(std::uint64_t interaction_index) {
 void MetricsCollector::on_null_run(std::uint64_t length) {
     const std::lock_guard<std::mutex> lock(mutex_);
     accumulator_.on_null_run(length);
-}
-
-void MetricsCollector::on_silence_check(std::uint64_t interaction_index, bool silent) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    accumulator_.on_silence_check(interaction_index, silent);
 }
 
 void MetricsCollector::on_stop(const RunResult& result, double wall_seconds) {

@@ -2,8 +2,7 @@
 //
 // A MetricsAccumulator tallies counters and histograms over every run it
 // observes: total vs effective interactions, per-stop-reason counts,
-// null-skip run lengths (log2 histogram), silence-check counts, and
-// wall-clock per run.  It takes no lock, so it belongs to one thread at a
+// null-skip run lengths (log2 histogram), and wall-clock per run.  It takes no lock, so it belongs to one thread at a
 // time.  MetricsCollector is the same bookkeeping behind a mutex, for one
 // collector shared by several threads.
 //
@@ -32,7 +31,7 @@ namespace popproto {
 struct MetricsReport {
     /// Schema version of to_json (bumped on breaking shape changes; the
     /// full schema is documented in DESIGN.md "Observability").
-    static constexpr int kSchemaVersion = 1;
+    static constexpr int kSchemaVersion = 2;
 
     std::uint64_t runs_started = 0;
     std::uint64_t runs_finished = 0;
@@ -53,7 +52,6 @@ struct MetricsReport {
     // Event counts.
     std::uint64_t output_changes = 0;
     std::uint64_t snapshots = 0;
-    std::uint64_t silence_checks = 0;
 
     // Null-run statistics (batch engine).  Bucket b of the histogram counts
     // runs of length in [2^b, 2^(b+1)); `null_interactions_skipped` equals
@@ -75,7 +73,7 @@ struct MetricsReport {
     /// histogram buckets (keyed by bucket exponent), so cross-run
     /// aggregates can land next to JSONL traces without hand-rolled
     /// printing:
-    /// {"schema_version":1,"runs_started":...,"null_run_length_log2":{"4":17,...}}.
+    /// {"schema_version":2,"runs_started":...,"null_run_length_log2":{"4":17,...}}.
     std::string to_json() const;
 
     /// Adds `other`'s runs to this report: counters and histogram buckets
@@ -100,7 +98,6 @@ public:
                      const CountConfiguration& configuration) override;
     void on_output_change(std::uint64_t interaction_index) override;
     void on_null_run(std::uint64_t length) override;
-    void on_silence_check(std::uint64_t interaction_index, bool silent) override;
     void on_stop(const RunResult& result, double wall_seconds) override;
 
 private:
@@ -121,7 +118,6 @@ public:
                      const CountConfiguration& configuration) override;
     void on_output_change(std::uint64_t interaction_index) override;
     void on_null_run(std::uint64_t length) override;
-    void on_silence_check(std::uint64_t interaction_index, bool silent) override;
     void on_stop(const RunResult& result, double wall_seconds) override;
 
 private:

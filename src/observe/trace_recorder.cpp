@@ -38,10 +38,6 @@ void TraceRecorder::on_output_change(std::uint64_t interaction_index) {
     output_changes_.push_back(interaction_index);
 }
 
-void TraceRecorder::on_silence_check(std::uint64_t, bool) {
-    ++silence_checks_;
-}
-
 void TraceRecorder::on_stop(const RunResult& result, double wall_seconds) {
     result_ = result;
     wall_seconds_ = wall_seconds;

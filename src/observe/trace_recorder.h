@@ -53,9 +53,6 @@ public:
     /// engine) or some agent's output (per-agent engines).
     const std::vector<std::uint64_t>& output_changes() const { return output_changes_; }
 
-    /// Number of silence-predicate evaluations reported by the engine.
-    std::uint64_t silence_checks() const { return silence_checks_; }
-
     /// The run's final result; empty until on_stop.
     const std::optional<RunResult>& result() const { return result_; }
 
@@ -74,7 +71,6 @@ public:
     void on_snapshot(std::uint64_t interaction_index,
                      const CountConfiguration& configuration) override;
     void on_output_change(std::uint64_t interaction_index) override;
-    void on_silence_check(std::uint64_t interaction_index, bool silent) override;
     void on_stop(const RunResult& result, double wall_seconds) override;
 
 private:
@@ -85,7 +81,6 @@ private:
     std::vector<std::uint64_t> initial_counts_;
     std::vector<TraceSnapshot> snapshots_;
     std::vector<std::uint64_t> output_changes_;
-    std::uint64_t silence_checks_ = 0;
     std::optional<RunResult> result_;
     double wall_seconds_ = 0.0;
 };

@@ -15,14 +15,10 @@ namespace popproto {
 
 namespace {
 
-/// Deterministic bounded-cover models (round-robin, sweep) halt on the
-/// first silent configuration via the exact W tracker: their convergence
-/// guarantees count exact interactions, and the periodic probe could
-/// overshoot silence by a full probe period.
-template <InteractionModel M, bool kExactSilence = false>
+template <InteractionModel M>
 RunResult run_with_model(const TabulatedProtocol& protocol, const CountConfiguration& initial,
                          M model, const RunOptions& options) {
-    PairStepper<M, ObservedEngine::kPairModel, kExactSilence> stepper(
+    PairStepper<M, ObservedEngine::kPairModel> stepper(
         protocol, AgentConfiguration::from_counts(initial).states(), std::move(model),
         "run_scenario");
     return run_loop(stepper, protocol, options, "run_scenario");
@@ -55,11 +51,9 @@ RunResult run_scenario(const TabulatedProtocol& protocol, const CountConfigurati
     require_engine_field(options, SimulationEngine::kAuto, "run_scenario");
 
     if (spec.model == "round_robin")
-        return run_with_model<RoundRobinPairModel, /*kExactSilence=*/true>(
-            protocol, initial, RoundRobinPairModel(n), options);
+        return run_with_model(protocol, initial, RoundRobinPairModel(n), options);
     if (spec.model == "sweep")
-        return run_with_model<SweepPairModel, /*kExactSilence=*/true>(
-            protocol, initial, SweepPairModel(n, options.seed), options);
+        return run_with_model(protocol, initial, SweepPairModel(n, options.seed), options);
     if (spec.model == "adversarial")
         return run_with_model(protocol, initial,
                               AdversarialCoverModel(protocol, n, spec.probe), options);

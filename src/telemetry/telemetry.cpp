@@ -10,8 +10,6 @@ const char* phase_name(Phase phase) {
     switch (phase) {
         case Phase::kStepping:
             return "stepping";
-        case Phase::kSilenceCheck:
-            return "silence_check";
         case Phase::kSnapshotDispatch:
             return "snapshot_dispatch";
         case Phase::kRunLengthDraw:

@@ -55,7 +55,6 @@ namespace popproto::telemetry {
 /// accounting (phase_is_nested).
 enum class Phase : std::uint8_t {
     kStepping = 0,      ///< derived: interaction sampling + application
-    kSilenceCheck,      ///< Stepper::is_silent under SilenceMode::kPeriodic
     kSnapshotDispatch,  ///< observer snapshot emission (run_loop)
     kRunLengthDraw,     ///< birthday-law super-step length proposal
     kSuperStepApply,    ///< one whole collapsed super-step
@@ -72,7 +71,7 @@ enum class Phase : std::uint8_t {
 
 inline constexpr std::size_t kNumPhases = static_cast<std::size_t>(Phase::kCount);
 
-/// Stable lowercase identifier ("stepping", "silence_check", ...).
+/// Stable lowercase identifier ("stepping", "snapshot_dispatch", ...).
 const char* phase_name(Phase phase);
 
 /// Nested phases run inside another timed phase and are excluded from the

@@ -8,8 +8,14 @@
 //     is per-run setup, none is per effective interaction or super-step;
 //   * an agent-array run or resume 16x larger (n = 2^10 against 2^14) —
 //     setup and restore allocate per run, never per agent.
+// A resumed service quantum may allocate no more often than a run's first
+// quantum: a passing check builds no message.
 // Every measured call is made once before it is counted, so lazily built
 // process-wide tables do not land in one side's count only.
+//
+// The replacement can also cap single allocations (AllocationCap), so a
+// reader that would size a vector from a corrupt length throws
+// std::bad_alloc at once instead of exhausting the host's memory.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +24,7 @@
 #include <cstdlib>
 #include <functional>
 #include <new>
+#include <string>
 #include <vector>
 
 #include "core/batch_simulator.h"
@@ -28,10 +35,16 @@
 namespace {
 
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::size_t> g_allocation_cap{~std::size_t{0}};
+
+void* capped_malloc(std::size_t size) {
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+    if (size > g_allocation_cap.load(std::memory_order_relaxed)) return nullptr;
+    return std::malloc(size != 0 ? size : 1);
+}
 
 void* counted_allocation(std::size_t size) {
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
-    if (void* block = std::malloc(size != 0 ? size : 1)) return block;
+    if (void* block = capped_malloc(size)) return block;
     throw std::bad_alloc();
 }
 
@@ -43,12 +56,10 @@ void* counted_allocation(std::size_t size) {
 void* operator new(std::size_t size) { return counted_allocation(size); }
 void* operator new[](std::size_t size) { return counted_allocation(size); }
 void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
-    return std::malloc(size != 0 ? size : 1);
+    return capped_malloc(size);
 }
 void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
-    return std::malloc(size != 0 ? size : 1);
+    return capped_malloc(size);
 }
 void operator delete(void* block) noexcept { std::free(block); }
 void operator delete[](void* block) noexcept { std::free(block); }
@@ -149,6 +160,98 @@ TEST(AllocationGuard, AgentArrayRunAllocatesPerRunNotPerAgent) {
 TEST(AllocationGuard, AgentArrayResumeAllocatesPerRunNotPerAgent) {
     EXPECT_EQ(agent_array_allocations(std::uint64_t{1} << 10, true),
               agent_array_allocations(std::uint64_t{1} << 14, true));
+}
+
+/// Allocations of one service quantum of n interactions of an epidemic at
+/// n = 2^12: the run's first quantum, or the second one resumed from the
+/// first one's pause checkpoint, as the daemon slices a session.  Each
+/// quantum delivers one checkpoint.
+std::uint64_t quantum_allocations(SimulationEngine engine, bool resumed) {
+    const std::uint64_t n = std::uint64_t{1} << 12;
+    const auto protocol = make_epidemic_protocol();
+    const auto initial = CountConfiguration::from_input_counts(*protocol, {n - 1, 1});
+    RunOptions options;
+    options.engine = engine;
+    options.seed = 29;
+    CollectingSink sink;
+    options.checkpoint_sink = &sink;
+    options.pause_after = n;
+    EXPECT_EQ(run_simulation(*protocol, initial, options).stop_reason, StopReason::kPaused);
+    const RunCheckpoint first = sink.checkpoints.back();
+    if (resumed) {
+        options.resume_from = &first;
+        options.pause_after = 2 * n;
+    }
+    return steady_allocations([&] {
+        sink.checkpoints.clear();
+        EXPECT_EQ(run_simulation(*protocol, initial, options).stop_reason, StopReason::kPaused);
+    });
+}
+
+TEST(AllocationGuard, ResumedQuantumAllocatesNoMoreThanTheFirst) {
+    for (const SimulationEngine engine :
+         {SimulationEngine::kCountBatch, SimulationEngine::kAgentArray})
+        EXPECT_LE(quantum_allocations(engine, true), quantum_allocations(engine, false))
+            << "engine " << static_cast<int>(engine);
+}
+
+/// Caps single allocations for its scope: a larger request fails as it
+/// would under an address-space limit, without touching any memory.
+class AllocationCap {
+public:
+    explicit AllocationCap(std::size_t bytes) { g_allocation_cap.store(bytes); }
+    ~AllocationCap() { g_allocation_cap.store(~std::size_t{0}); }
+    AllocationCap(const AllocationCap&) = delete;
+    AllocationCap& operator=(const AllocationCap&) = delete;
+};
+
+/// `text` with its first `from` replaced by `to`.
+std::string with(std::string text, const std::string& from, const std::string& to) {
+    const std::size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    if (at != std::string::npos) text.replace(at, from.size(), to);
+    return text;
+}
+
+TEST(AllocationGuard, CheckpointLengthsAreCheckedBeforeAnythingIsSized) {
+    // Each corrupt text declares a length far beyond the values its line
+    // holds.  Sized up front, these vectors would take 0.8 GB, 32 GB, 32 GB
+    // and 16 GB; the reader must name the bad length instead.
+    RunCheckpoint counts;
+    counts.engine = ObservedEngine::kCountBatch;
+    counts.population = 3;
+    counts.num_states = 2;
+    counts.counts = {1, 2};
+    const std::string count_text = checkpoint_to_string(counts);
+    RunCheckpoint agents;
+    agents.engine = ObservedEngine::kPairModel;
+    agents.population = 2;
+    agents.num_states = 2;
+    agents.interaction_model = "sweep";
+    agents.model_state = {1, 2, 3};
+    agents.agent_states = {0, 1};
+    const std::string agent_text = checkpoint_to_string(agents);
+    const std::string corrupt[] = {
+        with(count_text, "counts 2 1 2", "counts 100000000 1 2"),
+        with(with(count_text, "num_states 2", "num_states 4000000000"), "counts 2 1 2",
+             "counts 4000000000 1 2"),
+        with(agent_text, "interaction_model sweep 3", "interaction_model sweep 4294967296"),
+        with(with(agent_text, "population 2", "population 4000000000"), "agents 2 0 1",
+             "agents 4000000000 0 1"),
+    };
+
+    const AllocationCap cap(std::size_t{64} << 20);
+    for (const std::string& text : corrupt) {
+        try {
+            checkpoint_from_string(text);
+            ADD_FAILURE() << "read a corrupt checkpoint:\n" << text;
+        } catch (const std::invalid_argument& error) {
+            EXPECT_EQ(std::string(error.what()).rfind("read_checkpoint: line ", 0), 0u)
+                << error.what();
+        } catch (const std::bad_alloc&) {
+            ADD_FAILURE() << "sized a vector from a corrupt length:\n" << text;
+        }
+    }
 }
 
 }  // namespace

@@ -345,15 +345,14 @@ TEST(Simulator, DefaultBudgetGrowsSuperlinearly) {
 }
 
 TEST(Simulator, SilenceBetweenChecksBeatsBudgetExpiry) {
-    // Regression: with a check period longer than the budget, a run that
-    // becomes silent between checks used to be misreported as kBudget when
-    // the budget expired first.  The final silence test must still issue
-    // the sound kSilent certificate.
+    // Regression: when silence was tested periodically, a run that fell
+    // silent between two checks was once misreported as kBudget because the
+    // budget expired first.  Silence is now tested after every change; the
+    // run must still end with the sound kSilent certificate.
     const auto protocol = make_counting_protocol(3);
     const auto initial = CountConfiguration::from_input_counts(*protocol, {10, 5});
     RunOptions options;
     options.max_interactions = default_budget(15);
-    options.silence_check_period = options.max_interactions + 1;  // never fires in-loop
     options.seed = 5;
     const RunResult result = simulate(*protocol, initial, options);
     EXPECT_EQ(result.stop_reason, StopReason::kSilent);

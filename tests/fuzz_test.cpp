@@ -4,8 +4,9 @@
 //   * random small protocols: the analyzer's verdict must match a
 //     brute-force implementation of the definitions (output-stability by
 //     direct reachability, convergence by Lemma 1), the simulator must
-//     agree with the multiset semantics step by step, and the count
-//     engines' effective-pair bookkeeping must match a rebuild;
+//     agree with the multiset semantics step by step, the count engines'
+//     effective-pair bookkeeping must match a rebuild, and the agent
+//     engines' support-level silence test must match the multiset test;
 //   * random Presburger formulas: compile and check against the evaluator
 //     on every small input (an end-to-end compiler fuzz).
 
@@ -16,6 +17,7 @@
 
 #include "analysis/stable_computation.h"
 #include "core/effective_pairs.h"
+#include "core/interaction_model.h"
 #include "core/rng.h"
 #include "core/protocol_io.h"
 #include "core/simulator.h"
@@ -236,6 +238,82 @@ TEST(Fuzz, EffectivePairTrackerMatchesARebuildAfterEveryTransition) {
     }
     for (int alias = 0; alias < kAliasCount; ++alias)
         EXPECT_GT(seen[alias], 0) << "aliasing pattern " << alias << " never drawn";
+}
+
+TEST(Fuzz, SupportSilenceTestMatchesTheMultisetTestAfterEveryTransition) {
+    // The incremental support test against the multiset definition (no
+    // effective pair of present states, two agents for a diagonal pair)
+    // after every booked move.  Large rounds span several mask words; the
+    // populations are small, so both verdicts occur at both sizes.
+    std::array<std::array<int, 2>, 2> seen{};  // [large][silent]
+    Rng rng(1849);
+    for (int round = 0; round < 80; ++round) {
+        const bool large = round % 2 == 1;
+        const std::size_t num_states = large ? 60 + rng.below(80) : 2 + rng.below(5);
+        const auto protocol = random_protocol(rng, num_states);
+        std::vector<std::uint64_t> counts(num_states);
+        for (int agent = 0; agent < 3 + static_cast<int>(rng.below(3)); ++agent)
+            ++counts[rng.below(large ? 4 : num_states)];
+        std::uint64_t n = 0;
+        for (const std::uint64_t count : counts) n += count;
+        SupportSilenceTest test(*protocol, counts);
+        const std::vector<EffectiveTransition> transitions = protocol->effective_transitions();
+
+        for (int step = 0; step < 100; ++step) {
+            const State p = state_of_agent(counts, rng.below(n));
+            --counts[p];
+            const State q = state_of_agent(counts, rng.below(n - 1));
+            ++counts[p];
+            const StatePair next =
+                rng.below(2) == 0
+                    ? protocol->apply_fast(p, q)
+                    : StatePair{static_cast<State>(rng.below(num_states)),
+                                static_cast<State>(rng.below(num_states))};
+            --counts[p];
+            --counts[q];
+            ++counts[next.initiator];
+            ++counts[next.responder];
+            test.update(counts, p, q, next);
+
+            bool silent = true;
+            for (const EffectiveTransition& t : transitions)
+                if (counts[t.initiator] > 0 && counts[t.responder] > 0 &&
+                    (t.initiator != t.responder || counts[t.initiator] > 1))
+                    silent = false;
+            ASSERT_EQ(test.silent(), silent) << "round " << round << " step " << step;
+            ++seen[large][silent];
+        }
+        // A checkpoint restore's reset() agrees with a fresh build.
+        test.reset(counts);
+        EXPECT_EQ(test.silent(), SupportSilenceTest(*protocol, counts).silent()) << "round " << round;
+    }
+    for (int large = 0; large < 2; ++large)
+        for (int silent = 0; silent < 2; ++silent)
+            EXPECT_GT(seen[large][silent], 0) << "large " << large << " silent " << silent;
+
+    // The agent stepper skips the bookkeeping on moves that cross no level;
+    // stepped on random protocols with ten agents, its verdict must still
+    // match the direct multiset test after every step.
+    int silent_runs = 0;
+    for (int round = 0; round < 60; ++round) {
+        const std::size_t num_states = 2 + rng.below(3);
+        const auto protocol = random_protocol(rng, num_states);
+        std::vector<std::uint64_t> counts(num_states);
+        for (int agent = 0; agent < 10; ++agent) ++counts[rng.below(num_states)];
+        PairStepper<UniformPairModel, ObservedEngine::kAgentArray> stepper(
+            *protocol,
+            AgentConfiguration::from_counts(CountConfiguration::from_state_counts(counts))
+                .states(),
+            UniformPairModel{}, "fuzz");
+        for (int step = 0; step < 300 && !stepper.is_silent(); ++step) {
+            stepper.step(rng);
+            ASSERT_EQ(stepper.is_silent(), stepper.counts().is_silent(*protocol))
+                << "round " << round << " step " << step;
+        }
+        silent_runs += stepper.is_silent() ? 1 : 0;
+    }
+    EXPECT_GT(silent_runs, 0);
+    EXPECT_LT(silent_runs, 60);
 }
 
 TEST(Fuzz, SerializationRoundTripsRandomProtocols) {

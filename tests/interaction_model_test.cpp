@@ -171,6 +171,35 @@ TEST(InteractionModel, StateValidationRejectsCorruptWords) {
     EXPECT_THROW(sweep.restore_state(words), std::invalid_argument);
 }
 
+// --- Exact silence ----------------------------------------------------------
+
+TEST(InteractionModel, SilenceSeesADiagonalPairMadeByACrowdedMove) {
+    // States A, B, C, S, X: (A, B) -> (S, B), (A, C) -> (C, C), and
+    // (S, S) -> (X, X).  From {A: 3, B: 3, C: 1, S: 1}, a first (A, B)
+    // makes the second S while every other count it touches stays at 2 or
+    // more; (A, C) twice then removes the A's without touching S.  Only
+    // (S, S) is left enabled, so the run is not silent until it fires, and
+    // the agent stepper's bookkeeping must have seen S reach two agents.
+    TabulatedProtocol::Tables tables;
+    tables.num_output_symbols = 1;
+    tables.initial = {0, 1, 2, 3};
+    tables.output = {0, 0, 0, 0, 0};
+    for (State p = 0; p < 5; ++p)
+        for (State q = 0; q < 5; ++q) tables.delta.push_back({p, q});
+    tables.delta[0 * 5 + 1] = {3, 1};
+    tables.delta[0 * 5 + 2] = {2, 2};
+    tables.delta[3 * 5 + 3] = {4, 4};
+    const TabulatedProtocol protocol(std::move(tables));
+    const auto initial = CountConfiguration::from_input_counts(protocol, {3, 3, 1, 1});
+    for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+        RunOptions options;
+        options.seed = seed;
+        const RunResult result = simulate(protocol, initial, options);
+        ASSERT_EQ(result.stop_reason, StopReason::kSilent) << "seed " << seed;
+        ASSERT_TRUE(result.final_configuration.is_silent(protocol)) << "seed " << seed;
+    }
+}
+
 // --- Checkpoint grammar ----------------------------------------------------
 
 TEST(InteractionModel, CheckpointSerializesModelSection) {

@@ -221,7 +221,6 @@ TEST(Observe, TraceRecorderCapturesEpidemicTrajectory) {
     EXPECT_EQ(recorder.seed(), 5u);
     EXPECT_EQ(recorder.initial_counts(), initial.counts());
     EXPECT_GE(recorder.wall_seconds(), 0.0);
-    EXPECT_GE(recorder.silence_checks(), 1u);
 
     // Snapshots land exactly on the schedule, strictly before the stop index.
     ASSERT_FALSE(recorder.snapshots().empty());
@@ -244,10 +243,13 @@ TEST(Observe, TraceRecorderCapturesEpidemicTrajectory) {
     }
 
     // Output changes: one per infection, the last one at the recorded
-    // convergence time.
+    // convergence time.  That infection makes the configuration silent, so
+    // the run stops right there.
     ASSERT_FALSE(recorder.output_changes().empty());
     EXPECT_EQ(recorder.output_changes().size(), 63u);
     EXPECT_EQ(recorder.output_changes().back(), result.last_output_change);
+    EXPECT_EQ(result.stop_reason, StopReason::kSilent);
+    EXPECT_EQ(result.interactions, result.last_output_change);
 }
 
 TEST(Observe, TraceRecorderClearsBetweenRuns) {

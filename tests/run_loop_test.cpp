@@ -77,8 +77,6 @@ TEST(RunCheckpointIO, CountPayloadRoundTrips) {
     checkpoint.interactions = 123456;
     checkpoint.effective_interactions = 789;
     checkpoint.last_output_change = 100000;
-    checkpoint.next_silence_check = 130000;
-    checkpoint.changed_since_silence_check = false;
     checkpoint.has_pending_skip = true;
     checkpoint.pending_null_skips = 4242;
     checkpoint.counts = {998, 0, 2};
@@ -244,6 +242,43 @@ void expect_same_run(const RunResult& actual, const RunResult& expected) {
     EXPECT_EQ(actual.last_output_change, expected.last_output_change);
     EXPECT_EQ(actual.final_configuration, expected.final_configuration);
     EXPECT_EQ(actual.consensus, expected.consensus);
+}
+
+TEST(CheckpointResume, V1TextWithSilenceProbeStateStillResumes) {
+    // Written by `trace_run epidemic --n 12 --engine agent --seed 3
+    // --budget 15 --checkpoint-every 10` while agent engines still tested
+    // silence every max(4n, 1024) interactions: the probe's next index and
+    // change flag are in the text.  The reader ignores both, and the resumed
+    // run stops at the first silent configuration, exactly where an
+    // uninterrupted run stops.
+    const std::string text =
+        "popproto-checkpoint v1\n"
+        "engine agent_array\n"
+        "population 12\n"
+        "num_states 2\n"
+        "rng 16649701824055254704 3146836141627759675 6025066184782774820 "
+        "4055811748698666123\n"
+        "interactions 10\n"
+        "effective 5\n"
+        "last_output_change 10\n"
+        "next_silence_check 1024\n"
+        "changed_since_check 1\n"
+        "pending_skip 0 0\n"
+        "agents 12 0 1 1 0 0 0 0 1 0 1 1 1\n"
+        "end\n";
+    const RunCheckpoint checkpoint = checkpoint_from_string(text);
+    EXPECT_EQ(checkpoint.engine, ObservedEngine::kAgentArray);
+    EXPECT_EQ(checkpoint.interactions, 10u);
+
+    const auto protocol = make_epidemic_protocol();
+    const auto initial = CountConfiguration::from_input_counts(*protocol, {11, 1});
+    RunOptions options;
+    options.seed = 3;
+    const RunResult uninterrupted = simulate(*protocol, initial, options);
+    EXPECT_EQ(uninterrupted.stop_reason, StopReason::kSilent);
+    EXPECT_EQ(uninterrupted.interactions, uninterrupted.last_output_change);
+    options.resume_from = &checkpoint;
+    expect_same_run(simulate(*protocol, initial, options), uninterrupted);
 }
 
 /// Shared bit-identity harness: runs `run` once uninterrupted, once with
@@ -467,15 +502,11 @@ TEST(CheckpointResume, CountEnginesRejectCountsWhoseSumWraps) {
               "collapsed: checkpoint population mismatch");
 }
 
-TEST(RunLoop, ResolvesZeroBudgetAndPeriodDefaults) {
-    RunOptions options;  // both 0
+TEST(RunLoop, ResolvesZeroBudgetDefault) {
+    RunOptions options;
     EXPECT_EQ(resolved_budget(options, 100), default_budget(100));
-    EXPECT_EQ(resolved_silence_check_period(options, 100), 1024u);
-    EXPECT_EQ(resolved_silence_check_period(options, 1000), 4000u);
     options.max_interactions = 7;
-    options.silence_check_period = 9;
     EXPECT_EQ(resolved_budget(options, 100), 7u);
-    EXPECT_EQ(resolved_silence_check_period(options, 100), 9u);
 }
 
 /// Runs `run` to completion in pause_after quanta on the absolute grid

@@ -451,7 +451,9 @@ TEST(ScenarioCheckpoint, GridMobilityResumesBitIdenticallyMidWalk) {
     RunOptions options;
     options.seed = 19;
     options.max_interactions = 3000;
-    check_scenario_bit_identity(spec, options, /*checkpoint_every=*/61, /*quantum=*/67);
+    // The run stops at its first silent configuration (t = 47 for this
+    // seed), so the cuts must be tighter than that to land inside it.
+    check_scenario_bit_identity(spec, options, /*checkpoint_every=*/7, /*quantum=*/11);
 }
 
 TEST(ScenarioCheckpoint, RoundRobinAndSweepResumeThroughRunScenario) {

@@ -109,7 +109,7 @@ TEST(Telemetry, Log2HistogramBucketsByFloorLog2) {
 TEST(Telemetry, ScopedTimerWithNullCollectorIsANoOp) {
     // The disabled fast path: a null collector must be safe at every probe
     // site (this is what every un-instrumented run exercises).
-    { const telemetry::ScopedTimer timer(nullptr, Phase::kSilenceCheck); }
+    { const telemetry::ScopedTimer timer(nullptr, Phase::kSnapshotDispatch); }
     RunTelemetryCollector* collector = nullptr;
     { const telemetry::ScopedTimer timer(collector, Phase::kSuperStepApply); }
 }

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "observe/trace_recorder.h"
@@ -129,11 +130,33 @@ TEST(Trials, StopReasonCountsPartitionTrials) {
     EXPECT_EQ(summary.silent + summary.stable_outputs + summary.budget, summary.trials);
 }
 
+/// An epidemic whose infected agents never rest: S = 0 (output 0) and two
+/// infected phases A = 1, B = 2 (output 1).  Either phase infects S, and two
+/// agents in the same phase flip to the other, so once every agent is
+/// infected the outputs are settled, yet with three or more agents two share
+/// a phase and the configuration never falls silent.
+std::unique_ptr<TabulatedProtocol> make_restless_epidemic_protocol() {
+    TabulatedProtocol::Tables tables;
+    tables.num_output_symbols = 2;
+    tables.initial = {0, 1};
+    tables.output = {0, 1, 1};
+    for (State p = 0; p < 3; ++p)
+        for (State q = 0; q < 3; ++q) tables.delta.push_back({p, q});
+    const auto set = [&](State p, State q, State next) { tables.delta[p * 3 + q] = {next, next}; };
+    for (const State phase : {State{1}, State{2}}) {
+        set(phase, 0, phase);
+        set(0, phase, phase);
+    }
+    set(1, 1, 2);
+    set(2, 2, 1);
+    return std::make_unique<TabulatedProtocol>(std::move(tables));
+}
+
 TEST(Trials, StableOutputStopsAreCountedSeparately) {
-    // With a small stability window the heuristic rule fires long before the
-    // first periodic silence check (period >= 1024), so every run stops as
-    // kStableOutputs — and must not be conflated with sound silent stops.
-    const auto protocol = make_epidemic_protocol();
+    // Outputs settle once every agent is infected, but the configuration
+    // never falls silent, so every run stops on the small stability window
+    // as kStableOutputs — and must not be conflated with sound silent stops.
+    const auto protocol = make_restless_epidemic_protocol();
     const auto initial = CountConfiguration::from_input_counts(*protocol, {30, 1});
     TrialOptions options;
     options.base.max_interactions = default_budget(31);
