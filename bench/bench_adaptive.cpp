@@ -1,4 +1,4 @@
-// The phase-adaptive dispatcher against the best static engine choice
+// The phase-adaptive engine against the best static engine choice
 // (google-benchmark; the evidence behind kAuto's adaptive default in
 // core/simulator.h and the EXPERIMENTS.md adaptive-vs-static table).
 //
@@ -8,9 +8,9 @@
 // (half the pairs effective — the collapsed super-step engine wins 10x+ at
 // n >= 2^20), then a long sparse convergence tail (count-batch again, and
 // the tail dominates the interaction count).  Any static engine loses at
-// least one phase; the adaptive dispatcher plays each phase with the engine
-// that wins it, paying only two checkpoint-shaped transfers.  Args are
-// log2(n): /20, /22, /24.
+// least one phase; the adaptive engine plays each phase with the step kind
+// that wins it, paying only two hand-overs of the count configuration.
+// Args are log2(n): /20, /22, /24.
 //
 // The two controls pin the "never lose" side of the bargain:
 //
@@ -18,17 +18,16 @@
 //    deep-transient window bench_collapsed measures (an uncapped run grows
 //    a sparse convergence tail and stops being single-regime: the adaptive
 //    engine switches and *beats* static collapsed on it) — so the adaptive
-//    run is a collapsed run plus monitor polls (O(1) per n/64 interactions,
-//    no extra RNG draws) and must stay within 5% of the static collapsed
-//    engine.
+//    run is a collapsed run plus one integer compare per step (no extra RNG
+//    draws) and must stay within 5% of the static collapsed engine.
 //  * Sparse control — single seed, budget capped at 3n interactions, deep
 //    inside the ignition phase (infections grow like e^{2t/n}, so ~e^6 =
-//    400 infected at the cap versus the ~20000 that trip the enter
-//    threshold near ~5n) — is a count-batch run plus polls and must stay
-//    within 5% of static count-batch.  The budget is the smallest that
-//    still gives count-batch real work (hundreds of geometric runs): a
-//    shorter row only measures the adaptive driver's O(1) setup against an
-//    empty run.
+//    400 infected at the cap versus the ~6500 that reach the crossover) —
+//    is a count-batch run plus one compare per step, never builds the
+//    collapsed part, and must stay within 5% of static count-batch.  The
+//    budget is the smallest that still gives count-batch real work
+//    (hundreds of geometric runs): a shorter row only measures the adaptive
+//    engine's O(1) setup against an empty run.
 //
 // Only the /20 rows are perf-gated (scripts/compare_bench.py's
 // GATE_ONLY_SUBSTRINGS): the bigger rows are full epidemics measured in

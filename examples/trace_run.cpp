@@ -28,14 +28,14 @@
 //                (collapsed batches ~sqrt(n) interactions per super-step —
 //                prefer it at n >= 2^20; weighted runs with unit weights;
 //                graph activates uniform random edges of --graph and never
-//                falls silent; adaptive switches batch <-> collapsed mid-run
-//                as the effective-pair density crosses thresholds)
+//                falls silent; adaptive takes a collapsed super-step while
+//                the effective-pair density signal is at the crossover and
+//                a batch step below it)
 //   --adaptive   shorthand for --engine adaptive
-//   --switch-thresholds ENTER,EXIT[,DWELL]
-//                adaptive dispatcher tuning: enter/exit the collapsed engine
-//                when the signal rho*E[L] crosses ENTER (up) / EXIT (down);
-//                DWELL = min interactions between switches (0 picks the
-//                default)
+//   --switch-thresholds X
+//                adaptive crossover x*, the one threshold of both switch
+//                directions: super-steps while the signal rho*E[L] >= X,
+//                batch steps below (default 8)
 //   --threads K  intra-run worker threads (collapsed engine only; 0 = all
 //                hardware threads, default 1).  Fixed (seed, K) runs are
 //                bit-identical; different K agree in distribution only.
@@ -124,7 +124,7 @@ using namespace popproto;
                  "usage: trace_run [epidemic|counting|majority|pavlov] [--predicate F] [--n N]\n"
                  "                 [--ones K] [--counts C0,C1,...] [--seed S] [--budget B]\n"
                  "                 [--engine batch|collapsed|agent|weighted|graph|adaptive]\n"
-                 "                 [--adaptive] [--switch-thresholds ENTER,EXIT[,DWELL]]\n"
+                 "                 [--adaptive] [--switch-thresholds X]\n"
                  "                 [--threads K] [--graph complete|ring|line|star]\n"
                  "                 [--model round_robin|sweep|adversarial|dynamic_graph|"
                  "grid_mobility]\n"
@@ -329,22 +329,7 @@ int main(int argc, char** argv) {
         } else if (std::strcmp(arg, "--adaptive") == 0) {
             engine_name = "adaptive";
         } else if (std::strcmp(arg, "--switch-thresholds") == 0) {
-            const std::string list = next();
-            std::vector<double> values;
-            std::size_t start = 0;
-            while (start <= list.size()) {
-                std::size_t comma = list.find(',', start);
-                if (comma == std::string::npos) comma = list.size();
-                values.push_back(
-                    parse_double(arg, list.substr(start, comma - start).c_str()));
-                start = comma + 1;
-            }
-            if (values.size() < 2 || values.size() > 3)
-                usage_error("--switch-thresholds: expected ENTER,EXIT[,DWELL]");
-            adaptive_tuning.enter_collapsed = values[0];
-            adaptive_tuning.exit_collapsed = values[1];
-            if (values.size() > 2)
-                adaptive_tuning.min_dwell = static_cast<std::uint64_t>(values[2]);
+            adaptive_tuning.crossover = parse_double(arg, next());
             adaptive_tuning_given = true;
         } else if (std::strcmp(arg, "--threads") == 0) {
             threads = parse_u64(arg, next());
@@ -456,17 +441,14 @@ int main(int argc, char** argv) {
         }
         std::string file_engine;
         std::string file_model;
-        if (resume_checkpoint.adaptive) {
-            // The engine field names the segment engine at the cut; the
-            // adaptive marker line says the run itself was adaptive.
-            file_engine = "adaptive";
-        } else switch (resume_checkpoint.engine) {
+        switch (resume_checkpoint.engine) {
             case ObservedEngine::kAgentArray: file_engine = "agent"; break;
             case ObservedEngine::kCountBatch: file_engine = "batch"; break;
             case ObservedEngine::kCollapsed: file_engine = "collapsed"; break;
             case ObservedEngine::kParallelCollapsed: file_engine = "collapsed"; break;
             case ObservedEngine::kWeighted: file_engine = "weighted"; break;
             case ObservedEngine::kGraph: file_engine = "graph"; break;
+            case ObservedEngine::kAdaptive: file_engine = "adaptive"; break;
             case ObservedEngine::kPairModel:
                 // run_scenario checkpoints carry the model name; structural
                 // parameters (phases, torus size) are not in the file, so
@@ -555,7 +537,7 @@ int main(int argc, char** argv) {
     if (show_progress) progress = std::make_unique<ProgressReporter>(collector, n);
 
     RunResult result{CountConfiguration(protocol->num_states()), StopReason::kBudget, 0, 0, 0,
-                     std::nullopt};
+                     std::nullopt, ObservedEngine::kAgentArray, nullptr};
     if (!scenario.model.empty()) {
         result = run_scenario(*protocol, initial, scenario, options);
     } else if (engine_name == "weighted") {
@@ -579,7 +561,8 @@ int main(int argc, char** argv) {
         result = RunResult{graph_result.final_configuration.to_counts(protocol->num_states()),
                            graph_result.stop_reason, graph_result.interactions,
                            graph_result.effective_interactions,
-                           graph_result.last_output_change, graph_result.consensus};
+                           graph_result.last_output_change, graph_result.consensus,
+                           ObservedEngine::kGraph, nullptr};
     } else {
         options.engine = complete_graph_engine(engine_name);
         result = run_simulation(*protocol, initial, options);

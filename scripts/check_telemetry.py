@@ -31,7 +31,8 @@ Checks (exit 1 with a message on the first violation):
   JSONL (optional third argument; the trace_run stdout of an *adaptive*
   run): every engine_switch event is well-formed (monotone t, switch_index
   counting from 1, from != to, consecutive switches chaining from -> to,
-  signal on the firing side of its threshold); the telemetry event's
+  one crossover: enter_threshold == exit_threshold, and the signal on its
+  switch's side of it); the telemetry event's
   engine_segments agree with the switch events (count, engine chain) and
   attribute every interaction of the final stop event to exactly one
   segment; and the Prometheus exposition carries the per-engine families
@@ -252,7 +253,7 @@ def check_adaptive_jsonl(path: str) -> None:
 
     if not switches:
         fail(f"{path}: no engine_switch events — the smoke workload is "
-             f"expected to cross both thresholds")
+             f"expected to cross the crossover both ways")
     if stop is None:
         fail(f"{path}: no stop event")
     for index, switch in enumerate(switches):
@@ -269,7 +270,11 @@ def check_adaptive_jsonl(path: str) -> None:
             if switch["from"] != switches[index - 1]["to"]:
                 fail(f"{where}: from {switch['from']!r} does not chain with "
                      f"previous switch to {switches[index - 1]['to']!r}")
-        # The signal must sit on the firing side of its hysteresis bound.
+        # One crossover serves both directions, and the signal sits on the
+        # side of it that the switch went to.
+        if switch["enter_threshold"] != switch["exit_threshold"]:
+            fail(f"{where}: enter_threshold {switch['enter_threshold']} != "
+                 f"exit_threshold {switch['exit_threshold']}")
         if switch["to"] == "collapsed" and switch["signal"] < switch["enter_threshold"]:
             fail(f"{where}: entered collapsed at signal {switch['signal']} "
                  f"below enter_threshold {switch['enter_threshold']}")

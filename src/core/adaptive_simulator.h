@@ -1,5 +1,5 @@
-// The phase-adaptive dispatcher: one run, executed as a chain of
-// count-batch / collapsed segments spliced at runtime density switches.
+// The phase-adaptive engine: one count stepper that chooses, at every step,
+// between a collapsed super-step and a count-batch step.
 //
 // Neither count engine wins a whole run.  The collapsed super-step engine
 // (collapsed_simulator.h) advances ~0.63 sqrt(n) interactions per O(|Q|^2)
@@ -7,41 +7,41 @@
 // engine (batch_simulator.h) crosses null-heavy sparse tails in O(1)
 // geometric jumps and is unbeatable there.  A single-seed epidemic at
 // n = 2^22 visits *both* regimes — sparse ignition, dense middle, sparse
-// convergence tail — so any static choice loses one phase.  The former
-// kAuto policy picked once, by population size, before the run started.
+// convergence tail — so any static choice loses one phase.
 //
-// The adaptive dispatcher picks per *phase* instead.  An EngineSwitchMonitor
-// (engine_monitor.h) watches the dimensionless signal x = rho * E[L]
-// (effective-interaction fraction times expected collision-free run length)
-// that both engines already compute for their silence predicates.  The
-// dispatcher hands the monitor to each segment as run_loop's `monitor`
-// argument, and the kernel polls it every n/64 interactions (at least 256).  When
-// hysteresis thresholds say the other engine now wins, the run-loop kernel
-// captures a checkpoint at the current super-step / skip boundary and this
-// driver resumes it under the other engine via transfer_checkpoint_engine.
-// The switch IS a checkpoint round-trip: counts, the exact RNG stream
-// position, the silence tracker, and the stop counters carry over verbatim,
-// so an adaptive run is bit-identical to manually running engine A to the
-// switch index, saving a checkpoint, and resuming engine B from it — and
-// suspend/resume (checkpoint_every / pause_after / stop_flag) works across
-// switch boundaries unchanged (the checkpoint's `adaptive` section carries
-// the monitor state).
+// Which step wins is governed by one dimensionless signal,
 //
-// The splice is exact because the monitor only fires at *natural* loop
-// tops: a pause boundary placed at a switch index never clamps the
-// super-step ending there (its natural end lands one short of the limit),
-// so pausing ON a switch index is transparent.  Cuts elsewhere inherit the
-// collapsed engine's checkpoint contract — boundaries inside collapsed
-// segments clamp super-steps, so resume bit-identity for arbitrary cuts is
-// against a baseline running the same boundary schedule (see
-// tests/adaptive_simulator_test.cpp and collapsed_simulator_test.cpp).
+//   x = rho * E[L],   rho = W / (n(n-1)),   E[L] = sqrt(pi n / 8),
+//
+// the expected number of effective interactions inside one collision-free
+// run: "how much useful work one super-step amortizes".  W, the exact
+// number of effective ordered pairs, is what both step kinds already keep
+// for their silence test, so the signal costs no extra pass.  At every
+// run-loop top the adaptive stepper takes a super-step when x >= x*
+// (RunOptions::adaptive.crossover) and a count-batch step (geometric null
+// skip plus one effective interaction) otherwise; the test is one integer
+// compare of W against crossover_pairs(n, x*).  The density follows its
+// fluid limit up to O(1/sqrt(n)) fluctuations, so the signal crosses x*
+// once per regime change and needs no hysteresis.
+//
+// Both step kinds are exact samplers of one Markov chain, and the choice
+// depends only on the current configuration, so by the strong Markov
+// property the law of the run is that of either static engine.  A loop top
+// that holds a pending null skip (a resume cut inside one) finishes the
+// skip first, as the uninterrupted run did.  A checkpoint is the counts,
+// the RNG position and the counters, tagged `engine adaptive`; the
+// adaptive engine also resumes count_batch and collapsed checkpoints.
+// Checkpoint boundaries clamp super-steps as in the collapsed engine, so
+// resume bit-identity is against a baseline with the same boundaries.
 //
 // Serial only: the sharded collapsed engine draws from K split RNG streams
-// that the count-batch engine cannot continue, so threads > 1 keeps pinning
-// the (parallel) collapsed engine in run_simulation instead.
+// that a count-batch step cannot continue, so threads > 1 keeps pinning the
+// (parallel) collapsed engine in run_simulation instead.
 
 #ifndef POPPROTO_CORE_ADAPTIVE_SIMULATOR_H
 #define POPPROTO_CORE_ADAPTIVE_SIMULATOR_H
+
+#include <cstdint>
 
 #include "core/configuration.h"
 #include "core/simulator.h"
@@ -49,26 +49,24 @@
 
 namespace popproto {
 
-// Private to src/core: callers choose these engines through run_simulation
-// (batch_simulator.h) with SimulationEngine::kCountBatch / kAdaptive.
+// Private to src/core: callers choose this engine through run_simulation
+// (batch_simulator.h) with SimulationEngine::kAdaptive.
 namespace engine_detail {
 
-/// run_simulation's count-batch runner (batch_simulator.cpp), also the
-/// sparse-side segment the adaptive dispatcher chains; the dense side is
-/// run_collapsed (collapsed_simulator.h).  `monitor` and `transfer` are the
-/// dispatcher's segment hooks (run_loop's arguments of the same names; null
-/// otherwise).
-RunResult run_count_batch(const TabulatedProtocol& protocol, const CountConfiguration& initial,
-                          const RunOptions& options, EngineSwitchMonitor* monitor = nullptr,
-                          std::optional<RunCheckpoint>* transfer = nullptr);
+/// x = W / (n(n-1)) * sqrt(pi n / 8) for a population of n and W effective
+/// ordered pairs.
+double crossover_signal(std::uint64_t population, std::uint64_t effective_pairs);
+
+/// The smallest W whose signal is at least `crossover`, or ~0 when no
+/// W <= n(n-1) reaches it.  crossover_signal is monotone in W even under
+/// float rounding, so `W >= crossover_pairs(n, x*)` decides exactly as
+/// `crossover_signal(n, W) >= x*`.
+std::uint64_t crossover_pairs(std::uint64_t population, double crossover);
 
 /// run_simulation's adaptive runner (options.engine == kAdaptive, kAuto at
-/// kAutoCollapsedThreshold and beyond, or kAuto resuming a checkpoint with
-/// an `adaptive` section).  RunOptions::adaptive holds the thresholds.
-/// RunResult::engine reports kAdaptive; emitted checkpoints carry the
-/// concrete segment engine plus the monitor's `adaptive` section and resume
-/// here under kAuto/kAdaptive (or under the segment engine, which pins it
-/// statically).  Requires threads <= 1.
+/// kAutoCollapsedThreshold and beyond, or kAuto resuming an adaptive
+/// checkpoint), defined beside the collapsed steppers whose super-steps it
+/// takes.  RunResult::engine reports kAdaptive.  Requires threads <= 1.
 RunResult run_adaptive(const TabulatedProtocol& protocol, const CountConfiguration& initial,
                        const RunOptions& options);
 

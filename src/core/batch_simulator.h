@@ -65,14 +65,14 @@ namespace popproto {
 ///   * kCollapsedBatch runs the collapsed super-step engine
 ///     (collapsed_simulator.h); threads > 1 selects its sharded variant and
 ///     at most 4096 threads are accepted;
-///   * kAdaptive runs the phase-adaptive dispatcher (adaptive_simulator.h);
-///     RunOptions::adaptive holds its thresholds, and it requires
+///   * kAdaptive runs the phase-adaptive engine (adaptive_simulator.h);
+///     RunOptions::adaptive holds its crossover, and it requires
 ///     threads <= 1;
 ///   * kAuto selects by population size — agent array below
 ///     kAutoCountBatchThreshold, count-batch up to kAutoCollapsedThreshold,
 ///     adaptive beyond (see simulator.h for the measured crossovers).
 ///     threads > 1 pins the collapsed engine, and a checkpoint carrying an
-///     `adaptive` section resumes under the adaptive dispatcher.
+///     `adaptive` engine tag resumes under the adaptive engine.
 /// The chosen engine is reported in RunResult::engine.  The count engines
 /// require fewer than 2^32 agents; every engine requires at least 2.  All of
 /// them run on the shared run-loop kernel (core/run_loop.h), so

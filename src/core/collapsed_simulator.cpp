@@ -2,9 +2,12 @@
 
 #include <cmath>
 #include <cstdint>
+#include <optional>
 #include <thread>
 #include <vector>
 
+#include "core/adaptive_simulator.h"
+#include "core/count_batch_stepper.h"
 #include "core/effect_tables.h"
 #include "core/require.h"
 #include "core/rng.h"
@@ -28,9 +31,17 @@ public:
 
     bool is_silent() const { return effective_pairs_ == 0; }
 
-    /// Exact W for the adaptive dispatcher's density monitor (run_loop.h);
-    /// maintained by the per-super-step recompute either way.
+    /// Exact W, maintained by the per-super-step recompute.
     std::uint64_t effective_pairs() const { return effective_pairs_; }
+
+    const std::vector<std::uint64_t>& count_vector() const { return counts_; }
+
+    /// Takes over a valid count vector of this population and its exact W
+    /// (the adaptive stepper's change of step kind; O(|Q|)).
+    void adopt(const std::vector<std::uint64_t>& counts, std::uint64_t effective_pairs) {
+        counts_.assign(counts.begin(), counts.end());
+        effective_pairs_ = effective_pairs;
+    }
 
     /// Attaches the run's telemetry collector (nullptr = disabled); the
     /// steppers time the super-step sub-phases against it.  Probes never
@@ -479,6 +490,95 @@ private:
     std::vector<std::uint64_t> touched_;  // merged post-transition multiset
 };
 
+/// The phase-adaptive stepper (adaptive_simulator.h): count-batch steps
+/// while the density signal is below the crossover, collapsed super-steps
+/// at or above it, over one count configuration whose exact W both kinds
+/// keep.  The live configuration sits in the part of the current kind; a
+/// change of kind hands it over (set_step_kind).  The collapsed part, with
+/// its survival table, is built on the first super-step, so a run that never
+/// turns dense never pays for it.
+class AdaptiveStepper {
+public:
+    static constexpr ObservedEngine kEngine = ObservedEngine::kAdaptive;
+    static constexpr ObservedEngine kSingleStepEngine = ObservedEngine::kCountBatch;
+    static constexpr ObservedEngine kSuperStepEngine = ObservedEngine::kCollapsed;
+    static constexpr bool kGeometricSkips = true;
+    static constexpr bool kSuperSteps = true;
+
+    AdaptiveStepper(const TabulatedProtocol& protocol, const CountConfiguration& initial,
+                    double crossover, telemetry::RunTelemetryCollector* collector)
+        : protocol_(protocol),
+          batch_(protocol, initial),
+          crossover_(crossover),
+          crossover_pairs_(engine_detail::crossover_pairs(initial.population_size(), crossover)),
+          collector_(collector) {}
+
+    std::uint64_t population() const { return batch_.population(); }
+
+    std::uint64_t effective_pairs() const {
+        return super_ ? collapsed_->effective_pairs() : batch_.effective_pairs();
+    }
+
+    bool is_silent() const { return effective_pairs() == 0; }
+
+    bool super_step_due() const { return effective_pairs() >= crossover_pairs_; }
+
+    double signal() const {
+        return engine_detail::crossover_signal(population(), effective_pairs());
+    }
+
+    double crossover() const { return crossover_; }
+
+    void set_step_kind(bool super) {
+        if (super == super_) return;
+        if (!super) {
+            batch_.adopt(collapsed_->count_vector());
+        } else if (collapsed_) {
+            collapsed_->adopt(batch_.count_vector(), batch_.effective_pairs());
+        } else {
+            collapsed_.emplace(protocol_, batch_.counts());
+            collapsed_->set_telemetry(collector_);
+        }
+        super_ = super;
+    }
+
+    std::uint64_t propose_skip(Rng& rng) { return batch_.propose_skip(rng); }
+    StepOutcome step(Rng& rng) { return batch_.step(rng); }
+
+    std::uint64_t propose_super_step(Rng& rng) { return collapsed_->propose_super_step(rng); }
+    BatchOutcome apply_super_step(Rng& rng, std::uint64_t m, bool with_collision) {
+        return collapsed_->apply_super_step(rng, m, with_collision);
+    }
+
+    CountConfiguration counts() const { return super_ ? collapsed_->counts() : batch_.counts(); }
+
+    void save(RunCheckpoint& checkpoint) const {
+        if (super_) {
+            collapsed_->save(checkpoint);
+        } else {
+            batch_.save(checkpoint);
+        }
+    }
+
+    /// The kernel restores before the first loop top, which picks the step
+    /// kind, so the checkpoint lands in the count-batch part.
+    void restore(const RunCheckpoint& checkpoint) {
+        require_checkpoint_counts(checkpoint.counts, protocol_.num_states(), population(),
+                                  observed_engine_name(checkpoint.engine));
+        batch_.adopt(checkpoint.counts);
+        super_ = false;
+    }
+
+private:
+    const TabulatedProtocol& protocol_;
+    engine_detail::CountBatchStepper batch_;
+    std::optional<CollapsedStepper> collapsed_;
+    bool super_ = false;
+    double crossover_;
+    std::uint64_t crossover_pairs_;
+    telemetry::RunTelemetryCollector* collector_;
+};
+
 /// RunOptions::threads with 0 resolved to the hardware concurrency.
 unsigned resolved_threads(const RunOptions& options) {
     if (options.threads != 0) return options.threads;
@@ -518,25 +618,61 @@ std::size_t SurvivalTable::invert(double u) const {
     return i;
 }
 
-RunResult run_collapsed(const TabulatedProtocol& protocol, const CountConfiguration& initial,
-                        const RunOptions& options, EngineSwitchMonitor* monitor,
-                        std::optional<RunCheckpoint>* transfer) {
+void require_count_engine_input(const TabulatedProtocol& protocol,
+                                const CountConfiguration& initial) {
     require(initial.num_states() == protocol.num_states(),
             "run_simulation: configuration does not match protocol");
     const std::uint64_t n = initial.population_size();
     require(n >= 2, "run_simulation: need at least two agents");
     require(n < (std::uint64_t{1} << 32), "run_simulation: population must fit 32 bits");
+}
 
+RunResult run_collapsed(const TabulatedProtocol& protocol, const CountConfiguration& initial,
+                        const RunOptions& options) {
+    require_count_engine_input(protocol, initial);
     const unsigned threads = resolved_threads(options);
     require(threads <= 4096, "run_simulation: threads must be at most 4096");
     if (threads <= 1) {
         CollapsedStepper stepper(protocol, initial);
         stepper.set_telemetry(options.telemetry);
-        return run_loop(stepper, protocol, options, "run_simulation", monitor, transfer);
+        return run_loop(stepper, protocol, options, "run_simulation");
     }
     ParallelCollapsedStepper stepper(protocol, initial, threads);
     stepper.set_telemetry(options.telemetry);
-    return run_loop(stepper, protocol, options, "run_simulation", monitor, transfer);
+    return run_loop(stepper, protocol, options, "run_simulation");
+}
+
+double crossover_signal(std::uint64_t population, std::uint64_t effective_pairs) {
+    const double n = static_cast<double>(population);
+    // sqrt(pi / 8) sqrt(n), the mean of the survival law.
+    return (static_cast<double>(effective_pairs) / (n * (n - 1.0))) *
+           (0.6266570686577502 * std::sqrt(n));
+}
+
+std::uint64_t crossover_pairs(std::uint64_t population, double crossover) {
+    // Nudge the float inverse of crossover_signal until the exact compare
+    // flips.
+    const std::uint64_t max_pairs = population * (population - 1);  // n < 2^32
+    const double n = static_cast<double>(population);
+    const double inverse = crossover * (n * (n - 1.0)) / (0.6266570686577502 * std::sqrt(n));
+    std::uint64_t w = max_pairs;
+    if (inverse <= 0.0) {
+        w = 0;
+    } else if (inverse < static_cast<double>(max_pairs)) {
+        w = static_cast<std::uint64_t>(inverse);
+    }
+    while (w != 0 && crossover_signal(population, w - 1) >= crossover) --w;
+    while (w <= max_pairs && crossover_signal(population, w) < crossover) ++w;
+    return w > max_pairs ? ~std::uint64_t{0} : w;
+}
+
+RunResult run_adaptive(const TabulatedProtocol& protocol, const CountConfiguration& initial,
+                       const RunOptions& options) {
+    require_count_engine_input(protocol, initial);
+    require(options.adaptive.crossover >= 0.0,
+            "run_simulation: the adaptive crossover must be at least 0");
+    AdaptiveStepper stepper(protocol, initial, options.adaptive.crossover, options.telemetry);
+    return run_loop(stepper, protocol, options, "run_simulation");
 }
 
 }  // namespace engine_detail

@@ -124,11 +124,13 @@ private:
 /// last_output_change), with the super-step
 /// coarsenings described above.  threads > 1 selects the sharded parallel
 /// variant; the RunResult::engine field reports which variant ran.
-/// `monitor` and `transfer` are the adaptive dispatcher's segment hooks
-/// (run_loop's arguments of the same names; null otherwise).
 RunResult run_collapsed(const TabulatedProtocol& protocol, const CountConfiguration& initial,
-                        const RunOptions& options, EngineSwitchMonitor* monitor = nullptr,
-                        std::optional<RunCheckpoint>* transfer = nullptr);
+                        const RunOptions& options);
+
+/// run_simulation's input check for the count engines: `initial` matches
+/// `protocol` and holds at least two and fewer than 2^32 agents.
+void require_count_engine_input(const TabulatedProtocol& protocol,
+                                const CountConfiguration& initial);
 
 }  // namespace engine_detail
 

@@ -4,7 +4,7 @@
 // multiset }| = sum_p c_p * (rowdot[p] - eff[p][p]), with rowdot[p] =
 // sum_q eff[p][q] * c_q.  W == 0 is the exact silence predicate, W / n(n-1)
 // the effective-interaction fraction that both the count-batch engine's
-// geometric null skips and the phase-adaptive engine monitor consume.
+// geometric null skips and the phase-adaptive engine's signal consume.
 //
 // This tracker is the bookkeeping half of the count-batch stepper
 // (batch_simulator.cpp).  The per-agent steppers need only W == 0 and keep

@@ -100,13 +100,11 @@ enum class ObservedEngine {
     /// round-robin, sweep, adversarial, dynamic graph, grid mobility).  The
     /// checkpoint's interaction_model section disambiguates which model.
     kPairModel,
-    /// The phase-adaptive dispatcher (run_simulation with kAdaptive, or kAuto
-    /// at kAutoCollapsedThreshold and beyond): one run executed
-    /// as a chain of collapsed / count-batch segments spliced at runtime
-    /// density switches.  Only RunResult::engine and observer events report
-    /// this value; checkpoints always carry the concrete segment engine
-    /// (count_batch or collapsed) plus an `adaptive` monitor section, so
-    /// any segment checkpoint can also resume under its static engine.
+    /// The phase-adaptive engine (run_simulation with kAdaptive, or kAuto at
+    /// kAutoCollapsedThreshold and beyond): one count stepper that takes a
+    /// collapsed super-step or a count-batch step, whichever the live
+    /// density favours.  Its checkpoints carry this tag; static engines
+    /// reject them, and it resumes count_batch and collapsed checkpoints.
     kAdaptive,
 };
 
@@ -129,20 +127,22 @@ struct RunStartInfo {
     const TabulatedProtocol* protocol = nullptr;
 };
 
-/// One phase-adaptive engine switch (adaptive_simulator.h): the monitor's
-/// decision at the moment the run was spliced from one engine to the other.
+/// One change of step kind in a phase-adaptive run (adaptive_simulator.h):
+/// the loop top where the run went from count-batch steps to collapsed
+/// super-steps or back.
 struct EngineSwitchInfo {
-    /// Interaction index of the splice point (the checkpoint-shaped state
-    /// transfer happened exactly here).
+    /// Interaction index of the loop top where the new kind starts.
     std::uint64_t interactions = 0;
     ObservedEngine from = ObservedEngine::kCountBatch;
     ObservedEngine to = ObservedEngine::kCollapsed;
-    /// The monitor signal x = rho * E[L] that triggered the switch, and the
-    /// hysteresis thresholds it was compared against.
+    /// The density signal x = rho * E[L] at that loop top, and the crossover
+    /// x* it was compared against (both thresholds carry x*: one crossover
+    /// serves both directions).
     double signal = 0.0;
     double enter_threshold = 0.0;
     double exit_threshold = 0.0;
-    /// 1-based ordinal of this switch within the run.
+    /// 1-based ordinal of this switch within one run_simulation call; a
+    /// resumed call (a service quantum, say) counts from 1 again.
     std::uint64_t switch_index = 0;
 };
 
@@ -171,9 +171,9 @@ public:
     /// rule cuts the jump short).  Per-agent engines never call this.
     virtual void on_null_run(std::uint64_t length);
 
-    /// The adaptive dispatcher spliced the run onto another engine
-    /// (kAdaptive runs only; static engines never call this).  Delivered
-    /// between the last event of the old segment and the first of the new.
+    /// An adaptive run changed its step kind (kAdaptive runs only; static
+    /// engines never call this).  Delivered between the last event of the
+    /// old kind and the first of the new.
     virtual void on_engine_switch(const EngineSwitchInfo& info);
 
     /// The run is over; `result` is the exact RunResult the engine returns

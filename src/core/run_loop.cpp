@@ -82,9 +82,11 @@ namespace {
 //                                        k serialized model words)
 //   shard_rngs <K> <w...>               (parallel collapsed engine only;
 //                                        4K words, shard-major)
-//   adaptive <switches> <last_switch> <next_eval>
-//                                       (adaptive dispatcher segments only;
-//                                        engine-switch monitor state)
+//   adaptive <a> <b> <c>                (read only: the retired adaptive
+//                                        dispatcher's monitor state; the
+//                                        reader takes the checkpoint as
+//                                        `engine adaptive` and ignores the
+//                                        words)
 //   counts <k> <c0> ... <c{k-1}>        (count engines; k == num_states)
 //   agents <k> <s0> ... <s{k-1}>        (agent engines; k == population)
 //   end
@@ -92,12 +94,11 @@ namespace {
 // All integers are decimal.  A declared length is checked against the
 // header and against the values the line holds, which the reader appends as
 // it parses them, so a corrupt length is a named error and never sizes a
-// vector.  Exactly one of counts/agents is present; the
-// interaction_model, shard_rngs, and adaptive lines are present exactly
-// when the run carries a stateful pairing model / shard streams / a
-// switch monitor (all are optional lines, so v1 readers of old checkpoints
-// still work and plain static runs serialize byte-identically to
-// checkpoints written before each section existed).
+// vector.  Exactly one of counts/agents is present; the interaction_model
+// and shard_rngs lines are present exactly when the run carries a stateful
+// pairing model / shard streams (both are optional lines, so v1 readers of
+// old checkpoints still work and plain static runs serialize
+// byte-identically to checkpoints written before each section existed).
 
 /// Line-oriented tokenizer for the grammar above.  The grammar is one key
 /// per line, so every parse error can name the line number and the
@@ -206,10 +207,6 @@ void write_checkpoint(std::ostream& out, const RunCheckpoint& checkpoint) {
             for (const std::uint64_t word : shard.words) out << ' ' << word;
         out << "\n";
     }
-    if (checkpoint.adaptive) {
-        out << "adaptive " << checkpoint.adaptive_switches << ' '
-            << checkpoint.adaptive_last_switch << ' ' << checkpoint.adaptive_next_eval << "\n";
-    }
     if (!checkpoint.counts.empty()) {
         out << "counts " << checkpoint.counts.size();
         for (const std::uint64_t count : checkpoint.counts) out << ' ' << count;
@@ -288,10 +285,10 @@ RunCheckpoint read_checkpoint(std::istream& in) {
         payload = parser.token("'adaptive', 'counts' or 'agents'");
     }
     if (payload == "adaptive") {
-        checkpoint.adaptive = true;
-        checkpoint.adaptive_switches = parser.u64("adaptive switch count");
-        checkpoint.adaptive_last_switch = parser.u64("adaptive last switch");
-        checkpoint.adaptive_next_eval = parser.u64("adaptive next eval");
+        checkpoint.engine = ObservedEngine::kAdaptive;
+        parser.u64("adaptive switch count");
+        parser.u64("adaptive last switch");
+        parser.u64("adaptive next eval");
         parser.end_line();
         parser.next_line("counts");
         payload = parser.token("'counts' or 'agents'");
@@ -322,22 +319,6 @@ RunCheckpoint read_checkpoint(std::istream& in) {
     return checkpoint;
 }
 
-void transfer_checkpoint_engine(RunCheckpoint& checkpoint, ObservedEngine target) {
-    require(target == ObservedEngine::kCountBatch || target == ObservedEngine::kCollapsed,
-            "transfer_checkpoint_engine: target must be count_batch or collapsed");
-    if (checkpoint.engine != ObservedEngine::kCountBatch &&
-        checkpoint.engine != ObservedEngine::kCollapsed)
-        throw std::invalid_argument(std::string("transfer_checkpoint_engine: cannot transfer a ") +
-                                    observed_engine_name(checkpoint.engine) + " checkpoint");
-    require(!checkpoint.has_pending_skip,
-            "transfer_checkpoint_engine: checkpoint carries a pending null skip");
-    require(checkpoint.shard_rngs.empty(),
-            "transfer_checkpoint_engine: checkpoint carries shard RNG streams");
-    require(!checkpoint.counts.empty() && checkpoint.agent_states.empty(),
-            "transfer_checkpoint_engine: checkpoint must carry a count configuration");
-    checkpoint.engine = target;
-}
-
 std::string checkpoint_to_string(const RunCheckpoint& checkpoint) {
     std::ostringstream out;
     write_checkpoint(out, checkpoint);
@@ -349,34 +330,40 @@ RunCheckpoint checkpoint_from_string(const std::string& text) {
     return read_checkpoint(in);
 }
 
-void write_checkpoint_atomic(const std::string& path, const RunCheckpoint& checkpoint) {
+void write_file_atomic(const std::string& path, const char* caller,
+                       const std::function<void(std::ostream&)>& write) {
     const std::string tmp = path + ".tmp";
     {
         std::ofstream out(tmp, std::ios::trunc);
         if (!out)
-            throw std::runtime_error("write_checkpoint_atomic: cannot open " + tmp + ": " +
+            throw std::runtime_error(std::string(caller) + ": cannot open " + tmp + ": " +
                                      std::strerror(errno));
         try {
-            write_checkpoint(out, checkpoint);
+            write(out);
             out.flush();
             require(static_cast<bool>(out), "flush failed");
         } catch (const std::exception&) {
-            // write_checkpoint surfaces stream failures (disk full, closed
-            // descriptor) as a pathless exception; rethrow naming the file
-            // and drop the partial temporary.
+            // Stream failures (disk full, closed descriptor) surface as a
+            // pathless exception or a failed stream; rethrow naming the
+            // file and drop the partial temporary.
             const int saved_errno = errno;
             out.close();
             std::remove(tmp.c_str());
-            throw std::runtime_error("write_checkpoint_atomic: cannot write " + tmp + ": " +
+            throw std::runtime_error(std::string(caller) + ": cannot write " + tmp + ": " +
                                      std::strerror(saved_errno));
         }
     }
     if (std::rename(tmp.c_str(), path.c_str()) != 0) {
         const int saved_errno = errno;
         std::remove(tmp.c_str());
-        throw std::runtime_error("write_checkpoint_atomic: cannot rename " + tmp + " to " +
-                                 path + ": " + std::strerror(saved_errno));
+        throw std::runtime_error(std::string(caller) + ": cannot rename " + tmp + " to " + path +
+                                 ": " + std::strerror(saved_errno));
     }
+}
+
+void write_checkpoint_atomic(const std::string& path, const RunCheckpoint& checkpoint) {
+    write_file_atomic(path, "write_checkpoint_atomic",
+                      [&](std::ostream& out) { write_checkpoint(out, checkpoint); });
 }
 
 RunCheckpoint read_checkpoint_file(const std::string& path) {

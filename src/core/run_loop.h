@@ -51,13 +51,13 @@
 #include <chrono>
 #include <concepts>
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "core/configuration.h"
-#include "core/engine_monitor.h"
 #include "core/observer.h"
 #include "core/require.h"
 #include "core/rng.h"
@@ -123,18 +123,6 @@ struct RunCheckpoint {
     /// requires the same K (the serial engine leaves this empty).
     std::vector<Rng::StreamState> shard_rngs;
 
-    /// Phase-adaptive dispatcher section (adaptive_simulator.h): the engine
-    /// monitor's mutable state at the cut, so a resumed adaptive run replays
-    /// its switch decisions exactly.  `engine` still names the concrete
-    /// segment engine (count_batch or collapsed) that wrote the checkpoint —
-    /// static-engine resumes of an adaptive checkpoint remain legal and the
-    /// section is simply ignored there.  Thresholds are not captured; the
-    /// caller re-supplies RunOptions::adaptive like the seed.
-    bool adaptive = false;
-    std::uint64_t adaptive_switches = 0;
-    std::uint64_t adaptive_last_switch = 0;
-    std::uint64_t adaptive_next_eval = 0;
-
     /// Interaction-model section: which pairing model drove the run and the
     /// model's serialized word state (cursor positions, permutations, agent
     /// positions — see interaction_model.h).  Stateless built-in models
@@ -182,24 +170,20 @@ RunCheckpoint checkpoint_from_string(const std::string& text);
 /// the temporary cannot be written or the rename fails.
 void write_checkpoint_atomic(const std::string& path, const RunCheckpoint& checkpoint);
 
+/// The tmp + rename writer behind write_checkpoint_atomic, for every file
+/// that must never be seen torn (the service daemon's manifests too):
+/// `write` streams the content into `path` + ".tmp", which is then renamed
+/// over `path`.  On failure the temporary is removed and the
+/// std::runtime_error starts with `caller` and names the failing path.
+void write_file_atomic(const std::string& path, const char* caller,
+                       const std::function<void(std::ostream&)>& write);
+
 /// Reads a checkpoint file previously produced by `write_checkpoint_atomic`
 /// (or any stream written by `write_checkpoint`).  Throws
 /// std::runtime_error naming `path` when the file cannot be opened, and
 /// std::invalid_argument with the line number and offending token on
 /// malformed content.
 RunCheckpoint read_checkpoint_file(const std::string& path);
-
-/// Re-labels `checkpoint` for resumption under another engine — the
-/// checkpoint-shaped state transfer at the heart of the adaptive dispatcher.
-/// Legal exactly between the two count-representation engines (count_batch
-/// <-> collapsed): both suspend to the same payload (counts + one serial RNG
-/// stream + counters), so flipping the engine tag *is* the transfer and the
-/// resumed run draws from the identical stream position.  Throws when the
-/// source or target engine is not transferable, when a pending null skip is
-/// outstanding (the skip draw belongs to the source engine's stream
-/// semantics), or when the checkpoint carries shard streams or a per-agent
-/// configuration.
-void transfer_checkpoint_engine(RunCheckpoint& checkpoint, ObservedEngine target);
 
 // ---------------------------------------------------------------------------
 // The Stepper concept
@@ -242,8 +226,8 @@ concept StepperBase = requires(S stepper, const S const_stepper, RunCheckpoint& 
     /// engines on the same tight hot path their private loops had.
     { S::kGeometricSkips } -> std::convertible_to<bool>;
     /// Whether the stepper advances in multi-interaction super-steps
-    /// (propose_super_step / apply_super_step) instead of one step() per
-    /// interaction.  Mutually exclusive with kGeometricSkips.
+    /// (propose_super_step / apply_super_step).  Only a mixed stepper (see
+    /// MixedStepper) sets both this and kGeometricSkips.
     { S::kSuperSteps } -> std::convertible_to<bool>;
     { const_stepper.population() } -> std::convertible_to<std::uint64_t>;
     /// Exact and O(1), kept up to date by the stepping methods; the kernel
@@ -262,7 +246,7 @@ concept StepperBase = requires(S stepper, const S const_stepper, RunCheckpoint& 
 /// The classic flavour: one step() per interaction, optionally preceded by
 /// a geometric null-skip proposal.
 template <typename S>
-concept SingleStepStepper = StepperBase<S> && !S::kSuperSteps &&
+concept SingleStepStepper = StepperBase<S> &&
     requires(S stepper, Rng& rng) {
         /// Number of consecutive null interactions to jump before the next
         /// step() (only called when kGeometricSkips; must be 0 for engines
@@ -284,7 +268,7 @@ concept SingleStepStepper = StepperBase<S> && !S::kSuperSteps &&
 /// trajectory sensitive to boundary placement — equivalence across
 /// observation setups is distributional, not stream-level).
 template <typename S>
-concept SuperStepStepper = StepperBase<S> && S::kSuperSteps && !S::kGeometricSkips &&
+concept SuperStepStepper = StepperBase<S> && S::kSuperSteps &&
     requires(S stepper, Rng& rng, std::uint64_t m) {
         /// Length (>= 1) of the maximal collision-free run of ordered
         /// pairs; the colliding interaction that terminates it would be
@@ -293,9 +277,30 @@ concept SuperStepStepper = StepperBase<S> && S::kSuperSteps && !S::kGeometricSki
         { stepper.apply_super_step(rng, m, true) } -> std::same_as<BatchOutcome>;
     };
 
-/// What an engine supplies to the kernel: one of the two flavours above.
+/// The mixed flavour (the adaptive stepper, adaptive_simulator.h): both of
+/// the above over one count configuration.  At every loop top the kernel
+/// asks super_step_due() — a function of the configuration alone, so the
+/// choice keeps the law of the run — and hands the configuration to the
+/// other step kind with set_step_kind() when the answer changes.  The two
+/// kinds are reported as the engines kSingleStepEngine / kSuperStepEngine
+/// (observer switch events, telemetry segments); signal() and crossover()
+/// are the compared quantities, for the switch event.
 template <typename S>
-concept Stepper = SingleStepStepper<S> || SuperStepStepper<S>;
+concept MixedStepper = SingleStepStepper<S> && SuperStepStepper<S> &&
+    requires(S stepper, const S const_stepper, bool super_step) {
+        { S::kSingleStepEngine } -> std::convertible_to<ObservedEngine>;
+        { S::kSuperStepEngine } -> std::convertible_to<ObservedEngine>;
+        { const_stepper.super_step_due() } -> std::convertible_to<bool>;
+        { stepper.set_step_kind(super_step) };
+        { const_stepper.signal() } -> std::convertible_to<double>;
+        { const_stepper.crossover() } -> std::convertible_to<double>;
+    };
+
+/// What an engine supplies to the kernel: one of the flavours above.  A
+/// stepper of both flavours must be a MixedStepper.
+template <typename S>
+concept Stepper = (SingleStepStepper<S> || SuperStepStepper<S>) &&
+                  (!(SingleStepStepper<S> && SuperStepStepper<S>) || MixedStepper<S>);
 
 /// Steppers that honour RunOptions::threads > 1 declare `static constexpr
 /// bool kParallel = true` (the sharded collapsed stepper is the only one).
@@ -327,18 +332,9 @@ inline void require_at(bool condition, const char* entry_point, std::string_view
 
 /// Drives `stepper` under the full run policy and returns the result.
 /// `entry_point` names the public API for error messages.
-///
-/// `monitor` is the phase-adaptive dispatcher's switch monitor
-/// (adaptive_simulator.cpp); every other caller leaves it null.  A monitored
-/// call is one engine *segment* of an adaptive run, not a run: it marks its
-/// checkpoints with the monitor's `adaptive` section, and when the monitor
-/// fires it stores the transfer checkpoint in `*transfer` and returns
-/// kPaused.  The dispatcher owns the run bracket, so a segment emits no
-/// observer on_start / on_stop and opens or closes no telemetry run.
 template <Stepper S>
 RunResult run_loop(S& stepper, const TabulatedProtocol& protocol, const RunOptions& options,
-                   const char* entry_point, EngineSwitchMonitor* monitor = nullptr,
-                   std::optional<RunCheckpoint>* transfer = nullptr) {
+                   const char* entry_point) {
     using run_loop_detail::require_at;
 
     const std::uint64_t n = stepper.population();
@@ -360,18 +356,14 @@ RunResult run_loop(S& stepper, const TabulatedProtocol& protocol, const RunOptio
 
     Rng rng(options.seed);
     RunResult result{CountConfiguration(protocol.num_states()), StopReason::kBudget, 0, 0, 0,
-                     std::nullopt};
-    result.engine = S::kEngine;
-
-    // A monitored segment leaves the run bracket to the dispatcher.
-    const bool whole_run = monitor == nullptr;
+                     std::nullopt, S::kEngine, nullptr};
 
     // Performance probes.  A null collector (the default) costs one
     // predicted branch per site.  Telemetry never draws randomness and never
     // reads the stepper configuration, so the RunResult is bit-identical
     // with and without it (tests/telemetry_test.cpp).
     telemetry::RunTelemetryCollector* const collector = options.telemetry;
-    if (collector && whole_run) {
+    if (collector) {
         unsigned run_threads = 1;
         if constexpr (requires { { stepper.threads() } -> std::convertible_to<unsigned>; })
             run_threads = stepper.threads();
@@ -383,7 +375,13 @@ RunResult run_loop(S& stepper, const TabulatedProtocol& protocol, const RunOptio
 
     if (options.resume_from != nullptr) {
         const RunCheckpoint& checkpoint = *options.resume_from;
-        if (checkpoint.engine != S::kEngine)
+        // A mixed stepper also adopts the checkpoints of its two step kinds'
+        // static engines: they suspend to the same payload.
+        bool own_engine = checkpoint.engine == S::kEngine;
+        if constexpr (MixedStepper<S>)
+            own_engine = own_engine || checkpoint.engine == S::kSingleStepEngine ||
+                         checkpoint.engine == S::kSuperStepEngine;
+        if (!own_engine)
             throw std::invalid_argument(std::string(entry_point) +
                                         ": checkpoint was taken by the " +
                                         observed_engine_name(checkpoint.engine) + " engine");
@@ -434,12 +432,6 @@ RunResult run_loop(S& stepper, const TabulatedProtocol& protocol, const RunOptio
         checkpoint.last_output_change = result.last_output_change;
         checkpoint.has_pending_skip = has_pending;
         checkpoint.pending_null_skips = pending;
-        if (monitor != nullptr) {
-            checkpoint.adaptive = true;
-            checkpoint.adaptive_switches = monitor->switches();
-            checkpoint.adaptive_last_switch = monitor->last_switch();
-            checkpoint.adaptive_next_eval = monitor->next_eval();
-        }
         stepper.save(checkpoint);
         return checkpoint;
     };
@@ -472,7 +464,7 @@ RunResult run_loop(S& stepper, const TabulatedProtocol& protocol, const RunOptio
 
     std::chrono::steady_clock::time_point wall_start;
     std::optional<CountConfiguration> initial_counts;
-    if (observer && whole_run) {
+    if (observer) {
         wall_start = std::chrono::steady_clock::now();
         initial_counts.emplace(stepper.counts());
         RunStartInfo info;
@@ -487,6 +479,28 @@ RunResult run_loop(S& stepper, const TabulatedProtocol& protocol, const RunOptio
     }
 
     bool silent = stepper.is_silent();  // a silent start or resume stops at once
+
+    // A mixed stepper's current step kind and the telemetry segment it runs
+    // in.  The kind is a function of the configuration, except that a
+    // pending null skip is finished first, as the run that drew it did.
+    [[maybe_unused]] bool super_kind = false;
+    [[maybe_unused]] std::uint64_t switches = 0;
+    [[maybe_unused]] std::uint64_t segment_start = result.interactions;
+    [[maybe_unused]] std::uint64_t segment_start_ns = 0;
+    [[maybe_unused]] const auto close_segment = [&] {
+        if constexpr (MixedStepper<S>) {
+            if (collector)
+                collector->record_engine_segment(
+                    observed_engine_name(super_kind ? S::kSuperStepEngine : S::kSingleStepEngine),
+                    result.interactions - segment_start, segment_start_ns);
+            segment_start = result.interactions;
+        }
+    };
+    if constexpr (MixedStepper<S>) {
+        super_kind = !has_pending_skip && stepper.super_step_due();
+        stepper.set_step_kind(super_kind);
+        if (collector) segment_start_ns = collector->now_ns();
+    }
 
     const std::atomic<bool>* const stop_flag = options.stop_flag;
     while (!silent && result.interactions < budget) {
@@ -509,146 +523,155 @@ RunResult run_loop(S& stepper, const TabulatedProtocol& protocol, const RunOptio
             take_checkpoint(has_pending_skip ? pending_skip : 0, has_pending_skip);
             if (paused) break;
         }
-        // Phase-adaptive dispatch: when the dispatcher passed a monitor,
-        // poll it at the same loop boundaries checkpoints land on — but only
-        // for steppers that expose their exact effective-pair count W, and
-        // never while a pending null skip is outstanding (the uninterrupted
-        // run evaluates W at the skip's *start* index; re-polling mid-skip
-        // after a resume would diverge from it).  A switch is exactly a
-        // pause: the monitor has already booked it, so the transfer
-        // checkpoint carries the post-switch monitor state, and the
-        // dispatcher resumes it under the other engine.  Evaluating the
-        // signal consumes no randomness, so unmonitored segments stay
-        // bit-identical.
-        if constexpr (requires(const S& s) {
-                          { s.effective_pairs() } -> std::convertible_to<std::uint64_t>;
-                      }) {
-            if (monitor != nullptr && !has_pending_skip && monitor->due(result.interactions) &&
-                monitor->consider(result.interactions, stepper.effective_pairs())) {
-                *transfer = make_checkpoint(0, false);
-                paused = true;
-                break;
+
+        // The step kind: fixed for a static stepper, so this test folds to a
+        // constant; chosen afresh at every loop top by a mixed one.
+        bool super_step = SuperStepStepper<S>;
+        if constexpr (MixedStepper<S>) {
+            super_step = !has_pending_skip && stepper.super_step_due();
+            if (super_step != super_kind) {
+                close_segment();
+                EngineSwitchInfo info;
+                info.interactions = result.interactions;
+                info.from = super_kind ? S::kSuperStepEngine : S::kSingleStepEngine;
+                info.to = super_step ? S::kSuperStepEngine : S::kSingleStepEngine;
+                info.signal = stepper.signal();
+                info.enter_threshold = info.exit_threshold = stepper.crossover();
+                info.switch_index = ++switches;
+                {
+                    const telemetry::ScopedTimer timer(collector,
+                                                       telemetry::Phase::kEngineSwitch);
+                    stepper.set_step_kind(super_step);
+                }
+                super_kind = super_step;
+                if (collector) segment_start_ns = collector->now_ns();
+                if (observer) observer->on_engine_switch(info);
             }
         }
 
-        if constexpr (SuperStepStepper<S>) {
-            // One super-step: draw the length of the maximal collision-free
-            // run of pairs first, then clamp it — never redraw — at the
-            // earliest index the kernel must observe exactly.
-            std::uint64_t run_length;
-            {
-                const telemetry::ScopedTimer timer(collector,
-                                                   telemetry::Phase::kRunLengthDraw);
-                run_length = stepper.propose_super_step(rng);
-            }
+        if (super_step) {
+            if constexpr (SuperStepStepper<S>) {
+                // One super-step: draw the length of the maximal
+                // collision-free run of pairs first, then clamp it — never
+                // redraw — at the earliest index the kernel must observe
+                // exactly.
+                std::uint64_t run_length;
+                {
+                    const telemetry::ScopedTimer timer(collector,
+                                                       telemetry::Phase::kRunLengthDraw);
+                    run_length = stepper.propose_super_step(rng);
+                }
 
-            std::uint64_t boundary = budget;
-            if (next_snapshot < boundary) boundary = next_snapshot;
-            if (next_checkpoint < boundary) boundary = next_checkpoint;
-            if (window != 0 && result.last_output_change != 0 &&
-                result.last_output_change + window < boundary)
-                boundary = result.last_output_change + window;
-            // Every boundary lies strictly ahead of the current index
-            // (due snapshots/checkpoints were already emitted above, stop
-            // rules would have fired), so at least one interaction fits.
-            const std::uint64_t limit = boundary - result.interactions;
+                std::uint64_t boundary = budget;
+                if (next_snapshot < boundary) boundary = next_snapshot;
+                if (next_checkpoint < boundary) boundary = next_checkpoint;
+                if (window != 0 && result.last_output_change != 0 &&
+                    result.last_output_change + window < boundary)
+                    boundary = result.last_output_change + window;
+                // Every boundary lies strictly ahead of the current index
+                // (due snapshots/checkpoints were already emitted above,
+                // stop rules would have fired), so at least one interaction
+                // fits.
+                const std::uint64_t limit = boundary - result.interactions;
 
-            // When the whole run fits, execute it plus the single colliding
-            // interaction that terminated it; otherwise clamp at the
-            // boundary — exactly `limit` collision-free pairs and no
-            // colliding interaction (exact; see the SuperStepStepper
-            // concept note).
-            const bool clamped = run_length >= limit;
-            const std::uint64_t pairs = clamped ? limit : run_length;
-            BatchOutcome outcome;
-            {
-                const telemetry::ScopedTimer timer(collector,
-                                                   telemetry::Phase::kSuperStepApply);
-                outcome = stepper.apply_super_step(rng, pairs, !clamped);
+                // When the whole run fits, execute it plus the single
+                // colliding interaction that terminated it; otherwise clamp
+                // at the boundary — exactly `limit` collision-free pairs and
+                // no colliding interaction (exact; see the SuperStepStepper
+                // concept note).
+                const bool clamped = run_length >= limit;
+                const std::uint64_t pairs = clamped ? limit : run_length;
+                BatchOutcome outcome;
+                {
+                    const telemetry::ScopedTimer timer(collector,
+                                                       telemetry::Phase::kSuperStepApply);
+                    outcome = stepper.apply_super_step(rng, pairs, !clamped);
+                }
+                result.interactions += pairs + (clamped ? 0 : 1);
+                if (collector) collector->record_super_step(pairs, clamped);
+                result.effective_interactions += outcome.effective;
+                if (outcome.output_changed) {
+                    result.last_output_change = result.interactions;
+                    if (observer) observer->on_output_change(result.interactions);
+                }
+                silent = stepper.is_silent();
             }
-            result.interactions += pairs + (clamped ? 0 : 1);
-            if (collector) collector->record_super_step(pairs, clamped);
-            result.effective_interactions += outcome.effective;
-            if (outcome.output_changed) {
-                result.last_output_change = result.interactions;
-                if (observer) observer->on_output_change(result.interactions);
-            }
-            silent = stepper.is_silent();
-        } else if constexpr (S::kGeometricSkips) {
-            std::uint64_t skips;
-            if (has_pending_skip) {
-                skips = pending_skip;
-                has_pending_skip = false;
+        } else if constexpr (SingleStepStepper<S>) {
+            if constexpr (S::kGeometricSkips) {
+                std::uint64_t skips;
+                if (has_pending_skip) {
+                    skips = pending_skip;
+                    has_pending_skip = false;
+                } else {
+                    skips = stepper.propose_skip(rng);
+                }
+
+                // Where does the null run actually end?  `target_end` is the
+                // index of its last null interaction; the effective
+                // interaction would land at target_end + 1.  The
+                // stable-output window and the budget can both cut the run
+                // inside the nulls (which change nothing, so the stop index
+                // is exact); the window wins ties, as it always has.
+                const std::uint64_t target_end = result.interactions + skips;
+                std::uint64_t stop_at = 0;
+                if (window != 0 && result.last_output_change != 0)
+                    stop_at = result.last_output_change + window;
+
+                enum class SkipEnd { kRunOn, kStableOutputs, kBudget };
+                SkipEnd skip_end = SkipEnd::kRunOn;
+                std::uint64_t end_index = target_end;
+                if (stop_at != 0 && stop_at <= target_end && stop_at <= budget) {
+                    skip_end = SkipEnd::kStableOutputs;
+                    end_index = stop_at;
+                } else if (target_end >= budget) {
+                    skip_end = SkipEnd::kBudget;
+                    end_index = budget;
+                }
+
+                // Checkpoint boundaries inside the null run: materialize each
+                // multiple of checkpoint_every strictly before the run's end
+                // (or up to and including target_end when the run
+                // continues), recording the unexecuted remainder of the
+                // skip.  Note this may split the observer's on_null_run
+                // report; the total length is unchanged.
+                while (next_checkpoint <= end_index &&
+                       (skip_end == SkipEnd::kRunOn || next_checkpoint < end_index)) {
+                    if (observer) emit_snapshots_through(next_checkpoint);
+                    if (next_checkpoint > result.interactions) {
+                        if (observer) observer->on_null_run(next_checkpoint - result.interactions);
+                        if (collector)
+                            collector->record_skip(next_checkpoint - result.interactions);
+                    }
+                    result.interactions = next_checkpoint;
+                    take_checkpoint(target_end - result.interactions, true);
+                    if (paused) break;
+                }
+                if (paused) break;  // pause boundary inside the null run
+
+                if (skip_end != SkipEnd::kRunOn) {
+                    if (observer) emit_snapshots_through(end_index);
+                    if (end_index > result.interactions) {
+                        if (observer) observer->on_null_run(end_index - result.interactions);
+                        if (collector) collector->record_skip(end_index - result.interactions);
+                    }
+                    result.interactions = end_index;
+                    if (skip_end == SkipEnd::kStableOutputs)
+                        result.stop_reason = StopReason::kStableOutputs;
+                    break;  // kBudget: stop_reason already defaults to kBudget
+                }
+                if (skips != 0) {
+                    if (observer) emit_snapshots_through(target_end);
+                    if (target_end > result.interactions) {
+                        if (observer) observer->on_null_run(target_end - result.interactions);
+                        if (collector) collector->record_skip(target_end - result.interactions);
+                    }
+                }
+
+                // The effective interaction terminating the null run.
+                result.interactions = target_end + 1;
             } else {
-                skips = stepper.propose_skip(rng);
+                ++result.interactions;
             }
-
-            // Where does the null run actually end?  `target_end` is the
-            // index of its last null interaction; the effective interaction
-            // would land at target_end + 1.  The stable-output window and
-            // the budget can both cut the run inside the nulls (which
-            // change nothing, so the stop index is exact); the window wins
-            // ties, as it always has.
-            const std::uint64_t target_end = result.interactions + skips;
-            std::uint64_t stop_at = 0;
-            if (window != 0 && result.last_output_change != 0)
-                stop_at = result.last_output_change + window;
-
-            enum class SkipEnd { kRunOn, kStableOutputs, kBudget };
-            SkipEnd skip_end = SkipEnd::kRunOn;
-            std::uint64_t end_index = target_end;
-            if (stop_at != 0 && stop_at <= target_end && stop_at <= budget) {
-                skip_end = SkipEnd::kStableOutputs;
-                end_index = stop_at;
-            } else if (target_end >= budget) {
-                skip_end = SkipEnd::kBudget;
-                end_index = budget;
-            }
-
-            // Checkpoint boundaries inside the null run: materialize each
-            // multiple of checkpoint_every strictly before the run's end
-            // (or up to and including target_end when the run continues),
-            // recording the unexecuted remainder of the skip.  Note this
-            // may split the observer's on_null_run report; the total length
-            // is unchanged.
-            while (next_checkpoint <= end_index &&
-                   (skip_end == SkipEnd::kRunOn || next_checkpoint < end_index)) {
-                if (observer) emit_snapshots_through(next_checkpoint);
-                if (next_checkpoint > result.interactions) {
-                    if (observer) observer->on_null_run(next_checkpoint - result.interactions);
-                    if (collector) collector->record_skip(next_checkpoint - result.interactions);
-                }
-                result.interactions = next_checkpoint;
-                take_checkpoint(target_end - result.interactions, true);
-                if (paused) break;
-            }
-            if (paused) break;  // pause boundary inside the null run
-
-            if (skip_end != SkipEnd::kRunOn) {
-                if (observer) emit_snapshots_through(end_index);
-                if (end_index > result.interactions) {
-                    if (observer) observer->on_null_run(end_index - result.interactions);
-                    if (collector) collector->record_skip(end_index - result.interactions);
-                }
-                result.interactions = end_index;
-                if (skip_end == SkipEnd::kStableOutputs)
-                    result.stop_reason = StopReason::kStableOutputs;
-                break;  // kBudget: stop_reason already defaults to kBudget
-            }
-            if (skips != 0) {
-                if (observer) emit_snapshots_through(target_end);
-                if (target_end > result.interactions) {
-                    if (observer) observer->on_null_run(target_end - result.interactions);
-                    if (collector) collector->record_skip(target_end - result.interactions);
-                }
-            }
-
-            // The effective interaction terminating the null run.
-            result.interactions = target_end + 1;
-        } else {
-            ++result.interactions;
-        }
-        if constexpr (!SuperStepStepper<S>) {
             const StepOutcome outcome = stepper.step(rng);
             if (outcome.changed) {
                 ++result.effective_interactions;
@@ -680,10 +703,10 @@ RunResult run_loop(S& stepper, const TabulatedProtocol& protocol, const RunOptio
 
     result.final_configuration = stepper.counts();
     result.consensus = result.final_configuration.consensus_output(protocol);
-    if (!whole_run) return result;
     // Telemetry finishes before on_stop so stop-time consumers (e.g. the
     // JSONL writer's "telemetry" event) see the completed RunTelemetry.
     if (collector) {
+        close_segment();
         collector->finish_run(result.interactions, result.effective_interactions);
         result.telemetry = collector->share();
     }

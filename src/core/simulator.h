@@ -30,7 +30,6 @@
 #include <string>
 
 #include "core/configuration.h"
-#include "core/engine_monitor.h"
 #include "core/observer.h"
 #include "core/rng.h"
 #include "core/tabulated_protocol.h"
@@ -56,7 +55,7 @@ struct RunCheckpoint;
 enum class SimulationEngine {
     /// Let `run_simulation` select by population size (agent array below
     /// kAutoCountBatchThreshold, count-batch up to kAutoCollapsedThreshold,
-    /// the phase-adaptive dispatcher beyond — threads > 1 still pins the
+    /// the phase-adaptive engine beyond — threads > 1 still pins the
     /// collapsed engine, the only parallel one).  The other entry points
     /// read kAuto as "run yourself".
     kAuto,
@@ -76,12 +75,10 @@ enum class SimulationEngine {
     /// trajectory sensitive to snapshot/checkpoint boundary placement; see
     /// collapsed_simulator.h).
     kCollapsedBatch,
-    /// Phase-adaptive dispatcher (adaptive_simulator.h): starts on whichever
-    /// of collapsed / count-batch the initial density favours and switches
-    /// mid-run as the effective-interaction fraction crosses the hysteresis
-    /// thresholds in RunOptions::adaptive — a checkpoint-shaped state
-    /// transfer at a loop boundary, bit-identical to a manual splice at the
-    /// same index.  Serial only (threads <= 1).
+    /// Phase-adaptive engine (adaptive_simulator.h): one count stepper that
+    /// chooses at every step between a collapsed super-step and a
+    /// count-batch step, by comparing the live density signal against the
+    /// crossover in RunOptions::adaptive.  Serial only (threads <= 1).
     kAdaptive,
 };
 
@@ -93,11 +90,20 @@ enum class SimulationEngine {
 /// regression above ~2^12; below that count-batch's O(1)-per-skipped-null
 /// geometric jumps win on sparse tails).  At or above
 /// kAutoCollapsedThreshold the regime *within* a run matters more than its
-/// size, so kAuto hands those runs to the phase-adaptive dispatcher
-/// (adaptive_simulator.h), which starts on whichever side the initial
-/// density favours and re-decides at runtime.
+/// size, so kAuto hands those runs to the phase-adaptive engine
+/// (adaptive_simulator.h), which re-decides the step kind at every step.
 inline constexpr std::uint64_t kAutoCountBatchThreshold = std::uint64_t{1} << 12;
 inline constexpr std::uint64_t kAutoCollapsedThreshold = std::uint64_t{1} << 20;
+
+/// Tuning of the phase-adaptive engine (RunOptions::adaptive).
+struct AdaptiveOptions {
+    /// x*: a step is a collapsed super-step when the density signal
+    /// x = W / (n(n-1)) * sqrt(pi n / 8) is at least this, and a count-batch
+    /// step otherwise.  The default is priced in EXPERIMENTS.md.
+    double crossover = 8.0;
+
+    friend bool operator==(const AdaptiveOptions&, const AdaptiveOptions&) = default;
+};
 
 /// Knobs controlling a single simulated execution.
 struct RunOptions {
@@ -197,10 +203,8 @@ struct RunOptions {
     /// itself in begin_run), so `measure_trials` rejects it.
     telemetry::RunTelemetryCollector* telemetry = nullptr;
 
-    /// Phase-adaptive dispatcher tuning (engine == kAdaptive, or kAuto runs
-    /// large enough that run_simulation routes them adaptively): hysteresis
-    /// thresholds on the density signal x = rho * E[L] and the minimum
-    /// dwell between switches (engine_monitor.h).
+    /// Phase-adaptive engine tuning (engine == kAdaptive, or kAuto runs
+    /// large enough that run_simulation routes them adaptively).
     AdaptiveOptions adaptive;
 };
 

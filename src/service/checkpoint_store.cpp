@@ -1,8 +1,6 @@
 #include "service/checkpoint_store.h"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -14,33 +12,6 @@ namespace {
 
 constexpr const char* kCheckpointSuffix = ".ckpt";
 constexpr const char* kManifestSuffix = ".session";
-
-/// Manifest analogue of write_checkpoint_atomic: a reader (or a crashed
-/// previous daemon) never observes a torn manifest.
-void write_text_atomic(const std::string& path, const std::string& text) {
-    const std::string tmp = path + ".tmp";
-    {
-        std::ofstream out(tmp, std::ios::trunc);
-        if (!out)
-            throw std::runtime_error("checkpoint store: cannot open " + tmp + ": " +
-                                     std::strerror(errno));
-        out << text;
-        out.flush();
-        if (!out) {
-            const int saved_errno = errno;
-            out.close();
-            std::remove(tmp.c_str());
-            throw std::runtime_error("checkpoint store: cannot write " + tmp + ": " +
-                                     std::strerror(saved_errno));
-        }
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        const int saved_errno = errno;
-        std::remove(tmp.c_str());
-        throw std::runtime_error("checkpoint store: cannot rename " + tmp + " to " + path +
-                                 ": " + std::strerror(saved_errno));
-    }
-}
 
 }  // namespace
 
@@ -66,7 +37,10 @@ void CheckpointStore::save_checkpoint(const std::string& id,
 }
 
 void CheckpointStore::save_manifest(const std::string& id, const std::string& json_line) const {
-    write_text_atomic(manifest_path(id), json_line + "\n");
+    // A reader (or a crashed previous daemon) never observes a torn
+    // manifest.
+    write_file_atomic(manifest_path(id), "checkpoint store",
+                      [&](std::ostream& out) { out << json_line << '\n'; });
 }
 
 bool CheckpointStore::has_checkpoint(const std::string& id) const {

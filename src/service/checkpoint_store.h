@@ -36,7 +36,7 @@ public:
     std::string checkpoint_path(const std::string& id) const;
     std::string manifest_path(const std::string& id) const;
 
-    /// Atomic writes (tmp + rename; see write_checkpoint_atomic).
+    /// Atomic writes (tmp + rename; see write_file_atomic).
     void save_checkpoint(const std::string& id, const RunCheckpoint& checkpoint) const;
     void save_manifest(const std::string& id, const std::string& json_line) const;
 

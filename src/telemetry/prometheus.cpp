@@ -133,7 +133,7 @@ void write_prometheus(std::ostream& out, const RunTelemetry& telemetry) {
 
     if (!telemetry.engine_segments.empty()) {
         family(out, "popproto_engine_switches_total", "counter",
-               "Mid-run engine switches performed by the adaptive dispatcher.");
+               "Mid-run changes of step kind made by the adaptive engine.");
         out << "popproto_engine_switches_total " << telemetry.engine_switches << '\n';
         family(out, "popproto_engine_segment_seconds_total", "counter",
                "Wall seconds per adaptive engine segment, in execution order.");

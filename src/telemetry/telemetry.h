@@ -65,7 +65,7 @@ enum class Phase : std::uint8_t {
     kCollisionFixup,    ///< the single colliding interaction (nested)
     kWRecompute,        ///< effective-pair (W) recount (nested)
     kShardTask,         ///< one shard's task body (worker thread, span only)
-    kEngineSwitch,      ///< adaptive dispatcher: checkpoint-shaped state transfer
+    kEngineSwitch,      ///< adaptive engine: hand-over to the other step kind
     kCount
 };
 
@@ -155,9 +155,10 @@ struct RunTelemetry {
     std::uint64_t geometric_skips = 0;
     std::uint64_t null_interactions_skipped = 0;
 
-    /// Phase-adaptive dispatcher accounting: one entry per engine segment,
-    /// in execution order, attributing the run's interactions and wall time
-    /// to the concrete engine that executed them.  Empty for static engines.
+    /// Phase-adaptive accounting: one entry per stretch of one step kind
+    /// (an engine segment), in execution order, attributing the run's
+    /// interactions and wall time to the engine whose steps executed them.
+    /// Empty for static engines.
     struct EngineSegment {
         std::string engine;  ///< observed_engine_name of the segment engine
         std::uint64_t interactions = 0;
@@ -253,9 +254,9 @@ public:
     void finish_run(std::uint64_t interactions, std::uint64_t effective_interactions);
 
     /// One engine segment of a phase-adaptive run, begun at `begin_ns` (a
-    /// now_ns() stamp) and ending now.  The dispatcher brackets the whole
-    /// run with begin_run / finish_run and closes one segment per engine
-    /// stretch in between; finish_run counts the switches as segments - 1.
+    /// now_ns() stamp) and ending now.  The run-loop kernel closes one
+    /// segment per stretch of one step kind between begin_run and
+    /// finish_run; finish_run counts the switches as segments - 1.
     void record_engine_segment(const char* engine, std::uint64_t interactions,
                                std::uint64_t begin_ns);
 

@@ -129,8 +129,11 @@ TEST(Absorption, AgreesWithMonteCarloOnWar) {
 TEST(Absorption, CountEnginesAgreeWithExactAbsorptionOnWar) {
     // The frequency of all-R consensus under each count engine, against the
     // exact absorption probability, within four binomial standard errors.
-    // The adaptive dispatcher is entered on each side: thresholds out of
-    // reach pin it to count-batch, thresholds at zero to collapsed.
+    // The adaptive engine runs three ways: a crossover out of reach pins it
+    // to count-batch steps, one near zero to super-steps, and one between
+    // the signals at one R agent (0.51) and at two (0.82) takes super-steps
+    // at two to four R agents and count-batch steps at one or five, so the
+    // run alternates kinds as the walk wanders.
     const auto protocol = make_war_protocol();
     const std::uint64_t n = 6;
     const auto initial = CountConfiguration::from_input_counts(*protocol, {2, n - 2});
@@ -140,27 +143,24 @@ TEST(Absorption, CountEnginesAgreeWithExactAbsorptionOnWar) {
     struct Engine {
         const char* name;
         SimulationEngine engine;
-        double enter_collapsed;
-        double exit_collapsed;
+        double crossover;
     };
-    const AdaptiveOptions defaults;
+    const double defaults = AdaptiveOptions{}.crossover;
     const std::vector<Engine> engines = {
-        {"count_batch", SimulationEngine::kCountBatch, defaults.enter_collapsed,
-         defaults.exit_collapsed},
-        {"collapsed", SimulationEngine::kCollapsedBatch, defaults.enter_collapsed,
-         defaults.exit_collapsed},
-        {"adaptive entered as count_batch", SimulationEngine::kAdaptive, 1e18, 0.0},
-        {"adaptive entered as collapsed", SimulationEngine::kAdaptive, 1e-12, 0.0},
+        {"count_batch", SimulationEngine::kCountBatch, defaults},
+        {"collapsed", SimulationEngine::kCollapsedBatch, defaults},
+        {"adaptive pinned to count_batch", SimulationEngine::kAdaptive, 1e18},
+        {"adaptive pinned to collapsed", SimulationEngine::kAdaptive, 1e-12},
+        {"adaptive alternating", SimulationEngine::kAdaptive, 0.6},
     };
-    const int trials = 4000;
+    const int trials = 16000;
     const double standard_error = std::sqrt(exact * (1.0 - exact) / trials);
     for (const Engine& engine : engines) {
         int absorbed = 0;
         for (int trial = 0; trial < trials; ++trial) {
             RunOptions options;
             options.engine = engine.engine;
-            options.adaptive.enter_collapsed = engine.enter_collapsed;
-            options.adaptive.exit_collapsed = engine.exit_collapsed;
+            options.adaptive.crossover = engine.crossover;
             options.max_interactions = 1u << 20;
             options.seed = 7000 + trial;
             const RunResult result = run_simulation(*protocol, initial, options);

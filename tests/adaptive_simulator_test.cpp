@@ -1,18 +1,19 @@
-// Phase-adaptive dispatcher tests: switch-as-checkpoint bit-identity
-// against a manually spliced run, checkpoint/resume cut on and around a
-// switch boundary, dwell-based thrash suppression, entry-engine selection,
-// and per-engine telemetry attribution.
+// Phase-adaptive engine tests: bit-identity against a manually spliced run
+// of the static engines, checkpoint/resume at switch indices and at random
+// cuts, the pending-skip rule, v1 checkpoint compatibility, entry kind and
+// per-kind telemetry attribution, and the crossover signal.
 
 #include <cmath>
 #include <cstdint>
 #include <optional>
+#include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/adaptive_simulator.h"
 #include "core/batch_simulator.h"
 #include "core/configuration.h"
-#include "core/engine_monitor.h"
 #include "core/observer.h"
 #include "core/rng.h"
 #include "core/run_loop.h"
@@ -50,8 +51,8 @@ void expect_same_run(const RunResult& actual, const RunResult& expected) {
     EXPECT_EQ(actual.consensus, expected.consensus);
 }
 
-// A single-seed epidemic large enough for the default thresholds to switch
-// twice (sparse -> dense -> sparse) but small enough for sub-second tests.
+// A single-seed epidemic large enough to cross the default crossover twice
+// (sparse -> dense -> sparse) but small enough for sub-second tests.
 constexpr std::uint64_t kPopulation = 1 << 14;
 
 RunOptions adaptive_options(std::uint64_t seed) {
@@ -61,10 +62,24 @@ RunOptions adaptive_options(std::uint64_t seed) {
     return options;
 }
 
-// The core tentpole guarantee: an adaptive run is bit-identical to manually
-// pausing a static run at each recorded switch index, transferring the
-// checkpoint to the other engine, and resuming — the switch IS a
-// checkpoint round-trip.
+/// Runs `options` paused at `cut` and returns the pause checkpoint.
+RunCheckpoint cut_at(const TabulatedProtocol& protocol, const CountConfiguration& initial,
+                     RunOptions options, std::uint64_t cut) {
+    CollectingSink sink;
+    options.pause_after = cut;
+    options.checkpoint_sink = &sink;
+    EXPECT_EQ(run_simulation(protocol, initial, options).stop_reason, StopReason::kPaused)
+        << "cut at " << cut;
+    EXPECT_FALSE(sink.checkpoints.empty()) << "cut at " << cut;
+    return sink.checkpoints.empty() ? RunCheckpoint{} : sink.checkpoints.back();
+}
+
+// An adaptive run is bit-identical to the static engines run leg by leg:
+// count-batch to the first switch index, collapsed to the second, then
+// count-batch to the end, each leg resuming the previous leg's pause
+// checkpoint re-tagged for the next engine.  Both step kinds keep their
+// static engines' RNG use, and a switch index is a natural loop top (the
+// collapsed leg's last super-step ends there unclamped).
 TEST(AdaptiveSimulator, BitIdenticalToManualSplice) {
     const auto protocol = make_epidemic_protocol();
     const auto initial =
@@ -83,49 +98,60 @@ TEST(AdaptiveSimulator, BitIdenticalToManualSplice) {
     EXPECT_EQ(recorder.switches[1].from, ObservedEngine::kCollapsed);
     EXPECT_EQ(recorder.switches[1].to, ObservedEngine::kCountBatch);
     EXPECT_LT(recorder.switches[0].interactions, recorder.switches[1].interactions);
-    EXPECT_EQ(recorder.switches[0].switch_index, 1u);
-    EXPECT_EQ(recorder.switches[1].switch_index, 2u);
+    for (std::size_t k = 0; k < 2; ++k) {
+        const EngineSwitchInfo& info = recorder.switches[k];
+        EXPECT_EQ(info.switch_index, k + 1);
+        EXPECT_EQ(info.enter_threshold, options.adaptive.crossover);
+        EXPECT_EQ(info.exit_threshold, options.adaptive.crossover);
+        if (info.to == ObservedEngine::kCollapsed) {
+            EXPECT_GE(info.signal, options.adaptive.crossover);
+        } else {
+            EXPECT_LT(info.signal, options.adaptive.crossover);
+        }
+    }
 
-    // Manual splice: count-batch to the first switch index...
-    CollectingSink sink;
     RunOptions manual;
     manual.seed = 7;
     manual.engine = SimulationEngine::kCountBatch;
-    manual.pause_after = recorder.switches[0].interactions;
-    manual.checkpoint_sink = &sink;
-    const RunResult leg1 = run_simulation(*protocol, initial, manual);
-    ASSERT_EQ(leg1.stop_reason, StopReason::kPaused);
-    ASSERT_FALSE(sink.checkpoints.empty());
-    RunCheckpoint cut = sink.checkpoints.back();
+    RunCheckpoint cut = cut_at(*protocol, initial, manual, recorder.switches[0].interactions);
     ASSERT_EQ(cut.interactions, recorder.switches[0].interactions);
+    ASSERT_FALSE(cut.has_pending_skip);
 
-    // ...transfer to collapsed, run to the second switch index...
-    transfer_checkpoint_engine(cut, ObservedEngine::kCollapsed);
-    sink.checkpoints.clear();
+    cut.engine = ObservedEngine::kCollapsed;
     manual.engine = SimulationEngine::kCollapsedBatch;
     manual.resume_from = &cut;
-    manual.pause_after = recorder.switches[1].interactions;
-    const RunResult leg2 = run_simulation(*protocol, initial, manual);
-    ASSERT_EQ(leg2.stop_reason, StopReason::kPaused);
-    ASSERT_FALSE(sink.checkpoints.empty());
-    RunCheckpoint cut2 = sink.checkpoints.back();
+    RunCheckpoint cut2 = cut_at(*protocol, initial, manual, recorder.switches[1].interactions);
     ASSERT_EQ(cut2.interactions, recorder.switches[1].interactions);
 
-    // ...transfer back to count-batch and finish.
-    transfer_checkpoint_engine(cut2, ObservedEngine::kCountBatch);
+    cut2.engine = ObservedEngine::kCountBatch;
     manual.engine = SimulationEngine::kCountBatch;
     manual.resume_from = &cut2;
-    manual.pause_after = 0;
-    manual.checkpoint_sink = nullptr;
-    const RunResult tail = run_simulation(*protocol, initial, manual);
-    expect_same_run(tail, adaptive);
+    expect_same_run(run_simulation(*protocol, initial, manual), adaptive);
 }
 
-// Pausing exactly ON a switch boundary is transparent: a switch index is a
-// natural loop top (the super-step ending there is never clamped — see the
-// splice argument in adaptive_simulator.h), so a pause checkpoint cut there
-// resumes bit-identically onto the *un*-checkpointed baseline, firing the
-// switch on the first resumed loop top.
+// The signal crosses the crossover once per regime change: epidemics switch
+// exactly twice and stop at the exact silent onset, all n - 1 infections
+// done.
+TEST(AdaptiveSimulator, SwitchesOncePerRegimeChange) {
+    const auto protocol = make_epidemic_protocol();
+    const auto initial =
+        CountConfiguration::from_input_counts(*protocol, {kPopulation - 1, 1});
+    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+        SwitchRecorder recorder;
+        RunOptions options = adaptive_options(seed);
+        options.observer = &recorder;
+        const RunResult result = run_simulation(*protocol, initial, options);
+        EXPECT_EQ(result.stop_reason, StopReason::kSilent) << "seed " << seed;
+        EXPECT_EQ(result.effective_interactions, kPopulation - 1) << "seed " << seed;
+        EXPECT_EQ(result.last_output_change, result.interactions) << "seed " << seed;
+        EXPECT_EQ(recorder.switches.size(), 2u) << "seed " << seed;
+    }
+}
+
+// A cut exactly on a switch index resumes bit-identically onto the
+// *un*-checkpointed baseline: the checkpoint is taken at the loop top
+// before the step kind is chosen, and the resumed loop top chooses the
+// same kind from the same configuration.
 TEST(AdaptiveSimulator, ResumesBitIdenticallyAcrossSwitches) {
     const auto protocol = make_epidemic_protocol();
     const auto initial =
@@ -139,32 +165,19 @@ TEST(AdaptiveSimulator, ResumesBitIdenticallyAcrossSwitches) {
     options.observer = nullptr;
 
     for (const EngineSwitchInfo& info : recorder.switches) {
-        CollectingSink sink;
-        RunOptions paused = options;
-        paused.pause_after = info.interactions;
-        paused.checkpoint_sink = &sink;
-        const RunResult first = run_simulation(*protocol, initial, paused);
-        ASSERT_EQ(first.stop_reason, StopReason::kPaused) << "cut at " << info.interactions;
-        ASSERT_FALSE(sink.checkpoints.empty()) << "cut at " << info.interactions;
-        // The pause checkpoint block runs before the monitor poll, so the
-        // cut still carries the *pre*-switch engine.
-        EXPECT_EQ(sink.checkpoints.back().engine, info.from);
-
+        const RunCheckpoint cut = cut_at(*protocol, initial, options, info.interactions);
         // Serialize through the text format, as a service restart would.
-        const RunCheckpoint reloaded =
-            checkpoint_from_string(checkpoint_to_string(sink.checkpoints.back()));
-        EXPECT_TRUE(reloaded.adaptive);
+        const RunCheckpoint reloaded = checkpoint_from_string(checkpoint_to_string(cut));
+        EXPECT_EQ(reloaded.engine, ObservedEngine::kAdaptive);
         RunOptions resumed = options;
         resumed.resume_from = &reloaded;
         expect_same_run(run_simulation(*protocol, initial, resumed), baseline);
     }
 }
 
-// kAuto hands a checkpoint that carries an `adaptive` section back to the
-// dispatcher, even below kAutoCollapsedThreshold, where kAuto would
-// otherwise pick the count-batch engine by size.  The cut sits on the
-// second switch index, so it lies after the first switch, carries the
-// collapsed segment engine, and resumes onto the uninterrupted run.
+// kAuto resumes an adaptive checkpoint adaptively, even below
+// kAutoCollapsedThreshold, where kAuto would otherwise pick the count-batch
+// engine by size.
 TEST(AdaptiveSimulator, AutoResumesAdaptiveCheckpointBelowCollapsedThreshold) {
     static_assert(kPopulation < kAutoCollapsedThreshold);
     const auto protocol = make_epidemic_protocol();
@@ -178,16 +191,10 @@ TEST(AdaptiveSimulator, AutoResumesAdaptiveCheckpointBelowCollapsedThreshold) {
     ASSERT_EQ(recorder.switches.size(), 2u);
     options.observer = nullptr;
 
-    CollectingSink sink;
-    RunOptions paused = options;
-    paused.pause_after = recorder.switches[1].interactions;
-    paused.checkpoint_sink = &sink;
-    ASSERT_EQ(run_simulation(*protocol, initial, paused).stop_reason, StopReason::kPaused);
-    ASSERT_FALSE(sink.checkpoints.empty());
-    const RunCheckpoint& cut = sink.checkpoints.back();
+    const RunCheckpoint cut =
+        cut_at(*protocol, initial, options, recorder.switches[1].interactions);
     ASSERT_GT(cut.interactions, recorder.switches[0].interactions);
-    ASSERT_TRUE(cut.adaptive);
-    EXPECT_EQ(cut.engine, ObservedEngine::kCollapsed);
+    EXPECT_EQ(cut.engine, ObservedEngine::kAdaptive);
 
     RunOptions resumed;
     resumed.engine = SimulationEngine::kAuto;
@@ -197,18 +204,16 @@ TEST(AdaptiveSimulator, AutoResumesAdaptiveCheckpointBelowCollapsedThreshold) {
     expect_same_run(result, baseline);
 }
 
-// Cuts that do NOT land on a switch boundary follow the collapsed engine's
-// checkpoint contract (tests/collapsed_simulator_test.cpp): boundaries clamp
-// super-steps, so resume bit-identity is against a baseline with the *same*
-// boundary schedule.  A periodic schedule straddles both switches, giving
-// cuts strictly before the first and strictly after the last; every one
-// resumes (with the schedule kept) onto the checkpointed baseline.
+// Cuts off the switch indices follow the collapsed engine's checkpoint
+// contract (tests/collapsed_simulator_test.cpp): boundaries clamp
+// super-steps, so resume bit-identity is against a baseline with the
+// *same* boundary schedule.  A periodic schedule straddles both switches;
+// every cut resumes (with the schedule kept) onto the checkpointed baseline.
 //
 // The baseline carries an observer, a checkpoint sink and a telemetry
-// collector at once, and the dispatcher — not its segments — owns the run:
-// one on_start (kAdaptive), one on_stop, only periodic checkpoints in the
-// sink (the transfers stay inside the dispatcher), and every interaction
-// attributed to one engine segment.
+// collector at once: one on_start (kAdaptive), one on_stop, only periodic
+// checkpoints in the sink, and every interaction attributed to one engine
+// segment.
 TEST(AdaptiveSimulator, PeriodicCheckpointsResumeThroughSwitches) {
     const auto protocol = make_epidemic_protocol();
     const auto initial =
@@ -255,7 +260,7 @@ TEST(AdaptiveSimulator, PeriodicCheckpointsResumeThroughSwitches) {
     observed.telemetry = nullptr;
 
     for (const RunCheckpoint& checkpoint : sink.checkpoints) {
-        EXPECT_TRUE(checkpoint.adaptive);
+        EXPECT_EQ(checkpoint.engine, ObservedEngine::kAdaptive);
         CollectingSink resumed_sink;
         RunOptions resumed = observed;
         resumed.checkpoint_sink = &resumed_sink;
@@ -264,53 +269,206 @@ TEST(AdaptiveSimulator, PeriodicCheckpointsResumeThroughSwitches) {
     }
 }
 
-// Thrash regression: min_dwell pins the minimum distance between switches
-// even under pathologically tight hysteresis.
-TEST(AdaptiveSimulator, MinDwellSuppressesThrashing) {
+// Random cuts: about twenty seeded pseudo-random indices plus both switch
+// indices.  Each cut c is the first boundary of a baseline checkpointed
+// every c interactions, and resuming its checkpoint under the same
+// schedule replays the baseline.  At least one cut lands inside a null
+// skip, so the resumed loop top holds a pending skip.
+TEST(AdaptiveSimulator, ResumesAtRandomCuts) {
     const auto protocol = make_epidemic_protocol();
     const auto initial =
         CountConfiguration::from_input_counts(*protocol, {kPopulation - 1, 1});
 
-    // Tight hysteresis: enter barely above exit invites a switch at nearly
-    // every poll while the signal hovers near the band.
     SwitchRecorder recorder;
-    RunOptions options = adaptive_options(5);
-    options.adaptive.enter_collapsed = 6.5;
-    options.adaptive.exit_collapsed = 6.0;
-    options.adaptive.min_dwell = 50000;
+    RunOptions options = adaptive_options(29);
     options.observer = &recorder;
-    const RunResult result = run_simulation(*protocol, initial, options);
-    EXPECT_EQ(result.stop_reason, StopReason::kSilent);
+    const RunResult probe = run_simulation(*protocol, initial, options);
+    ASSERT_EQ(recorder.switches.size(), 2u);
+    options.observer = nullptr;
 
-    std::uint64_t previous = 0;
-    for (const EngineSwitchInfo& info : recorder.switches) {
-        if (previous != 0) {
-            EXPECT_GE(info.interactions - previous, options.adaptive.min_dwell)
-                << "switches thrash faster than min_dwell";
-        }
-        previous = info.interactions;
+    std::set<std::uint64_t> cuts = {recorder.switches[0].interactions,
+                                    recorder.switches[1].interactions};
+    Rng picker(2024);
+    while (cuts.size() < 22) cuts.insert(1 + picker.below(probe.interactions - 1));
+
+    int inside_skip = 0;
+    for (const std::uint64_t cut : cuts) {
+        CollectingSink sink;
+        RunOptions scheduled = options;
+        scheduled.checkpoint_every = cut;
+        scheduled.checkpoint_sink = &sink;
+        const RunResult baseline = run_simulation(*protocol, initial, scheduled);
+        ASSERT_FALSE(sink.checkpoints.empty()) << "cut at " << cut;
+        const RunCheckpoint checkpoint =
+            checkpoint_from_string(checkpoint_to_string(sink.checkpoints.front()));
+        ASSERT_EQ(checkpoint.interactions, cut);
+        if (checkpoint.has_pending_skip) ++inside_skip;
+        RunOptions resumed = scheduled;
+        resumed.resume_from = &checkpoint;
+        SCOPED_TRACE("cut at " + std::to_string(cut));
+        expect_same_run(run_simulation(*protocol, initial, resumed), baseline);
     }
+    EXPECT_GE(inside_skip, 1);
+}
+
+// The adaptive engine adopts static checkpoints.  A count-batch cut inside a
+// null skip at a density past the crossover finishes the skip with its
+// count-batch step before the first super-step: it equals running the
+// static engine to the skip's effective interaction, then adopting that.
+TEST(AdaptiveSimulator, AdoptsStaticCheckpoints) {
+    const auto protocol = make_epidemic_protocol();
+    const auto initial =
+        CountConfiguration::from_input_counts(*protocol, {kPopulation - 1, 1});
+
+    // Up to its first switch an adaptive run is the count-batch run.
+    SwitchRecorder recorder;
+    RunOptions probe = adaptive_options(13);
+    probe.observer = &recorder;
+    run_simulation(*protocol, initial, probe);
+    ASSERT_FALSE(recorder.switches.empty());
+
+    RunOptions fixed;
+    fixed.seed = 13;
+    fixed.engine = SimulationEngine::kCountBatch;
+    // Past the crossover the skips are short: find a cut inside one.
+    RunCheckpoint cut;
+    for (std::uint64_t index = recorder.switches[0].interactions + 1; !cut.has_pending_skip;
+         ++index) {
+        ASSERT_LT(index, recorder.switches[0].interactions + 1000);
+        cut = cut_at(*protocol, initial, fixed, index);
+    }
+    ASSERT_EQ(cut.engine, ObservedEngine::kCountBatch);
+    ASSERT_GE(engine_detail::crossover_signal(
+                  kPopulation, 2 * cut.counts[0] * cut.counts[1]),
+              AdaptiveOptions{}.crossover);
+
+    RunOptions adopt = adaptive_options(13);
+    adopt.resume_from = &cut;
+    const RunResult result = run_simulation(*protocol, initial, adopt);
+    EXPECT_EQ(result.stop_reason, StopReason::kSilent);
+    EXPECT_EQ(result.effective_interactions, kPopulation - 1);
+
+    fixed.resume_from = &cut;
+    const RunCheckpoint after_skip =
+        cut_at(*protocol, initial, fixed, cut.interactions + cut.pending_null_skips + 1);
+    ASSERT_FALSE(after_skip.has_pending_skip);
+    adopt.resume_from = &after_skip;
+    expect_same_run(result, run_simulation(*protocol, initial, adopt));
+
+    // A collapsed checkpoint is adopted too.
+    fixed.engine = SimulationEngine::kCollapsedBatch;
+    fixed.resume_from = nullptr;
+    const RunCheckpoint collapsed_cut = cut_at(*protocol, initial, fixed, 100000);
+    adopt.resume_from = &collapsed_cut;
+    EXPECT_EQ(run_simulation(*protocol, initial, adopt).effective_interactions,
+              kPopulation - 1);
+}
+
+// Checkpoints carry one engine tag: the adaptive engine rejects agent and
+// parallel-collapsed checkpoints, and the static engines reject adaptive
+// ones.
+TEST(AdaptiveSimulator, RejectsForeignCheckpoints) {
+    const auto protocol = make_epidemic_protocol();
+    const auto initial =
+        CountConfiguration::from_input_counts(*protocol, {kPopulation - 1, 1});
+    const RunCheckpoint adaptive_cut = cut_at(*protocol, initial, adaptive_options(3), 5000);
+    ASSERT_EQ(adaptive_cut.engine, ObservedEngine::kAdaptive);
+
+    for (const ObservedEngine foreign :
+         {ObservedEngine::kAgentArray, ObservedEngine::kParallelCollapsed}) {
+        RunCheckpoint checkpoint = adaptive_cut;
+        checkpoint.engine = foreign;
+        RunOptions resume = adaptive_options(3);
+        resume.resume_from = &checkpoint;
+        EXPECT_THROW(run_simulation(*protocol, initial, resume), std::invalid_argument);
+    }
+    for (const SimulationEngine engine :
+         {SimulationEngine::kCountBatch, SimulationEngine::kCollapsedBatch}) {
+        RunOptions resume;
+        resume.engine = engine;
+        resume.resume_from = &adaptive_cut;
+        EXPECT_THROW(run_simulation(*protocol, initial, resume), std::invalid_argument);
+    }
+}
+
+// A checkpoint written by the former segment-chain dispatcher (format v1)
+// names its segment engine and carries an `adaptive` monitor line.  It
+// reads as an adaptive checkpoint and resumes under kAuto.  This one was
+// cut inside a null skip of the count-batch segment at a density past the
+// current crossover, so the resumed run finishes the skip first.
+TEST(AdaptiveSimulator, ResumesV1SegmentChainCheckpoint) {
+    const auto protocol = make_epidemic_protocol();
+    const auto initial =
+        CountConfiguration::from_input_counts(*protocol, {kPopulation - 1, 1});
+    const RunCheckpoint v1 = checkpoint_from_string(
+        "popproto-checkpoint v1\n"
+        "engine count_batch\n"
+        "population 16384\n"
+        "num_states 2\n"
+        "rng 12149174110390799201 12569641741968503886 3429449968787626314 "
+        "6003556940349484897\n"
+        "interactions 84000\n"
+        "effective 1879\n"
+        "last_output_change 83993\n"
+        "next_silence_check 0\n"
+        "changed_since_check 1\n"
+        "pending_skip 1 17\n"
+        "adaptive 0 0 84218\n"
+        "counts 2 14504 1880\n"
+        "end\n");
+    EXPECT_EQ(v1.engine, ObservedEngine::kAdaptive);
+    ASSERT_TRUE(v1.has_pending_skip);
+
+    RunOptions resume;
+    resume.engine = SimulationEngine::kAuto;
+    resume.resume_from = &v1;
+    const RunResult result = run_simulation(*protocol, initial, resume);
+    EXPECT_EQ(result.engine, ObservedEngine::kAdaptive);
+    EXPECT_EQ(result.stop_reason, StopReason::kSilent);
+    EXPECT_EQ(result.effective_interactions, kPopulation - 1);
+
+    // Finishing the skip by count-batch first, then resuming adaptively
+    // from the effective interaction that ends it, is the same run.
+    RunCheckpoint as_count_batch = v1;
+    as_count_batch.engine = ObservedEngine::kCountBatch;
+    RunOptions fixed;
+    fixed.engine = SimulationEngine::kCountBatch;
+    fixed.resume_from = &as_count_batch;
+    const RunCheckpoint after_skip = cut_at(*protocol, initial, fixed, 84000 + 17 + 1);
+    resume.resume_from = &after_skip;
+    resume.engine = SimulationEngine::kAdaptive;
+    expect_same_run(result, run_simulation(*protocol, initial, resume));
 }
 
 // E[L] in the signal is the mean of the collapsed engine's pair survival
 // law, sqrt(pi n / 8): exactly half of the single-agent birthday constant
-// sqrt(pi n / 2) ~= 1.2533 sqrt(n).  Halving is exact in binary floating
-// point, so the halved default thresholds keep every switch decision.
-TEST(EngineSwitchMonitor, SignalIsHalfTheSingleAgentBirthdayBound) {
+// sqrt(pi n / 2) ~= 1.2533 sqrt(n).  crossover_pairs is the exact integer
+// image of the crossover: the smallest W whose signal reaches it.
+TEST(AdaptiveSignal, IsHalfTheSingleAgentBirthdayBound) {
     Rng rng(2024);
     for (int i = 0; i < 2000; ++i) {
         const std::uint64_t n = 2 + rng.below(std::uint64_t{1} << (1 + rng.below(31)));
         const std::uint64_t w = rng.below(n * (n - 1) + 1);
-        const EngineSwitchMonitor monitor(n, ObservedEngine::kCountBatch, AdaptiveOptions{});
         const double nd = static_cast<double>(n);
         const double single_agent =
             (static_cast<double>(w) / (nd * (nd - 1.0))) * (1.2533141373155003 * std::sqrt(nd));
-        EXPECT_EQ(monitor.signal(w), 0.5 * single_agent) << "n=" << n << " W=" << w;
+        EXPECT_EQ(engine_detail::crossover_signal(n, w), 0.5 * single_agent)
+            << "n=" << n << " W=" << w;
+
+        const double crossover = engine_detail::crossover_signal(n, w);
+        const std::uint64_t pairs = engine_detail::crossover_pairs(n, crossover);
+        ASSERT_LE(pairs, w) << "n=" << n << " W=" << w;
+        EXPECT_GE(engine_detail::crossover_signal(n, pairs), crossover);
+        if (pairs != 0) {
+            EXPECT_LT(engine_detail::crossover_signal(n, pairs - 1), crossover);
+        }
     }
+    EXPECT_EQ(engine_detail::crossover_pairs(1 << 16, 1e18), ~std::uint64_t{0});
+    EXPECT_EQ(engine_detail::crossover_pairs(1 << 16, 0.0), 0u);
 }
 
-// Entry engine comes from the initial density, and telemetry attributes
-// every interaction to exactly one per-engine segment.
+// The entry kind comes from the initial density, and telemetry attributes
+// every interaction to exactly one per-kind segment.
 TEST(AdaptiveSimulator, EntryEngineAndSegmentAttribution) {
     const auto protocol = make_epidemic_protocol();
 
@@ -336,52 +494,6 @@ TEST(AdaptiveSimulator, EntryEngineAndSegmentAttribution) {
     run_simulation(*protocol, dense, options);
     ASSERT_FALSE(dense_collector.telemetry().engine_segments.empty());
     EXPECT_EQ(dense_collector.telemetry().engine_segments.front().engine, "collapsed");
-}
-
-// A checkpoint taken by a *static* engine run can be adopted by the
-// adaptive dispatcher mid-run (monitoring starts one period past the cut).
-TEST(AdaptiveSimulator, AdoptsStaticCheckpoints) {
-    const auto protocol = make_epidemic_protocol();
-    const auto initial =
-        CountConfiguration::from_input_counts(*protocol, {kPopulation - 1, 1});
-
-    CollectingSink sink;
-    RunOptions fixed;
-    fixed.seed = 13;
-    fixed.engine = SimulationEngine::kCountBatch;
-    fixed.pause_after = 3000;
-    fixed.checkpoint_sink = &sink;
-    ASSERT_EQ(run_simulation(*protocol, initial, fixed).stop_reason, StopReason::kPaused);
-
-    const RunCheckpoint cut = sink.checkpoints.back();
-    EXPECT_FALSE(cut.adaptive);
-    RunOptions adopt = adaptive_options(13);
-    adopt.resume_from = &cut;
-    const RunResult result = run_simulation(*protocol, initial, adopt);
-    EXPECT_EQ(result.stop_reason, StopReason::kSilent);
-    EXPECT_EQ(result.effective_interactions, kPopulation - 1);
-    EXPECT_EQ(result.consensus, std::optional<bool>(true));
-}
-
-// transfer_checkpoint_engine validates its preconditions: only count-shaped
-// serial checkpoints move between the two count engines.
-TEST(AdaptiveSimulator, TransferRejectsForeignCheckpoints) {
-    RunCheckpoint checkpoint;
-    checkpoint.engine = ObservedEngine::kAgentArray;
-    checkpoint.agent_states = {0, 1};
-    EXPECT_THROW(transfer_checkpoint_engine(checkpoint, ObservedEngine::kCollapsed),
-                 std::invalid_argument);
-
-    checkpoint.engine = ObservedEngine::kCountBatch;
-    checkpoint.agent_states.clear();
-    checkpoint.counts = {1, 1};
-    checkpoint.has_pending_skip = true;
-    EXPECT_THROW(transfer_checkpoint_engine(checkpoint, ObservedEngine::kCollapsed),
-                 std::invalid_argument);
-
-    checkpoint.has_pending_skip = false;
-    transfer_checkpoint_engine(checkpoint, ObservedEngine::kCollapsed);
-    EXPECT_EQ(checkpoint.engine, ObservedEngine::kCollapsed);
 }
 
 }  // namespace

@@ -109,16 +109,14 @@ TEST(AllocationGuard, CollapsedSuperStepsDoNotAllocate) {
 }
 
 TEST(AllocationGuard, AdaptiveSegmentsDoNotAllocatePerStep) {
-    // Each engine switch builds the next segment's stepper, so both budgets
-    // must cross the same switches.  The thresholds pin the run to one
-    // segment — count-batch, then collapsed — while the monitor still polls
-    // every n/64 interactions.
+    // The first super-step builds the collapsed part, so both budgets must
+    // take the same kinds of step.  The crossover pins the run to one kind
+    // — count-batch, then collapsed — while every loop top still tests it.
     RunOptions options;
     options.engine = SimulationEngine::kAdaptive;
-    options.adaptive.enter_collapsed = 1e18;
+    options.adaptive.crossover = 1e18;
     expect_no_per_step_allocation(std::uint64_t{1} << 16, options);
-    options.adaptive.enter_collapsed = 1e-12;
-    options.adaptive.exit_collapsed = 0.0;
+    options.adaptive.crossover = 1e-12;
     expect_no_per_step_allocation(std::uint64_t{1} << 16, options);
 }
 

@@ -11,7 +11,7 @@
 namespace popproto {
 namespace {
 
-PopulationMachineOptions base_options(std::uint64_t n, std::uint32_t k, std::uint64_t seed) {
+PopulationMachineOptions base_options(std::uint32_t k, std::uint64_t seed) {
     PopulationMachineOptions options;
     options.timer_parameter = k;
     options.share_capacity = 4;
@@ -23,9 +23,9 @@ PopulationMachineOptions base_options(std::uint64_t n, std::uint32_t k, std::uin
 TEST(BulkZeroTest, VerdictsAndCountersMatchExactPath) {
     const CounterProgram program = make_multiply_program(3);
     for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-        PopulationMachineOptions exact = base_options(20, 3, seed);
+        PopulationMachineOptions exact = base_options(3, seed);
         exact.bulk_zero_test_threshold = ~std::uint64_t{0};  // never bulk
-        PopulationMachineOptions bulk = base_options(20, 3, seed);
+        PopulationMachineOptions bulk = base_options(3, seed);
         bulk.bulk_zero_test_threshold = 0;  // always bulk on empty counters
 
         const auto exact_run = run_population_counter_machine(program, {4, 0}, 20, exact);
@@ -53,9 +53,9 @@ TEST(BulkZeroTest, InteractionCountsAreStatisticallyConsistent) {
     double exact_total = 0.0;
     double bulk_total = 0.0;
     for (int trial = 0; trial < trials; ++trial) {
-        PopulationMachineOptions exact = base_options(n, k, 1000 + trial);
+        PopulationMachineOptions exact = base_options(k, 1000 + trial);
         exact.bulk_zero_test_threshold = ~std::uint64_t{0};
-        PopulationMachineOptions bulk = base_options(n, k, 1000 + trial);
+        PopulationMachineOptions bulk = base_options(k, 1000 + trial);
         bulk.bulk_zero_test_threshold = 0;
         exact_total += static_cast<double>(
             run_population_counter_machine(program, {3}, n, exact).interactions);
@@ -71,7 +71,7 @@ TEST(BulkZeroTest, MakesHighTimerParametersAffordable) {
     // k = 6 on n = 64: an empty-counter verdict costs ~63^6 = 6e10
     // interactions, hopeless to replay but instant in bulk.
     const CounterProgram program = make_countdown_program();
-    PopulationMachineOptions options = base_options(64, 6, 9);
+    PopulationMachineOptions options = base_options(6, 9);
     const auto result = run_population_counter_machine(program, {10}, 64, options);
     ASSERT_TRUE(result.halted);
     EXPECT_EQ(result.counters[0], 0u);
@@ -86,7 +86,7 @@ TEST(BulkZeroTest, NonEmptyCountersNeverTakeTheBulkPath) {
     // simulated exactly (only the final empty verdict is bulked), so with a
     // reliable k = 4 the run drains the counter and counts all 6 tests.
     const CounterProgram program = make_countdown_program();
-    PopulationMachineOptions bulk = base_options(12, 4, 4);
+    PopulationMachineOptions bulk = base_options(4, 4);
     bulk.bulk_zero_test_threshold = 0;
     const auto result = run_population_counter_machine(program, {5}, 12, bulk);
     ASSERT_TRUE(result.halted);

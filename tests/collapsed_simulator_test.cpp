@@ -31,7 +31,7 @@
 
 #include "core/batch_simulator.h"
 #include "core/collapsed_simulator.h"
-#include "core/engine_monitor.h"
+#include "core/adaptive_simulator.h"
 #include "core/observer.h"
 #include "core/rng.h"
 #include "core/run_loop.h"
@@ -203,15 +203,15 @@ TEST(SurvivalTable, InversionMatchesBinarySearch) {
     }
 }
 
-// The adaptive monitor's E[L] (its signal at density 1) is the mean of this
+// The adaptive engine's E[L] (its signal at density 1) is the mean of this
 // law, sum_t P(L >= t) ~= sqrt(pi n / 8).
 TEST(SurvivalTable, MeanIsTheMonitorsExpectedRunLength) {
     for (const std::uint64_t n : {std::uint64_t{1} << 20, std::uint64_t{1} << 24}) {
         const engine_detail::SurvivalTable table(n);
         double mean = 0.0;
         for (const double entry : table.entries()) mean += entry;
-        const EngineSwitchMonitor monitor(n, ObservedEngine::kCountBatch, AdaptiveOptions{});
-        EXPECT_NEAR(monitor.signal(n * (n - 1)), mean, 1e-3 * mean) << "n = " << n;
+        EXPECT_NEAR(engine_detail::crossover_signal(n, n * (n - 1)), mean, 1e-3 * mean)
+            << "n = " << n;
     }
 }
 

@@ -81,6 +81,7 @@ const char* engine_label(SimulationEngine engine) {
         case SimulationEngine::kAgentArray: return "agent_array";
         case SimulationEngine::kCountBatch: return "count_batch";
         case SimulationEngine::kCollapsedBatch: return "collapsed";
+        case SimulationEngine::kAdaptive: return "adaptive";
         case SimulationEngine::kAuto: return "auto";
     }
     return "?";

@@ -171,15 +171,26 @@ SampleMean sample_mean(const std::vector<double>& samples) {
 // Every engine stops at its first silent configuration, so the mean
 // interaction count of a silent stop is the chain's expected hitting time
 // of the silent set, on the agent array as on count-batch.
+//
+// The adaptive row runs leader election with x* = 1, between the signals at
+// 8 leaders (1.23) and at 7 (0.92): super-steps while at least 8 leaders
+// remain, count-batch steps after.  A super-step at n = 10 executes at most
+// 6 interactions, so it leaves at least 2 leaders; silence falls inside a
+// count-batch step and the stop index is exact.  (The collapsed engine
+// stays out: its stop can overshoot within a super-step.)
 TEST(ExactChain, TimeToSilenceMatchesExpectedHittingTime) {
     struct Case {
         const char* name;
         std::unique_ptr<TabulatedProtocol> protocol;
         std::vector<std::uint64_t> counts;
+        std::vector<SimulationEngine> engines;
     };
+    constexpr SimulationEngine kAgent = SimulationEngine::kAgentArray;
+    constexpr SimulationEngine kBatch = SimulationEngine::kCountBatch;
     std::vector<Case> cases;
-    cases.push_back({"epidemic n=12", make_epidemic_protocol(), {11, 1}});
-    cases.push_back({"leader election n=10", make_leader_election_protocol(), {10}});
+    cases.push_back({"epidemic n=12", make_epidemic_protocol(), {11, 1}, {kBatch, kAgent}});
+    cases.push_back({"leader election n=10", make_leader_election_protocol(), {10},
+                     {kBatch, kAgent, SimulationEngine::kAdaptive}});
     for (const Case& c : cases) {
         const TabulatedProtocol& protocol = *c.protocol;
         const auto initial = CountConfiguration::from_input_counts(protocol, c.counts);
@@ -187,12 +198,12 @@ TEST(ExactChain, TimeToSilenceMatchesExpectedHittingTime) {
             protocol, initial,
             [&](const CountConfiguration& config) { return config.is_silent(protocol); });
 
-        for (const SimulationEngine engine :
-             {SimulationEngine::kCountBatch, SimulationEngine::kAgentArray}) {
+        for (const SimulationEngine engine : c.engines) {
             std::vector<double> times;
             for (std::uint64_t seed = 1; seed <= 2000; ++seed) {
                 RunOptions options;
                 options.engine = engine;
+                options.adaptive.crossover = 1.0;
                 options.max_interactions = 1u << 20;
                 options.seed = seed;
                 const RunResult result = run_simulation(protocol, initial, options);

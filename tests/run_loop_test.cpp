@@ -376,7 +376,7 @@ TEST(CheckpointResume, BitIdenticalOnGraph) {
         return RunResult{graph_result.final_configuration.to_counts(protocol->num_states()),
                          graph_result.stop_reason, graph_result.interactions,
                          graph_result.effective_interactions, graph_result.last_output_change,
-                         graph_result.consensus};
+                         graph_result.consensus, ObservedEngine::kGraph, nullptr};
     };
     check_resume_bit_identity(run, options, /*checkpoint_every=*/333);
 }
@@ -500,6 +500,8 @@ TEST(CheckpointResume, CountEnginesRejectCountsWhoseSumWraps) {
               "count_batch: checkpoint population mismatch");
     EXPECT_EQ(resume_error(SimulationEngine::kAdaptive, ObservedEngine::kCollapsed),
               "collapsed: checkpoint population mismatch");
+    EXPECT_EQ(resume_error(SimulationEngine::kAdaptive, ObservedEngine::kAdaptive),
+              "adaptive: checkpoint population mismatch");
 }
 
 TEST(RunLoop, ResolvesZeroBudgetDefault) {

@@ -209,7 +209,9 @@ void expect_matches_direct(const SessionStatus& status, const RunResult& direct)
     ASSERT_TRUE(status.stop_reason.has_value());
     EXPECT_EQ(*status.stop_reason, direct.stop_reason);
     EXPECT_EQ(status.consensus.has_value(), direct.consensus.has_value());
-    if (status.consensus && direct.consensus) EXPECT_EQ(*status.consensus, *direct.consensus);
+    if (status.consensus && direct.consensus) {
+        EXPECT_EQ(*status.consensus, *direct.consensus);
+    }
 }
 
 /// Polls `status(id)` until `done` returns true or ~30 s elapse.

@@ -120,7 +120,9 @@ TEST_P(TheoremNineSweep, HaltsAndAgreesWhenErrorFree) {
                 << "n=" << population << " k=" << k << " seed=" << seed;
         }
     }
-    if (k >= 3) EXPECT_GE(error_free, 5) << "n=" << population << " k=" << k;
+    if (k >= 3) {
+        EXPECT_GE(error_free, 5) << "n=" << population << " k=" << k;
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Grid, TheoremNineSweep,
