@@ -241,6 +241,10 @@ MALFORMED_SUBMITS = (
     ({"protocol": "predicate", "counts": [5, 3],
       "predicate": "x0 + 9223372036854775807 + 9223372036854775807 < 1"},
      "parse_formula: integer overflow at position 27"),
+    # One threshold atom of 8,000,012 states: its reachable states pass the
+    # compiler's cap before any table is sized.
+    ({"protocol": "predicate", "counts": [5, 3], "predicate": "x0 < 1000000"},
+     "compile_formula: the predicate reaches more than 2048 states"),
 )
 
 

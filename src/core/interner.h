@@ -5,12 +5,15 @@
 // assigns each distinct description a dense State index on first sight and
 // remembers the reverse mapping, so protocol constructors can enumerate their
 // reachable structured states and hand the core a flat indexed state space.
+// compile_formula (presburger/compiler.h) interns a predicate's reachable
+// tuples of atom states this way.
 
 #ifndef POPPROTO_CORE_INTERNER_H
 #define POPPROTO_CORE_INTERNER_H
 
 #include <cstddef>
-#include <map>
+#include <functional>
+#include <unordered_map>
 #include <vector>
 
 #include "core/protocol.h"
@@ -18,9 +21,9 @@
 
 namespace popproto {
 
-/// Bidirectional map between values of `T` (ordered by `<`) and dense State
-/// indices.  Insertion order determines the index.
-template <typename T>
+/// Bidirectional map between values of `T` (hashed by `Hash`) and dense
+/// State indices.  Insertion order determines the index.
+template <typename T, typename Hash = std::hash<T>>
 class StateInterner {
 public:
     /// Returns the index of `value`, interning it if new.
@@ -30,16 +33,6 @@ public:
         return it->second;
     }
 
-    /// Returns the index of `value`; throws if it was never interned.
-    State at(const T& value) const {
-        auto it = index_.find(value);
-        require(it != index_.end(), "StateInterner::at: unknown value");
-        return it->second;
-    }
-
-    /// True iff `value` has been interned.
-    bool contains(const T& value) const { return index_.find(value) != index_.end(); }
-
     /// The value with index `q`.
     const T& value(State q) const {
         require(q < values_.size(), "StateInterner::value: index out of range");
@@ -48,11 +41,8 @@ public:
 
     std::size_t size() const { return values_.size(); }
 
-    /// All interned values in index order.
-    const std::vector<T>& values() const { return values_; }
-
 private:
-    std::map<T, State> index_;
+    std::unordered_map<T, State, Hash> index_;
     std::vector<T> values_;
 };
 

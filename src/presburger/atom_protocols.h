@@ -14,6 +14,11 @@
 // One deliberate refinement: the initial output bit is set to the verdict of
 // the agent's own coefficient rather than constant 0, so the protocols are
 // also correct for a population of a single agent (which never interacts).
+//
+// Each atom is a rule over the index of its (leader, output, u) layout:
+// make_*_rule evaluates delta on demand, make_*_protocol tabulates the rule
+// over the whole layout, and compile_formula (presburger/compiler.h)
+// evaluates it only on the states a run can reach.
 
 #ifndef POPPROTO_PRESBURGER_ATOM_PROTOCOLS_H
 #define POPPROTO_PRESBURGER_ATOM_PROTOCOLS_H
@@ -28,13 +33,23 @@ namespace popproto {
 
 /// Lemma 5 case 1: stably computes [ sum_i coefficients[i] * x_i < constant ]
 /// with the all-agents Boolean output convention.  States are
-/// (leader, output, u) with u in [-s, s], s = max(|c| + 1, max_i |a_i|, 1).
-std::unique_ptr<TabulatedProtocol> make_threshold_protocol(
-    const std::vector<std::int64_t>& coefficients, std::int64_t constant);
+/// (leader, output, u) with u in [-s, s], s = max(|c| + 1, max_i |a_i|, 1),
+/// numbered ((leader ? 2 : 0) + output) * (2s + 1) + (u + s).
+std::unique_ptr<Protocol> make_threshold_rule(const std::vector<std::int64_t>& coefficients,
+                                              std::int64_t constant);
 
 /// Lemma 5 case 2: stably computes
 /// [ sum_i coefficients[i] * x_i = remainder (mod modulus) ], modulus >= 2.
-/// States are (leader, output, u) with u in [0, modulus).
+/// States are (leader, output, u) with u in [0, modulus), numbered
+/// ((leader ? 2 : 0) + output) * modulus + u.
+std::unique_ptr<Protocol> make_remainder_rule(const std::vector<std::int64_t>& coefficients,
+                                              std::int64_t remainder, std::int64_t modulus);
+
+/// make_threshold_rule tabulated over its whole layout.
+std::unique_ptr<TabulatedProtocol> make_threshold_protocol(
+    const std::vector<std::int64_t>& coefficients, std::int64_t constant);
+
+/// make_remainder_rule tabulated over its whole layout.
 std::unique_ptr<TabulatedProtocol> make_remainder_protocol(
     const std::vector<std::int64_t>& coefficients, std::int64_t remainder, std::int64_t modulus);
 

@@ -14,8 +14,9 @@
 // process-wide tables do not land in one side's count only.
 //
 // The replacement can also cap single allocations (AllocationCap), so a
-// reader that would size a vector from a corrupt length throws
-// std::bad_alloc at once instead of exhausting the host's memory.
+// reader that would size a vector from a corrupt length, or a compiler that
+// would tabulate an oversize predicate, throws std::bad_alloc at once
+// instead of exhausting the host's memory.
 
 #include <gtest/gtest.h>
 
@@ -30,6 +31,8 @@
 #include "core/batch_simulator.h"
 #include "core/run_loop.h"
 #include "core/simulator.h"
+#include "presburger/compiler.h"
+#include "presburger/parser.h"
 #include "protocols/epidemic.h"
 
 namespace {
@@ -249,6 +252,22 @@ TEST(AllocationGuard, CheckpointLengthsAreCheckedBeforeAnythingIsSized) {
         } catch (const std::bad_alloc&) {
             ADD_FAILURE() << "sized a vector from a corrupt length:\n" << text;
         }
+    }
+}
+
+TEST(AllocationGuard, OversizePredicatesAreRefusedBeforeAnythingIsSized) {
+    // x0 < 1000000 is one threshold atom of 8,000,012 states: tabulated in
+    // full, its state names alone would take 256 MB.  Its reachable states
+    // pass the compiler's cap first, and the compiler must name the cap.
+    const AllocationCap cap(std::size_t{64} << 20);
+    try {
+        compile_formula(parse_formula("x0 < 1000000"));
+        ADD_FAILURE() << "compiled an oversize predicate";
+    } catch (const std::invalid_argument& error) {
+        EXPECT_NE(std::string(error.what()).find("more than 2048 states"), std::string::npos)
+            << error.what();
+    } catch (const std::bad_alloc&) {
+        ADD_FAILURE() << "sized a table for an oversize predicate";
     }
 }
 

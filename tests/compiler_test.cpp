@@ -4,9 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "analysis/stable_computation.h"
+#include "core/batch_simulator.h"
 #include "core/simulator.h"
 #include "presburger/compiler.h"
+#include "presburger/parser.h"
 #include "test_util.h"
 
 namespace popproto {
@@ -127,6 +131,61 @@ TEST(Compiler, LargePopulationSimulation) {
         const RunResult result = simulate(*protocol, initial, options);
         ASSERT_TRUE(result.consensus.has_value()) << zeros << " vs " << ones;
         EXPECT_EQ(*result.consensus, zeros < ones ? kOutputTrue : kOutputFalse);
+    }
+}
+
+TEST(Compiler, TableIsTheProductRestrictedToItsReachableStates) {
+    // The closure of the input states under delta; the full Lemma 3
+    // products have 156, 400, 720 and 6,272 states.
+    EXPECT_EQ(compile_formula(parse_formula("x0 - 19*x1 < 1"))->num_states(), 79u);
+    EXPECT_EQ(compile_formula(parse_formula("x0 = x1"))->num_states(), 12u);
+    EXPECT_EQ(compile_formula(parse_formula("x0 = 1 mod 3 | x0 >= 7"))->num_states(), 36u);
+    EXPECT_EQ(compile_formula(parse_formula("x0 >= 3 & x1 >= 3 & x0 + x1 = 0 mod 2"))
+                  ->num_states(),
+              78u);
+
+    // The closure keeps the full product's state order, and every engine
+    // scans states in index order, so seeded runs repeat the ones recorded
+    // on the full tables (156 and 4,368 states) at n = 256.
+    constexpr const char* kFever = "x0 - 19*x1 < 1";
+    constexpr const char* kFeverAndX0AtLeast3 = "20 x1 >= x0 + x1 & x0 >= 3";
+    struct Recorded {
+        const char* formula;
+        SimulationEngine engine;
+        std::uint64_t seed;
+        std::array<std::uint64_t, 3> interactions_effective_last_output_change;
+    };
+    const Recorded recorded[] = {
+        {kFever, SimulationEngine::kAgentArray, 1, {209985, 2212, 209985}},
+        {kFever, SimulationEngine::kAgentArray, 2, {188026, 2639, 188026}},
+        {kFever, SimulationEngine::kCountBatch, 1, {224003, 1475, 224003}},
+        {kFever, SimulationEngine::kCountBatch, 2, {225454, 1226, 225454}},
+        {kFever, SimulationEngine::kCollapsedBatch, 1, {335137, 1575, 335137}},
+        {kFever, SimulationEngine::kCollapsedBatch, 2, {242119, 1605, 242119}},
+        {kFever, SimulationEngine::kAdaptive, 1, {282767, 1801, 282767}},
+        {kFever, SimulationEngine::kAdaptive, 2, {155309, 1039, 155309}},
+        {kFeverAndX0AtLeast3, SimulationEngine::kAgentArray, 1, {209985, 2313, 209985}},
+        {kFeverAndX0AtLeast3, SimulationEngine::kAgentArray, 2, {188026, 2735, 188026}},
+        {kFeverAndX0AtLeast3, SimulationEngine::kCountBatch, 1, {128784, 1346, 128784}},
+        {kFeverAndX0AtLeast3, SimulationEngine::kCountBatch, 2, {204894, 1451, 204894}},
+        {kFeverAndX0AtLeast3, SimulationEngine::kCollapsedBatch, 1, {90737, 1319, 90737}},
+        {kFeverAndX0AtLeast3, SimulationEngine::kCollapsedBatch, 2, {217841, 1134, 217841}},
+        {kFeverAndX0AtLeast3, SimulationEngine::kAdaptive, 1, {156667, 1827, 156667}},
+        {kFeverAndX0AtLeast3, SimulationEngine::kAdaptive, 2, {95767, 1378, 95767}},
+    };
+    for (const Recorded& run : recorded) {
+        const auto protocol = compile_formula(parse_formula(run.formula));
+        const auto initial = CountConfiguration::from_input_counts(*protocol, {244, 12});
+        RunOptions options;
+        options.engine = run.engine;
+        options.seed = run.seed;
+        options.adaptive.crossover = 1.0;  // adaptive runs take both kinds of step
+        const RunResult result = run_simulation(*protocol, initial, options);
+        EXPECT_EQ((std::array{result.interactions, result.effective_interactions,
+                              result.last_output_change}),
+                  run.interactions_effective_last_output_change)
+            << run.formula << " engine " << static_cast<int>(run.engine) << " seed " << run.seed;
+        EXPECT_EQ(result.stop_reason, StopReason::kSilent);
     }
 }
 

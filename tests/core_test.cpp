@@ -1,5 +1,5 @@
 // Unit tests for the core model: RNG, tabulated protocols, configurations,
-// combinators, the random simulator, and the debug printers.
+// the random simulator, and the debug printers.
 
 #include <gtest/gtest.h>
 
@@ -9,7 +9,6 @@
 #include <string>
 #include <utility>
 
-#include "core/combinators.h"
 #include "core/configuration.h"
 #include "core/debug.h"
 #include "core/interner.h"
@@ -17,7 +16,6 @@
 #include "core/simulator.h"
 #include "core/tabulated_protocol.h"
 #include "protocols/counting.h"
-#include "protocols/leader_election.h"
 
 namespace popproto {
 namespace {
@@ -67,9 +65,7 @@ TEST(StateInterner, AssignsDenseIndicesInOrder) {
     EXPECT_EQ(interner.intern(10), 0u);
     EXPECT_EQ(interner.size(), 2u);
     EXPECT_EQ(interner.value(1), 20);
-    EXPECT_TRUE(interner.contains(10));
-    EXPECT_FALSE(interner.contains(30));
-    EXPECT_THROW(interner.at(30), std::invalid_argument);
+    EXPECT_THROW(interner.value(2), std::invalid_argument);
 }
 
 TabulatedProtocol::Tables tiny_tables() {
@@ -226,49 +222,6 @@ TEST(AgentConfiguration, ApplyInteractionReportsChange) {
     EXPECT_TRUE(agents.apply_interaction(*protocol, 0, 1));   // q1,q1 -> q2,q0
     EXPECT_FALSE(agents.apply_interaction(*protocol, 2, 1));  // q0,q0 no-op
     EXPECT_THROW(agents.apply_interaction(*protocol, 0, 0), std::invalid_argument);
-}
-
-TEST(Combinators, ProductRunsComponentsInParallel) {
-    const auto a = make_counting_protocol(2);
-    const auto b = make_counting_protocol(3);
-    const auto both = make_product_protocol(
-        *a, *b,
-        [](Symbol x, Symbol y) { return (x == kOutputTrue && y == kOutputTrue) ? kOutputTrue
-                                                                               : kOutputFalse; },
-        2);
-    EXPECT_EQ(both->num_states(), a->num_states() * b->num_states());
-    EXPECT_EQ(both->num_input_symbols(), 2u);
-
-    // Decode: state = qa * |Qb| + qb.
-    const State initial = both->initial_state(kInputOne);
-    EXPECT_EQ(initial / b->num_states(), a->initial_state(kInputOne));
-    EXPECT_EQ(initial % b->num_states(), b->initial_state(kInputOne));
-
-    const StatePair next = both->apply(initial, initial);
-    const StatePair next_a = a->apply(a->initial_state(kInputOne), a->initial_state(kInputOne));
-    const StatePair next_b = b->apply(b->initial_state(kInputOne), b->initial_state(kInputOne));
-    EXPECT_EQ(next.initiator / b->num_states(), next_a.initiator);
-    EXPECT_EQ(next.initiator % b->num_states(), next_b.initiator);
-    EXPECT_EQ(next.responder / b->num_states(), next_a.responder);
-    EXPECT_EQ(next.responder % b->num_states(), next_b.responder);
-}
-
-TEST(Combinators, ProductRejectsMismatchedAlphabets) {
-    const auto a = make_counting_protocol(2);
-    const auto leader = make_leader_election_protocol();  // one input symbol
-    EXPECT_THROW(make_product_protocol(
-                     *a, *leader, [](Symbol, Symbol) { return kOutputFalse; }, 2),
-                 std::invalid_argument);
-}
-
-TEST(Combinators, NegationFlipsOutputsOnly) {
-    const auto base = make_counting_protocol(2);
-    const auto negated = make_negation_protocol(*base);
-    for (State q = 0; q < base->num_states(); ++q)
-        EXPECT_NE(negated->output(q), base->output(q));
-    for (State p = 0; p < base->num_states(); ++p)
-        for (State q = 0; q < base->num_states(); ++q)
-            EXPECT_EQ(negated->apply(p, q), base->apply(p, q));
 }
 
 TEST(Simulator, StopsWhenSilent) {

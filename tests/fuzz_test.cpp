@@ -8,12 +8,18 @@
 //     effective-pair bookkeeping must match a rebuild, and the agent
 //     engines' support-level silence test must match the multiset test;
 //   * random Presburger formulas: compile and check against the evaluator
-//     on every small input (an end-to-end compiler fuzz).
+//     on every small input (an end-to-end compiler fuzz), and mutated
+//     formula texts: each must compile or be refused by name.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <cctype>
 #include <deque>
+#include <exception>
+#include <string>
+#include <utility>
 
 #include "analysis/stable_computation.h"
 #include "core/effective_pairs.h"
@@ -22,6 +28,7 @@
 #include "core/protocol_io.h"
 #include "core/simulator.h"
 #include "presburger/compiler.h"
+#include "presburger/parser.h"
 #include "test_util.h"
 
 namespace popproto {
@@ -363,7 +370,6 @@ TEST(Fuzz, CompiledRandomFormulasMatchEvaluator) {
     for (int round = 0; round < 12; ++round) {
         const Formula formula = random_formula(rng, 2);
         const auto protocol = compile_formula(formula, 2);
-        if (protocol->num_states() > 3000) continue;  // keep the sweep cheap
         for (std::uint64_t n = 1; n <= 3; ++n) {
             testutil::for_each_composition(n, 2, [&](const std::vector<std::uint64_t>& counts) {
                 const auto initial =
@@ -374,6 +380,87 @@ TEST(Fuzz, CompiledRandomFormulasMatchEvaluator) {
             });
         }
     }
+}
+
+/// Character ranges [begin, end) of the tokens of `text`: runs of letters
+/// and digits, and single other non-space characters.
+std::vector<std::pair<std::size_t, std::size_t>> token_spans(const std::string& text) {
+    const auto word = [&text](std::size_t i) {
+        return std::isalnum(static_cast<unsigned char>(text[i])) != 0;
+    };
+    std::vector<std::pair<std::size_t, std::size_t>> spans;
+    for (std::size_t i = 0; i < text.size();) {
+        if (std::isspace(static_cast<unsigned char>(text[i]))) {
+            ++i;
+            continue;
+        }
+        std::size_t end = i + 1;
+        if (word(i))
+            while (end < text.size() && word(end)) ++end;
+        spans.emplace_back(i, end);
+        i = end;
+    }
+    return spans;
+}
+
+/// One seeded mutant of a corpus text: 1-3 flipped bits, a truncation to a
+/// prefix or a suffix, or 0-2 tokens replaced by 1-3 tokens of another text.
+std::string mutate(Rng& rng, const std::vector<std::string>& corpus) {
+    std::string text = corpus[rng.below(corpus.size())];
+    switch (rng.below(3)) {
+        case 0:
+            for (std::uint64_t flips = 1 + rng.below(3); flips > 0; --flips)
+                text[rng.below(text.size())] ^= static_cast<char>(1u << rng.below(8));
+            return text;
+        case 1: {
+            const std::size_t cut = rng.below(text.size() + 1);
+            return rng.below(2) == 0 ? text.substr(0, cut) : text.substr(cut);
+        }
+        default: {
+            const auto spans = token_spans(text);
+            const std::string& donor = corpus[rng.below(corpus.size())];
+            const auto donor_spans = token_spans(donor);
+            const std::size_t at = rng.below(spans.size() + 1);
+            const std::size_t removed = std::min<std::size_t>(rng.below(3), spans.size() - at);
+            const std::size_t from = rng.below(donor_spans.size());
+            const std::size_t to =
+                std::min<std::size_t>(from + rng.below(3), donor_spans.size() - 1);
+            const std::size_t begin = at < spans.size() ? spans[at].first : text.size();
+            const std::size_t end = removed == 0 ? begin : spans[at + removed - 1].second;
+            return text.substr(0, begin) + " " +
+                   donor.substr(donor_spans[from].first,
+                                donor_spans[to].second - donor_spans[from].first) +
+                   " " + text.substr(end);
+        }
+    }
+}
+
+TEST(Fuzz, MutatedFormulasCompileOrFailByName) {
+    // The formulas of the parser, compiler and Theorem 5 sweep tests.
+    const std::vector<std::string> corpus = {
+        "x0 - 19 x1 < 1", "2*x0 - x1 < 3", "x0 + 1 < x1 + 3", "x0 - 2 x1 = 0 mod 3",
+        "x0 + x1 >= 4 | x0 = 2 mod 5", "(x0 < 3) & !(x1 = 0 mod 2)",
+        "x0 < 1 & x1 < 1 | x0 + x1 >= 5", "(x0 < 2) & ((x1 < 1) | (x0 = 0 mod 2))",
+        "!!(x0 < 2)", "x0 != 2", "5 < x0", "-2*x1 < 0", "x0 = x1 mod 2", "x0 <= 2",
+        "-9223372036854775807 - 1 + x0 < -1",
+        "9223372036854775807*x0 - 9223372036854775807*x1 < 0", "x0 - x1 < 0", "x0 = 1 mod 3",
+        "x0 = 1 mod 2 & x0 < 4", "x0 = 0 mod 2 | x0 >= 5", "!(x0 < 3)", "x0 = x1", "x1 - x0 < 0 | !(x0 + x1 = 0 mod 2)", "20 x1 >= x0 + x1",
+        "x0 - 2 x1 < 2", "2 x0 + x1 = 1 mod 3", "x0 < 3 & x1 = 0 mod 2",
+        "!(x0 + x1 >= 4 | x0 - x1 = 0 mod 2)", "x0 - x1 = 1", "x0 = 1 mod 3 | x0 >= 7"};
+    Rng rng(22);
+    int compiled = 0;
+    for (int round = 0; round < 3000; ++round) {
+        const std::string text = mutate(rng, corpus);
+        try {
+            const auto protocol = compile_formula(parse_formula(text));
+            EXPECT_LE(protocol->num_states(), 2048u) << text;
+            ++compiled;
+        } catch (const std::invalid_argument&) {
+        } catch (const std::exception& error) {
+            ADD_FAILURE() << "\"" << text << "\" threw " << error.what();
+        }
+    }
+    EXPECT_GT(compiled, 300);  // mutants that still parse reach the closure
 }
 
 }  // namespace

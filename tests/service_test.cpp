@@ -264,6 +264,19 @@ TEST(RunRegistryTest, SubmitValidatesSpecsEagerly) {
     bad_predicate.counts = {10, 2};
     EXPECT_THROW(registry.submit(bad_predicate), std::invalid_argument);
 
+    // One threshold atom of 8,000,012 states: its reachable states pass the
+    // compiler's cap before any table is sized, and the error names the cap.
+    SessionSpec oversize_predicate = bad_predicate;
+    oversize_predicate.predicate = "x0 < 1000000";
+    try {
+        registry.submit(oversize_predicate);
+        ADD_FAILURE() << "submitted an oversize predicate";
+    } catch (const std::invalid_argument& error) {
+        EXPECT_NE(std::string(error.what()).find("more than 2048 states"), std::string::npos)
+            << error.what();
+    }
+    EXPECT_TRUE(registry.list().empty());
+
     EXPECT_THROW(registry.status("s-404"), std::invalid_argument);
     std::filesystem::remove_all(options.spill_dir);
 }
