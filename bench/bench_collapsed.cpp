@@ -8,9 +8,10 @@
 //  * Dense phases — here the epidemic transient started at half infected,
 //    where roughly half of all ordered pairs change the multiset — give the
 //    batch engine nothing to skip: it pays O(|Q|) per effective interaction,
-//    ~30 ns/interaction at every n.  The collapsed engine instead executes a
-//    maximal collision-free run of ~0.63 sqrt(n) interactions per O(|Q|^2)
-//    super-step, so its per-interaction cost *falls* like 1/sqrt(n): ~parity
+//    ~30 ns/interaction at every n.  The collapsed engine instead executes
+//    T = 1.5 sqrt(n) interactions per super-step (one O(|Q|^2) cascade plus
+//    ~4.5 interactions resolved one by one), so its per-interaction cost
+//    *falls* like 1/sqrt(n): ~parity
 //    at n = 2^10, >= 10x at n = 2^20, and growing through 2^24 (the
 //    Theorem 8 scaling regime EXPERIMENTS.md sweeps).
 //  * Sparse phases — the paper's 7-fevered-birds scenario — are the batch
@@ -123,8 +124,8 @@ BENCHMARK(BM_SparseCountingCollapsed);
 // varying RunOptions::threads.  threads = 1 is the serial engine and
 // anchors the per-n baseline rate; parallel_efficiency = speedup / threads,
 // so 1.0 is perfect linear scaling and 1/threads is "no faster than
-// serial".  Shard work per super-step is ~0.63 sqrt(n) pair applications,
-// so efficiency should rise with n (more work per fork-merge barrier) and
+// serial".  Shard work per super-step is the bulk realization of ~1.5
+// sqrt(n) deferred pairs, so efficiency should rise with n (more work per fork-merge barrier) and
 // it is only meaningful when the host has at least `threads` cores —
 // EXPERIMENTS.md records which host recorded the committed numbers.
 //
@@ -175,8 +176,11 @@ BENCHMARK(BM_CollapsedScaling)
     ->Unit(benchmark::kMillisecond);
 
 // The price of one exact Rng::hypergeometric draw, the unit of every
-// super-step cascade, at the shapes an n = 2^24 epidemic super-step draws
-// (m ~ 0.63 sqrt(n) = 2568 pairs).  Args are (successes, failures, draws):
+// super-step cascade, at the shapes an n = 2^24 epidemic super-step drew
+// when it stopped at its first collision (m ~ 0.63 sqrt(n) = 2568 pairs; a
+// super-step of T = 1.5 sqrt(n) now realizes ~6,100 deferred pairs, in the
+// same branch, and the rows keep their shapes so their history stays
+// comparable).  Args are (successes, failures, draws):
 // the pool of 2m touched agents out of the count vector at infected
 // fractions I/n = 0.5 and 0.01, and a matching-row split at I/n = 0.5 (an
 // initiator row of ~m/2 draws over the m responders).  All three take the

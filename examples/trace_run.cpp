@@ -34,8 +34,8 @@
 //   --adaptive   shorthand for --engine adaptive
 //   --switch-thresholds X
 //                adaptive crossover x*, the one threshold of both switch
-//                directions: super-steps while the signal rho*E[L] >= X,
-//                batch steps below (default 8)
+//                directions: super-steps while the signal rho*T >= X,
+//                batch steps below (default 12)
 //   --threads K  intra-run worker threads (collapsed engine only; 0 = all
 //                hardware threads, default 1).  Fixed (seed, K) runs are
 //                bit-identical; different K agree in distribution only.

@@ -26,7 +26,9 @@ Checks (exit 1 with a message on the first violation):
   busy/wait and the super-step histogram on the collapsed profile; the
   engine-segment families and both histograms on the adaptive one) are
   present; every histogram's cumulative _bucket samples never decrease
-  and its le="+Inf" bucket equals its _count.
+  and its le="+Inf" bucket equals its _count; and the super-steps'
+  interactions (popproto_super_step_pairs_total) sum to the run's
+  interactions, or on the adaptive profile to the collapsed segments'.
 
   JSONL (optional third argument; the trace_run stdout of an *adaptive*
   run): every engine_switch event is well-formed (monotone t, switch_index
@@ -158,6 +160,7 @@ def check_prometheus(path: str, adaptive: bool = False) -> None:
     typed = set()
     seen = set()
     buckets = {}  # histogram family -> [(lineno, le, cumulative count)]
+    values = []  # (name, labels, value) of every sample
     counts = {}   # histogram family -> _count sample
     for lineno, line in enumerate(text.splitlines(), 1):
         if not line:
@@ -183,6 +186,7 @@ def check_prometheus(path: str, adaptive: bool = False) -> None:
             fail(f"{path}:{lineno}: NaN value: {line!r}")
         name = match.group("name")
         seen.add(name)
+        values.append((name, labels or "", value))
         if name.endswith("_bucket"):
             le = re.search(r'le="([^"]*)"', labels or "")
             if le is None:
@@ -218,9 +222,31 @@ def check_prometheus(path: str, adaptive: bool = False) -> None:
         if not any(name == family or name.startswith(family + "_") for name in seen):
             fail(f"{path}: # TYPE {family} declared but no sample emitted")
 
+    check_super_step_accounting(path, values, adaptive)
+
     print(f"check_telemetry: {path}: {len(seen)} metric names, "
           f"{len(typed)} typed families, {len(buckets)} histograms, "
           f"all well-formed")
+
+
+def check_super_step_accounting(path: str, values, adaptive: bool) -> None:
+    """A super-step executes exactly the interactions it is given, so the
+    super-steps' interactions sum to the run's (collapsed profile) or to the
+    collapsed segments' (adaptive profile)."""
+    def total(name, label=None):
+        return sum(value for sample, labels, value in values
+                   if sample == name and (label is None or label in labels))
+    executed = total("popproto_super_step_pairs_total")
+    if adaptive:
+        expected = total("popproto_engine_segment_interactions_total",
+                         'engine="collapsed"')
+        what = "the collapsed segments' interactions"
+    else:
+        expected = total("popproto_run_interactions_total")
+        what = "the run's interactions"
+    if executed != expected:
+        fail(f"{path}: super-steps executed {executed:.0f} interactions, "
+             f"but {what} number {expected:.0f}")
 
 
 SWITCH_KEYS = ("t", "from", "to", "signal", "enter_threshold",

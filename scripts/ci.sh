@@ -105,8 +105,9 @@ echo "ci.sh: [3/8] benchmark smoke pass"
 echo "ci.sh: [4/8] telemetry profile smoke"
 # A collapsed threads=4 profile exercises every probe family — phase
 # timers, shard busy/wait, super-step accounting — and the checker holds
-# both exporter artifacts to the DESIGN.md schema.  n = 2^20 so super-steps
-# (~0.63 sqrt(n) = 645 pairs) clear the pooled-dispatch threshold
+# both exporter artifacts to the DESIGN.md schema.  n = 2^20 so a
+# super-step's bulk realization (T = 1.5 sqrt(n) = 1,536 interactions less
+# ~4.5 events, ~1,520 deferred pairs) clears the pooled-dispatch threshold
 # (kMinPairsPerWorker * 4 = 256) and the shard lanes actually populate;
 # the run still finishes in well under a second.  Artifacts land next to
 # the bench smoke JSON, never at the repository root.
@@ -128,6 +129,9 @@ python3 "$ROOT/scripts/check_telemetry.py" \
     "$PROFILE_DIR/telemetry_adaptive.trace.json" \
     "$PROFILE_DIR/telemetry_adaptive.prom" \
     "$PROFILE_DIR/telemetry_adaptive.jsonl"
+# The same run stops at its last infection: a super-step that ran past the
+# silent onset would stop later than the last output change.
+python3 "$ROOT/scripts/check_telemetry.py" "$PROFILE_DIR/telemetry_adaptive.jsonl"
 # The agent engine, through the real CLI, stops at its first silent
 # configuration: an epidemic's last infection.
 "$BUILD_DIR/examples/trace_run" epidemic --n 4096 --engine agent --no-counts \

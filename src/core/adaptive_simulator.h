@@ -2,7 +2,7 @@
 // between a collapsed super-step and a count-batch step.
 //
 // Neither count engine wins a whole run.  The collapsed super-step engine
-// (collapsed_simulator.h) advances ~0.63 sqrt(n) interactions per O(|Q|^2)
+// (collapsed_simulator.h) advances T = ceil(1.5 sqrt(n)) interactions per
 // super-step and is unbeatable through dense transients; the count-batch
 // engine (batch_simulator.h) crosses null-heavy sparse tails in O(1)
 // geometric jumps and is unbeatable there.  A single-seed epidemic at
@@ -11,10 +11,10 @@
 //
 // Which step wins is governed by one dimensionless signal,
 //
-//   x = rho * E[L],   rho = W / (n(n-1)),   E[L] = sqrt(pi n / 8),
+//   x = rho * T,   rho = W / (n(n-1)),   T = super_step_length(n),
 //
-// the expected number of effective interactions inside one collision-free
-// run: "how much useful work one super-step amortizes".  W, the exact
+// the expected number of effective interactions inside one super-step:
+// "how much useful work one super-step amortizes".  W, the exact
 // number of effective ordered pairs, is what both step kinds already keep
 // for their silence test, so the signal costs no extra pass.  At every
 // run-loop top the adaptive stepper takes a super-step when x >= x*
@@ -53,8 +53,8 @@ namespace popproto {
 // (batch_simulator.h) with SimulationEngine::kAdaptive.
 namespace engine_detail {
 
-/// x = W / (n(n-1)) * sqrt(pi n / 8) for a population of n and W effective
-/// ordered pairs.
+/// x = W / (n(n-1)) * T for a population of n, W effective ordered pairs
+/// and T = super_step_length(n) (collapsed_simulator.h).
 double crossover_signal(std::uint64_t population, std::uint64_t effective_pairs);
 
 /// The smallest W whose signal is at least `crossover`, or ~0 when no

@@ -1,7 +1,10 @@
 #include "core/collapsed_simulator.h"
 
+#include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -19,12 +22,16 @@ namespace popproto {
 
 namespace {
 
+/// c in T = ceil(c sqrt(n)): about 2c^2 events per super-step against one
+/// cascade (EXPERIMENTS.md "Multibatch super-steps").
+constexpr double kSuperStepScale = 1.5;
+
 /// Machinery shared by the serial and the sharded collapsed steppers: the
-/// birthday-law survival table, the multivariate-hypergeometric cascade,
-/// the split-and-match of a pool of touched agents, the colliding-
-/// interaction fixup, and the W recompute.  Both steppers compose exactly
-/// these pieces, so the sharded engine cannot drift from the serial law by
-/// re-implementing a sampler.
+/// sequential pass of a super-step (fresh-fresh run lengths and the events
+/// between them), the multivariate-hypergeometric cascade, the
+/// split-and-match of a pool of deferred pairs, and the W recompute.  Both
+/// steppers compose exactly these pieces, so the sharded engine cannot drift
+/// from the serial law by re-implementing a sampler.
 class CollapsedEngineBase {
 public:
     std::uint64_t population() const { return population_; }
@@ -48,14 +55,8 @@ public:
     /// touch the RNG stream, so results are bit-identical either way.
     void set_telemetry(telemetry::RunTelemetryCollector* collector) { collector_ = collector; }
 
-    /// Draws the length L >= 1 of the maximal collision-free run: one
-    /// uniform01 inverted through the precomputed survival table.
-    std::uint64_t propose_super_step(Rng& rng) {
-        // L = max{t : P(L >= t) > u}, the index of the first entry <= u; a u
-        // below the truncated table's last entry clamps to the end.
-        const std::uint64_t t = survival_.invert(rng.uniform01());
-        return t > 0 ? t : std::uint64_t{1};  // entries[0] = 1 > u always
-    }
+    /// T: the interactions of an unclamped super-step.
+    std::uint64_t super_step_length() const { return length_; }
 
     CountConfiguration counts() const { return CountConfiguration::from_state_counts(counts_); }
 
@@ -65,12 +66,13 @@ protected:
           eff_(protocol),
           counts_(initial.counts()),
           population_(initial.population_size()),
-          survival_(population_) {
+          length_(engine_detail::super_step_length(population_)),
+          survival_(population_, length_) {
         recompute_effective_pairs();
     }
 
-    /// One collision-free batch of m pairs: the pool of its 2m touched
-    /// agents (by pre-transition state) and the split_and_match results.
+    /// A batch of m deferred pairs: the pool of its 2m agents (by
+    /// pre-transition state) and the split_and_match results.
     struct PairBatch {
         std::uint64_t m = 0;
         std::vector<std::uint64_t> pool;
@@ -79,6 +81,39 @@ protected:
         std::vector<std::uint64_t> touched;    // the pool's post-transition states
         BatchOutcome outcome;
     };
+
+    /// Where a super-step's agents stand: `fresh` untouched agents,
+    /// `deferred` pairs of fresh agents that interacted and are not yet
+    /// realized, and `realized` agents whose state is in realized_ (R).
+    /// counts_ holds P, the states of the fresh and deferred agents, of
+    /// size fresh + 2 deferred.
+    struct Touches {
+        std::uint64_t fresh = 0;
+        std::uint64_t deferred = 0;
+        std::uint64_t realized = 0;
+        std::uint64_t unrealized() const { return fresh + 2 * deferred; }
+    };
+
+    /// The sequential pass of a super-step of m interactions: fresh-fresh
+    /// runs from the birthday law at the current fresh count, deferred, and
+    /// each interaction between them resolved on its own.  Returns where
+    /// the agents stand after the m-th interaction; counts_ is then P and
+    /// realized_ is R.
+    Touches run_events(Rng& rng, std::uint64_t m, BatchOutcome& outcome) {
+        realized_.assign(eff_.num_states, 0);
+        Touches at{population_, 0, 0};
+        std::uint64_t done = 0;
+        while (true) {
+            const std::uint64_t run =
+                survival_.invert(population_ - at.fresh, m - done, rng.uniform01());
+            at.deferred += run;
+            at.fresh -= 2 * run;
+            done += run;
+            if (done == m) return at;
+            resolve_event(rng, at, outcome);
+            if (++done == m) return at;
+        }
+    }
 
     /// Multivariate hypergeometric cascade: moves `draws` items, drawn
     /// without replacement, out of the multiset `from` (per-state counts
@@ -144,89 +179,35 @@ protected:
                     remainder[q] -= k;
                     unmatched -= k;
                     left -= k;
-                    apply_pair_type(p, q, k, touched, outcome);
+                    const StatePair next = protocol_.apply_fast(p, q);
+                    touched[next.initiator] += k;
+                    touched[next.responder] += k;
+                    book(p, q, next, k, outcome);
                 }
             }
             ensure(left == 0, "collapsed: internal matching invariant violated");
         }
     }
 
-    /// Books `k` executed interactions of ordered pair type (p, q):
-    /// accumulates the post-transition states into `touched` and the
-    /// effective / output-change aggregates into `outcome`.
-    void apply_pair_type(State p, State q, std::uint64_t k, std::vector<std::uint64_t>& touched,
-                         BatchOutcome& outcome) const {
-        const StatePair next = protocol_.apply_fast(p, q);
-        touched[next.initiator] += k;
-        touched[next.responder] += k;
-        if (!eff_.effective(p, q)) return;
-        outcome.effective += k;
+    /// Books `k` executed interactions (p, q) -> next into `outcome`: the
+    /// effective count and the output-change flag (an identity or a swap
+    /// leaves the output multiset as it was, so only effective pairs can set
+    /// it).
+    void book(State p, State q, StatePair next, std::uint64_t k, BatchOutcome& outcome) const {
+        outcome.effective += eff_.effective(p, q) * k;
         const Symbol out_p = protocol_.output_fast(p);
         const Symbol out_q = protocol_.output_fast(q);
         const Symbol out_pn = protocol_.output_fast(next.initiator);
         const Symbol out_qn = protocol_.output_fast(next.responder);
-        if (!((out_pn == out_p && out_qn == out_q) || (out_pn == out_q && out_qn == out_p)))
-            outcome.output_changed = true;
+        outcome.output_changed |=
+            !((out_pn == out_p && out_qn == out_q) || (out_pn == out_q && out_qn == out_p));
     }
 
-    /// The ordered pair that terminated the collision-free run: uniform over
-    /// the n(n-1) - (n-2m)(n-2m-1) ordered pairs touching at least one of
-    /// the 2m used agents, whose post-batch states are the `touched`
-    /// multiset; the untouched remainder is counts_ - touched.  Requires
-    /// counts_ already updated for the batch and `touched` holding the full
-    /// (merged) post-transition multiset of the 2m touched agents.
-    void resolve_collision(Rng& rng, std::uint64_t m, std::vector<std::uint64_t>& touched,
-                           BatchOutcome& outcome) {
-        const std::size_t num_states = eff_.num_states;
-        untouched_.resize(num_states);
-        for (State s = 0; s < num_states; ++s) untouched_[s] = counts_[s] - touched[s];
-
-        const std::uint64_t touched_total = 2 * m;
-        const std::uint64_t untouched_total = population_ - touched_total;
-        const std::uint64_t w_tt = touched_total * (touched_total - 1);
-        const std::uint64_t w_tu = touched_total * untouched_total;  // == w_ut
-        const std::uint64_t which = rng.below(w_tt + 2 * w_tu);
-
-        State p = 0;
-        State q = 0;
-        if (which < w_tt) {
-            p = pick(touched, rng.below(touched_total));
-            --touched[p];
-            q = pick(touched, rng.below(touched_total - 1));
-            ++touched[p];
-        } else if (which < w_tt + w_tu) {
-            p = pick(touched, rng.below(touched_total));
-            q = pick(untouched_, rng.below(untouched_total));
-        } else {
-            p = pick(untouched_, rng.below(untouched_total));
-            q = pick(touched, rng.below(touched_total));
-        }
-
-        const StatePair next = protocol_.apply_fast(p, q);
-        --counts_[p];
-        --counts_[q];
-        ++counts_[next.initiator];
-        ++counts_[next.responder];
-        if (eff_.effective(p, q)) {
-            ++outcome.effective;
-            const Symbol out_p = protocol_.output_fast(p);
-            const Symbol out_q = protocol_.output_fast(q);
-            const Symbol out_pn = protocol_.output_fast(next.initiator);
-            const Symbol out_qn = protocol_.output_fast(next.responder);
-            if (!((out_pn == out_p && out_qn == out_q) ||
-                  (out_pn == out_q && out_qn == out_p)))
-                outcome.output_changed = true;
-        }
-    }
-
-    /// The state of the `index`-th item (0-based) of the multiset `counts`.
-    static State pick(const std::vector<std::uint64_t>& counts, std::uint64_t index) {
-        for (State s = 0; s < counts.size(); ++s) {
-            if (index < counts[s]) return s;
-            index -= counts[s];
-        }
-        ensure(false, "collapsed: internal multiset-pick invariant violated");
-        return 0;
+    /// New counts after the bulk realization: P (the fresh agents, left in
+    /// counts_ by the pool draws) + the deferred pairs' post-transition
+    /// states + R.
+    void merge(const std::vector<std::uint64_t>& touched) {
+        for (std::size_t s = 0; s < eff_.num_states; ++s) counts_[s] += touched[s] + realized_[s];
     }
 
     // W = number of effective ordered agent pairs; W == 0 iff silent.
@@ -264,18 +245,110 @@ protected:
     std::uint64_t effective_pairs_ = 0;
     telemetry::RunTelemetryCollector* collector_ = nullptr;
 
-    // Per-super-step scratch (a member to avoid reallocation).
-    std::vector<std::uint64_t> untouched_;
-
 private:
+    /// One interaction that touches an already-touched agent: a uniform
+    /// ordered pair of distinct agents, conditioned on not both being fresh,
+    /// resolved by exact without-replacement draws.  Its two results join R.
+    /// The t touched agents are indexed deferred first, pair k as 2k
+    /// (initiator) and 2k + 1 (responder), so a deferred index's parity is
+    /// its role: the fair initiator/responder draw.
+    void resolve_event(Rng& rng, Touches& at, BatchOutcome& outcome) {
+        // Of the t(2f + t - 1) ordered pairs that touch a touched agent, 2ft
+        // hold one fresh agent, first or second alike, and t(t - 1) two
+        // touched ones.
+        const std::uint64_t touched = population_ - at.fresh;
+        const std::uint64_t r = rng.below(2 * at.fresh + touched - 1);
+        State xs = 0;
+        State ys = 0;
+        if (r < 2 * at.fresh) {
+            const State other = touched_state(rng, at, rng.below(touched), outcome);
+            std::uint64_t left = at.unrealized();
+            const State fresh = take(rng, counts_, left);
+            --at.fresh;
+            const bool fresh_first = (r & 1) != 0;
+            xs = fresh_first ? fresh : other;
+            ys = fresh_first ? other : fresh;
+        } else {
+            const std::uint64_t deferred_agents = 2 * at.deferred;
+            const std::uint64_t xi = rng.below(touched);
+            std::uint64_t yi = rng.below(touched - 1);
+            yi += yi >= xi;
+            if (xi < deferred_agents && (xi ^ 1) == yi) {
+                // The two agents of one deferred pair meet again.
+                const StatePair pair = realize_pair(rng, at, outcome);
+                xs = (xi & 1) != 0 ? pair.responder : pair.initiator;
+                ys = (xi & 1) != 0 ? pair.initiator : pair.responder;
+            } else {
+                // Realized agents are drawn from R as it stood before this
+                // event, so before the partner of a realized pair joins it.
+                if (xi >= deferred_agents) xs = take(rng, realized_, at.realized);
+                if (yi >= deferred_agents) ys = take(rng, realized_, at.realized);
+                if (xi < deferred_agents) xs = realize_one(rng, at, (xi & 1) != 0, outcome);
+                if (yi < deferred_agents) ys = realize_one(rng, at, (yi & 1) != 0, outcome);
+            }
+        }
+
+        const StatePair next = protocol_.apply_fast(xs, ys);
+        book(xs, ys, next, 1, outcome);
+        ++realized_[next.initiator];
+        ++realized_[next.responder];
+        at.realized += 2;
+    }
+
+    /// The state of touched agent `index`: a deferred one's pair is
+    /// realized, a realized one is drawn from R.
+    State touched_state(Rng& rng, Touches& at, std::uint64_t index, BatchOutcome& outcome) {
+        if (index < 2 * at.deferred) return realize_one(rng, at, (index & 1) != 0, outcome);
+        return take(rng, realized_, at.realized);
+    }
+
+    /// Realizes one deferred pair: its initiator's and responder's states
+    /// are two draws from P, and it executes now.
+    StatePair realize_pair(Rng& rng, Touches& at, BatchOutcome& outcome) {
+        std::uint64_t left = at.unrealized();
+        const State p = take(rng, counts_, left);
+        const State q = take(rng, counts_, left);
+        --at.deferred;
+        const StatePair next = protocol_.apply_fast(p, q);
+        book(p, q, next, 1, outcome);
+        return next;
+    }
+
+    /// Realizes the pair of a deferred agent in the given role: returns that
+    /// agent's state, and its partner joins R.
+    State realize_one(Rng& rng, Touches& at, bool responder, BatchOutcome& outcome) {
+        const StatePair next = realize_pair(rng, at, outcome);
+        ++realized_[responder ? next.initiator : next.responder];
+        ++at.realized;
+        return responder ? next.responder : next.initiator;
+    }
+
+    /// Removes a uniform item from the multiset `items` of size `size`
+    /// (decremented) and returns its state.  The scan has no data-dependent
+    /// exit: a mispredicted branch per draw would cost more than the O(|Q|)
+    /// adds at the sizes where super-steps pay.
+    static State take(Rng& rng, std::vector<std::uint64_t>& items, std::uint64_t& size) {
+        const std::uint64_t index = rng.below(size);
+        State s = 0;
+        std::uint64_t below_next = 0;
+        for (std::size_t k = 0; k + 1 < items.size(); ++k) {
+            below_next += items[k];
+            s += index >= below_next ? 1 : 0;
+        }
+        --items[s];
+        --size;
+        return s;
+    }
+
+    std::uint64_t length_;
     engine_detail::SurvivalTable survival_;
+    std::vector<std::uint64_t> realized_;  // R, per super-step (a member: no reallocation)
 };
 
-/// The serial collapsed super-step sampler (collapsed_simulator.h):
-/// collision-free runs of ~sqrt(n) ordered pairs are assigned to state
-/// pairs by exact hypergeometric count splits and applied as one aggregate
-/// delta; the single colliding interaction terminating each run is resolved
-/// individually.
+/// The serial collapsed super-step sampler (collapsed_simulator.h): each
+/// super-step's events are resolved one by one, and its deferred pairs are
+/// realized by one pool/split/match cascade and applied as one aggregate
+/// delta.
 class CollapsedStepper : public CollapsedEngineBase {
 public:
     static constexpr ObservedEngine kEngine = ObservedEngine::kCollapsed;
@@ -285,31 +358,32 @@ public:
     CollapsedStepper(const TabulatedProtocol& protocol, const CountConfiguration& initial)
         : CollapsedEngineBase(protocol, initial) {}
 
-    /// Executes `m` collision-free pairs (2m distinct agents) as one
-    /// aggregate count update, then the single colliding interaction when
-    /// `with_collision` (the kernel clamps boundary-crossing runs instead).
-    BatchOutcome apply_super_step(Rng& rng, std::uint64_t m, bool with_collision) {
+    /// Executes exactly `m` interactions as one super-step.
+    BatchOutcome apply_super_step(Rng& rng, std::uint64_t m) {
+        BatchOutcome outcome;
+        Touches at;
+        {
+            const telemetry::ScopedTimer timer(collector_, telemetry::Phase::kRunLengthDraw);
+            at = run_events(rng, m, outcome);
+        }
+
         {
             const telemetry::ScopedTimer timer(collector_, telemetry::Phase::kPairCascade);
-            // The 2m touched agents: one without-replacement pool drawn out
-            // of the count vector (which keeps the untouched agents), then
-            // split into initiators and responders and matched.
-            batch_.m = m;
-            draw_without_replacement(rng, counts_, population_, 2 * m, batch_.pool);
+            // The deferred pairs' 2D agents: one without-replacement pool
+            // drawn out of P (which keeps the fresh agents), then split into
+            // initiators and responders and matched.
+            batch_.m = at.deferred;
+            draw_without_replacement(rng, counts_, at.unrealized(), 2 * at.deferred,
+                                     batch_.pool);
             split_and_match(rng, batch_);
         }
 
         {
             const telemetry::ScopedTimer timer(collector_, telemetry::Phase::kDeltaMerge);
-            // The touched agents land on their post-transition states.
-            for (std::size_t s = 0; s < eff_.num_states; ++s) counts_[s] += batch_.touched[s];
+            merge(batch_.touched);
         }
-
-        BatchOutcome outcome = batch_.outcome;
-        if (with_collision) {
-            const telemetry::ScopedTimer timer(collector_, telemetry::Phase::kCollisionFixup);
-            resolve_collision(rng, m, batch_.touched, outcome);
-        }
+        outcome.effective += batch_.outcome.effective;
+        outcome.output_changed = outcome.output_changed || batch_.outcome.output_changed;
 
         {
             const telemetry::ScopedTimer timer(collector_, telemetry::Phase::kWRecompute);
@@ -327,16 +401,18 @@ private:
 };
 
 /// The sharded collapsed stepper (RunOptions::threads = K >= 2): each
-/// super-step's m pairs are split across K shards and sampled concurrently.
+/// super-step's events run on the parent stream as in the serial stepper,
+/// and its D deferred pairs are split across K shards and realized
+/// concurrently.
 ///
-/// Exchangeability argument: the serial batch is a uniform ordered sample
-/// of 2m distinct agents — m initiators, m responders, uniformly matched.
-/// Partitioning the m pair slots into K contiguous blocks of sizes m_k and
-/// drawing, on the *parent* stream, the pooled 2m_k agents of each block as
-/// a sequential multivariate-hypergeometric cascade over the residual
-/// counts yields the exact joint law of the per-shard pools (agents of a
+/// Exchangeability argument: the deferred pairs are a uniform ordered
+/// sample of 2D of the unrealized agents — D initiators, D responders,
+/// uniformly matched.  Partitioning the D pair slots into K contiguous
+/// blocks of sizes D_k and drawing, on the *parent* stream, the pooled 2D_k
+/// agents of each block as a sequential multivariate-hypergeometric cascade
+/// over P yields the exact joint law of the per-shard pools (agents of a
 /// without-replacement sample are exchangeable).  Conditioned on its pool,
-/// shard k's initiator multiset is a uniform 2m_k-choose-m_k split and its
+/// shard k's initiator multiset is a uniform 2D_k-choose-D_k split and its
 /// matching is uniform — both sampled on shard k's private *child* stream
 /// with the same cascades the serial stepper uses.  The union of the
 /// shards' pair-type counts therefore has the serial distribution for
@@ -360,27 +436,21 @@ public:
         require(threads >= 2, "collapsed: parallel stepper needs threads >= 2");
     }
 
-    /// Same birthday-law proposal as the serial stepper, but the first call
-    /// also carves the K shard streams off the parent stream (K splits =
-    /// K disjoint 2^128-draw blocks; see Rng::split).  Splitting at a fixed
+    /// Resolved shard count, reported into RunTelemetry::threads.
+    unsigned threads() const { return static_cast<unsigned>(shards_.size()); }
+
+    /// Executes exactly `m` interactions as one super-step.  The first call
+    /// also carves the K shard streams off the parent stream (K splits = K
+    /// disjoint 2^128-draw blocks; see Rng::split).  Splitting at a fixed
     /// point of the parent stream keeps the whole run deterministic in
-    /// (seed, K), and doing it before any super-step work means every
-    /// checkpoint the kernel can take carries live shard streams.
-    std::uint64_t propose_super_step(Rng& rng) {
+    /// (seed, K).
+    BatchOutcome apply_super_step(Rng& rng, std::uint64_t m) {
+        const std::size_t num_states = eff_.num_states;
+        const std::size_t num_shards = shards_.size();
         if (!shard_streams_ready_) {
             for (Shard& shard : shards_) shard.rng = rng.split();
             shard_streams_ready_ = true;
         }
-        return CollapsedEngineBase::propose_super_step(rng);
-    }
-
-    /// Resolved shard count, reported into RunTelemetry::threads.
-    unsigned threads() const { return static_cast<unsigned>(shards_.size()); }
-
-    BatchOutcome apply_super_step(Rng& rng, std::uint64_t m, bool with_collision) {
-        const std::size_t num_states = eff_.num_states;
-        const std::size_t num_shards = shards_.size();
-        BatchOutcome outcome;
 
         // Deferred until the first super-step: the collector's epoch is set
         // by begin_run, which runs after set_telemetry.
@@ -391,17 +461,24 @@ public:
             pool_telemetry_ready_ = true;
         }
 
+        BatchOutcome outcome;
+        Touches at;
+        {
+            const telemetry::ScopedTimer timer(collector_, telemetry::Phase::kRunLengthDraw);
+            at = run_events(rng, m, outcome);
+        }
+        const std::uint64_t deferred = at.deferred;
+
         {
             const telemetry::ScopedTimer timer(collector_, telemetry::Phase::kShardCarve);
-            // Phase 1, parent stream: carve the 2m touched agents into
+            // Phase 1, parent stream: carve the 2D deferred agents into
             // per-shard pools by a sequential multivariate-hypergeometric
-            // cascade out of the count vector, which keeps the agents no
-            // shard drew.  Shard sizes m_k = m/K rounded, sum m; shards
-            // with m_k = 0 draw nothing.
-            std::uint64_t remaining_items = population_;
+            // cascade out of P, which keeps the fresh agents.  Shard sizes
+            // D_k = D/K rounded, sum D; shards with D_k = 0 draw nothing.
+            std::uint64_t remaining_items = at.unrealized();
             for (std::size_t k = 0; k < num_shards; ++k) {
                 PairBatch& batch = shards_[k].batch;
-                batch.m = m / num_shards + (k < m % num_shards ? 1 : 0);
+                batch.m = deferred / num_shards + (k < deferred % num_shards ? 1 : 0);
                 draw_without_replacement(rng, counts_, remaining_items, 2 * batch.m, batch.pool);
                 remaining_items -= 2 * batch.m;
             }
@@ -417,7 +494,7 @@ public:
         };
         {
             const telemetry::ScopedTimer timer(collector_, telemetry::Phase::kShardTasks);
-            if (m >= kMinPairsPerWorker * num_shards) {
+            if (deferred >= kMinPairsPerWorker * num_shards) {
                 pool_.run(num_shards, run_shard);
             } else {
                 for (std::size_t k = 0; k < num_shards; ++k) run_shard(k);
@@ -428,8 +505,8 @@ public:
         {
             const telemetry::ScopedTimer timer(collector_, telemetry::Phase::kDeltaMerge);
             // Phase 3, fixed-order merge: touched multiset, effective count,
-            // output flag.  New counts = the agents no shard drew plus the
-            // merged post-transition multiset.
+            // output flag.  New counts = P + the merged post-transition
+            // multiset + R.
             touched_.assign(num_states, 0);
             for (const Shard& shard : shards_) {
                 for (std::size_t s = 0; s < num_states; ++s) touched_[s] += shard.batch.touched[s];
@@ -437,14 +514,7 @@ public:
                 outcome.output_changed =
                     outcome.output_changed || shard.batch.outcome.output_changed;
             }
-            for (std::size_t s = 0; s < num_states; ++s) counts_[s] += touched_[s];
-        }
-
-        // Phase 4, parent stream: the colliding interaction sees only the
-        // merged touched multiset, exactly as in the serial stepper.
-        if (with_collision) {
-            const telemetry::ScopedTimer timer(collector_, telemetry::Phase::kCollisionFixup);
-            resolve_collision(rng, m, touched_, outcome);
+            merge(touched_);
         }
 
         {
@@ -474,8 +544,9 @@ public:
     }
 
 private:
-    /// Below this many pairs per worker the fork-merge wakeup costs more
-    /// than the shard work; the inline path keeps tiny populations fast.
+    /// Below this many deferred pairs per worker the fork-merge wakeup costs
+    /// more than the shard work; the inline path keeps tiny populations
+    /// fast.
     static constexpr std::uint64_t kMinPairsPerWorker = 64;
 
     struct Shard {
@@ -545,9 +616,9 @@ public:
     std::uint64_t propose_skip(Rng& rng) { return batch_.propose_skip(rng); }
     StepOutcome step(Rng& rng) { return batch_.step(rng); }
 
-    std::uint64_t propose_super_step(Rng& rng) { return collapsed_->propose_super_step(rng); }
-    BatchOutcome apply_super_step(Rng& rng, std::uint64_t m, bool with_collision) {
-        return collapsed_->apply_super_step(rng, m, with_collision);
+    std::uint64_t super_step_length() const { return collapsed_->super_step_length(); }
+    BatchOutcome apply_super_step(Rng& rng, std::uint64_t m) {
+        return collapsed_->apply_super_step(rng, m);
     }
 
     CountConfiguration counts() const { return super_ ? collapsed_->counts() : batch_.counts(); }
@@ -590,32 +661,64 @@ unsigned resolved_threads(const RunOptions& options) {
 
 namespace engine_detail {
 
-SurvivalTable::SurvivalTable(std::uint64_t population)
-    : half_population_(0.5 * static_cast<double>(population)) {
-    const double n = static_cast<double>(population);
+std::uint64_t super_step_length(std::uint64_t population) {
+    const double length = std::ceil(kSuperStepScale * std::sqrt(static_cast<double>(population)));
+    return length >= 1.0 ? static_cast<std::uint64_t>(length) : 1;
+}
+
+SurvivalTable::SurvivalTable(std::uint64_t population, std::uint64_t length)
+    : entries_(2 * length + 1, 1.0), population_(static_cast<double>(population)) {
+    const double n = population_;
     const double total_pairs = n * (n - 1.0);
-    double survival = 1.0;
-    entries_.push_back(1.0);
-    for (std::uint64_t t = 1; population >= 2 * t + 2; ++t) {
-        const double free_agents = n - 2.0 * static_cast<double>(t);
-        survival *= free_agents * (free_agents - 1.0) / total_pairs;
-        if (survival < 1e-25) break;
-        entries_.push_back(survival);
+    for (std::size_t a = 2; a < entries_.size(); ++a) {
+        // Entry a extends entry a - 2 by the run's pair at f = n - a + 2.
+        const double fresh = n - static_cast<double>(a - 2);
+        entries_[a] = fresh >= 2.0 ? entries_[a - 2] * (fresh * (fresh - 1.0) / total_pairs) : 0.0;
     }
 }
 
-std::size_t SurvivalTable::invert(double u) const {
-    // ln P(L >= t) ~= -2t^2 / n, so the answer sits within a step or two of
-    // sqrt(-(n/2) ln u) away from the far tail; u = 0 gives +inf, which
-    // clamps to the end.  The two walks then land on the exact partition
-    // point of the strictly decreasing table.
-    const std::size_t size = entries_.size();
-    const double estimate = std::sqrt(-half_population_ * std::log(u));
-    std::size_t i =
-        estimate < static_cast<double>(size) ? static_cast<std::size_t>(estimate) : size;
-    while (i > 0 && entries_[i - 1] <= u) --i;
-    while (i < size && entries_[i] > u) ++i;
-    return i;
+namespace {
+
+/// ln(1 + i/256) for i = 0..256: the mantissa part of fast_negative_log.
+const std::array<double, 257> kLogMantissa = [] {
+    std::array<double, 257> table{};
+    for (std::size_t i = 0; i < table.size(); ++i)
+        table[i] = std::log(1.0 + static_cast<double>(i) / 256.0);
+    return table;
+}();
+
+/// -ln u for u in [0, 1), to about 1e-5 relative (+inf at 0): u = m 2^e
+/// with m in [1, 2), and ln m interpolated in a 256-bin table.  Only the
+/// inversion's starting point uses it, so its error costs walk steps, never
+/// exactness; against std::log it saves about a tenth of an event's cost.
+double fast_negative_log(double u) {
+    if (!(u > 0.0)) return std::numeric_limits<double>::infinity();
+    const auto bits = std::bit_cast<std::uint64_t>(u);
+    const int exponent = static_cast<int>(bits >> 52) - 1023;
+    const std::uint64_t mantissa = bits & ((std::uint64_t{1} << 52) - 1);
+    const std::size_t bin = mantissa >> 44;
+    const double within = static_cast<double>(mantissa & ((std::uint64_t{1} << 44) - 1)) /
+                          static_cast<double>(std::uint64_t{1} << 44);
+    const double log_m = kLogMantissa[bin] + within * (kLogMantissa[bin + 1] - kLogMantissa[bin]);
+    return -(static_cast<double>(exponent) * 0.6931471805599453 + log_m);
+}
+
+}  // namespace
+
+std::uint64_t SurvivalTable::invert(std::uint64_t touched, std::uint64_t limit, double u) const {
+    const double* chain = entries_.data() + touched;  // chain[2l] / chain[0] = P(run >= l)
+    const double threshold = u * chain[0];
+    if (chain[2 * limit] > threshold) return limit;
+    // The first l with chain[2l] <= threshold lies in [1, limit].  It sits
+    // within a step or two of the root l* of 2l^2 + 2al + n ln u = 0 (u = 0
+    // gives l* = +inf, which clamps to the cap); the two walks then land on
+    // the exact partition point of the non-increasing chain.
+    const double a = static_cast<double>(touched);
+    const double root = 0.5 * (std::sqrt(a * a + 2.0 * population_ * fast_negative_log(u)) - a);
+    std::uint64_t l = root < static_cast<double>(limit) ? static_cast<std::uint64_t>(root) + 1 : limit;
+    while (l > 1 && chain[2 * (l - 1)] <= threshold) --l;
+    while (chain[2 * l] > threshold) ++l;
+    return l - 1;
 }
 
 void require_count_engine_input(const TabulatedProtocol& protocol,
@@ -644,9 +747,8 @@ RunResult run_collapsed(const TabulatedProtocol& protocol, const CountConfigurat
 
 double crossover_signal(std::uint64_t population, std::uint64_t effective_pairs) {
     const double n = static_cast<double>(population);
-    // sqrt(pi / 8) sqrt(n), the mean of the survival law.
     return (static_cast<double>(effective_pairs) / (n * (n - 1.0))) *
-           (0.6266570686577502 * std::sqrt(n));
+           static_cast<double>(super_step_length(population));
 }
 
 std::uint64_t crossover_pairs(std::uint64_t population, double crossover) {
@@ -654,7 +756,8 @@ std::uint64_t crossover_pairs(std::uint64_t population, double crossover) {
     // flips.
     const std::uint64_t max_pairs = population * (population - 1);  // n < 2^32
     const double n = static_cast<double>(population);
-    const double inverse = crossover * (n * (n - 1.0)) / (0.6266570686577502 * std::sqrt(n));
+    const double inverse =
+        crossover * (n * (n - 1.0)) / static_cast<double>(super_step_length(population));
     std::uint64_t w = max_pairs;
     if (inverse <= 0.0) {
         w = 0;

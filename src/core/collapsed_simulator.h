@@ -6,42 +6,48 @@
 // randomized results need runs of 10^9..10^12 interactions (Theorem 8's
 // O(n^2 log n) Presburger bound, Theorem 9's Theta(n^k) epochs) with dense
 // phases where most interactions are effective.  This engine collapses
-// whole *runs* of interactions into one count update:
+// T = ceil(c sqrt(n)) interactions (super_step_length; c = 1.5, a fitted
+// constant) into one count update.  During a super-step every agent is
+// *fresh* (not yet touched), *deferred* (one of the two agents of an
+// interaction between two fresh agents, not yet realized), or *realized*
+// (its current state is known; the multiset R):
 //
-//  * Super-step length.  Ordered pairs of distinct agents are drawn
-//    uniformly; as long as consecutive pairs touch pairwise-disjoint
-//    agents, their effects commute and the aggregate is a without-
-//    replacement sample of the count vector.  The length L of the maximal
-//    collision-free run has the birthday-problem law
-//        P(L >= t) = prod_{i<t} (n-2i)(n-2i-1) / (n(n-1)),
-//    with E[L] = sqrt(pi n / 8) ~ 0.63 sqrt(n); the survival table
-//    (SurvivalTable below) depends only on n, is built once, and one
-//    uniform01 samples L exactly, inverted in O(1) expected steps from the
-//    birthday estimate sqrt(-(n/2) ln u).
-//  * Batch assignment.  The 2L touched agents form one multivariate
-//    hypergeometric pool of the counts (a cascade of exact
-//    Rng::hypergeometric splits); a second cascade splits the pool into the
-//    L initiators and L responders, and a third matches them row by row —
-//    O(|Q|^2) draws total.  Applying delta to every matched pair type at
-//    once is one O(|Q|^2) count update for ~sqrt(n) interactions:
-//    amortized O(|Q|^2 / sqrt(n)) per interaction.
-//  * The colliding interaction.  The pair that terminated the run involves
-//    at least one already-touched agent; it is resolved individually from
-//    the post-batch touched multiset T (|T| = 2L) and the untouched
-//    remainder U, with case weights TT : TU : UT = 2L(2L-1) : 2L(n-2L) :
-//    (n-2L)2L.
+//  * Fresh-fresh runs.  Ordered pairs of distinct agents are drawn
+//    uniformly.  With f agents still fresh, the run of consecutive
+//    interactions between two fresh agents has the birthday law
+//        P(run >= l) = prod_{i<l} (f-2i)(f-2i-1) / (n(n-1)),
+//    tabulated once per n (SurvivalTable) and inverted with one uniform01
+//    from any fresh count.  These interactions are *deferred*: they touch
+//    disjoint agents, so they commute and are realized together at the end.
+//  * Events.  Each interaction that touches an already-touched agent is
+//    resolved on its own by exact without-replacement draws: a fresh agent
+//    from P (the multiset of the agents not yet realized), a deferred agent
+//    by realizing its whole pair from P (a fair draw says whether it was
+//    the initiator or the responder; the partner joins R), and a realized
+//    agent from R.  Both results join R.  About 2c^2 events per super-step.
+//  * Bulk realization.  The deferred pairs left at the end are one
+//    multivariate hypergeometric pool out of P, split into initiators and
+//    responders and matched row by row (a cascade of exact
+//    Rng::hypergeometric draws, O(|Q|^2) in all); the new counts are
+//    P + the pool's post-transition states + R.
+//
+// This is exact because which agents an interaction touches depends only on
+// agent identities, never on states: given everything revealed so far, the
+// agents not yet realized hold a uniformly random assignment of P, so every
+// draw from P above has the law of looking up the chosen agent's state
+// (DESIGN.md "The collapsed super-step engine").
 //
 // Equivalence contract (sharper than the cross-engine one of the count-batch
 // engine): the distribution of trajectories and RunResults is identical to
 // the agent-array and count-batch engines', but equivalence is
 // *distribution-level only* — even against itself across observation
-// setups.  The run-loop kernel clamps a super-step at snapshot, checkpoint,
-// stable-output-window, and budget boundaries (exactly: the first m
-// pairs of a collision-free run of length >= m are themselves a
-// collision-free batch of length m, and the count chain is Markov), so
-// boundary *placement* steers where the RNG stream is spent, and the same
-// seed yields different (equally valid) trajectories under different
-// schedules.  Checkpoint/resume remains bit-identical because a resumed run
+// setups.  The run-loop kernel clamps a super-step's length at snapshot,
+// checkpoint, stable-output-window, and budget boundaries (exactly: a
+// super-step of m interactions samples the configuration m interactions on,
+// for every m, and the count chain is Markov), so boundary *placement*
+// steers where the RNG stream is spent, and the same seed yields different
+// (equally valid) trajectories under different schedules.
+// Checkpoint/resume remains bit-identical because a resumed run
 // reconstructs the identical boundary sequence: suspend-at-k + resume
 // reproduces the checkpointed run exactly.
 //
@@ -50,25 +56,27 @@
 //    the change, not at the exact interaction inside the batch.
 //  * Silence (W == 0, exact as in the count-batch engine) is detected at
 //    super-step granularity, so the reported kSilent interaction index may
-//    overshoot the exact onset by up to one super-step (< ~2 sqrt(n)); the
+//    overshoot the exact onset by less than one super-step (< T); the
 //    final configuration is unaffected (a silent multiset is frozen).
 //
-// Cost model: O(|Q|^2) work per ~0.63 sqrt(n) interactions, including
-// O(|Q|^2) exact sampler draws of O(1) expected cost each (rng.h).  Prefer
-// it for dense phases at large n (>= 2^20); the count-batch engine remains
-// better on sparse tails, where its geometric null skip crosses n^2/W
-// interactions in O(1) while a super-step only crosses ~sqrt(n) (see
-// README's engine table and bench_collapsed).
+// Cost model: O(|Q|^2) cascade work plus ~2c^2 events of O(|Q|) each per
+// T = c sqrt(n) interactions.  Prefer it for dense phases at large n
+// (>= 2^20); the count-batch engine remains better on sparse tails, where
+// its geometric null skip crosses n^2/W interactions in O(1) while a
+// super-step only crosses ~c sqrt(n) (see README's engine table and
+// bench_collapsed).
 //
 // Intra-run parallelism (RunOptions::threads > 1, DESIGN.md "Intra-run
-// parallelism").  A super-step's batch is exchangeable: the 2L touched
-// agents are a uniform without-replacement sample, so splitting the L pairs
-// into K shards — pools carved by exact multivariate-hypergeometric splits
-// on the parent stream, each shard's split-and-match (the serial engine's,
-// on the shard's pool) run on its own 2^128-jump child stream (Rng::split)
-// — and merging the per-shard deltas in fixed shard order yields exactly
-// the serial law for every K.  The colliding interaction and the
-// effective-pair recount stay on the parent stream after the merge.
+// parallelism").  The events run on the parent stream exactly as in the
+// serial engine; only the bulk realization is sharded.  Its deferred pairs
+// are an exchangeable batch: their 2D agents are a uniform without-
+// replacement sample of P, so splitting the D pairs into K shards — pools
+// carved by exact multivariate-hypergeometric splits on the parent stream,
+// each shard's split-and-match (the serial engine's, on the shard's pool)
+// run on its own 2^128-jump child stream (Rng::split) — and merging the
+// per-shard deltas in fixed shard order yields exactly the serial law for
+// every K.  The effective-pair recount stays on the parent stream after
+// the merge.
 // Determinism contract: a fixed (seed, threads) pair is bit-identical
 // across repetitions, machines, and pool schedules (shard k always consumes
 // child stream k regardless of which worker runs it); different thread
@@ -96,26 +104,38 @@ namespace popproto {
 // (batch_simulator.h) with SimulationEngine::kCollapsedBatch.
 namespace engine_detail {
 
-/// The birthday law of the super-step length L: entry t-1 is
-///     P(L >= t) = prod_{i<t} (n-2i)(n-2i-1) / (n(n-1)),
-/// strictly decreasing from entry 0 = 1, truncated once the mass drops
-/// below 1e-25 or the population runs out of disjoint agents (~6.7 sqrt(n)
-/// entries).  Depends only on n.
+/// T = ceil(c sqrt(n)) with c = 1.5: the interactions one super-step
+/// executes unless a boundary clamps it (priced in EXPERIMENTS.md "Multibatch
+/// super-steps").  At least 1.
+std::uint64_t super_step_length(std::uint64_t population);
+
+/// The birthday law of a fresh-fresh run, from any fresh count.  With a
+/// agents touched (f = n - a fresh), the run of consecutive interactions
+/// between two fresh agents has
+///     P(run >= l) = prod_{i<l} (f-2i)(f-2i-1) / (n(n-1))
+///                 = entries()[a + 2l] / entries()[a],
+/// where entry a is the product down the chain of fresh counts of a's
+/// parity: entries 0 and 1 are 1, and entry a = entry (a-2) times
+/// g(n-a+2), with g(f) = f(f-1)/(n(n-1)) (0 once f < 2).  A super-step of T
+/// interactions touches at most 2T agents, so 2T + 1 entries serve every
+/// inversion it makes (16 KB per 1,000 of T).
 class SurvivalTable {
 public:
-    explicit SurvivalTable(std::uint64_t population);
+    SurvivalTable(std::uint64_t population, std::uint64_t length);
 
     const std::vector<double>& entries() const { return entries_; }
 
-    /// The index of the first entry <= u, or entries().size() when there is
-    /// none — exactly what std::lower_bound with std::greater returns, for
-    /// every u in [0, 1) — in O(1) expected steps: the walk starts at the
-    /// birthday estimate sqrt(-(n/2) ln u).
-    std::size_t invert(double u) const;
+    /// The run length for `touched` agents touched and uniform `u` in
+    /// [0, 1), capped at `limit`: the largest l <= limit with
+    /// entries()[touched + 2l] > u * entries()[touched].  O(1) expected
+    /// steps: the cap is tested first, and otherwise the walk starts at the
+    /// root of ln P(run >= l) ~= -(2 a l + 2 l^2) / n.  Precondition:
+    /// touched <= n and touched + 2 limit < entries().size().
+    std::uint64_t invert(std::uint64_t touched, std::uint64_t limit, double u) const;
 
 private:
     std::vector<double> entries_;
-    double half_population_;
+    double population_;
 };
 
 /// run_simulation's collapsed runner (options.engine == kCollapsedBatch,

@@ -135,7 +135,7 @@ struct EngineSwitchInfo {
     std::uint64_t interactions = 0;
     ObservedEngine from = ObservedEngine::kCountBatch;
     ObservedEngine to = ObservedEngine::kCollapsed;
-    /// The density signal x = rho * E[L] at that loop top, and the crossover
+    /// The density signal x = rho * T at that loop top, and the crossover
     /// x* it was compared against (both thresholds carry x*: one crossover
     /// serves both directions).
     double signal = 0.0;

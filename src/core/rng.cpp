@@ -16,10 +16,6 @@ std::uint64_t splitmix64(std::uint64_t& x) noexcept {
     return z ^ (z >> 31);
 }
 
-std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-    return (x << k) | (x >> (64 - k));
-}
-
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) noexcept {
@@ -29,31 +25,12 @@ Rng::Rng(std::uint64_t seed) noexcept {
     if ((state_[0] | state_[1] | state_[2] | state_[3]) == 0) state_[0] = 1;
 }
 
-Rng::result_type Rng::operator()() noexcept {
-    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-    const std::uint64_t t = state_[1] << 17;
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = rotl(state_[3], 45);
-    return result;
-}
-
-std::uint64_t Rng::below(std::uint64_t bound) noexcept {
-    // Lemire's nearly-divisionless method with rejection for exact uniformity.
-    std::uint64_t x = (*this)();
-    __uint128_t m = static_cast<__uint128_t>(x) * bound;
-    auto low = static_cast<std::uint64_t>(m);
-    if (low < bound) {
-        const std::uint64_t threshold = -bound % bound;
-        while (low < threshold) {
-            x = (*this)();
-            m = static_cast<__uint128_t>(x) * bound;
-            low = static_cast<std::uint64_t>(m);
-        }
-    }
+std::uint64_t Rng::below_near_threshold(__uint128_t m, std::uint64_t bound) noexcept {
+    // Lemire's nearly-divisionless method: reject while the low word is
+    // under 2^64 mod bound, for exact uniformity.
+    const std::uint64_t threshold = -bound % bound;
+    while (static_cast<std::uint64_t>(m) < threshold)
+        m = static_cast<__uint128_t>((*this)()) * bound;
     return static_cast<std::uint64_t>(m >> 64);
 }
 

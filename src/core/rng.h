@@ -27,12 +27,31 @@ public:
     static constexpr result_type max() noexcept { return ~result_type{0}; }
 
     /// Next 64 uniformly random bits.
-    result_type operator()() noexcept;
+    result_type operator()() noexcept {
+        const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
+        const std::uint64_t t = state_[1] << 17;
+        state_[2] ^= state_[0];
+        state_[3] ^= state_[1];
+        state_[1] ^= state_[2];
+        state_[0] ^= state_[3];
+        state_[2] ^= t;
+        state_[3] = rotl(state_[3], 45);
+        return result;
+    }
 
     /// Uniform integer in [0, bound) using Lemire's multiply-shift rejection
     /// method.  Precondition: bound > 0 (unchecked on this hot path; a zero
-    /// bound would loop forever, so callers must not pass it).
-    std::uint64_t below(std::uint64_t bound) noexcept;
+    /// bound would loop forever, so callers must not pass it).  The draw
+    /// that needs no rejection test is inlined (an out-of-line call per draw
+    /// cost the collapsed engine's event resolution about a tenth of its
+    /// time); the rare rest, with its division, stays out of line, so a
+    /// sampling loop does not pay for it.
+    std::uint64_t below(std::uint64_t bound) noexcept {
+        const __uint128_t m = static_cast<__uint128_t>((*this)()) * bound;
+        if (static_cast<std::uint64_t>(m) < bound) [[unlikely]]
+            return below_near_threshold(m, bound);
+        return static_cast<std::uint64_t>(m >> 64);
+    }
 
     /// Uniform double in [0, 1).
     double uniform01() noexcept;
@@ -97,6 +116,15 @@ public:
     void restore_state(const StreamState& state) noexcept;
 
 private:
+    static std::uint64_t rotl(std::uint64_t x, int k) noexcept {
+        return (x << k) | (x >> (64 - k));
+    }
+
+    /// below() for a first product whose low word fell under `bound`: it is
+    /// kept unless it also falls under 2^64 mod bound, and redrawn until it
+    /// does not.
+    std::uint64_t below_near_threshold(__uint128_t m, std::uint64_t bound) noexcept;
+
     std::uint64_t state_[4];
 };
 

@@ -226,7 +226,7 @@ concept StepperBase = requires(S stepper, const S const_stepper, RunCheckpoint& 
     /// engines on the same tight hot path their private loops had.
     { S::kGeometricSkips } -> std::convertible_to<bool>;
     /// Whether the stepper advances in multi-interaction super-steps
-    /// (propose_super_step / apply_super_step).  Only a mixed stepper (see
+    /// (super_step_length / apply_super_step).  Only a mixed stepper (see
     /// MixedStepper) sets both this and kGeometricSkips.
     { S::kSuperSteps } -> std::convertible_to<bool>;
     { const_stepper.population() } -> std::convertible_to<std::uint64_t>;
@@ -255,26 +255,23 @@ concept SingleStepStepper = StepperBase<S> &&
         { stepper.step(rng) } -> std::same_as<StepOutcome>;
     };
 
-/// The super-step flavour (collapsed_simulator.cpp): propose_super_step
-/// draws the length of the maximal collision-free run of pairs; the kernel
-/// clamps it at the earliest boundary it must observe exactly (snapshot,
-/// checkpoint, stable-output window, budget) and calls
-/// apply_super_step(rng, m, with_collision) to execute m collision-free
-/// pairs, plus the single colliding interaction when the run was not
-/// clamped.  Clamping is exact, not approximate: the first m pairs of a
-/// collision-free run of length >= m are themselves distributed as a
-/// collision-free batch of length m, and the count process is Markov, so
-/// the next proposal restarts fresh (this does make the *pathwise*
-/// trajectory sensitive to boundary placement — equivalence across
-/// observation setups is distributional, not stream-level).
+/// The super-step flavour (collapsed_simulator.cpp): super_step_length() is
+/// the number of interactions T an unclamped super-step executes (a
+/// function of n alone); the kernel clamps it at the earliest boundary it
+/// must observe exactly (snapshot, checkpoint, stable-output window,
+/// budget) and calls apply_super_step(rng, m), which executes exactly m
+/// interactions.  Clamping is exact, not approximate: a super-step of m
+/// interactions samples the configuration m interactions on for every m,
+/// and the count process is Markov, so the next super-step restarts fresh
+/// (this does make the *pathwise* trajectory sensitive to boundary
+/// placement — equivalence across observation setups is distributional,
+/// not stream-level).
 template <typename S>
 concept SuperStepStepper = StepperBase<S> && S::kSuperSteps &&
-    requires(S stepper, Rng& rng, std::uint64_t m) {
-        /// Length (>= 1) of the maximal collision-free run of ordered
-        /// pairs; the colliding interaction that terminates it would be
-        /// pair number length + 1.
-        { stepper.propose_super_step(rng) } -> std::convertible_to<std::uint64_t>;
-        { stepper.apply_super_step(rng, m, true) } -> std::same_as<BatchOutcome>;
+    requires(S stepper, const S const_stepper, Rng& rng, std::uint64_t m) {
+        /// T >= 1, drawing nothing.
+        { const_stepper.super_step_length() } -> std::convertible_to<std::uint64_t>;
+        { stepper.apply_super_step(rng, m) } -> std::same_as<BatchOutcome>;
     };
 
 /// The mixed flavour (the adaptive stepper, adaptive_simulator.h): both of
@@ -551,17 +548,8 @@ RunResult run_loop(S& stepper, const TabulatedProtocol& protocol, const RunOptio
 
         if (super_step) {
             if constexpr (SuperStepStepper<S>) {
-                // One super-step: draw the length of the maximal
-                // collision-free run of pairs first, then clamp it — never
-                // redraw — at the earliest index the kernel must observe
-                // exactly.
-                std::uint64_t run_length;
-                {
-                    const telemetry::ScopedTimer timer(collector,
-                                                       telemetry::Phase::kRunLengthDraw);
-                    run_length = stepper.propose_super_step(rng);
-                }
-
+                // One super-step of T interactions, clamped at the earliest
+                // index the kernel must observe exactly.
                 std::uint64_t boundary = budget;
                 if (next_snapshot < boundary) boundary = next_snapshot;
                 if (next_checkpoint < boundary) boundary = next_checkpoint;
@@ -573,22 +561,17 @@ RunResult run_loop(S& stepper, const TabulatedProtocol& protocol, const RunOptio
                 // stop rules would have fired), so at least one interaction
                 // fits.
                 const std::uint64_t limit = boundary - result.interactions;
-
-                // When the whole run fits, execute it plus the single
-                // colliding interaction that terminated it; otherwise clamp
-                // at the boundary — exactly `limit` collision-free pairs and
-                // no colliding interaction (exact; see the SuperStepStepper
-                // concept note).
-                const bool clamped = run_length >= limit;
-                const std::uint64_t pairs = clamped ? limit : run_length;
+                const std::uint64_t length = stepper.super_step_length();
+                const bool clamped = limit < length;
+                const std::uint64_t m = clamped ? limit : length;
                 BatchOutcome outcome;
                 {
                     const telemetry::ScopedTimer timer(collector,
                                                        telemetry::Phase::kSuperStepApply);
-                    outcome = stepper.apply_super_step(rng, pairs, !clamped);
+                    outcome = stepper.apply_super_step(rng, m);
                 }
-                result.interactions += pairs + (clamped ? 0 : 1);
-                if (collector) collector->record_super_step(pairs, clamped);
+                result.interactions += m;
+                if (collector) collector->record_super_step(m, clamped);
                 result.effective_interactions += outcome.effective;
                 if (outcome.output_changed) {
                     result.last_output_change = result.interactions;

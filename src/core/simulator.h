@@ -67,9 +67,10 @@ enum class SimulationEngine {
     /// exact geometric jumps.  O(|Q|) memory, O(|Q|) per *effective*
     /// interaction; the distribution of observables is identical.
     kCountBatch,
-    /// Collapsed super-step engine (collapsed_simulator.h): processes the
-    /// maximal collision-free run of ~sqrt(n) interactions in one O(|Q|^2)
-    /// super-step of exact hypergeometric count splits — amortized
+    /// Collapsed super-step engine (collapsed_simulator.h): executes
+    /// ~1.5 sqrt(n) interactions per super-step — the few that touch an
+    /// already-touched agent one by one, the rest in one O(|Q|^2) cascade
+    /// of exact hypergeometric count splits — amortized
     /// O(|Q|^2 / sqrt(n)) per interaction.  Equivalence with the other
     /// engines is distributional (super-steps also make the *pathwise*
     /// trajectory sensitive to snapshot/checkpoint boundary placement; see
@@ -98,9 +99,9 @@ inline constexpr std::uint64_t kAutoCollapsedThreshold = std::uint64_t{1} << 20;
 /// Tuning of the phase-adaptive engine (RunOptions::adaptive).
 struct AdaptiveOptions {
     /// x*: a step is a collapsed super-step when the density signal
-    /// x = W / (n(n-1)) * sqrt(pi n / 8) is at least this, and a count-batch
-    /// step otherwise.  The default is priced in EXPERIMENTS.md.
-    double crossover = 8.0;
+    /// x = W / (n(n-1)) * T, with T = ceil(1.5 sqrt(n)) the super-step
+    /// length, is at least this, and a count-batch step otherwise.  The default is priced in EXPERIMENTS.md.
+    double crossover = 12.0;
 
     friend bool operator==(const AdaptiveOptions&, const AdaptiveOptions&) = default;
 };

@@ -40,19 +40,39 @@ std::vector<std::int64_t> padded(const std::vector<std::int64_t>& coefficients,
     return result;
 }
 
+/// The rule of one atom.  An atom the rule factory refuses (an oversized
+/// coefficient, constant or modulus) is refused under compile_formula's
+/// name, with the atom: "compile_formula: atom (...): <reason>".
+template <typename Make>
+std::unique_ptr<Protocol> atom_rule(const Formula& atom, const Make& make) {
+    try {
+        return make();
+    } catch (const std::invalid_argument& error) {
+        const std::string what = error.what();  // "make_*_protocol: <reason>"
+        const std::size_t reason = what.find(": ");
+        throw std::invalid_argument(
+            "compile_formula: atom " + atom.to_string() + ": " +
+            (reason == std::string::npos ? what : what.substr(reason + 2)));
+    }
+}
+
 /// Appends the rules of the formula's atoms, left to right.
 void collect_atoms(const Formula& formula, std::size_t num_input_symbols, Atoms& atoms) {
     switch (formula.kind()) {
         case Formula::Kind::kThreshold: {
             const ThresholdAtom& atom = formula.threshold_atom();
-            atoms.push_back(
-                make_threshold_rule(padded(atom.coefficients, num_input_symbols), atom.constant));
+            atoms.push_back(atom_rule(formula, [&] {
+                return make_threshold_rule(padded(atom.coefficients, num_input_symbols),
+                                           atom.constant);
+            }));
             return;
         }
         case Formula::Kind::kCongruence: {
             const CongruenceAtom& atom = formula.congruence_atom();
-            atoms.push_back(make_remainder_rule(padded(atom.coefficients, num_input_symbols),
-                                                atom.remainder, atom.modulus));
+            atoms.push_back(atom_rule(formula, [&] {
+                return make_remainder_rule(padded(atom.coefficients, num_input_symbols),
+                                           atom.remainder, atom.modulus);
+            }));
             return;
         }
         case Formula::Kind::kAnd:

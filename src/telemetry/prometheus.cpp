@@ -111,13 +111,13 @@ void write_prometheus(std::ostream& out, const RunTelemetry& telemetry) {
 
     if (telemetry.super_steps != 0) {
         family(out, "popproto_super_steps_total", "counter",
-               "Collapsed super-steps executed (clamped = cut at a boundary).");
+               "Collapsed super-steps executed (clamped = cut short of T at a boundary).");
         out << "popproto_super_steps_total{clamped=\"false\"} "
             << telemetry.super_steps - telemetry.clamped_super_steps << '\n';
         out << "popproto_super_steps_total{clamped=\"true\"} "
             << telemetry.clamped_super_steps << '\n';
         family(out, "popproto_super_step_pairs_total", "counter",
-               "Collision-free pairs executed inside super-steps.");
+               "Interactions executed inside super-steps.");
         out << "popproto_super_step_pairs_total " << telemetry.super_step_pairs << '\n';
     }
 
@@ -160,7 +160,7 @@ void write_prometheus(std::ostream& out, const RunTelemetry& telemetry) {
                    "Geometric null-skip lengths (bucket b spans [2^b, 2^(b+1))).",
                    telemetry.null_skip_length_log2);
     log2_histogram(out, "popproto_super_step_pairs_log2",
-                   "Collision-free pairs per super-step (bucket b spans [2^b, 2^(b+1))).",
+                   "Interactions per super-step (bucket b spans [2^b, 2^(b+1))).",
                    telemetry.super_step_pairs_log2);
 
     if (!out) throw std::runtime_error("write_prometheus: stream write failed");

@@ -40,6 +40,7 @@ const char* phase_name(Phase phase) {
 
 bool phase_is_nested(Phase phase) {
     switch (phase) {
+        case Phase::kRunLengthDraw:
         case Phase::kShardCarve:
         case Phase::kShardTasks:
         case Phase::kPairCascade:
@@ -130,7 +131,7 @@ void RunTelemetryCollector::finish_run(std::uint64_t interactions,
     // Per-interaction engines spend it sampling and applying interactions
     // (clocking each O(ns) step individually would dwarf the work); for
     // super-step engines it is the residual kernel overhead around the
-    // explicit kRunLengthDraw / kSuperStepApply phases.
+    // explicit kSuperStepApply phase.
     std::uint64_t attributed = 0;
     for (std::size_t p = 0; p < kNumPhases; ++p) {
         const auto phase = static_cast<Phase>(p);
@@ -219,7 +220,7 @@ std::string RunTelemetry::to_string() const {
     }
     if (super_steps != 0) {
         out << "super-steps: " << super_steps << " (" << clamped_super_steps << " clamped), "
-            << super_step_pairs << " collision-free pairs\n";
+            << super_step_pairs << " interactions\n";
     }
     if (geometric_skips != 0) {
         out << "geometric skips: " << geometric_skips << " runs, "

@@ -49,20 +49,19 @@ namespace popproto::telemetry {
 /// The instrumented phases of a run.  kStepping is *derived* for
 /// per-interaction engines (wall time minus every other top-level phase —
 /// clocking each O(ns) interaction individually would dwarf the work);
-/// super-step engines measure their stepping as kRunLengthDraw +
-/// kSuperStepApply directly.  The k-prefixed sub-phases of the collapsed
-/// pipeline nest inside kSuperStepApply and are excluded from the top-level
-/// accounting (phase_is_nested).
+/// super-step engines measure their stepping as kSuperStepApply directly.
+/// The sub-phases of a collapsed super-step nest inside kSuperStepApply and
+/// are excluded from the top-level accounting (phase_is_nested).
 enum class Phase : std::uint8_t {
     kStepping = 0,      ///< derived: interaction sampling + application
     kSnapshotDispatch,  ///< observer snapshot emission (run_loop)
-    kRunLengthDraw,     ///< birthday-law super-step length proposal
+    kRunLengthDraw,     ///< fresh-fresh run lengths and the events between them (nested)
     kSuperStepApply,    ///< one whole collapsed super-step
     kShardCarve,        ///< parent-stream hypergeometric pool carves (nested)
     kShardTasks,        ///< the parallel fan-out section, fork to merge (nested)
-    kPairCascade,       ///< initiator/responder draws + row matching (nested)
+    kPairCascade,       ///< deferred pairs: pool, initiator split, row matching (nested)
     kDeltaMerge,        ///< aggregate count-delta application (nested)
-    kCollisionFixup,    ///< the single colliding interaction (nested)
+    kCollisionFixup,    ///< not recorded: events are timed in kRunLengthDraw (label kept)
     kWRecompute,        ///< effective-pair (W) recount (nested)
     kShardTask,         ///< one shard's task body (worker thread, span only)
     kEngineSwitch,      ///< adaptive engine: hand-over to the other step kind
@@ -148,8 +147,8 @@ struct RunTelemetry {
 
     // Super-step engine accounting.
     std::uint64_t super_steps = 0;
-    std::uint64_t clamped_super_steps = 0;  ///< cut at a boundary, no collision
-    std::uint64_t super_step_pairs = 0;     ///< collision-free pairs executed
+    std::uint64_t clamped_super_steps = 0;  ///< cut short of T at a boundary
+    std::uint64_t super_step_pairs = 0;     ///< interactions executed in super-steps
 
     // Count-batch geometric-skip accounting.
     std::uint64_t geometric_skips = 0;
@@ -174,7 +173,7 @@ struct RunTelemetry {
     std::uint64_t spans_dropped = 0;
 
     /// Length distributions of the geometric null skips and of the
-    /// super-steps' collision-free pair runs.
+    /// super-steps (interactions each).
     Log2Histogram null_skip_length_log2;
     Log2Histogram super_step_pairs_log2;
 
@@ -266,8 +265,8 @@ public:
     /// One geometric null-skip proposal of `length` executed interactions.
     void record_skip(std::uint64_t length);
 
-    /// One super-step of `pairs` collision-free pairs; `clamped` when the
-    /// kernel cut the proposed run at a boundary (no colliding interaction).
+    /// One super-step of `pairs` interactions; `clamped` when the kernel cut
+    /// it short of T at a boundary.
     void record_super_step(std::uint64_t pairs, bool clamped);
 
     /// One sub-threshold parallel-stepper round executed inline (no pool

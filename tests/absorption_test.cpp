@@ -131,7 +131,7 @@ TEST(Absorption, CountEnginesAgreeWithExactAbsorptionOnWar) {
     // exact absorption probability, within four binomial standard errors.
     // The adaptive engine runs three ways: a crossover out of reach pins it
     // to count-batch steps, one near zero to super-steps, and one between
-    // the signals at one R agent (0.51) and at two (0.82) takes super-steps
+    // the signals at one R agent (1.33) and at two (2.13) takes super-steps
     // at two to four R agents and count-batch steps at one or five, so the
     // run alternates kinds as the walk wanders.
     const auto protocol = make_war_protocol();
@@ -151,7 +151,7 @@ TEST(Absorption, CountEnginesAgreeWithExactAbsorptionOnWar) {
         {"collapsed", SimulationEngine::kCollapsedBatch, defaults},
         {"adaptive pinned to count_batch", SimulationEngine::kAdaptive, 1e18},
         {"adaptive pinned to collapsed", SimulationEngine::kAdaptive, 1e-12},
-        {"adaptive alternating", SimulationEngine::kAdaptive, 0.6},
+        {"adaptive alternating", SimulationEngine::kAdaptive, 1.6},
     };
     const int trials = 16000;
     const double standard_error = std::sqrt(exact * (1.0 - exact) / trials);

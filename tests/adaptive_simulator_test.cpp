@@ -440,19 +440,19 @@ TEST(AdaptiveSimulator, ResumesV1SegmentChainCheckpoint) {
     expect_same_run(result, run_simulation(*protocol, initial, resume));
 }
 
-// E[L] in the signal is the mean of the collapsed engine's pair survival
-// law, sqrt(pi n / 8): exactly half of the single-agent birthday constant
-// sqrt(pi n / 2) ~= 1.2533 sqrt(n).  crossover_pairs is the exact integer
-// image of the crossover: the smallest W whose signal reaches it.
-TEST(AdaptiveSignal, IsHalfTheSingleAgentBirthdayBound) {
+// The signal is the density times the super-step length T = ceil(1.5
+// sqrt(n)): the expected number of effective interactions in one
+// super-step.  crossover_pairs is the exact integer image of the
+// crossover: the smallest W whose signal reaches it.
+TEST(AdaptiveSignal, IsDensityTimesSuperStepLength) {
     Rng rng(2024);
     for (int i = 0; i < 2000; ++i) {
         const std::uint64_t n = 2 + rng.below(std::uint64_t{1} << (1 + rng.below(31)));
         const std::uint64_t w = rng.below(n * (n - 1) + 1);
         const double nd = static_cast<double>(n);
-        const double single_agent =
-            (static_cast<double>(w) / (nd * (nd - 1.0))) * (1.2533141373155003 * std::sqrt(nd));
-        EXPECT_EQ(engine_detail::crossover_signal(n, w), 0.5 * single_agent)
+        const double length = std::ceil(1.5 * std::sqrt(nd));
+        EXPECT_EQ(engine_detail::crossover_signal(n, w),
+                  (static_cast<double>(w) / (nd * (nd - 1.0))) * length)
             << "n=" << n << " W=" << w;
 
         const double crossover = engine_detail::crossover_signal(n, w);

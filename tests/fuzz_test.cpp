@@ -455,7 +455,12 @@ TEST(Fuzz, MutatedFormulasCompileOrFailByName) {
             const auto protocol = compile_formula(parse_formula(text));
             EXPECT_LE(protocol->num_states(), 2048u) << text;
             ++compiled;
-        } catch (const std::invalid_argument&) {
+        } catch (const std::invalid_argument& error) {
+            // Refused by the parser or the compiler, under its own name.
+            const std::string what = error.what();
+            EXPECT_TRUE(what.starts_with("parse_formula: ") ||
+                        what.starts_with("compile_formula: "))
+                << "\"" << text << "\" refused as: " << what;
         } catch (const std::exception& error) {
             ADD_FAILURE() << "\"" << text << "\" threw " << error.what();
         }

@@ -113,12 +113,13 @@ public:
     std::vector<RunCheckpoint> checkpoints;
 };
 
-enum class ObservationSetup { kUnobserved, kSnapshotEveryOne, kCheckpointed };
+enum class ObservationSetup { kUnobserved, kSnapshotEveryOne, kSnapshotEveryTwo, kCheckpointed };
 
 const char* setup_label(ObservationSetup setup) {
     switch (setup) {
         case ObservationSetup::kUnobserved: return "unobserved";
         case ObservationSetup::kSnapshotEveryOne: return "snapshot_every_1";
+        case ObservationSetup::kSnapshotEveryTwo: return "snapshot_every_2";
         case ObservationSetup::kCheckpointed: return "checkpoint_every_2";
     }
     return "?";
@@ -145,6 +146,10 @@ void expect_matches_exact_law(const TabulatedProtocol& protocol, const CountVect
                 options.observer = &recorder;
                 options.snapshots = SnapshotSchedule::every(1);
                 break;
+            case ObservationSetup::kSnapshotEveryTwo:
+                options.observer = &recorder;
+                options.snapshots = SnapshotSchedule::every(2);
+                break;
             case ObservationSetup::kCheckpointed:
                 options.checkpoint_every = 2;
                 options.checkpoint_sink = &sink;
@@ -170,10 +175,10 @@ void expect_matches_exact_law(const TabulatedProtocol& protocol, const CountVect
 }
 
 TEST(ParallelCollapsedExactLaw, EpidemicMatchesEnumeratedDistribution) {
-    // n = 5 with K shards of a handful of pairs each: shard loads m_k are
-    // mostly 0 or 1, so the pool-split cascade, the per-shard matching, and
-    // the collision fixup over the merged touched multiset all run at the
-    // boundary of their supports.
+    // n = 5 with K shards of a handful of deferred pairs each: shard loads
+    // D_k are mostly 0 or 1, so the pool-split cascade and the per-shard
+    // matching run at the boundary of their supports, after events that
+    // realized most pairs one by one.
     const auto protocol = make_epidemic_protocol();
     const CountVector initial = {4, 1};
     for (const unsigned threads : {2u, 3u}) {
@@ -193,6 +198,21 @@ TEST(ParallelCollapsedExactLaw, MajorityMatchesEnumeratedDistribution) {
                              ObservationSetup::kUnobserved);
     expect_matches_exact_law(*protocol, config.counts(), /*steps=*/5, /*threads=*/3,
                              ObservationSetup::kCheckpointed);
+}
+
+// The serial engine's every-event-class cases (collapsed_simulator_test.cpp)
+// with the bulk realization sharded: the shards carve what the events left
+// of P.
+TEST(ParallelCollapsedExactLaw, PairMarkingAtSixAndEightAgents) {
+    const auto protocol = testutil::make_pair_marking_protocol();
+    for (const unsigned threads : {2u, 3u}) {
+        for (const ObservationSetup setup :
+             {ObservationSetup::kUnobserved, ObservationSetup::kSnapshotEveryOne,
+              ObservationSetup::kSnapshotEveryTwo, ObservationSetup::kCheckpointed}) {
+            expect_matches_exact_law(*protocol, {6, 0, 0, 0}, /*steps=*/4, threads, setup);
+            expect_matches_exact_law(*protocol, {8, 0, 0, 0}, /*steps=*/5, threads, setup);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -246,6 +246,29 @@ TEST(Wire, SubmitsWithWrappingCountsOrOverflowingPredicatesAreRejectedByName) {
     std::filesystem::remove_all(options.spill_dir);
 }
 
+// A predicate whose atom is too large for a state table is refused by the
+// compiler, under its name and with the atom, and no session is created.
+TEST(Wire, OversizedPredicateAtomsAreRejectedByTheCompilersName) {
+    RegistryOptions options;
+    options.spill_dir =
+        (std::filesystem::temp_directory_path() / "popproto_wire_oversized_atom").string();
+    std::filesystem::remove_all(options.spill_dir);
+    RunRegistry registry(options);
+    const auto response = dispatch_request(
+        registry, parse_request("{\"cmd\":\"submit\",\"protocol\":\"predicate\","
+                                "\"predicate\":\"1000000000*x0 < 5\",\"counts\":[5]}"));
+    ASSERT_TRUE(response.has_value());
+    const JsonValue reply = parse_json(*response);
+    EXPECT_FALSE(reply.find("ok")->as_bool("ok")) << *response;
+    const JsonValue* error = reply.find("error");
+    ASSERT_NE(error, nullptr) << *response;
+    EXPECT_EQ(error->as_string("error"),
+              "compile_formula: atom (1000000000 x0 < 5): coefficients or constant too large "
+              "for a state table");
+    EXPECT_TRUE(registry.list().empty());
+    std::filesystem::remove_all(options.spill_dir);
+}
+
 TEST(Wire, QueueFullRejectionsAreStructured) {
     RegistryOptions options;
     options.workers = 1;

@@ -246,11 +246,9 @@ TEST(Telemetry, DoesNotPerturbCollapsedEngineAcrossThreadCounts) {
         EXPECT_EQ(data.engine, threads > 1 ? "parallel_collapsed" : "collapsed");
         EXPECT_EQ(data.threads, threads);
         EXPECT_GT(data.super_steps, 0u);
-        // Super-step bookkeeping reconciles with the run totals: each
-        // non-clamped super-step contributes its pairs plus one colliding
-        // interaction, each clamped one only its pairs.
-        EXPECT_EQ(data.super_step_pairs + (data.super_steps - data.clamped_super_steps),
-                  data.interactions);
+        // Super-step bookkeeping reconciles with the run totals: the
+        // super-steps' interactions sum to the run's interactions.
+        EXPECT_EQ(data.super_step_pairs, data.interactions);
         EXPECT_GT(phase_calls(data, Phase::kRunLengthDraw), 0u);
         EXPECT_EQ(phase_calls(data, Phase::kSuperStepApply), data.super_steps);
         EXPECT_GT(phase_calls(data, Phase::kWRecompute), 0u);
@@ -271,10 +269,10 @@ TEST(Telemetry, DoesNotPerturbCollapsedEngineAcrossThreadCounts) {
 }
 
 TEST(Telemetry, ShardUtilizationPopulatedOncePoolEngages) {
-    // Pooled dispatch needs super-steps of >= kMinPairsPerWorker * K pairs
-    // (~0.63 sqrt(n) per step), so use a population large enough that the
-    // pool actually engages: n = 2^16, K = 2 gives ~161-pair steps against
-    // a 128-pair threshold.
+    // Pooled dispatch needs super-steps of >= kMinPairsPerWorker * K
+    // deferred pairs (~T = 1.5 sqrt(n) per step, less a few events), so use
+    // a population large enough that the pool actually engages: n = 2^16,
+    // K = 2 gives ~380-pair bulk realizations against a 128-pair threshold.
     const auto protocol = make_epidemic_protocol();
     const auto initial =
         CountConfiguration::from_input_counts(*protocol, {(1u << 16) - 1, 1});

@@ -8,7 +8,9 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/batch_simulator.h"
@@ -273,10 +275,32 @@ inline std::vector<std::int64_t> to_signed(const std::vector<std::uint64_t>& cou
     return {counts.begin(), counts.end()};
 }
 
+/// A four-state protocol for the collapsed engines' exact-law tests, from
+/// all agents in state 0: a first meeting marks the pair, initiator L and
+/// responder R, so every deferred pair holds {L, R} and its agents' roles
+/// decide their states.  Two marked agents with the same mark become X, X
+/// (a cross-pair meeting can, a pair meeting again cannot: L.R is a swap
+/// and R.L an identity), and a fresh 0 that initiates against an L becomes
+/// X.  Every other pair is an identity.  Outputs 0, L, R, X = 0, 1, 0, 1.
+inline std::unique_ptr<TabulatedProtocol> make_pair_marking_protocol() {
+    TabulatedProtocol::Tables tables;
+    tables.initial = {0};
+    tables.output = {0, 1, 0, 1};
+    tables.num_output_symbols = 2;
+    tables.delta = {
+        {1, 2}, {3, 1}, {0, 2}, {0, 3},  // 0.0 marks, 0.L, 0.R, 0.X
+        {1, 0}, {3, 3}, {2, 1}, {1, 3},  // L.0, L.L, L.R swap, L.X
+        {2, 0}, {2, 1}, {3, 3}, {2, 3},  // R.0, R.L, R.R, R.X
+        {3, 0}, {3, 1}, {3, 2}, {3, 3},  // X.*
+    };
+    tables.state_names = {"0", "L", "R", "X"};
+    return std::make_unique<TabulatedProtocol>(std::move(tables));
+}
+
 /// Exact distribution of the configuration after `steps` interactions of
 /// the uniform ordered-pair chain: P[(p, q)] = c_p (c_q - [p == q]) / n(n-1),
 /// as a dynamic program over count vectors.  Feasible only for tiny
-/// populations; that is the point — the batching engines' collision and
+/// populations; that is the point — the batching engines' event and
 /// boundary-clamp paths dominate there, and their empirical distributions
 /// are held to this law by chi_square_gof (collapsed_simulator_test.cpp,
 /// parallel_collapsed_test.cpp).
