@@ -537,7 +537,7 @@ int main(int argc, char** argv) {
     if (show_progress) progress = std::make_unique<ProgressReporter>(collector, n);
 
     RunResult result{CountConfiguration(protocol->num_states()), StopReason::kBudget, 0, 0, 0,
-                     std::nullopt, ObservedEngine::kAgentArray, nullptr};
+                     std::nullopt, ObservedEngine::kAgentArray, nullptr, {}};
     if (!scenario.model.empty()) {
         result = run_scenario(*protocol, initial, scenario, options);
     } else if (engine_name == "weighted") {
@@ -562,7 +562,7 @@ int main(int argc, char** argv) {
                            graph_result.stop_reason, graph_result.interactions,
                            graph_result.effective_interactions,
                            graph_result.last_output_change, graph_result.consensus,
-                           ObservedEngine::kGraph, nullptr};
+                           ObservedEngine::kGraph, nullptr, {}};
     } else {
         options.engine = complete_graph_engine(engine_name);
         result = run_simulation(*protocol, initial, options);

@@ -37,7 +37,7 @@ if [[ "${1:-}" == "--tsan" ]]; then
     # several workers or subscribers (the fast ones: the suspend/drain
     # tests take minutes under TSan), and the wire server tests (accept
     # thread, per-connection readers, stop()).
-    CTEST_FILTER=(-R 'ThreadPool|ParallelCollapsed|ThreadOptions|Trials|RunRegistryTest\.(Metrics|Hundreds|Subscribers|FairScheduling)|WireServerTest')
+    CTEST_FILTER=(-R 'ThreadPool|ParallelCollapsed|ThreadOptions|Trials|RunRegistryTest\.(Metrics|Hundreds|Subscribers|MidSession|FairScheduling)|WireServerTest')
     LABEL="tsan"
 fi
 

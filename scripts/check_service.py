@@ -13,8 +13,8 @@ the first violated guarantee:
      submitted over the Unix socket all reach a terminal state; the
      sustained throughput and submit->done latency percentiles are printed
      (the EXPERIMENTS.md "Service throughput" table quotes these).  The
-     daemon's metrics aggregate, merged from per-quantum accumulators, then
-     counts every executed quantum exactly once.
+     daemon's metrics aggregate, folded from every quantum's RunResult,
+     then counts every executed quantum exactly once.
   3. suspend -> evict -> resume: with --max-resident 0 every suspend
      spills to the checkpoint store; the resumed run's final counters are
      bit-identical to an uninterrupted session with the same spec.
@@ -25,6 +25,10 @@ the first violated guarantee:
   5. malformed submits: counts that wrap past 2^64 and a predicate whose
      constants overflow int64 are answered ok:false with the named error,
      and the daemon then still runs a normal session to done.
+  6. mid-session subscribe: a subscriber who attaches to a session that ran
+     unwatched so far receives its trajectory from the next quantum on —
+     every snapshot past that point, no start event — then the stop and
+     done events, and the run is bit-identical to an unwatched one.
 """
 
 import argparse
@@ -263,6 +267,56 @@ def check_malformed_submits(client: Client) -> None:
           f"a normal session still runs to done")
 
 
+def check_mid_session_subscribe(client: Client, sock_path: str) -> None:
+    period = 1 << 16
+    spec = {**LONG_SPEC, "seed": 277, "snapshot_every": period}
+    session = client.ok({"cmd": "submit", **spec})["session"]
+    wait_status(client, session, lambda s: s.get("quanta", 0) >= 2, "progress")
+    client.ok({"cmd": "suspend", "session": session})
+    paused = wait_status(
+        client, session,
+        lambda s: s["state"] in ("suspended", "evicted") or is_terminal(s), "suspension")
+    if is_terminal(paused):
+        fail(f"run finished before the suspend landed: {paused}")
+
+    watcher = Client(sock_path)
+    watcher.ok({"cmd": "subscribe", "session": session})
+    client.ok({"cmd": "resume", "session": session})
+    # The suspension's own "suspended" state event may still be in flight
+    # when the subscriber attaches; the stream ends at the terminal one.
+    events = []
+    while not events or events[-1].get("state") not in TERMINAL_STATES:
+        line = watcher.file.readline()
+        if not line:
+            fail(f"subscriber stream of {session} closed early: {events[-3:]}")
+        event = json.loads(line)
+        if event.get("state") not in ("suspended", "evicted"):
+            events.append(event)
+    watcher.close()
+    finished = wait_status(client, session, is_terminal, "terminal state")
+
+    if any(event.get("session") != session for event in events):
+        fail(f"subscriber of {session} received another session's events")
+    kinds = [event["event"] for event in events]
+    if "start" in kinds:
+        fail("a mid-session subscriber received a start event")
+    if kinds[-2:] != ["stop", "state"] or events[-1].get("state") != "done":
+        fail(f"mid-session subscriber did not end on stop + done: {kinds[-3:]}")
+    snapshots = [event["t"] for event in events if event["event"] == "snapshot"]
+    expected = list(range((paused["interactions"] // period + 1) * period,
+                          finished["interactions"] + 1, period))
+    if not expected or snapshots != expected:
+        fail(f"mid-session subscriber saw snapshots {snapshots[:3]}..{snapshots[-3:]}, "
+             f"expected {expected[:3]}..{expected[-3:]}")
+
+    reference = client.ok({"cmd": "submit", **spec})["session"]
+    direct = wait_status(client, reference, is_terminal, "terminal state")
+    expect_identical(finished, direct, "mid-session subscribe")
+    print(f"check_service: a subscriber attaching at interaction "
+          f"{paused['interactions']} saw the {len(snapshots)} later snapshots, stop and "
+          f"done; the watched run is bit-identical to an unwatched one")
+
+
 def check_suspend_evict_resume(client: Client, spill_dir: str) -> None:
     spec = {**LONG_SPEC, "seed": 77}
     session = client.ok({"cmd": "submit", **spec})["session"]
@@ -348,6 +402,7 @@ def main() -> None:
             check_metrics_aggregate(client)
             check_malformed_submits(client)
             check_suspend_evict_resume(client, spill_dir)
+            check_mid_session_subscribe(client, sock_path)
 
             # Remember one terminal session to verify restore preserves it.
             done_session = "s-1"

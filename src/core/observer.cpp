@@ -103,7 +103,6 @@ bool observed_engine_from_name(const std::string& name, ObservedEngine& engine) 
 void RunObserver::on_start(const RunStartInfo&) {}
 void RunObserver::on_snapshot(std::uint64_t, const CountConfiguration&) {}
 void RunObserver::on_output_change(std::uint64_t) {}
-void RunObserver::on_null_run(std::uint64_t) {}
 void RunObserver::on_engine_switch(const EngineSwitchInfo&) {}
 void RunObserver::on_stop(const RunResult&, double) {}
 
@@ -125,10 +124,6 @@ void TeeObserver::on_snapshot(std::uint64_t interaction_index,
 
 void TeeObserver::on_output_change(std::uint64_t interaction_index) {
     for (RunObserver* observer : observers_) observer->on_output_change(interaction_index);
-}
-
-void TeeObserver::on_null_run(std::uint64_t length) {
-    for (RunObserver* observer : observers_) observer->on_null_run(length);
 }
 
 void TeeObserver::on_engine_switch(const EngineSwitchInfo& info) {

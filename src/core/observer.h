@@ -13,15 +13,24 @@
 //
 // Contract with the engines:
 //
-//  * observer == nullptr (the default) costs one predicted-not-taken
-//    branch per interaction — nothing else.  bench_observe tracks this.
+//  * observer == nullptr (the default) costs nothing per interaction: the
+//    run-loop kernel (core/run_loop.h) compiles its observer calls in only
+//    for a run that has an observer (or a telemetry collector) attached, and
+//    steps an unwatched run with no call but the stepper's.  bench_observe
+//    tracks this.
+//  * The kernel counts every event it would deliver — output changes,
+//    snapshots, and the count-batch engine's runs of skipped null
+//    interactions — in RunResult::tallies, observed or not.  An observer
+//    that only counts (MetricsAccumulator) reads them in on_stop instead of
+//    taking a call per event.
 //  * Observation never perturbs the run: engines consume the same RNG
 //    stream with and without an observer, so the reported RunResult is
-//    bit-identical either way.  In particular the batch engine's geometric
-//    null-skip jumps are *clamped* at snapshot boundaries without redrawing:
-//    a scheduled index that falls inside a run of null interactions is
-//    emitted with the (unchanged) current counts and stamped with its exact
-//    interaction index.
+//    bit-identical either way.  Snapshot indices are kernel boundaries
+//    whether or not an observer is attached: the batch engine's geometric
+//    null-skip jumps are *clamped* at them without redrawing (a scheduled
+//    index that falls inside a run of null interactions is emitted with the
+//    unchanged current counts and stamped with its exact interaction
+//    index), and the super-step engines end a super-step on them.
 //  * A snapshot at index t reports the configuration after the first t
 //    interactions of the schedule (index 0 is the initial configuration,
 //    delivered via on_start).
@@ -166,11 +175,6 @@ public:
     /// bookkeeping note in batch_simulator.h for the distinction.
     virtual void on_output_change(std::uint64_t interaction_index);
 
-    /// The batch engine skipped `length` consecutive null interactions in
-    /// one geometric jump (only executed nulls are reported when a stop
-    /// rule cuts the jump short).  Per-agent engines never call this.
-    virtual void on_null_run(std::uint64_t length);
-
     /// An adaptive run changed its step kind (kAdaptive runs only; static
     /// engines never call this).  Delivered between the last event of the
     /// old kind and the first of the new.
@@ -191,7 +195,6 @@ public:
     void on_snapshot(std::uint64_t interaction_index,
                      const CountConfiguration& configuration) override;
     void on_output_change(std::uint64_t interaction_index) override;
-    void on_null_run(std::uint64_t length) override;
     void on_engine_switch(const EngineSwitchInfo& info) override;
     void on_stop(const RunResult& result, double wall_seconds) override;
 

@@ -41,13 +41,23 @@
 //    test passes on every checkpoint this kernel writes.  A checkpoint whose
 //    configuration is already silent stops at the cut with kSilent.
 //
-// The only observable difference a checkpointed run may exhibit is that an
-// observer's on_null_run events can be split at checkpoint boundaries
+// The only observable difference a checkpointed run may exhibit is that its
+// null-run tally (RunResult::tallies) is split at checkpoint boundaries
 // (total length is unchanged).
+//
+// Between the indices it must act on — budget, checkpoint or pause,
+// snapshot, stable-output deadline — and short of silence, a step-kind
+// switch or a stop-flag poll, the kernel's stepping loop only draws, steps
+// and counts.  It keeps the run's event tallies itself (RunResult::tallies),
+// and compiles the observer and telemetry calls in only for a run that has
+// one of them attached, so an unwatched run makes no call but the
+// stepper's.
 
 #ifndef POPPROTO_CORE_RUN_LOOP_H
 #define POPPROTO_CORE_RUN_LOOP_H
 
+#include <array>
+#include <bit>
 #include <chrono>
 #include <concepts>
 #include <cstdint>
@@ -55,6 +65,7 @@
 #include <iosfwd>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/configuration.h"
@@ -325,15 +336,51 @@ inline void require_at(bool condition, const char* entry_point, std::string_view
     if (!condition) throw std::invalid_argument(std::string(entry_point).append(what));
 }
 
-}  // namespace run_loop_detail
+/// With RunOptions::stop_flag set, the stepping loop returns to the loop
+/// top, where the flag is polled, after at most this many steps.
+inline constexpr std::uint64_t kStopPollSteps = std::uint64_t{1} << 12;
 
-/// Drives `stepper` under the full run policy and returns the result.
-/// `entry_point` names the public API for error messages.
-template <Stepper S>
-RunResult run_loop(S& stepper, const TabulatedProtocol& protocol, const RunOptions& options,
-                   const char* entry_point) {
-    using run_loop_detail::require_at;
+/// Books `count` null runs into `tallies`, given by their bit widths (0
+/// for a zero length, which books nothing), `length` null interactions in
+/// all.  The stepping loop buffers the widths and books them in batches:
+/// a run takes one byte store on the loop's critical path instead of a
+/// histogram increment.  (Against a bare draw-and-step loop, a count-batch
+/// run read 0.92 batched and 0.85 with one increment per step.)
+inline void book_null_runs(RunTallies& tallies, const std::uint8_t* widths, std::size_t count,
+                           std::uint64_t length) {
+    std::uint64_t runs = 0;
+    for (std::size_t i = 0; i < count; ++i) {
+        const std::uint64_t run = widths[i] != 0;
+        runs += run;
+        tallies.null_run_length_log2[(widths[i] - 1u) % 64] += run;
+    }
+    tallies.null_runs += runs;
+    tallies.null_interactions += length;
+}
 
+/// `limit`, lowered to the stable-output deadline `from + window` when that
+/// comes first (window 0: no deadline).  Never overflows.
+inline std::uint64_t clamp_to_deadline(std::uint64_t limit, std::uint64_t from,
+                                       std::uint64_t window) {
+    return window != 0 && limit > from && window < limit - from ? from + window : limit;
+}
+
+/// A run's counters while the kernel steps it (the RunResult fields but
+/// the configuration, which the kernel reads from the stepper at the end).
+struct RunProgress {
+    StopReason stop_reason = StopReason::kBudget;
+    std::uint64_t interactions = 0;
+    std::uint64_t effective_interactions = 0;
+    std::uint64_t last_output_change = 0;
+    RunTallies tallies;
+};
+
+/// The kernel proper.  `kWatched` compiles the observer and telemetry calls
+/// in; run_loop instantiates it so only when one of them is attached, and
+/// an unwatched run's stepping loop makes no call but the stepper's.
+template <bool kWatched, Stepper S>
+RunResult drive(S& stepper, const TabulatedProtocol& protocol, const RunOptions& options,
+                const char* entry_point) {
     const std::uint64_t n = stepper.population();
     require_at(n >= 2, entry_point, ": need at least two agents");
     const std::uint64_t budget = resolved_budget(options, n);
@@ -352,13 +399,16 @@ RunResult run_loop(S& stepper, const TabulatedProtocol& protocol, const RunOptio
     }
 
     Rng rng(options.seed);
-    RunResult result{CountConfiguration(protocol.num_states()), StopReason::kBudget, 0, 0, 0,
-                     std::nullopt, S::kEngine, nullptr};
+    // The run's counters; the RunResult is assembled from them at the end,
+    // so a run allocates its final configuration once.
+    RunProgress progress;
 
-    // Performance probes.  A null collector (the default) costs one
-    // predicted branch per site.  Telemetry never draws randomness and never
-    // reads the stepper configuration, so the RunResult is bit-identical
-    // with and without it (tests/telemetry_test.cpp).
+    // Observer and performance probes, both null in an unwatched run, whose
+    // per-step and per-event sites are compiled out.  Telemetry never draws
+    // randomness and never reads the stepper configuration, so the
+    // RunResult is bit-identical with and without it
+    // (tests/telemetry_test.cpp).
+    RunObserver* const observer = options.observer;
     telemetry::RunTelemetryCollector* const collector = options.telemetry;
     if (collector) {
         unsigned run_threads = 1;
@@ -389,9 +439,9 @@ RunResult run_loop(S& stepper, const TabulatedProtocol& protocol, const RunOptio
                    ": checkpoint lies beyond max_interactions");
         stepper.restore(checkpoint);
         rng.restore_state(checkpoint.rng);
-        result.interactions = checkpoint.interactions;
-        result.effective_interactions = checkpoint.effective_interactions;
-        result.last_output_change = checkpoint.last_output_change;
+        progress.interactions = checkpoint.interactions;
+        progress.effective_interactions = checkpoint.effective_interactions;
+        progress.last_output_change = checkpoint.last_output_change;
         has_pending_skip = checkpoint.has_pending_skip;
         pending_skip = checkpoint.pending_null_skips;
     }
@@ -402,7 +452,7 @@ RunResult run_loop(S& stepper, const TabulatedProtocol& protocol, const RunOptio
     // checkpoint there additionally ends the run with kPaused.
     const std::uint64_t pause_at =
         options.pause_after != 0 ? options.pause_after : SnapshotSchedule::kNever;
-    require_at(pause_at == SnapshotSchedule::kNever || pause_at > result.interactions,
+    require_at(pause_at == SnapshotSchedule::kNever || pause_at > progress.interactions,
                entry_point, ": pause_after lies at or before the resume point");
     bool paused = false;
 
@@ -410,10 +460,10 @@ RunResult run_loop(S& stepper, const TabulatedProtocol& protocol, const RunOptio
     const auto advance_checkpoint_schedule = [&] {
         next_checkpoint = SnapshotSchedule::kNever;
         if (checkpoint_every != 0 &&
-            result.interactions / checkpoint_every <
+            progress.interactions / checkpoint_every <
                 SnapshotSchedule::kNever / checkpoint_every - 1)
-            next_checkpoint = (result.interactions / checkpoint_every + 1) * checkpoint_every;
-        if (pause_at > result.interactions && pause_at < next_checkpoint)
+            next_checkpoint = (progress.interactions / checkpoint_every + 1) * checkpoint_every;
+        if (pause_at > progress.interactions && pause_at < next_checkpoint)
             next_checkpoint = pause_at;
     };
     advance_checkpoint_schedule();
@@ -424,9 +474,9 @@ RunResult run_loop(S& stepper, const TabulatedProtocol& protocol, const RunOptio
         checkpoint.population = n;
         checkpoint.num_states = protocol.num_states();
         checkpoint.rng = rng.save_state();
-        checkpoint.interactions = result.interactions;
-        checkpoint.effective_interactions = result.effective_interactions;
-        checkpoint.last_output_change = result.last_output_change;
+        checkpoint.interactions = progress.interactions;
+        checkpoint.effective_interactions = progress.effective_interactions;
+        checkpoint.last_output_change = progress.last_output_change;
         checkpoint.has_pending_skip = has_pending;
         checkpoint.pending_null_skips = pending;
         stepper.save(checkpoint);
@@ -434,29 +484,40 @@ RunResult run_loop(S& stepper, const TabulatedProtocol& protocol, const RunOptio
     };
     const auto take_checkpoint = [&](std::uint64_t pending, bool has_pending) {
         options.checkpoint_sink->on_checkpoint(make_checkpoint(pending, has_pending));
-        if (result.interactions >= pause_at) paused = true;
+        if (progress.interactions >= pause_at) paused = true;
         advance_checkpoint_schedule();
     };
 
-    RunObserver* const observer = options.observer;
-    std::uint64_t next_snapshot = SnapshotSchedule::kNever;
-    if (observer)
-        next_snapshot = result.interactions == 0 ? options.snapshots.first_index()
-                                                 : options.snapshots.next_after(result.interactions);
-    // Emits every scheduled snapshot with index <= `limit` from the current
-    // configuration.  Clamping a geometric jump at snapshot boundaries
-    // reduces to this: a scheduled index inside a run of null interactions
-    // sees the configuration unchanged since the last effective interaction,
-    // so the jump is kept (no extra randomness is drawn — observed and
-    // unobserved runs are bit-identical) and each boundary is stamped with
-    // its exact index.
+    // Scheduled snapshots are boundaries whether or not an observer takes
+    // them.  Clamping a geometric jump at a snapshot reduces to this: a
+    // scheduled index inside a run of null interactions sees the
+    // configuration unchanged since the last effective interaction, so the
+    // jump is kept (no extra randomness is drawn — observed and unobserved
+    // runs are bit-identical) and each boundary is stamped with its exact
+    // index.
+    std::uint64_t next_snapshot = progress.interactions == 0
+                                      ? options.snapshots.first_index()
+                                      : options.snapshots.next_after(progress.interactions);
+    // Counts (and, watched, emits) every scheduled snapshot with index <=
+    // `limit` from the current configuration.
     const auto emit_snapshots_through = [&](std::uint64_t limit) {
         if (next_snapshot > limit) return;
-        const telemetry::ScopedTimer timer(collector, telemetry::Phase::kSnapshotDispatch);
-        while (next_snapshot <= limit) {
-            observer->on_snapshot(next_snapshot, stepper.counts());
+        [[maybe_unused]] std::optional<telemetry::ScopedTimer> timer;
+        if constexpr (kWatched)
+            if (observer) timer.emplace(collector, telemetry::Phase::kSnapshotDispatch);
+        do {
+            if constexpr (kWatched)
+                if (observer) observer->on_snapshot(next_snapshot, stepper.counts());
+            ++progress.tallies.snapshots;
             next_snapshot = options.snapshots.next_after(next_snapshot);
-        }
+        } while (next_snapshot <= limit);
+    };
+    // Books one null run of `length` >= 1 interactions.
+    const auto tally_null_run = [&](std::uint64_t length) {
+        const auto width = static_cast<std::uint8_t>(std::bit_width(length));
+        book_null_runs(progress.tallies, &width, 1, length);
+        if constexpr (kWatched)
+            if (collector) collector->record_skip(length);
     };
 
     std::chrono::steady_clock::time_point wall_start;
@@ -482,15 +543,15 @@ RunResult run_loop(S& stepper, const TabulatedProtocol& protocol, const RunOptio
     // pending null skip is finished first, as the run that drew it did.
     [[maybe_unused]] bool super_kind = false;
     [[maybe_unused]] std::uint64_t switches = 0;
-    [[maybe_unused]] std::uint64_t segment_start = result.interactions;
+    [[maybe_unused]] std::uint64_t segment_start = progress.interactions;
     [[maybe_unused]] std::uint64_t segment_start_ns = 0;
     [[maybe_unused]] const auto close_segment = [&] {
         if constexpr (MixedStepper<S>) {
             if (collector)
                 collector->record_engine_segment(
                     observed_engine_name(super_kind ? S::kSuperStepEngine : S::kSingleStepEngine),
-                    result.interactions - segment_start, segment_start_ns);
-            segment_start = result.interactions;
+                    progress.interactions - segment_start, segment_start_ns);
+            segment_start = progress.interactions;
         }
     };
     if constexpr (MixedStepper<S>) {
@@ -500,7 +561,8 @@ RunResult run_loop(S& stepper, const TabulatedProtocol& protocol, const RunOptio
     }
 
     const std::atomic<bool>* const stop_flag = options.stop_flag;
-    while (!silent && result.interactions < budget) {
+    [[maybe_unused]] const std::uint64_t poll_steps = stop_flag != nullptr ? kStopPollSteps : 0;
+    while (!silent && progress.interactions < budget) {
         // Cooperative stop: a raised flag ends the run at this loop
         // boundary.  The final checkpoint carries any not-yet-consumed
         // pending skip (a resume right after restoring one lands here
@@ -511,12 +573,11 @@ RunResult run_loop(S& stepper, const TabulatedProtocol& protocol, const RunOptio
             paused = true;
             break;
         }
-        // Checkpoint due at a loop boundary.  Per-interaction engines reach
-        // every index, so this lands exactly on multiples of the period; the
-        // batch engine lands here when the multiple coincided with an
-        // effective interaction (boundaries inside a null skip are handled
-        // below and also land exactly).
-        if (result.interactions >= next_checkpoint) {
+        // Checkpoint due at a loop boundary.  The stepping loops stop on
+        // every multiple of the period they reach, so this lands exactly on
+        // it; a multiple inside a geometric null skip is handled below and
+        // also lands exactly.
+        if (progress.interactions >= next_checkpoint) {
             take_checkpoint(has_pending_skip ? pending_skip : 0, has_pending_skip);
             if (paused) break;
         }
@@ -529,7 +590,7 @@ RunResult run_loop(S& stepper, const TabulatedProtocol& protocol, const RunOptio
             if (super_step != super_kind) {
                 close_segment();
                 EngineSwitchInfo info;
-                info.interactions = result.interactions;
+                info.interactions = progress.interactions;
                 info.from = super_kind ? S::kSuperStepEngine : S::kSingleStepEngine;
                 info.to = super_step ? S::kSuperStepEngine : S::kSingleStepEngine;
                 info.signal = stepper.signal();
@@ -546,59 +607,126 @@ RunResult run_loop(S& stepper, const TabulatedProtocol& protocol, const RunOptio
             }
         }
 
+        // The nearest index the kernel must act on.  Each boundary lies
+        // strictly ahead of the current index (due snapshots and checkpoints
+        // were handled above or at the end of the last pass, stop rules
+        // would have fired), so at least one interaction fits.
+        std::uint64_t limit = budget;
+        if (next_snapshot < limit) limit = next_snapshot;
+        if (next_checkpoint < limit) limit = next_checkpoint;
+        if (progress.last_output_change != 0)
+            limit = clamp_to_deadline(limit, progress.last_output_change, window);
+
         if (super_step) {
             if constexpr (SuperStepStepper<S>) {
-                // One super-step of T interactions, clamped at the earliest
-                // index the kernel must observe exactly.
-                std::uint64_t boundary = budget;
-                if (next_snapshot < boundary) boundary = next_snapshot;
-                if (next_checkpoint < boundary) boundary = next_checkpoint;
-                if (window != 0 && result.last_output_change != 0 &&
-                    result.last_output_change + window < boundary)
-                    boundary = result.last_output_change + window;
-                // Every boundary lies strictly ahead of the current index
-                // (due snapshots/checkpoints were already emitted above,
-                // stop rules would have fired), so at least one interaction
-                // fits.
-                const std::uint64_t limit = boundary - result.interactions;
+                // One super-step of T interactions, clamped at the boundary.
+                const std::uint64_t room = limit - progress.interactions;
                 const std::uint64_t length = stepper.super_step_length();
-                const bool clamped = limit < length;
-                const std::uint64_t m = clamped ? limit : length;
+                const bool clamped = room < length;
+                const std::uint64_t m = clamped ? room : length;
                 BatchOutcome outcome;
                 {
                     const telemetry::ScopedTimer timer(collector,
                                                        telemetry::Phase::kSuperStepApply);
                     outcome = stepper.apply_super_step(rng, m);
                 }
-                result.interactions += m;
+                progress.interactions += m;
                 if (collector) collector->record_super_step(m, clamped);
-                result.effective_interactions += outcome.effective;
+                progress.effective_interactions += outcome.effective;
                 if (outcome.output_changed) {
-                    result.last_output_change = result.interactions;
-                    if (observer) observer->on_output_change(result.interactions);
+                    progress.last_output_change = progress.interactions;
+                    ++progress.tallies.output_changes;
+                    if constexpr (kWatched)
+                        if (observer) observer->on_output_change(progress.interactions);
                 }
                 silent = stepper.is_silent();
             }
         } else if constexpr (SingleStepStepper<S>) {
-            if constexpr (S::kGeometricSkips) {
-                std::uint64_t skips;
-                if (has_pending_skip) {
-                    skips = pending_skip;
-                    has_pending_skip = false;
-                } else {
-                    skips = stepper.propose_skip(rng);
+            // Steps until `limit`, silence, a step-kind switch or a stop-flag
+            // poll; the loop below only draws, steps and counts.  An output
+            // change pulls `limit` in to its stable-output deadline.
+            std::uint64_t t = progress.interactions;
+            std::uint64_t effective = progress.effective_interactions;
+            std::uint64_t last = progress.last_output_change;
+            std::uint64_t output_changes = 0;
+            const auto count_step = [&](StepOutcome outcome) {
+                if (!outcome.changed) return;
+                ++effective;
+                if (outcome.output_changed) {
+                    last = t;
+                    ++output_changes;
+                    if constexpr (kWatched)
+                        if (observer) observer->on_output_change(t);
+                    limit = clamp_to_deadline(limit, t, window);
                 }
+                silent = stepper.is_silent();
+            };
+            const auto sync = [&] {
+                progress.interactions = t;
+                progress.effective_interactions = effective;
+                progress.last_output_change = last;
+                progress.tallies.output_changes += output_changes;
+                output_changes = 0;
+            };
+            // A count-batch step first jumps the geometric run of null
+            // interactions preceding its effective one.  A run that would
+            // reach `limit` ends the loop with its length in `skips`, for the
+            // clamping path below; so does a pending skip from a resume.
+            std::uint64_t skips = 0;
+            bool clamp_skip = false;
+            if constexpr (S::kGeometricSkips) {
+                skips = pending_skip;
+                clamp_skip = has_pending_skip;
+                has_pending_skip = false;
+            }
+            if (!clamp_skip) {
+                // The log2 buckets of the null runs not yet booked.
+                [[maybe_unused]] std::array<std::uint8_t, 256> widths;
+                [[maybe_unused]] std::size_t buffered = 0;
+                [[maybe_unused]] std::uint64_t skipped = 0;
+                for (std::uint64_t steps = 1;; ++steps) {
+                    if constexpr (S::kGeometricSkips) {
+                        skips = stepper.propose_skip(rng);
+                        if (t + skips >= limit) {
+                            clamp_skip = true;
+                            break;
+                        }
+                        skipped += skips;
+                        // bit_width without a branch on a zero length, which
+                        // is a coin flip in a dense phase.
+                        widths[buffered] =
+                            static_cast<std::uint8_t>(std::bit_width(skips | 1) - (skips == 0));
+                        if (++buffered == widths.size()) {
+                            book_null_runs(progress.tallies, widths.data(), buffered, skipped);
+                            buffered = 0;
+                            skipped = 0;
+                        }
+                        if constexpr (kWatched)
+                            if (collector && skips != 0) collector->record_skip(skips);
+                        t += skips;
+                    }
+                    ++t;
+                    count_step(stepper.step(rng));
+                    if constexpr (kWatched)
+                        if (collector) collector->publish_interactions(t);
+                    bool stop = silent || t >= limit || steps == poll_steps;
+                    if constexpr (MixedStepper<S>) stop = stop || stepper.super_step_due();
+                    if (stop) break;
+                }
+                if constexpr (S::kGeometricSkips)
+                    book_null_runs(progress.tallies, widths.data(), buffered, skipped);
+            }
 
+            if (clamp_skip) {
                 // Where does the null run actually end?  `target_end` is the
                 // index of its last null interaction; the effective
                 // interaction would land at target_end + 1.  The
                 // stable-output window and the budget can both cut the run
                 // inside the nulls (which change nothing, so the stop index
                 // is exact); the window wins ties, as it always has.
-                const std::uint64_t target_end = result.interactions + skips;
+                const std::uint64_t target_end = t + skips;
                 std::uint64_t stop_at = 0;
-                if (window != 0 && result.last_output_change != 0)
-                    stop_at = result.last_output_change + window;
+                if (window != 0 && last != 0) stop_at = last + window;
 
                 enum class SkipEnd { kRunOn, kStableOutputs, kBudget };
                 SkipEnd skip_end = SkipEnd::kRunOn;
@@ -615,76 +743,68 @@ RunResult run_loop(S& stepper, const TabulatedProtocol& protocol, const RunOptio
                 // multiple of checkpoint_every strictly before the run's end
                 // (or up to and including target_end when the run
                 // continues), recording the unexecuted remainder of the
-                // skip.  Note this may split the observer's on_null_run
-                // report; the total length is unchanged.
+                // skip.  This splits the run's null-run tally; the total
+                // length is unchanged.
                 while (next_checkpoint <= end_index &&
                        (skip_end == SkipEnd::kRunOn || next_checkpoint < end_index)) {
-                    if (observer) emit_snapshots_through(next_checkpoint);
-                    if (next_checkpoint > result.interactions) {
-                        if (observer) observer->on_null_run(next_checkpoint - result.interactions);
-                        if (collector)
-                            collector->record_skip(next_checkpoint - result.interactions);
-                    }
-                    result.interactions = next_checkpoint;
-                    take_checkpoint(target_end - result.interactions, true);
+                    emit_snapshots_through(next_checkpoint);
+                    if (next_checkpoint > t) tally_null_run(next_checkpoint - t);
+                    t = next_checkpoint;
+                    sync();
+                    take_checkpoint(target_end - t, true);
                     if (paused) break;
                 }
                 if (paused) break;  // pause boundary inside the null run
 
                 if (skip_end != SkipEnd::kRunOn) {
-                    if (observer) emit_snapshots_through(end_index);
-                    if (end_index > result.interactions) {
-                        if (observer) observer->on_null_run(end_index - result.interactions);
-                        if (collector) collector->record_skip(end_index - result.interactions);
-                    }
-                    result.interactions = end_index;
+                    emit_snapshots_through(end_index);
+                    if (end_index > t) tally_null_run(end_index - t);
+                    t = end_index;
+                    sync();
                     if (skip_end == SkipEnd::kStableOutputs)
-                        result.stop_reason = StopReason::kStableOutputs;
+                        progress.stop_reason = StopReason::kStableOutputs;
                     break;  // kBudget: stop_reason already defaults to kBudget
                 }
                 if (skips != 0) {
-                    if (observer) emit_snapshots_through(target_end);
-                    if (target_end > result.interactions) {
-                        if (observer) observer->on_null_run(target_end - result.interactions);
-                        if (collector) collector->record_skip(target_end - result.interactions);
-                    }
+                    emit_snapshots_through(target_end);
+                    if (target_end > t) tally_null_run(target_end - t);
                 }
 
                 // The effective interaction terminating the null run.
-                result.interactions = target_end + 1;
-            } else {
-                ++result.interactions;
+                t = target_end + 1;
+                count_step(stepper.step(rng));
             }
-            const StepOutcome outcome = stepper.step(rng);
-            if (outcome.changed) {
-                ++result.effective_interactions;
-                if (outcome.output_changed) {
-                    result.last_output_change = result.interactions;
-                    if (observer) observer->on_output_change(result.interactions);
-                }
-                silent = stepper.is_silent();
-            }
+            sync();
         }
 
-        if (result.interactions >= next_snapshot) emit_snapshots_through(result.interactions);
+        if (progress.interactions >= next_snapshot) emit_snapshots_through(progress.interactions);
 
-        if (window != 0 && result.last_output_change != 0 &&
-            result.interactions - result.last_output_change >= window) {
-            result.stop_reason = StopReason::kStableOutputs;
+        if (window != 0 && progress.last_output_change != 0 &&
+            progress.interactions - progress.last_output_change >= window) {
+            progress.stop_reason = StopReason::kStableOutputs;
             break;
         }
 
-        if (collector) collector->publish_interactions(result.interactions);
+        if constexpr (kWatched)
+            if (collector) collector->publish_interactions(progress.interactions);
     }
 
     // Silence outranks a stable-output window or a budget that expires at
     // the same index.
-    if (silent) result.stop_reason = StopReason::kSilent;
+    if (silent) progress.stop_reason = StopReason::kSilent;
     // A pause is never also a terminal stop: the loop breaks before
     // stepping, so `silent` cannot have been set in the same iteration.
-    if (paused) result.stop_reason = StopReason::kPaused;
+    if (paused) progress.stop_reason = StopReason::kPaused;
 
-    result.final_configuration = stepper.counts();
+    RunResult result{stepper.counts(),
+                     progress.stop_reason,
+                     progress.interactions,
+                     progress.effective_interactions,
+                     progress.last_output_change,
+                     std::nullopt,
+                     S::kEngine,
+                     nullptr,
+                     progress.tallies};
     result.consensus = result.final_configuration.consensus_output(protocol);
     // Telemetry finishes before on_stop so stop-time consumers (e.g. the
     // JSONL writer's "telemetry" event) see the completed RunTelemetry.
@@ -693,8 +813,22 @@ RunResult run_loop(S& stepper, const TabulatedProtocol& protocol, const RunOptio
         collector->finish_run(result.interactions, result.effective_interactions);
         result.telemetry = collector->share();
     }
-    if (observer) observer->on_stop(result, run_loop_detail::seconds_since(wall_start));
+    if (observer) observer->on_stop(result, seconds_since(wall_start));
     return result;
+}
+
+}  // namespace run_loop_detail
+
+/// Drives `stepper` under the full run policy and returns the result.
+/// `entry_point` names the public API for error messages.  A run with
+/// neither an observer nor a telemetry collector takes the instantiation
+/// with every probe compiled out.
+template <Stepper S>
+RunResult run_loop(S& stepper, const TabulatedProtocol& protocol, const RunOptions& options,
+                   const char* entry_point) {
+    if (options.observer != nullptr || options.telemetry != nullptr)
+        return run_loop_detail::drive<true>(stepper, protocol, options, entry_point);
+    return run_loop_detail::drive<false>(stepper, protocol, options, entry_point);
 }
 
 }  // namespace popproto

@@ -23,6 +23,7 @@
 #ifndef POPPROTO_CORE_SIMULATOR_H
 #define POPPROTO_CORE_SIMULATOR_H
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -139,15 +140,17 @@ struct RunOptions {
     unsigned threads = 1;
 
     /// Run-trace instrumentation hook (core/observer.h); borrowed, may be
-    /// nullptr (the default — costs one branch per interaction).  Observation
-    /// never changes the RNG stream, so a run's RunResult is bit-identical
-    /// with and without an observer.  When `measure_trials` fans trials
-    /// across threads, the observer receives concurrent callbacks and must
-    /// be thread-safe.
+    /// nullptr (the default: the kernel then steps with no observer call at
+    /// all).  Observation never changes the RNG stream, so a run's RunResult
+    /// is bit-identical with and without an observer.  When
+    /// `measure_trials` fans trials across threads, the observer receives
+    /// concurrent callbacks and must be thread-safe.
     RunObserver* observer = nullptr;
 
-    /// Interaction indices at which `observer->on_snapshot` fires (ignored
-    /// without an observer).  Defaults to no snapshots.
+    /// Interaction indices at which `observer->on_snapshot` fires.  They are
+    /// kernel boundaries with or without an observer: RunResult::tallies
+    /// counts them, and super-steps end on them, so attaching an observer
+    /// never moves a trajectory.  Defaults to no snapshots.
     SnapshotSchedule snapshots;
 
     /// If nonzero, deliver a deterministic RunCheckpoint (core/run_loop.h)
@@ -185,8 +188,9 @@ struct RunOptions {
     /// pause index simply reports its terminal result.
     std::uint64_t pause_after = 0;
 
-    /// Borrowed cooperative-stop flag, polled once per loop iteration with
-    /// a relaxed load (nullptr, the default, costs one predicted branch).
+    /// Borrowed cooperative-stop flag, polled with a relaxed load at every
+    /// boundary the kernel stops stepping at, and at least every 4096 steps
+    /// (core/run_loop.h; nullptr, the default, is never polled).
     /// When found true the kernel delivers a final checkpoint to
     /// `checkpoint_sink` (if one is configured) at the current loop
     /// boundary and stops with StopReason::kPaused.  This is how a signal
@@ -230,6 +234,30 @@ const char* stop_reason_label(StopReason reason);
 /// unknown label.
 StopReason parse_stop_reason_label(const std::string& label);
 
+/// The events of one run, counted by the run-loop kernel whether or not an
+/// observer is attached: what RunObserver callbacks a run delivers, without
+/// the calls.  A resumed run (a service quantum, say) counts only its own
+/// stretch; observe/metrics.h sums them across runs.
+struct RunTallies {
+    /// Output-change events: one per interaction that changed an output
+    /// (one per super-step that did, on the super-step engines).
+    std::uint64_t output_changes = 0;
+
+    /// Scheduled snapshot indices the run crossed (RunOptions::snapshots),
+    /// delivered to on_snapshot when an observer is attached.
+    std::uint64_t snapshots = 0;
+
+    /// Runs of null interactions that count-batch steps jumped in one
+    /// geometric draw.  A run is split where a checkpoint or pause cuts it,
+    /// and only its executed part counts when a stop rule cuts it short;
+    /// bucket b of the histogram counts runs of length in [2^b, 2^(b+1)).
+    std::uint64_t null_runs = 0;
+    std::uint64_t null_interactions = 0;
+    std::array<std::uint64_t, 64> null_run_length_log2{};
+
+    friend bool operator==(const RunTallies&, const RunTallies&) = default;
+};
+
 /// Outcome of a simulated execution.
 struct RunResult {
     CountConfiguration final_configuration;
@@ -258,6 +286,9 @@ struct RunResult {
     /// (phase timers, shard utilization, super-step/skip accounting);
     /// nullptr otherwise.  Shared with the collector, so it outlives both.
     std::shared_ptr<const telemetry::RunTelemetry> telemetry;
+
+    /// The run's event tallies (output changes, snapshots, null runs).
+    RunTallies tallies;
 };
 
 /// Simulates `protocol` from `initial` under uniform random pairing.

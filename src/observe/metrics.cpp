@@ -1,6 +1,5 @@
 #include "observe/metrics.h"
 
-#include <bit>
 #include <sstream>
 
 namespace popproto {
@@ -79,45 +78,40 @@ void MetricsReport::merge(const MetricsReport& other) {
     wall_seconds_total += other.wall_seconds_total;
 }
 
-void MetricsAccumulator::on_start(const RunStartInfo&) { ++data_.runs_started; }
-
-void MetricsAccumulator::on_snapshot(std::uint64_t, const CountConfiguration&) {
-    ++data_.snapshots;
-}
-
-void MetricsAccumulator::on_output_change(std::uint64_t) { ++data_.output_changes; }
-
-void MetricsAccumulator::on_null_run(std::uint64_t length) {
-    ++data_.null_runs;
-    data_.null_interactions_skipped += length;
-    // length >= 1; bucket = floor(log2(length)).
-    const int bucket = std::bit_width(length) - 1;
-    ++data_.null_run_length_log2[static_cast<std::size_t>(bucket)];
-}
-
-void MetricsAccumulator::on_stop(const RunResult& result, double wall_seconds) {
-    if (data_.runs_finished == 0 || wall_seconds < data_.wall_seconds_min)
-        data_.wall_seconds_min = wall_seconds;
-    if (data_.runs_finished == 0 || wall_seconds > data_.wall_seconds_max)
-        data_.wall_seconds_max = wall_seconds;
-    ++data_.runs_finished;
-    data_.interactions += result.interactions;
-    data_.effective_interactions += result.effective_interactions;
-    data_.wall_seconds_total += wall_seconds;
+void MetricsReport::add_finished_run(const RunResult& result, double wall_seconds) {
+    if (runs_finished == 0 || wall_seconds < wall_seconds_min) wall_seconds_min = wall_seconds;
+    if (runs_finished == 0 || wall_seconds > wall_seconds_max) wall_seconds_max = wall_seconds;
+    ++runs_finished;
+    interactions += result.interactions;
+    effective_interactions += result.effective_interactions;
+    wall_seconds_total += wall_seconds;
     switch (result.stop_reason) {
         case StopReason::kSilent:
-            ++data_.stops_silent;
+            ++stops_silent;
             break;
         case StopReason::kStableOutputs:
-            ++data_.stops_stable_outputs;
+            ++stops_stable_outputs;
             break;
         case StopReason::kBudget:
-            ++data_.stops_budget;
+            ++stops_budget;
             break;
         case StopReason::kPaused:
-            ++data_.stops_paused;
+            ++stops_paused;
             break;
     }
+    const RunTallies& tallies = result.tallies;
+    output_changes += tallies.output_changes;
+    snapshots += tallies.snapshots;
+    null_runs += tallies.null_runs;
+    null_interactions_skipped += tallies.null_interactions;
+    for (std::size_t b = 0; b < null_run_length_log2.size(); ++b)
+        null_run_length_log2[b] += tallies.null_run_length_log2[b];
+}
+
+void MetricsAccumulator::on_start(const RunStartInfo&) { ++data_.runs_started; }
+
+void MetricsAccumulator::on_stop(const RunResult& result, double wall_seconds) {
+    data_.add_finished_run(result, wall_seconds);
 }
 
 MetricsReport MetricsCollector::report() const {
@@ -133,22 +127,6 @@ void MetricsCollector::reset() {
 void MetricsCollector::on_start(const RunStartInfo& info) {
     const std::lock_guard<std::mutex> lock(mutex_);
     accumulator_.on_start(info);
-}
-
-void MetricsCollector::on_snapshot(std::uint64_t interaction_index,
-                                   const CountConfiguration& configuration) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    accumulator_.on_snapshot(interaction_index, configuration);
-}
-
-void MetricsCollector::on_output_change(std::uint64_t interaction_index) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    accumulator_.on_output_change(interaction_index);
-}
-
-void MetricsCollector::on_null_run(std::uint64_t length) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    accumulator_.on_null_run(length);
 }
 
 void MetricsCollector::on_stop(const RunResult& result, double wall_seconds) {

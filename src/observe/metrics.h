@@ -2,17 +2,17 @@
 //
 // A MetricsAccumulator tallies counters and histograms over every run it
 // observes: total vs effective interactions, per-stop-reason counts,
-// null-skip run lengths (log2 histogram), and wall-clock per run.  It takes no lock, so it belongs to one thread at a
-// time.  MetricsCollector is the same bookkeeping behind a mutex, for one
-// collector shared by several threads.
-//
-// A shared collector serializes every event on that mutex, including the
-// batch engine's per-skip on_null_run, so threads feeding one collector
-// wait on each other; that includes every measure_trials worker sharing
-// one through TrialOptions::base.observer.  Where throughput matters, give
-// each thread or unit of work its own accumulator and combine the results
-// with MetricsReport::merge; the service registry does this once per work
-// quantum.
+// output-change and snapshot events, null-skip run lengths (log2
+// histogram), and wall-clock per run.  The event counts come from the
+// tallies the run-loop kernel keeps for every run (RunResult::tallies), so
+// the accumulator takes two calls per run, on_start and on_stop, and none
+// per event.  It takes no lock, so it belongs to one thread at a time.
+// MetricsCollector is the same bookkeeping behind a mutex, for one
+// collector shared by several threads (the measure_trials workers sharing
+// one through TrialOptions::base.observer).  Code that holds RunResults
+// without observing the runs — the service registry, once per work quantum
+// — builds the same report with MetricsReport::add_finished_run and
+// combines reports with MetricsReport::merge.
 
 #ifndef POPPROTO_OBSERVE_METRICS_H
 #define POPPROTO_OBSERVE_METRICS_H
@@ -53,9 +53,10 @@ struct MetricsReport {
     std::uint64_t output_changes = 0;
     std::uint64_t snapshots = 0;
 
-    // Null-run statistics (batch engine).  Bucket b of the histogram counts
-    // runs of length in [2^b, 2^(b+1)); `null_interactions_skipped` equals
-    // interactions - effective_interactions over batch runs.
+    // Null-run statistics (batch engine; RunTallies).  Bucket b of the
+    // histogram counts runs of length in [2^b, 2^(b+1));
+    // `null_interactions_skipped` equals interactions -
+    // effective_interactions over batch runs.
     std::uint64_t null_runs = 0;
     std::uint64_t null_interactions_skipped = 0;
     std::array<std::uint64_t, 64> null_run_length_log2{};
@@ -82,6 +83,11 @@ struct MetricsReport {
     /// reports of two accumulators that observed one run each.
     void merge(const MetricsReport& other);
 
+    /// Adds one finished run: its counters, stop reason, event tallies and
+    /// wall-clock seconds.  runs_started is left to the caller (on_start
+    /// counts it for an observer).
+    void add_finished_run(const RunResult& result, double wall_seconds);
+
     bool operator==(const MetricsReport&) const = default;
 };
 
@@ -94,17 +100,13 @@ public:
     void reset() { data_ = MetricsReport(); }
 
     void on_start(const RunStartInfo& info) override;
-    void on_snapshot(std::uint64_t interaction_index,
-                     const CountConfiguration& configuration) override;
-    void on_output_change(std::uint64_t interaction_index) override;
-    void on_null_run(std::uint64_t length) override;
     void on_stop(const RunResult& result, double wall_seconds) override;
 
 private:
     MetricsReport data_;
 };
 
-/// A MetricsAccumulator behind a mutex: every event takes the lock.
+/// A MetricsAccumulator behind a mutex: each run takes the lock twice.
 class MetricsCollector final : public RunObserver {
 public:
     /// Thread-safe consistent copy of the aggregates.
@@ -114,10 +116,6 @@ public:
     void reset();
 
     void on_start(const RunStartInfo& info) override;
-    void on_snapshot(std::uint64_t interaction_index,
-                     const CountConfiguration& configuration) override;
-    void on_output_change(std::uint64_t interaction_index) override;
-    void on_null_run(std::uint64_t length) override;
     void on_stop(const RunResult& result, double wall_seconds) override;
 
 private:

@@ -13,30 +13,26 @@ AdversarialCoverModel::AdversarialCoverModel(const TabulatedProtocol& protocol,
     : protocol_(protocol),
       num_agents_(num_agents),
       num_pairs_(num_agents * (num_agents - 1)),
-      probe_window_(probe_window),
-      overlay_(std::min(probe_window, num_agents * (num_agents - 1))),
-      cursor_(num_agents * (num_agents - 1)) {  // first propose_pair keys an epoch
+      probe_window_(std::min(probe_window, num_pairs_)),
+      window_(std::max<std::uint64_t>(1, probe_window_)),
+      cursor_(num_agents * (num_agents - 1)),  // first propose_pair keys an epoch
+      filled_(cursor_),
+      cursor_slot_(cursor_ % window_.size()),
+      filled_slot_(cursor_slot_) {
     require(num_agents >= 2, "AdversarialCoverModel: need at least two agents");
     permutation_ = FeistelPermutation(
         num_pairs_, std::array<std::uint64_t, FeistelPermutation::kRounds>{});
 }
 
-std::uint64_t AdversarialCoverModel::entry_at(std::uint64_t pos) const {
-    if (!overlay_.empty()) {
-        const OverlayEntry& slot = overlay_[pos % overlay_.size()];
-        if (slot.pos == pos) return slot.value;
+void AdversarialCoverModel::place(Entry& slot, std::uint64_t value, bool displaced) {
+    slot = {value, decode_ordered_pair(value, num_agents_), displaced};
+}
+
+void AdversarialCoverModel::fill_through(std::uint64_t end) {
+    for (; filled_ < end; ++filled_) {
+        place(window_[filled_slot_], permutation_(filled_), false);
+        filled_slot_ = next_slot(filled_slot_);
     }
-    return permutation_(pos);
-}
-
-void AdversarialCoverModel::set_entry(std::uint64_t pos, std::uint64_t value) {
-    overlay_[pos % overlay_.size()] = {pos, value};
-}
-
-void AdversarialCoverModel::clear_overlay() {
-    // Positions repeat across epochs, so stale entries must not survive a
-    // rekey.  O(probe_window) once per n(n-1)-step epoch.
-    std::fill(overlay_.begin(), overlay_.end(), OverlayEntry{});
 }
 
 AgentPair AdversarialCoverModel::propose_pair(Rng& rng, const std::vector<State>& states) {
@@ -44,52 +40,54 @@ AgentPair AdversarialCoverModel::propose_pair(Rng& rng, const std::vector<State>
         // Fresh epoch: a new pseudorandom permutation of all ordered pairs,
         // keyed from the kernel stream (so checkpoints capture it exactly).
         permutation_.rekey(rng);
-        clear_overlay();
-        cursor_ = 0;
+        cursor_ = filled_ = 0;
+        cursor_slot_ = filled_slot_ = 0;
     }
     // Lazy-adaptive probe: prefer a null interaction from the next
     // probe_window entries of the epoch.  Swapping the found entry to the
     // cursor only reorders within the epoch, so the exactly-once-per-epoch
     // cover invariant (and with it fairness) is preserved.
     const std::uint64_t limit = std::min(cursor_ + probe_window_, num_pairs_);
+    fill_through(std::max(limit, cursor_ + 1));
+    Entry& head = window_[cursor_slot_];
+    std::size_t slot = cursor_slot_;
     for (std::uint64_t k = cursor_; k < limit; ++k) {
-        const std::uint64_t candidate_index = entry_at(k);
-        const AgentPair candidate = decode_ordered_pair(candidate_index, num_agents_);
-        const State p = states[candidate.first];
-        const State q = states[candidate.second];
+        Entry& candidate = window_[slot];
+        const State p = states[candidate.pair.first];
+        const State q = states[candidate.pair.second];
         const StatePair next = protocol_.apply_fast(p, q);
         if (next.initiator == p && next.responder == q) {
             if (k != cursor_) {
-                const std::uint64_t displaced = entry_at(cursor_);
-                set_entry(cursor_, candidate_index);
-                set_entry(k, displaced);
+                std::swap(head.value, candidate.value);
+                std::swap(head.pair, candidate.pair);
+                head.displaced = candidate.displaced = true;
             }
             break;
         }
+        slot = next_slot(slot);
     }
-    const AgentPair pair = decode_ordered_pair(entry_at(cursor_), num_agents_);
     ++cursor_;
-    return pair;
+    cursor_slot_ = next_slot(cursor_slot_);
+    return head.pair;
 }
 
 void AdversarialCoverModel::save_state(std::vector<std::uint64_t>& words) const {
     words.clear();
-    words.reserve(2 + FeistelPermutation::kRounds + 2 * overlay_.size());
+    words.reserve(2 + FeistelPermutation::kRounds + 2 * window_.size());
     words.push_back(cursor_);
     const auto& keys = permutation_.keys();
     words.insert(words.end(), keys.begin(), keys.end());
-    // Live overlay entries (pos >= cursor; older ones are consumed), sorted
-    // by position so the serialization is canonical.
-    std::vector<const OverlayEntry*> live;
-    for (const OverlayEntry& slot : overlay_)
-        if (slot.pos != OverlayEntry::kEmpty && slot.pos >= cursor_) live.push_back(&slot);
-    std::sort(live.begin(), live.end(),
-              [](const OverlayEntry* a, const OverlayEntry* b) { return a->pos < b->pos; });
-    words.push_back(live.size());
-    for (const OverlayEntry* slot : live) {
-        words.push_back(slot->pos);
-        words.push_back(slot->value);
+    // The displaced entries still ahead of the cursor, in position order
+    // (the canonical serialization; the others are Feistel images).
+    const std::size_t count_at = words.size();
+    words.push_back(0);
+    for (std::uint64_t pos = cursor_; pos < filled_; ++pos) {
+        const Entry& slot = window_[pos % window_.size()];
+        if (!slot.displaced) continue;
+        words.push_back(pos);
+        words.push_back(slot.value);
     }
+    words[count_at] = (words.size() - count_at - 1) / 2;
 }
 
 void AdversarialCoverModel::restore_state(const std::vector<std::uint64_t>& words) {
@@ -97,21 +95,22 @@ void AdversarialCoverModel::restore_state(const std::vector<std::uint64_t>& word
             "adversarial: checkpoint model state has the wrong length");
     require(words[0] <= num_pairs_, "adversarial: checkpoint cursor out of range");
     const std::uint64_t num_live = words[1 + FeistelPermutation::kRounds];
-    require(num_live <= overlay_.size(),
+    require(num_live <= probe_window_,
             "adversarial: checkpoint overlay larger than the probe window");
     require(words.size() == 2 + FeistelPermutation::kRounds + 2 * num_live,
             "adversarial: checkpoint model state has the wrong length");
-    cursor_ = words[0];
+    cursor_ = filled_ = words[0];
+    cursor_slot_ = filled_slot_ = cursor_ % window_.size();
     std::array<std::uint64_t, FeistelPermutation::kRounds> keys;
     std::copy(words.begin() + 1, words.begin() + 1 + FeistelPermutation::kRounds, keys.begin());
     permutation_ = FeistelPermutation(num_pairs_, keys);
-    clear_overlay();
+    fill_through(std::min(cursor_ + window_.size(), num_pairs_));
     for (std::uint64_t i = 0; i < num_live; ++i) {
         const std::uint64_t pos = words[2 + FeistelPermutation::kRounds + 2 * i];
         const std::uint64_t value = words[3 + FeistelPermutation::kRounds + 2 * i];
-        require(pos >= cursor_ && pos < num_pairs_ && value < num_pairs_,
+        require(pos >= cursor_ && pos < filled_ && value < num_pairs_,
                 "adversarial: checkpoint overlay entry out of range");
-        set_entry(pos, value);
+        place(entry(pos), value, true);
     }
 }
 

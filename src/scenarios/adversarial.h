@@ -17,13 +17,15 @@
 //
 // The epoch permutation is lazy — a keyed Feistel bijection of the pair
 // indices (core/feistel.h) rekeyed from the kernel RNG stream each epoch —
-// so the model's state is O(probe_window), not O(n^2): probe swaps, the
-// only in-epoch mutations, only ever displace an entry by less than
-// probe_window positions, so they live in a small ring-buffer overlay on
-// top of the Feistel image until the cursor passes them.  The cursor, the
-// round keys, and the live overlay serialize into the checkpoint's
-// interaction_model section, so adversarial runs checkpoint/resume
-// bit-identically — including cuts in the middle of an epoch.
+// so the model's state is O(probe_window), not O(n^2).  The model holds the
+// probe window's current entries in one ring buffer: each epoch position's
+// Feistel image and decoded agent pair are computed once, when the position
+// enters the window, and probe swaps, the only in-epoch mutations, only
+// ever exchange two entries inside the window.  The cursor, the round keys,
+// and the displaced entries still ahead of the cursor serialize into the
+// checkpoint's interaction_model section, so adversarial runs
+// checkpoint/resume bit-identically — including cuts in the middle of an
+// epoch.
 
 #ifndef POPPROTO_SCENARIOS_ADVERSARIAL_H
 #define POPPROTO_SCENARIOS_ADVERSARIAL_H
@@ -59,29 +61,39 @@ public:
     void restore_state(const std::vector<std::uint64_t>& words);
 
 private:
-    /// One displaced permutation entry: epoch position `pos` holds pair
-    /// index `value` instead of the Feistel image.  kEmpty marks a free
-    /// slot (positions are < n(n-1) < 2^64).
-    struct OverlayEntry {
-        static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
-        std::uint64_t pos = kEmpty;
+    /// The current entry of one window position: pair index `value`
+    /// (the Feistel image unless a probe swap displaced it) and its decoded
+    /// agent pair.
+    struct Entry {
         std::uint64_t value = 0;
+        AgentPair pair{};
+        bool displaced = false;
     };
 
-    std::uint64_t entry_at(std::uint64_t pos) const;
-    void set_entry(std::uint64_t pos, std::uint64_t value);
-    void clear_overlay();
+    Entry& entry(std::uint64_t pos) { return window_[pos % window_.size()]; }
+    /// Brings positions [filled_, end) into the window.
+    void fill_through(std::uint64_t end);
+    /// The ring slot after `slot`.
+    std::size_t next_slot(std::size_t slot) const {
+        return slot + 1 == window_.size() ? 0 : slot + 1;
+    }
+    /// Makes `slot` hold pair index `value`.
+    void place(Entry& slot, std::uint64_t value, bool displaced);
 
     const TabulatedProtocol& protocol_;
     std::uint64_t num_agents_ = 0;
     std::uint64_t num_pairs_ = 0;
-    std::uint64_t probe_window_ = 0;
+    std::uint64_t probe_window_ = 0;  // at most num_pairs_
     FeistelPermutation permutation_;  // this epoch's keys
-    // Ring buffer (slot = pos % size) of live probe swaps; every live
-    // entry's pos lies in [cursor_, cursor_ + probe_window), so
-    // min(probe_window, num_pairs) slots never collide.
-    std::vector<OverlayEntry> overlay_;
+    // Ring buffer (slot = pos % size) holding positions [cursor_, filled_),
+    // filled_ <= cursor_ + size; the size is probe_window_, at least 1 for
+    // the cursor's own entry.
+    std::vector<Entry> window_;
     std::uint64_t cursor_ = 0;  // == num_pairs forces a rekey (fresh epoch)
+    std::uint64_t filled_ = 0;
+    // cursor_ % size and filled_ % size, kept without a division per step.
+    std::size_t cursor_slot_ = 0;
+    std::size_t filled_slot_ = 0;
 };
 
 static_assert(InteractionModel<AdversarialCoverModel>);

@@ -1,6 +1,7 @@
 #include "service/registry.h"
 
 #include <algorithm>
+#include <chrono>
 #include <stdexcept>
 #include <utility>
 
@@ -58,6 +59,20 @@ bool is_terminal(SessionState state) {
            state == SessionState::kCancelled;
 }
 
+/// N of a session id "s-N" in the form the registry hands out (N >= 1, no
+/// leading zero, fits 64 bits), or nullopt.
+std::optional<std::uint64_t> session_number(const std::string& id) {
+    if (id.size() < 3 || id.compare(0, 2, "s-") != 0 || id[2] == '0') return std::nullopt;
+    std::uint64_t number = 0;
+    for (std::size_t i = 2; i < id.size(); ++i) {
+        if (id[i] < '0' || id[i] > '9') return std::nullopt;
+        const auto digit = static_cast<std::uint64_t>(id[i] - '0');
+        if (number > (~std::uint64_t{0} - digit) / 10) return std::nullopt;
+        number = number * 10 + digit;
+    }
+    return number;
+}
+
 }  // namespace
 
 SessionStatus RunRegistry::Session::status() const {
@@ -102,7 +117,7 @@ SessionStatus RunRegistry::FinishedSession::status(const std::string& id) const 
     status.effective_interactions = effective_interactions;
     status.quanta = quanta;
     status.stop_reason = stop_reason;
-    status.consensus = consensus;
+    if (has_consensus) status.consensus = consensus;
     status.last_output_change = last_output_change;
     return status;
 }
@@ -122,7 +137,9 @@ private:
 /// "start" event fires only for the session's first quantum, and the
 /// "stop" event only when the run is terminal (kPaused quantum boundaries
 /// are service bookkeeping, not trajectory events).  Each line gets the
-/// session id spliced in: {"session":"s-1","event":...}.
+/// session id spliced in: {"session":"s-1","event":...}.  Attached only to
+/// quanta dispatched while the session has subscribers; a subscriber who
+/// leaves mid-quantum stops the serialization at once.
 class RunRegistry::SessionTrace final : public RunObserver {
 public:
     SessionTrace(RunRegistry& registry, Session& session, bool first_segment)
@@ -239,24 +256,51 @@ std::size_t RunRegistry::backlog_locked() const {
 std::shared_ptr<RunRegistry::Session> RunRegistry::find_live_locked(const std::string& id) const {
     const auto it = sessions_.find(id);
     if (it != sessions_.end()) return it->second;
-    if (finished_.find(id) == finished_.end())
+    if (find_finished_locked(id) == nullptr)
         throw std::invalid_argument("unknown session \"" + id + "\"");
     return nullptr;
+}
+
+/// The finished record of `id`, or null.  Caller holds mutex_.
+const RunRegistry::FinishedSession* RunRegistry::find_finished_locked(
+    const std::string& id) const {
+    const std::optional<std::uint64_t> number = session_number(id);
+    if (!number) return nullptr;
+    const auto page = finished_.find(*number / kFinishedPage);
+    if (page == finished_.end()) return nullptr;
+    const FinishedSession& record = (*page->second)[*number % kFinishedPage];
+    return record.state != SessionState::kQueued ? &record : nullptr;
+}
+
+/// Files `record` under session number `number`.  Caller holds mutex_.
+void RunRegistry::add_finished_locked(std::uint64_t number, FinishedSession record) {
+    std::unique_ptr<FinishedPage>& page = finished_[number / kFinishedPage];
+    if (page == nullptr) page = std::make_unique<FinishedPage>();
+    ++finished_by_state_[static_cast<int>(record.state)];
+    (*page)[number % kFinishedPage] = std::move(record);
+}
+
+std::size_t RunRegistry::finished_count_locked() const {
+    std::size_t count = 0;
+    for (const std::uint64_t sessions : finished_by_state_) count += sessions;
+    return count;
 }
 
 SessionStatus RunRegistry::status(const std::string& id) const {
     const std::lock_guard<std::mutex> lock(mutex_);
     if (const std::shared_ptr<Session> session = find_live_locked(id)) return session->status();
-    return finished_.at(id).status(id);
+    return find_finished_locked(id)->status(id);
 }
 
 std::vector<SessionStatus> RunRegistry::list() const {
     std::vector<SessionStatus> statuses;
     {
         const std::lock_guard<std::mutex> lock(mutex_);
-        statuses.reserve(sessions_.size() + finished_.size());
+        statuses.reserve(sessions_.size() + finished_count_locked());
         for (const auto& [id, session] : sessions_) statuses.push_back(session->status());
-        for (const auto& [id, record] : finished_) statuses.push_back(record.status(id));
+        for_each_finished_locked([&](const std::string& id, const FinishedSession& record) {
+            statuses.push_back(record.status(id));
+        });
     }
     std::sort(statuses.begin(), statuses.end(),
               [](const SessionStatus& a, const SessionStatus& b) {
@@ -269,7 +313,7 @@ std::vector<SessionStatus> RunRegistry::list() const {
 void RunRegistry::suspend(const std::string& id) {
     std::unique_lock<std::mutex> lock(mutex_);
     const std::shared_ptr<Session> session = find_live_locked(id);
-    switch (session != nullptr ? session->state : finished_.at(id).state) {
+    switch (session != nullptr ? session->state : find_finished_locked(id)->state) {
         case SessionState::kRunning:
             session->pending = Session::PendingOp::kSuspend;
             session->stop_requested.store(true);
@@ -292,7 +336,7 @@ void RunRegistry::suspend(const std::string& id) {
 void RunRegistry::resume(const std::string& id) {
     std::unique_lock<std::mutex> lock(mutex_);
     const std::shared_ptr<Session> session = find_live_locked(id);
-    switch (session != nullptr ? session->state : finished_.at(id).state) {
+    switch (session != nullptr ? session->state : find_finished_locked(id)->state) {
         case SessionState::kSuspended:
         case SessionState::kEvicted:
             // An evicted session's checkpoint stays on disk and is faulted
@@ -320,7 +364,7 @@ void RunRegistry::resume(const std::string& id) {
 void RunRegistry::cancel(const std::string& id) {
     std::unique_lock<std::mutex> lock(mutex_);
     const std::shared_ptr<Session> session = find_live_locked(id);
-    switch (session != nullptr ? session->state : finished_.at(id).state) {
+    switch (session != nullptr ? session->state : find_finished_locked(id)->state) {
         case SessionState::kRunning:
             session->pending = Session::PendingOp::kCancel;
             session->stop_requested.store(true);
@@ -357,7 +401,7 @@ void RunRegistry::subscribe(const std::string& id, std::uint64_t token, LineSink
                                         std::memory_order_relaxed);
         return;
     }
-    const SessionState state = finished_.at(id).state;
+    const SessionState state = find_finished_locked(id)->state;
     lock.unlock();
     // A finished session's events all fired in the past: answer with its
     // final state rather than keep a sink that could never fire.
@@ -427,9 +471,6 @@ void RunRegistry::worker_loop() {
 
 RunRegistry::QuantumOutcome RunRegistry::run_one_quantum(Session& session) {
     QuantumOutcome outcome;
-    // Quantum-local, so the per-event path takes no lock; the registry
-    // folds it into the aggregate when the quantum settles.
-    MetricsAccumulator metrics;
     try {
         if (!session.checkpoint.has_value() && session.checkpoint_on_disk) {
             session.checkpoint = store_.load_checkpoint(session.id);
@@ -439,9 +480,11 @@ RunRegistry::QuantumOutcome RunRegistry::run_one_quantum(Session& session) {
         const CountConfiguration initial = build_initial(*session.protocol, session.spec);
 
         CaptureSink capture(outcome.checkpoint);
-        const bool first_segment = !session.checkpoint.has_value();
-        SessionTrace trace(*this, session, first_segment);
-        TeeObserver observers({&metrics, &trace});
+        // Only a watched quantum carries an observer: the metrics come from
+        // the RunResult's tallies either way.
+        std::optional<SessionTrace> trace;
+        if (session.subscriber_count.load(std::memory_order_relaxed) > 0)
+            trace.emplace(*this, session, !session.checkpoint.has_value());
 
         std::optional<telemetry::RunTelemetryCollector> telemetry_collector;
 
@@ -450,7 +493,7 @@ RunRegistry::QuantumOutcome RunRegistry::run_one_quantum(Session& session) {
         options.threads = session.spec.threads;
         options.seed = session.spec.seed;
         options.max_interactions = session.spec.budget;
-        options.observer = &observers;
+        if (trace) options.observer = &*trace;
         if (session.spec.snapshot_every != 0)
             options.snapshots = SnapshotSchedule::every(session.spec.snapshot_every);
         if (session.spec.telemetry) options.telemetry = &telemetry_collector.emplace();
@@ -469,16 +512,18 @@ RunRegistry::QuantumOutcome RunRegistry::run_one_quantum(Session& session) {
         // everything else (quantum grid, checkpoint capture, observers,
         // telemetry) is identical because both paths share the run-loop
         // kernel.
+        const auto start = std::chrono::steady_clock::now();
         if (session.spec.model != "uniform")
             outcome.result = run_scenario(*session.protocol, initial,
                                           scenario_spec_from(session.spec), options);
         else
             outcome.result = run_simulation(*session.protocol, initial, options);
+        outcome.wall_seconds =
+            std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
     } catch (const std::exception& error) {
         outcome.error = error.what();
         if (outcome.error.empty()) outcome.error = "unknown error";
     }
-    outcome.metrics = metrics.report();
     return outcome;
 }
 
@@ -488,7 +533,10 @@ RunRegistry::Settled RunRegistry::settle_after_quantum(Session& session,
     ++quanta_executed_;
     ++session.quanta;
     if (outcome.faulted) ++faults_;
-    metrics_.merge(outcome.metrics);
+    if (outcome.result) {
+        ++metrics_.runs_started;
+        metrics_.add_finished_run(*outcome.result, outcome.wall_seconds);
+    }
 
     const auto state_event = [&](const char* state) {
         return "{\"session\":" + json_quote(session.id) +
@@ -509,7 +557,8 @@ RunRegistry::Settled RunRegistry::settle_after_quantum(Session& session,
     if (result.stop_reason != StopReason::kPaused) {
         FinishedSession record = session.finished(SessionState::kDone);
         record.stop_reason = result.stop_reason;
-        record.consensus = result.consensus;
+        record.has_consensus = result.consensus.has_value();
+        record.consensus = result.consensus.value_or(0);
         retire_locked(session, std::move(record));
         settled.state_event = state_event("done");
         return settled;
@@ -547,8 +596,7 @@ RunRegistry::Settled RunRegistry::settle_after_quantum(Session& session,
 /// Caller holds mutex_ and a reference to `session`.
 void RunRegistry::retire_locked(const Session& session, FinishedSession record) {
     if (session.checkpoint_on_disk) store_.remove(session.id);
-    ++finished_by_state_[static_cast<int>(record.state)];
-    finished_.emplace(session.id, std::move(record));
+    add_finished_locked(*session_number(session.id), std::move(record));
     retiring_.insert(sessions_.extract(session.id));
 }
 
@@ -588,7 +636,7 @@ std::string RunRegistry::stats_json() const {
         evictions = evictions_;
         faults = faults_;
         quanta = quanta_executed_;
-        num_sessions = sessions_.size() + finished_.size();
+        num_sessions = sessions_.size() + finished_count_locked();
         queue_depth = backlog_locked();
         metrics = metrics_;
     }
@@ -643,8 +691,9 @@ void RunRegistry::drain() {
         }
         store_.save_manifest(id, manifest_json(session->status(), &session->spec));
     }
-    for (const auto& [id, record] : finished_)
+    for_each_finished_locked([&](const std::string& id, const FinishedSession& record) {
         store_.save_manifest(id, manifest_json(record.status(id), nullptr));
+    });
 }
 
 std::size_t RunRegistry::restore() {
@@ -687,29 +736,21 @@ void RunRegistry::restore_one(const std::string& id, const std::string& manifest
         record.quanta = value->as_u64("'quanta'");
     if (const JsonValue* value = parsed.find("stop_reason"))
         record.stop_reason = parse_stop_reason_label(value->as_string("'stop_reason'"));
-    if (const JsonValue* value = parsed.find("consensus"))
+    if (const JsonValue* value = parsed.find("consensus")) {
         record.consensus = static_cast<Symbol>(value->as_u64("'consensus'"));
-
-    std::unique_lock<std::mutex> lock(mutex_);
-    require(sessions_.find(id) == sessions_.end() && finished_.find(id) == finished_.end(),
-            "restore: duplicate session " + id);
-    // Keep fresh submissions from colliding with restored ids.
-    if (id.size() > 2 && id.compare(0, 2, "s-") == 0) {
-        std::uint64_t number = 0;
-        bool numeric = true;
-        for (std::size_t i = 2; i < id.size(); ++i) {
-            if (id[i] < '0' || id[i] > '9') {
-                numeric = false;
-                break;
-            }
-            number = number * 10 + static_cast<std::uint64_t>(id[i] - '0');
-        }
-        if (numeric && number >= next_session_number_) next_session_number_ = number + 1;
+        record.has_consensus = true;
     }
 
+    const std::optional<std::uint64_t> number = session_number(id);
+    require(number.has_value(), "restore: session id \"" + id + "\" is not of the form s-N");
+    std::unique_lock<std::mutex> lock(mutex_);
+    require(sessions_.find(id) == sessions_.end() && find_finished_locked(id) == nullptr,
+            "restore: duplicate session " + id);
+    // Keep fresh submissions from colliding with restored ids.
+    if (*number >= next_session_number_) next_session_number_ = *number + 1;
+
     if (is_terminal(state)) {
-        ++finished_by_state_[static_cast<int>(state)];
-        finished_.emplace(id, std::move(record));
+        add_finished_locked(*number, std::move(record));
         return;
     }
     // Everything in flight resumes from the queue; the spilled checkpoint

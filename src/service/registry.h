@@ -21,16 +21,24 @@
 // A session that reaches done, failed or cancelled leaves the live table
 // for a compact FinishedSession record holding only what status, list,
 // subscribe, stats and drain report; its spec, checkpoint, protocol and
-// subscribers are released.  The daemon keeps every session it ever ran,
-// so everything that scans sessions under the lock walks only the live
-// table.
+// subscribers are released.  The daemon keeps every session it ever ran, so
+// records are stored by session number in dense pages, 56 bytes each (plus
+// the name or error text of a session that has one), and everything that
+// scans sessions under the lock walks only the live table.
+//
+// A quantum attaches the session's trace observer only when the session
+// has subscribers at dispatch; an unwatched quantum runs with no observer,
+// so the kernel steps it without a single call.  A subscriber who attaches
+// mid-quantum is served from the next quantum on (and always receives the
+// final state event).
 //
 // Locking: one registry mutex guards the session table, the scheduler, the
 // aggregate metrics and all lifecycle transitions; quanta execute outside
 // the lock (a kRunning session's mutable state is owned by exactly one
-// worker) and observe into a quantum-local MetricsAccumulator, folded into
-// the aggregate when the quantum settles.  Subscriber fan-out uses a
-// separate mutex so trace streaming does not serialize against scheduling.
+// worker), and each settled quantum folds its RunResult (counters and the
+// kernel's event tallies) into the aggregate metrics.  Subscriber fan-out
+// uses a separate mutex so trace streaming does not serialize against
+// scheduling.
 
 #ifndef POPPROTO_SERVICE_REGISTRY_H
 #define POPPROTO_SERVICE_REGISTRY_H
@@ -41,6 +49,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <stdexcept>
 #include <memory>
 #include <mutex>
@@ -176,10 +185,12 @@ private:
         std::uint64_t effective_interactions = 0;
         std::uint64_t last_output_change = 0;
         std::uint64_t quanta = 0;
-        SessionState state = SessionState::kDone;
-        std::optional<StopReason> stop_reason;  // kDone only
-        std::optional<Symbol> consensus;
         std::unique_ptr<Text> text;
+        std::optional<StopReason> stop_reason;  // kDone only
+        Symbol consensus = 0;                   // meaningful iff has_consensus
+        bool has_consensus = false;
+        /// A terminal state; kQueued marks a page slot that holds no record.
+        SessionState state = SessionState::kQueued;
 
         SessionStatus status(const std::string& id) const;
     };
@@ -233,7 +244,7 @@ private:
         std::optional<RunResult> result;          // absent when `error` is set
         std::string error;
         bool faulted = false;  // checkpoint was loaded back from the store
-        MetricsReport metrics;  // the quantum's observer events
+        double wall_seconds = 0.0;  // the quantum's run, for the metrics
     };
 
     /// The locked transition's outputs the worker acts on after unlocking.
@@ -249,7 +260,20 @@ private:
     void evict_lru_locked();
     void publish(Session& session, const std::string& line);
     std::shared_ptr<Session> find_live_locked(const std::string& id) const;
+    const FinishedSession* find_finished_locked(const std::string& id) const;
     void retire_locked(const Session& session, FinishedSession record);
+    void add_finished_locked(std::uint64_t number, FinishedSession record);
+    std::size_t finished_count_locked() const;
+    /// Calls visit(id, record) for every finished session.  Caller holds
+    /// mutex_.
+    template <typename Visit>
+    void for_each_finished_locked(Visit&& visit) const {
+        for (const auto& [page_number, page] : finished_)
+            for (std::uint64_t slot = 0; slot < kFinishedPage; ++slot)
+                if ((*page)[slot].state != SessionState::kQueued)
+                    visit("s-" + std::to_string(page_number * kFinishedPage + slot),
+                          (*page)[slot]);
+    }
     void restore_one(const std::string& id, const std::string& manifest);
 
     class SessionTrace;
@@ -262,7 +286,12 @@ private:
     std::condition_variable work_cv_;
     std::condition_variable idle_cv_;
     std::unordered_map<std::string, std::shared_ptr<Session>> sessions_;  // live only
-    std::unordered_map<std::string, FinishedSession> finished_;
+    // Finished sessions by number ("s-N" holds slot N % kFinishedPage of
+    // page N / kFinishedPage).  Numbers are handed out densely, so pages
+    // fill up.
+    static constexpr std::uint64_t kFinishedPage = 256;
+    using FinishedPage = std::array<FinishedSession, kFinishedPage>;
+    std::map<std::uint64_t, std::unique_ptr<FinishedPage>> finished_;
     // Finished sessions whose final state event is still being published.
     std::unordered_map<std::string, std::shared_ptr<Session>> retiring_;
     std::array<std::uint64_t, 7> finished_by_state_{};  // indexed by SessionState

@@ -136,7 +136,7 @@ SimulationEngine parse_engine_name(const std::string& name);
 ScenarioSpec scenario_spec_from(const SessionSpec& spec);
 
 /// Session lifecycle states (see the file comment for the machine).
-enum class SessionState {
+enum class SessionState : std::uint8_t {
     kQueued,     ///< waiting in the fair scheduler for its next quantum
     kRunning,    ///< a worker is executing a quantum right now
     kSuspended,  ///< suspended by request; checkpoint resident in memory

@@ -5,12 +5,14 @@
 
 #include <cctype>
 #include <cstdint>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/batch_simulator.h"
 #include "core/observer.h"
+#include "core/run_loop.h"
 #include "core/simulator.h"
 #include "graphs/graph_simulation.h"
 #include "graphs/interaction_graph.h"
@@ -20,6 +22,8 @@
 #include "protocols/counting.h"
 #include "protocols/epidemic.h"
 #include "randomized/trials.h"
+#include "scenarios/scenario_spec.h"
+#include "telemetry/telemetry.h"
 #include "test_util.h"
 
 namespace popproto {
@@ -203,6 +207,173 @@ TEST(Observe, ObservationDoesNotPerturbGraphEngine) {
 }
 
 // --- TraceRecorder -------------------------------------------------------
+
+// --- Kernel tallies --------------------------------------------------------
+
+/// The per-event reference for RunResult::tallies: counts the observer
+/// calls one at a time.  Null runs are counted by the telemetry collector's
+/// per-skip probe.
+class EventCounter final : public RunObserver {
+public:
+    void on_snapshot(std::uint64_t, const CountConfiguration&) override { ++snapshots; }
+    void on_output_change(std::uint64_t) override { ++output_changes; }
+
+    std::uint64_t snapshots = 0;
+    std::uint64_t output_changes = 0;
+};
+
+class KeepingSink final : public CheckpointSink {
+public:
+    void on_checkpoint(const RunCheckpoint& checkpoint) override { last = checkpoint; }
+    RunCheckpoint last;
+};
+
+/// Runs `run` under `options` watched (a counter and a telemetry collector)
+/// and unwatched, and checks both runs' tallies against the counter and the
+/// collector; returns the unwatched result.
+RunResult expect_tallies_match_reference(
+    const std::function<RunResult(const RunOptions&)>& run, const RunOptions& options) {
+    EventCounter counter;
+    telemetry::RunTelemetryCollector collector;
+    RunOptions watched = options;
+    watched.observer = &counter;
+    watched.telemetry = &collector;
+    const RunResult reference = run(watched);
+    const RunResult plain = run(options);
+
+    const RunTallies& tallies = reference.tallies;
+    const telemetry::RunTelemetry& probes = *reference.telemetry;
+    EXPECT_EQ(tallies.output_changes, counter.output_changes);
+    EXPECT_EQ(tallies.snapshots, counter.snapshots);
+    EXPECT_EQ(tallies.null_runs, probes.geometric_skips);
+    EXPECT_EQ(tallies.null_interactions, probes.null_interactions_skipped);
+    for (std::size_t b = 0; b < tallies.null_run_length_log2.size(); ++b)
+        EXPECT_EQ(tallies.null_run_length_log2[b], probes.null_skip_length_log2.buckets[b]) << b;
+    EXPECT_TRUE(results_equal(plain, reference));
+    EXPECT_TRUE(plain.tallies == tallies);
+    return plain;
+}
+
+TEST(Observe, KernelTalliesMatchAPerEventReferenceOnEveryEngine) {
+    const auto counting = make_counting_protocol(5);
+    const auto epidemic = make_epidemic_protocol();
+    const auto small = CountConfiguration::from_input_counts(*counting, {200, 12});
+    const auto large = CountConfiguration::from_input_counts(*counting, {2000, 12});
+    const auto dense = CountConfiguration::from_input_counts(*epidemic, {9999, 1});
+    const auto models = CountConfiguration::from_input_counts(*epidemic, {511, 1});
+    const std::vector<double> weights = [] {
+        std::vector<double> w(212);
+        for (std::size_t i = 0; i < w.size(); ++i) w[i] = 1.0 + static_cast<double>(i % 3);
+        return w;
+    }();
+    const auto engine = [](SimulationEngine which, const TabulatedProtocol& protocol,
+                           const CountConfiguration& initial) {
+        return [which, &protocol, &initial](const RunOptions& options) {
+            RunOptions pinned = options;
+            pinned.engine = which;
+            return run_simulation(protocol, initial, pinned);
+        };
+    };
+    const struct {
+        const char* name;
+        std::function<RunResult(const RunOptions&)> run;
+        bool null_runs_cover_the_nulls;  // every null interaction lies in a null run
+        // Super-steps end on snapshots and checkpoints, so only the other
+        // engines keep one trajectory across the setups below.
+        bool super_steps;
+    } engines[] = {
+        {"agent_array", engine(SimulationEngine::kAgentArray, *counting, small), false, false},
+        {"count_batch", engine(SimulationEngine::kCountBatch, *counting, large), true, false},
+        {"collapsed", engine(SimulationEngine::kCollapsedBatch, *epidemic, dense), false, true},
+        {"adaptive", engine(SimulationEngine::kAdaptive, *epidemic, dense), false, true},
+        {"weighted",
+         [&](const RunOptions& options) {
+             return simulate_weighted(*counting, AgentConfiguration::from_counts(small), weights,
+                                      options);
+         },
+         false, false},
+        {"pair_model",
+         [&](const RunOptions& options) {
+             ScenarioSpec spec;
+             spec.model = "adversarial";
+             return run_scenario(*epidemic, models, spec, options);
+         },
+         false, false},
+    };
+
+    for (const auto& [name, run, null_runs_cover_the_nulls, super_steps] : engines) {
+        SCOPED_TRACE(name);
+        RunOptions plain;
+        plain.seed = 17;
+        const RunResult whole = expect_tallies_match_reference(run, plain);
+        if (null_runs_cover_the_nulls) {
+            EXPECT_GT(whole.tallies.null_runs, 0u);
+            EXPECT_EQ(whole.tallies.null_interactions,
+                      whole.interactions - whole.effective_interactions);
+        } else if (!super_steps) {
+            EXPECT_EQ(whole.tallies.null_runs, 0u);
+        }
+        EXPECT_GT(whole.tallies.output_changes, 0u);
+
+        RunOptions snapshots = plain;
+        snapshots.snapshots = SnapshotSchedule::every(97);
+        EXPECT_GT(expect_tallies_match_reference(run, snapshots).tallies.snapshots, 0u);
+
+        // Checkpoint cuts land inside null runs and split them.
+        KeepingSink sink;
+        RunOptions checkpointed = snapshots;
+        checkpointed.checkpoint_every = 101;
+        checkpointed.checkpoint_sink = &sink;
+        const RunResult cut = expect_tallies_match_reference(run, checkpointed);
+        if (!super_steps) {
+            EXPECT_EQ(cut.tallies.null_interactions, whole.tallies.null_interactions);
+            EXPECT_GE(cut.tallies.null_runs, whole.tallies.null_runs);
+        }
+
+        RunOptions window = plain;
+        window.stop_after_stable_outputs = 500;
+        expect_tallies_match_reference(run, window);
+
+        // A pause inside a null run, then the resumed remainder: each
+        // segment tallies its own events.
+        RunOptions first = checkpointed;
+        first.checkpoint_every = 0;
+        first.pause_after = whole.interactions / 3 + 1;
+        const RunResult head = expect_tallies_match_reference(run, first);
+        ASSERT_EQ(head.stop_reason, StopReason::kPaused);
+        const RunCheckpoint resume_point = sink.last;
+        RunOptions rest = snapshots;
+        rest.resume_from = &resume_point;
+        const RunResult tail = expect_tallies_match_reference(run, rest);
+        if (!super_steps) {
+            EXPECT_TRUE(results_equal(tail, whole));
+            EXPECT_EQ(head.tallies.null_interactions + tail.tallies.null_interactions,
+                      whole.tallies.null_interactions);
+        }
+    }
+}
+
+TEST(Observe, GraphEngineTalliesMatchAPerEventReference) {
+    // GraphRunResult carries no tallies; a MetricsAccumulator reads them
+    // from the kernel's RunResult in on_stop.
+    const auto protocol = make_counting_protocol(3);
+    const InteractionGraph graph = InteractionGraph::ring(64);
+    std::vector<Symbol> inputs(64, 0);
+    for (std::size_t i = 0; i < 64; i += 8) inputs[i] = 1;
+    EventCounter counter;
+    MetricsAccumulator metrics;
+    TeeObserver observers({&counter, &metrics});
+    RunOptions options;
+    options.seed = 3;
+    options.max_interactions = 50000;
+    options.observer = &observers;
+    options.snapshots = SnapshotSchedule::every(1000);
+    simulate_on_graph(*protocol, graph, inputs, options);
+    EXPECT_EQ(metrics.report().output_changes, counter.output_changes);
+    EXPECT_EQ(metrics.report().snapshots, counter.snapshots);
+    EXPECT_EQ(counter.snapshots, 50u);
+    EXPECT_EQ(metrics.report().null_runs, 0u);
+}
 
 TEST(Observe, TraceRecorderCapturesEpidemicTrajectory) {
     const auto protocol = make_epidemic_protocol();

@@ -23,6 +23,7 @@
 #include "graphs/interaction_graph.h"
 #include "protocols/counting.h"
 #include "protocols/epidemic.h"
+#include "protocols/leader_election.h"
 #include "test_util.h"
 
 namespace popproto {
@@ -376,7 +377,7 @@ TEST(CheckpointResume, BitIdenticalOnGraph) {
         return RunResult{graph_result.final_configuration.to_counts(protocol->num_states()),
                          graph_result.stop_reason, graph_result.interactions,
                          graph_result.effective_interactions, graph_result.last_output_change,
-                         graph_result.consensus, ObservedEngine::kGraph, nullptr};
+                         graph_result.consensus, ObservedEngine::kGraph, nullptr, {}};
     };
     check_resume_bit_identity(run, options, /*checkpoint_every=*/333);
 }
@@ -662,6 +663,90 @@ TEST(PauseResume, StopFlagAlreadyRaisedStopsBeforeAnyInteraction) {
     resumed_options.seed = 4;
     resumed_options.resume_from = &resume_point;
     expect_same_run(simulate(*protocol, initial, resumed_options), baseline);
+}
+
+/// A seeded run's RunResult as the run-loop kernel returned it before its
+/// stepping loop lost every per-interaction observer and telemetry call.
+struct PinnedRun {
+    const char* name;
+    StopReason stop;
+    std::uint64_t interactions;
+    std::uint64_t effective;
+    std::uint64_t last_output_change;
+    std::vector<std::uint64_t> counts;
+};
+
+void expect_pinned(const RunResult& result, const PinnedRun& pinned) {
+    SCOPED_TRACE(pinned.name);
+    EXPECT_EQ(result.stop_reason, pinned.stop);
+    EXPECT_EQ(result.interactions, pinned.interactions);
+    EXPECT_EQ(result.effective_interactions, pinned.effective);
+    EXPECT_EQ(result.last_output_change, pinned.last_output_change);
+    EXPECT_EQ(result.final_configuration.counts(), pinned.counts);
+}
+
+TEST(RunLoop, SeededAgentArrayAndCountBatchRunsMatchPinnedResults) {
+    // Any change to the kernel's stepping must keep these trajectories
+    // byte-identical: silence, stable-output windows (count-batch: cut
+    // inside a null skip) and budgets, on both single-step engines.
+    const auto epidemic = make_epidemic_protocol();
+    const auto counting3 = make_counting_protocol(3);
+    const auto counting5 = make_counting_protocol(5);
+    const auto leader = make_leader_election_protocol();
+    const auto e1000 = CountConfiguration::from_input_counts(*epidemic, {999, 1});
+    const auto e100k = CountConfiguration::from_input_counts(*epidemic, {99999, 1});
+    const auto options = [](std::uint64_t seed, SimulationEngine engine, std::uint64_t budget,
+                            std::uint64_t window) {
+        RunOptions result;
+        result.seed = seed;
+        result.engine = engine;
+        result.max_interactions = budget;
+        result.stop_after_stable_outputs = window;
+        return result;
+    };
+    constexpr auto kAgent = SimulationEngine::kAgentArray;
+    constexpr auto kBatch = SimulationEngine::kCountBatch;
+    constexpr auto kSilent = StopReason::kSilent;
+
+    const PinnedRun agent_epidemic[] = {
+        {"agent epidemic seed 1", kSilent, 7820, 999, 7820, {0, 1000}},
+        {"agent epidemic seed 2", kSilent, 7279, 999, 7279, {0, 1000}},
+        {"agent epidemic seed 3", kSilent, 7769, 999, 7769, {0, 1000}},
+    };
+    for (std::uint64_t seed = 1; seed <= 3; ++seed)
+        expect_pinned(run_simulation(*epidemic, e1000, options(seed, kAgent, 0, 0)),
+                      agent_epidemic[seed - 1]);
+    expect_pinned(
+        simulate(*counting3, CountConfiguration::from_input_counts(*counting3, {40, 8}),
+                 options(7, SimulationEngine::kAuto, 0, 0)),
+        {"agent counting3", kSilent, 273, 67, 273, {0, 0, 0, 48}});
+    expect_pinned(
+        simulate(*counting5, CountConfiguration::from_input_counts(*counting5, {200, 12}),
+                 options(5, SimulationEngine::kAuto, 0, 40)),
+        {"agent counting5 window", StopReason::kStableOutputs, 6025, 257, 5985,
+         {205, 3, 2, 0, 0, 2}});
+    expect_pinned(simulate(*epidemic, e1000, options(9, SimulationEngine::kAuto, 2000, 0)),
+                  {"agent epidemic budget", StopReason::kBudget, 2000, 20, 1990, {979, 21}});
+
+    const PinnedRun batch_epidemic[] = {
+        {"batch epidemic seed 1", kSilent, 1266549, 99999, 1266549, {0, 100000}},
+        {"batch epidemic seed 2", kSilent, 1343605, 99999, 1343605, {0, 100000}},
+        {"batch epidemic seed 3", kSilent, 1158549, 99999, 1158549, {0, 100000}},
+    };
+    for (std::uint64_t seed = 1; seed <= 3; ++seed)
+        expect_pinned(run_simulation(*epidemic, e100k, options(seed, kBatch, 0, 0)),
+                      batch_epidemic[seed - 1]);
+    expect_pinned(
+        run_simulation(*counting5, CountConfiguration::from_input_counts(*counting5, {2000, 12}),
+                       options(5, kBatch, 0, 2000)),
+        {"batch counting5 window", kSilent, 466570, 2018, 466570, {0, 0, 0, 0, 0, 2012}});
+    expect_pinned(run_simulation(*epidemic, e100k, options(11, kBatch, 500000, 0)),
+                  {"batch epidemic budget", StopReason::kBudget, 500000, 2669, 499997,
+                   {97330, 2670}});
+    expect_pinned(
+        run_simulation(*leader, CountConfiguration::from_input_counts(*leader, {5000}),
+                       options(13, kBatch, 0, 1000000)),
+        {"batch leader window", StopReason::kStableOutputs, 5425986, 4996, 4425986, {4996, 4}});
 }
 
 TEST(RunLoop, DefaultBudgetSaturatesInsteadOfOverflowing) {

@@ -428,6 +428,39 @@ TEST(ScenarioCheckpoint, AdversarialResumesBitIdenticallyMidEpoch) {
     check_scenario_bit_identity(spec, options, /*checkpoint_every=*/97, /*quantum=*/101);
 }
 
+TEST(ScenarioCheckpoint, AdversarialCheckpointWordsArePinned) {
+    // The model's checkpoint words (cursor, round keys, the displaced
+    // entries ahead of the cursor) as the overlay implementation wrote them:
+    // the window ring buffer must serialize identically, so files written
+    // before it still resume.
+    const auto protocol = make_epidemic_protocol();
+    const auto initial = CountConfiguration::from_input_counts(*protocol, {39, 1});
+    ScenarioSpec spec;
+    spec.model = "adversarial";
+    CollectingSink sink;
+    RunOptions options;
+    options.seed = 5;
+    options.checkpoint_every = 97;
+    options.checkpoint_sink = &sink;
+    const RunResult baseline = run_scenario(*protocol, initial, spec, options);
+    EXPECT_EQ(baseline.interactions, 750u);
+    ASSERT_EQ(sink.checkpoints.size(), 7u);
+    const RunCheckpoint& cut = sink.checkpoints[2];
+    EXPECT_EQ(cut.interactions, 291u);
+    const std::vector<std::uint64_t> pinned = {
+        291, 5320248114040590185ULL, 11106458710588138716ULL, 11982022302389484462ULL,
+        15154927347600407493ULL, 9531689329179025993ULL, 14471912560152521095ULL,
+        9295126279674440255ULL, 14917173486637513096ULL, 12,
+        291, 77, 293, 1525, 294, 1548, 295, 584, 297, 1130, 298, 1547,
+        299, 1403, 301, 1554, 302, 116, 303, 1247, 304, 1551, 305, 577};
+    EXPECT_EQ(cut.model_state, pinned);
+
+    const RunCheckpoint reloaded = checkpoint_from_string(checkpoint_to_string(cut));
+    RunOptions resumed;
+    resumed.resume_from = &reloaded;
+    expect_same_run(run_scenario(*protocol, initial, spec, resumed), baseline);
+}
+
 TEST(ScenarioCheckpoint, DynamicGraphResumesBitIdenticallyMidPhase) {
     ScenarioSpec spec;
     spec.model = "dynamic_graph";

@@ -627,25 +627,42 @@ std::vector<SessionSpec> metrics_mix() {
 }
 
 TEST(RunRegistryTest, MetricsAggregateDoesNotDependOnWorkerCount) {
-    // Each quantum observes into its own accumulator, merged into the
-    // aggregate when the quantum settles: every quantum must count exactly
-    // once however many workers interleave them.  Only the wall-clock
-    // fields may differ between the two registries.
-    const auto stats_after_mix = [](unsigned workers) {
+    // Each settled quantum folds its RunResult, event tallies included, into
+    // the aggregate: every quantum must count exactly once however many
+    // workers interleave them, and a quantum counts the same events whether
+    // a subscriber made it carry a trace observer or not.  Only the
+    // wall-clock fields may differ between the registries.
+    const auto stats_after_mix = [](unsigned workers, bool watched) {
         RegistryOptions options;
         options.workers = workers;
         options.spill_dir = fresh_dir("popproto_registry_metrics_" + std::to_string(workers));
+        // Declared before the registry, whose workers may still publish a
+        // final state event after wait_idle returns.
+        std::mutex lines_mutex;
+        std::size_t lines = 0;
         RunRegistry registry(options);
-        for (const SessionSpec& spec : metrics_mix()) registry.submit(spec);
+        for (const SessionSpec& spec : metrics_mix()) {
+            const std::string id = registry.submit(spec);
+            if (watched)
+                registry.subscribe(id, /*token=*/1, [&](const std::string&) {
+                    const std::lock_guard<std::mutex> lock(lines_mutex);
+                    ++lines;
+                });
+        }
         registry.wait_idle();
         const JsonValue stats = parse_json(registry.stats_json());
         std::filesystem::remove_all(options.spill_dir);
+        if (watched) {
+            const std::lock_guard<std::mutex> lock(lines_mutex);
+            EXPECT_GT(lines, 0u) << "no watched quantum streamed an event";
+        }
         return stats;
     };
-    const JsonValue serial = stats_after_mix(1);
-    const JsonValue parallel = stats_after_mix(4);
+    const JsonValue serial = stats_after_mix(1, false);
+    const JsonValue parallel = stats_after_mix(4, false);
+    const JsonValue watched = stats_after_mix(2, true);
 
-    for (const JsonValue* stats : {&serial, &parallel}) {
+    for (const JsonValue* stats : {&serial, &parallel, &watched}) {
         const JsonValue& metrics = *stats->find("metrics");
         const auto count = [&](const char* key) { return metrics.find(key)->as_u64(key); };
         EXPECT_EQ(count("runs_finished"), stats->find("quanta")->as_u64("quanta"));
@@ -656,15 +673,18 @@ TEST(RunRegistryTest, MetricsAggregateDoesNotDependOnWorkerCount) {
         EXPECT_GT(count("stops_paused"), 0u) << "no session was sliced";
         EXPECT_GT(count("null_runs"), 0u);
         EXPECT_GT(count("snapshots"), 0u);
+        EXPECT_GT(count("output_changes"), 0u);
     }
     const JsonValue::Object& serial_metrics = serial.find("metrics")->as_object("metrics");
-    const JsonValue::Object& parallel_metrics = parallel.find("metrics")->as_object("metrics");
-    ASSERT_EQ(serial_metrics.size(), parallel_metrics.size());
-    for (std::size_t i = 0; i < serial_metrics.size(); ++i) {
-        const auto& [key, value] = serial_metrics[i];
-        EXPECT_EQ(key, parallel_metrics[i].first);
-        if (key.rfind("wall_seconds", 0) == 0) continue;
-        EXPECT_EQ(value.to_string(), parallel_metrics[i].second.to_string()) << key;
+    for (const JsonValue* other : {&parallel, &watched}) {
+        const JsonValue::Object& other_metrics = other->find("metrics")->as_object("metrics");
+        ASSERT_EQ(serial_metrics.size(), other_metrics.size());
+        for (std::size_t i = 0; i < serial_metrics.size(); ++i) {
+            const auto& [key, value] = serial_metrics[i];
+            EXPECT_EQ(key, other_metrics[i].first);
+            if (key.rfind("wall_seconds", 0) == 0) continue;
+            EXPECT_EQ(value.to_string(), other_metrics[i].second.to_string()) << key;
+        }
     }
 }
 
@@ -953,6 +973,76 @@ TEST(RunRegistryTest, SubscribersReceiveSessionTaggedEventsThroughStop) {
     ASSERT_EQ(late_lines.size(), 1u);
     EXPECT_NE(late_lines[0].find("\"state\":\"done\""), std::string::npos) << late_lines[0];
     registry.unsubscribe(id, 2);
+    std::filesystem::remove_all(options.spill_dir);
+}
+
+TEST(RunRegistryTest, MidSessionSubscriberIsServedFromTheNextQuantum) {
+    // A quantum dispatched while nobody listens carries no trace observer.
+    // A subscriber who attaches to a suspended session therefore receives
+    // the trajectory from the next quantum on — every snapshot past the
+    // suspension point, no start event — then the stop and done events.
+    RegistryOptions options;
+    options.workers = 1;
+    options.spill_dir = fresh_dir("popproto_registry_mid_subscribe");
+    std::mutex lines_mutex;  // outlives the registry's workers
+    std::vector<std::string> lines;
+    RunRegistry registry(options);
+
+    SessionSpec spec;
+    spec.protocol = "epidemic";
+    spec.counts = {65535, 1};
+    spec.engine = "batch";
+    spec.seed = 5;
+    spec.quantum = 64;  // about 22,000 quanta, so the suspend lands mid-run
+    spec.snapshot_every = 65536;
+    const std::string id = registry.submit(spec);
+    wait_for(registry, id, [](const SessionStatus& s) { return s.quanta >= 1; });
+    registry.suspend(id);
+    const SessionStatus suspended = wait_for(registry, id, [](const SessionStatus& s) {
+        return s.state == SessionState::kSuspended || is_terminal(s);
+    });
+    ASSERT_EQ(suspended.state, SessionState::kSuspended) << "the run finished before suspend";
+
+    registry.subscribe(id, /*token=*/1, [&](const std::string& line) {
+        const std::lock_guard<std::mutex> lock(lines_mutex);
+        lines.push_back(line);
+    });
+    registry.resume(id);
+    const SessionStatus done = wait_for(registry, id, is_terminal);
+    // The worker publishes the done event after the status turns terminal.
+    const std::string done_event =
+        "{\"session\":\"" + id + "\",\"event\":\"state\",\"state\":\"done\"}";
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    for (;;) {
+        {
+            const std::lock_guard<std::mutex> lock(lines_mutex);
+            if (!lines.empty() && lines.back() == done_event) break;
+        }
+        ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "no done event";
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    registry.unsubscribe(id, 1);
+    expect_matches_direct(done, direct_run(spec));
+
+    const std::lock_guard<std::mutex> lock(lines_mutex);
+    std::vector<std::uint64_t> snapshots;
+    for (const std::string& line : lines) {
+        const JsonValue event = parse_json(line);
+        EXPECT_EQ(event.find("session")->as_string("session"), id);
+        const std::string& kind = event.find("event")->as_string("event");
+        EXPECT_NE(kind, "start") << line;
+        if (kind == "snapshot")
+            snapshots.push_back(event.find("t")->as_u64("t"));
+    }
+    std::vector<std::uint64_t> expected;
+    for (std::uint64_t index = (suspended.interactions / 65536 + 1) * 65536;
+         index <= done.interactions; index += 65536)
+        expected.push_back(index);
+    EXPECT_FALSE(expected.empty());
+    EXPECT_EQ(snapshots, expected);
+    ASSERT_GE(lines.size(), 2u);
+    EXPECT_NE(lines[lines.size() - 2].find("\"event\":\"stop\""), std::string::npos)
+        << lines[lines.size() - 2];
     std::filesystem::remove_all(options.spill_dir);
 }
 

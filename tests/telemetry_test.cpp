@@ -163,9 +163,9 @@ TEST(Telemetry, DoesNotPerturbBatchEngine) {
 }
 
 TEST(Telemetry, SkipAccountingMatchesObserverWithoutAnObserver) {
-    // The skip probes fire on the same sites as RunObserver::on_null_run
-    // but must not depend on an observer being attached: the telemetry of
-    // an observer-free run equals the observer's tally of an observed one.
+    // The skip probes fire where the kernel tallies null runs but must
+    // not depend on an observer being attached: the telemetry of an
+    // observer-free run equals the observer's tally of an observed one.
     const auto protocol = make_counting_protocol(5);
     const auto initial = CountConfiguration::from_input_counts(*protocol, {57, 7});
     const RunOptions plain = base_options(default_budget(64), 33);
