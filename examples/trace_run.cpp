@@ -108,6 +108,7 @@
 #include "presburger/parser.h"
 #include "protocols/counting.h"
 #include "protocols/epidemic.h"
+#include "scenarios/adversarial.h"
 #include "scenarios/games.h"
 #include "scenarios/scenario_spec.h"
 #include "telemetry/chrome_trace.h"
@@ -344,6 +345,9 @@ int main(int argc, char** argv) {
                             "dynamic_graph, or grid_mobility, got " + scenario.model);
         } else if (std::strcmp(arg, "--probe") == 0) {
             scenario.probe = parse_u64(arg, next());
+            if (scenario.probe > AdversarialCoverModel::kMaxProbeWindow)
+                usage_error("--probe: at most 65536 (the adversarial probe window cap), got " +
+                            std::to_string(scenario.probe));
         } else if (std::strcmp(arg, "--phases") == 0) {
             const std::string list = next();
             std::size_t start = 0;

@@ -22,9 +22,10 @@ the first violated guarantee:
      session on SIGTERM; a fresh daemon over the same spill directory
      restores them, finishes the interrupted run bit-identically, and
      preserves terminal sessions verbatim.
-  5. malformed submits: counts that wrap past 2^64 and a predicate whose
-     constants overflow int64 are answered ok:false with the named error,
-     and the daemon then still runs a normal session to done.
+  5. malformed submits: counts that wrap past 2^64, a predicate whose
+     constants overflow int64, an oversize predicate and an adversarial
+     probe past its cap are answered ok:false with the named error, and the
+     daemon then still runs a normal session to done.
   6. mid-session subscribe: a subscriber who attaches to a session that ran
      unwatched so far receives its trajectory from the next quantum on —
      every snapshot past that point, no start event — then the stop and
@@ -249,6 +250,11 @@ MALFORMED_SUBMITS = (
     # compiler's cap before any table is sized.
     ({"protocol": "predicate", "counts": [5, 3], "predicate": "x0 < 1000000"},
      "compile_formula: the predicate reaches more than 2048 states"),
+    # The adversarial model's window is sized by the probe: at n = 2^16 an
+    # unbounded probe would ask for n(n - 1) 32-byte entries (~137 GB).
+    ({"protocol": "epidemic", "counts": [65535, 1], "model": "adversarial",
+      "probe": 1000000000000},
+     "'probe' must be at most 65536"),
 )
 
 

@@ -66,9 +66,10 @@ def run(command, **kwargs):
     return result
 
 
-def prepare(ref, work):
+def prepare(ref, work, targets=("perfbench", *GATED)):
     """Exports REF (again only when its tree changed, so rebuilds stay
-    incremental) and builds both sides; returns {side: source root}."""
+    incremental) and builds `targets` on both sides; returns {side: source
+    root}.  scripts/check_identity.py builds trace_run through it."""
     tree = run(["git", "-C", ROOT, "rev-parse", f"{ref}^{{tree}}"],
                capture_output=True, text=True).stdout.strip()
     base, stamp = work / "base-src", work / "base-src.tree"
@@ -88,7 +89,7 @@ def prepare(ref, work):
         run(["cmake", "-S", source / "perfbench", "-B", build,
              "-DCMAKE_BUILD_TYPE=Release"], stdout=subprocess.DEVNULL)
         run(["cmake", "--build", build, "-j", min(4, os.cpu_count() or 1),
-             "--target", "perfbench", *GATED], stdout=subprocess.DEVNULL)
+             "--target", *targets], stdout=subprocess.DEVNULL)
     return sides
 
 

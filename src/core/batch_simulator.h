@@ -38,10 +38,13 @@
 // multiset of outputs (not any individual agent's output).
 //
 // Cost model: O(|Q|^2) setup, O(1) per skipped null, and per effective
-// interaction one geometric skip draw (a log and a log1p), the O(|Q|) pair
-// search over row weights, and the W bookkeeping: O(column degree) for each
-// of the at most four states whose net count changes (two for an epidemic
-// infection; core/effective_pairs.h).  A step allocates nothing.  The
+// interaction one geometric skip draw (table-driven logs certified against
+// libm's floor, core/fast_log.h; libm itself only when the certificate
+// fails), the O(|Q|) pair search over row weights and then the chosen row's
+// list of effective responders, and the W bookkeeping from the pair's
+// pre-netted moves: O(column degree) for each of the at most four states
+// whose net count changes (two for an epidemic infection;
+// core/effect_tables.h, core/effective_pairs.h).  A step allocates nothing.  The
 // agent-array engine remains preferable only when the effective fraction
 // stays near 1 *and* |Q| is large; for the protocols in this repository the
 // batch engine wins by orders of magnitude at large n (see bench_throughput).

@@ -1,7 +1,5 @@
 #include "core/collapsed_simulator.h"
 
-#include <array>
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -12,6 +10,7 @@
 #include "core/adaptive_simulator.h"
 #include "core/count_batch_stepper.h"
 #include "core/effect_tables.h"
+#include "core/fast_log.h"
 #include "core/require.h"
 #include "core/rng.h"
 #include "core/run_loop.h"
@@ -61,9 +60,12 @@ public:
     CountConfiguration counts() const { return CountConfiguration::from_state_counts(counts_); }
 
 protected:
-    CollapsedEngineBase(const TabulatedProtocol& protocol, const CountConfiguration& initial)
+    /// `tables` must outlive the stepper: run_collapsed builds them for the
+    /// run, and the adaptive stepper shares its count-batch part's.
+    CollapsedEngineBase(const TabulatedProtocol& protocol, const EffectTables& tables,
+                        const CountConfiguration& initial)
         : protocol_(protocol),
-          eff_(protocol),
+          eff_(tables),
           counts_(initial.counts()),
           population_(initial.population_size()),
           length_(engine_detail::super_step_length(population_)),
@@ -190,17 +192,12 @@ protected:
     }
 
     /// Books `k` executed interactions (p, q) -> next into `outcome`: the
-    /// effective count and the output-change flag (an identity or a swap
-    /// leaves the output multiset as it was, so only effective pairs can set
-    /// it).
+    /// effective count, read off the delta result, and the output-change flag
+    /// (an identity or a swap leaves the output multiset as it was, so only
+    /// effective pairs can set it).
     void book(State p, State q, StatePair next, std::uint64_t k, BatchOutcome& outcome) const {
-        outcome.effective += eff_.effective(p, q) * k;
-        const Symbol out_p = protocol_.output_fast(p);
-        const Symbol out_q = protocol_.output_fast(q);
-        const Symbol out_pn = protocol_.output_fast(next.initiator);
-        const Symbol out_qn = protocol_.output_fast(next.responder);
-        outcome.output_changed |=
-            !((out_pn == out_p && out_qn == out_q) || (out_pn == out_q && out_qn == out_p));
+        if (changes_multiset(p, q, next)) outcome.effective += k;
+        outcome.output_changed |= changes_outputs(protocol_, p, q, next);
     }
 
     /// New counts after the bulk realization: P (the fresh agents, left in
@@ -211,19 +208,19 @@ protected:
     }
 
     // W = number of effective ordered agent pairs; W == 0 iff silent.
-    // Recomputed O(|Q|^2) once per super-step (amortized over ~sqrt(n)
+    // Recomputed from the row lists, O(effective pairs of the present
+    // initiators), once per super-step (amortized over ~sqrt(n)
     // interactions, unlike the count-batch engine's per-step bookkeeping).
     void recompute_effective_pairs() {
-        const std::size_t num_states = eff_.num_states;
         std::uint64_t w = 0;
-        for (State p = 0; p < num_states; ++p) {
+        for (State p = 0; p < eff_.num_states; ++p) {
             if (counts_[p] == 0) continue;
-            const std::uint8_t* row =
-                eff_.eff_row.data() + static_cast<std::size_t>(p) * num_states;
-            std::uint64_t row_sum = 0;
-            for (State q = 0; q < num_states; ++q)
-                if (row[q]) row_sum += counts_[q];
-            w += counts_[p] * (row_sum - (row[p] ? 1 : 0));
+            std::uint64_t partners = 0;  // a diagonal pair needs a second agent
+            for (std::size_t e = eff_.row_start[p]; e < eff_.row_start[p + 1]; ++e) {
+                const State q = eff_.row_responders[e];
+                partners += counts_[q] - (q == p ? 1 : 0);
+            }
+            w += counts_[p] * partners;
         }
         effective_pairs_ = w;
     }
@@ -239,7 +236,7 @@ protected:
     }
 
     const TabulatedProtocol& protocol_;
-    EffectTables eff_;
+    const EffectTables& eff_;
     std::vector<std::uint64_t> counts_;
     std::uint64_t population_;
     std::uint64_t effective_pairs_ = 0;
@@ -355,8 +352,9 @@ public:
     static constexpr bool kGeometricSkips = false;
     static constexpr bool kSuperSteps = true;
 
-    CollapsedStepper(const TabulatedProtocol& protocol, const CountConfiguration& initial)
-        : CollapsedEngineBase(protocol, initial) {}
+    CollapsedStepper(const TabulatedProtocol& protocol, const EffectTables& tables,
+                     const CountConfiguration& initial)
+        : CollapsedEngineBase(protocol, tables, initial) {}
 
     /// Executes exactly `m` interactions as one super-step.
     BatchOutcome apply_super_step(Rng& rng, std::uint64_t m) {
@@ -430,9 +428,9 @@ public:
     static constexpr bool kSuperSteps = true;
     static constexpr bool kParallel = true;
 
-    ParallelCollapsedStepper(const TabulatedProtocol& protocol,
+    ParallelCollapsedStepper(const TabulatedProtocol& protocol, const EffectTables& tables,
                              const CountConfiguration& initial, unsigned threads)
-        : CollapsedEngineBase(protocol, initial), shards_(threads), pool_(threads) {
+        : CollapsedEngineBase(protocol, tables, initial), shards_(threads), pool_(threads) {
         require(threads >= 2, "collapsed: parallel stepper needs threads >= 2");
     }
 
@@ -567,7 +565,8 @@ private:
 /// keep.  The live configuration sits in the part of the current kind; a
 /// change of kind hands it over (set_step_kind).  The collapsed part, with
 /// its survival table, is built on the first super-step, so a run that never
-/// turns dense never pays for it.
+/// turns dense never pays for it; it reads the count-batch part's effect
+/// tables, so the stepper is neither copied nor moved.
 class AdaptiveStepper {
 public:
     static constexpr ObservedEngine kEngine = ObservedEngine::kAdaptive;
@@ -583,6 +582,9 @@ public:
           crossover_(crossover),
           crossover_pairs_(engine_detail::crossover_pairs(initial.population_size(), crossover)),
           collector_(collector) {}
+
+    AdaptiveStepper(const AdaptiveStepper&) = delete;
+    AdaptiveStepper& operator=(const AdaptiveStepper&) = delete;
 
     std::uint64_t population() const { return batch_.population(); }
 
@@ -607,7 +609,7 @@ public:
         } else if (collapsed_) {
             collapsed_->adopt(batch_.count_vector(), batch_.effective_pairs());
         } else {
-            collapsed_.emplace(protocol_, batch_.counts());
+            collapsed_.emplace(protocol_, batch_.tables(), batch_.counts());
             collapsed_->set_telemetry(collector_);
         }
         super_ = super;
@@ -677,34 +679,6 @@ SurvivalTable::SurvivalTable(std::uint64_t population, std::uint64_t length)
     }
 }
 
-namespace {
-
-/// ln(1 + i/256) for i = 0..256: the mantissa part of fast_negative_log.
-const std::array<double, 257> kLogMantissa = [] {
-    std::array<double, 257> table{};
-    for (std::size_t i = 0; i < table.size(); ++i)
-        table[i] = std::log(1.0 + static_cast<double>(i) / 256.0);
-    return table;
-}();
-
-/// -ln u for u in [0, 1), to about 1e-5 relative (+inf at 0): u = m 2^e
-/// with m in [1, 2), and ln m interpolated in a 256-bin table.  Only the
-/// inversion's starting point uses it, so its error costs walk steps, never
-/// exactness; against std::log it saves about a tenth of an event's cost.
-double fast_negative_log(double u) {
-    if (!(u > 0.0)) return std::numeric_limits<double>::infinity();
-    const auto bits = std::bit_cast<std::uint64_t>(u);
-    const int exponent = static_cast<int>(bits >> 52) - 1023;
-    const std::uint64_t mantissa = bits & ((std::uint64_t{1} << 52) - 1);
-    const std::size_t bin = mantissa >> 44;
-    const double within = static_cast<double>(mantissa & ((std::uint64_t{1} << 44) - 1)) /
-                          static_cast<double>(std::uint64_t{1} << 44);
-    const double log_m = kLogMantissa[bin] + within * (kLogMantissa[bin + 1] - kLogMantissa[bin]);
-    return -(static_cast<double>(exponent) * 0.6931471805599453 + log_m);
-}
-
-}  // namespace
-
 std::uint64_t SurvivalTable::invert(std::uint64_t touched, std::uint64_t limit, double u) const {
     const double* chain = entries_.data() + touched;  // chain[2l] / chain[0] = P(run >= l)
     const double threshold = u * chain[0];
@@ -712,9 +686,13 @@ std::uint64_t SurvivalTable::invert(std::uint64_t touched, std::uint64_t limit, 
     // The first l with chain[2l] <= threshold lies in [1, limit].  It sits
     // within a step or two of the root l* of 2l^2 + 2al + n ln u = 0 (u = 0
     // gives l* = +inf, which clamps to the cap); the two walks then land on
-    // the exact partition point of the non-increasing chain.
+    // the exact partition point of the non-increasing chain, so the error of
+    // the estimated -ln u costs walk steps, never exactness (the full
+    // negative_log made a dense super-step a few percent slower).
     const double a = static_cast<double>(touched);
-    const double root = 0.5 * (std::sqrt(a * a + 2.0 * population_ * fast_negative_log(u)) - a);
+    const double minus_log_u = u > 0.0 ? rng_detail::negative_log_estimate(u)
+                                       : std::numeric_limits<double>::infinity();
+    const double root = 0.5 * (std::sqrt(a * a + 2.0 * population_ * minus_log_u) - a);
     std::uint64_t l = root < static_cast<double>(limit) ? static_cast<std::uint64_t>(root) + 1 : limit;
     while (l > 1 && chain[2 * (l - 1)] <= threshold) --l;
     while (chain[2 * l] > threshold) ++l;
@@ -735,12 +713,13 @@ RunResult run_collapsed(const TabulatedProtocol& protocol, const CountConfigurat
     require_count_engine_input(protocol, initial);
     const unsigned threads = resolved_threads(options);
     require(threads <= 4096, "run_simulation: threads must be at most 4096");
+    const EffectTables tables(protocol);
     if (threads <= 1) {
-        CollapsedStepper stepper(protocol, initial);
+        CollapsedStepper stepper(protocol, tables, initial);
         stepper.set_telemetry(options.telemetry);
         return run_loop(stepper, protocol, options, "run_simulation");
     }
-    ParallelCollapsedStepper stepper(protocol, initial, threads);
+    ParallelCollapsedStepper stepper(protocol, tables, initial, threads);
     stepper.set_telemetry(options.telemetry);
     return run_loop(stepper, protocol, options, "run_simulation");
 }

@@ -42,6 +42,9 @@ public:
 
     const std::vector<std::uint64_t>& count_vector() const { return tracker_.counts(); }
 
+    /// The effect tables, which the adaptive stepper's collapsed part shares.
+    const EffectTables& tables() const { return tracker_.tables(); }
+
     std::uint64_t propose_skip(Rng& rng) {
         // Jump over the geometric run of null interactions preceding the
         // next effective one.
@@ -52,53 +55,35 @@ public:
     StepOutcome step(Rng& rng) {
         // Sample the effective ordered pair (p, q) with probability
         // proportional to c_p * (c_q - [p == q]) over effective pairs: an
-        // O(|Q|) scan of the row weights, then of the chosen row.
+        // O(|Q|) scan of the row weights, then of the chosen row's list,
+        // whose entry carries the pair's netted moves and output flag.
         const EffectTables& eff = tracker_.tables();
         const std::vector<std::uint64_t>& counts = tracker_.counts();
-        const std::size_t num_states = eff.num_states;
         std::uint64_t u = rng.below(tracker_.effective_pairs());
-        State p = 0;
-        State q = 0;
-        bool found = false;
-        for (State pi = 0; pi < num_states && !found; ++pi) {
-            if (counts[pi] == 0) continue;
-            const std::uint64_t rw = tracker_.row_weight(pi);
+        for (State p = 0; p < eff.num_states; ++p) {
+            if (counts[p] == 0) continue;
+            const std::uint64_t rw = tracker_.row_weight(p);
             if (u >= rw) {
                 u -= rw;
                 continue;
             }
-            const std::uint8_t* row =
-                eff.eff_row.data() + static_cast<std::size_t>(pi) * num_states;
-            for (State qi = 0; qi < num_states; ++qi) {
-                if (!row[qi]) continue;
-                const std::uint64_t pair_weight =
-                    counts[pi] * (counts[qi] - (pi == qi ? 1 : 0));
+            for (std::size_t e = eff.row_start[p]; e < eff.row_start[p + 1]; ++e) {
+                const State q = eff.row_responders[e];
+                const std::uint64_t pair_weight = counts[p] * (counts[q] - (p == q ? 1 : 0));
                 if (u < pair_weight) {
-                    p = pi;
-                    q = qi;
-                    found = true;
-                    break;
+                    // Effective by construction of the sampler.  The tracker
+                    // keeps partners and W consistent in O(column degree)
+                    // per state whose count moves.
+                    const PairMoves moves = eff.row_moves[e];
+                    tracker_.apply_moves(p, q, protocol_.apply_fast(p, q), moves);
+                    return StepOutcome{true, moves.output_changed};
                 }
                 u -= pair_weight;
             }
+            break;
         }
-        ensure(found, "count_batch: internal pair-sampling invariant violated");
-
-        const StatePair next = protocol_.apply_fast(p, q);
-        const Symbol out_p = protocol_.output_fast(p);
-        const Symbol out_q = protocol_.output_fast(q);
-        const Symbol out_pn = protocol_.output_fast(next.initiator);
-        const Symbol out_qn = protocol_.output_fast(next.responder);
-
-        StepOutcome outcome;
-        outcome.changed = true;  // effective by construction of the sampler
-        outcome.output_changed =
-            !((out_pn == out_p && out_qn == out_q) || (out_pn == out_q && out_qn == out_p));
-
-        // The tracker nets the four unit moves per state and keeps rowdot
-        // and W consistent in O(column degree) per changed state.
-        tracker_.apply_transition(p, q, next);
-        return outcome;
+        ensure(false, "count_batch: internal pair-sampling invariant violated");
+        return StepOutcome{};
     }
 
     CountConfiguration counts() const {

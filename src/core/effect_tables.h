@@ -1,15 +1,21 @@
-// Precomputed per-protocol classification of ordered state pairs, shared by
-// the count-based engines (batch_simulator.cpp, collapsed_simulator.cpp).
+// Precomputed per-protocol lists of the effective ordered state pairs, shared
+// by the count-based engines (count_batch_stepper.h, collapsed_simulator.cpp).
 //
-// eff_row[p * Q + q] is 1 iff delta(p, q) changes the multiset {p, q}
-// (identities and swaps are null).  The column view is sparse: state s's
-// effective initiators { p : eff_row[p * Q + s] } are listed, ascending, in
-// col_initiators[col_start[s] .. col_start[s + 1]).  A count change at s
-// touches exactly those rows' dot products, so EffectivePairTracker updates
-// in O(column degree) instead of walking a dense |Q|-byte column.
+// (p, q) is effective iff delta(p, q) changes the multiset {p, q}
+// (identities and swaps are null).  Row p lists its effective pairs in
+// ascending responder order, the order the count-batch pair search visits
+// them: row_responders[row_start[p] .. row_start[p + 1]), and row_moves
+// holds, entry for entry, the pair's net count moves and whether it changes
+// the output multiset, so a step applies them with no netting and no output
+// lookups.  The column view is the transpose: state s's effective
+// initiators, ascending, in col_initiators[col_start[s] .. col_start[s + 1]).
+// A count change at s touches exactly those rows' dot products, so
+// EffectivePairTracker updates in O(column degree).
 //
-// Cost: O(|Q|^2) to build (one pass over the delta table), |Q|^2 bytes for
-// eff_row plus one State per effective transition for the columns.
+// Cost: two passes over the delta table to build (the first sizes every
+// list, so nothing is reallocated or copied while the second fills them),
+// five allocations; per effective pair 4 bytes of responder, 5 of moves and
+// 4 of column, plus O(|Q|) row and column starts.
 
 #ifndef POPPROTO_CORE_EFFECT_TABLES_H
 #define POPPROTO_CORE_EFFECT_TABLES_H
@@ -22,33 +28,104 @@
 
 namespace popproto {
 
+/// The count-vector change of one interaction (p, q) -> (p', q'): the four
+/// unit moves -1 at p, -1 at q, +1 at p' and +1 at q', netted per distinct
+/// state into the slot of its first occurrence in (p, q, p', q'); a slot
+/// whose state repeats an earlier one holds 0.  An epidemic infection
+/// (I, S) -> (I, I) is {+1, -1, 0, 0}; a swap or an identity is all zero.
+struct PairMoves {
+    std::int8_t initiator = 0;       // net change at p
+    std::int8_t responder = 0;       // at q
+    std::int8_t next_initiator = 0;  // at p'
+    std::int8_t next_responder = 0;  // at q'
+    bool output_changed = false;     // {O(p'), O(q')} != {O(p), O(q)}
+};
+
+/// The netted moves of (p, q) -> next (output_changed left false): each of
+/// q, p', q' joins the slot of the first earlier state it equals.
+inline PairMoves net_moves(State p, State q, StatePair next) {
+    PairMoves moves{-1, -1, +1, +1, false};
+    const State a = next.initiator;
+    const State b = next.responder;
+    if (q == p) {
+        moves.initiator = -2;
+        moves.responder = 0;
+    }
+    if (a == p) {
+        ++moves.initiator;
+        moves.next_initiator = 0;
+    } else if (a == q) {
+        ++moves.responder;
+        moves.next_initiator = 0;
+    }
+    if (b == p) {
+        ++moves.initiator;
+        moves.next_responder = 0;
+    } else if (b == q) {
+        ++moves.responder;
+        moves.next_responder = 0;
+    } else if (b == a) {
+        ++moves.next_initiator;
+        moves.next_responder = 0;
+    }
+    return moves;
+}
+
+/// True iff (p, q) -> next changes the multiset of outputs.
+inline bool changes_outputs(const TabulatedProtocol& protocol, State p, State q,
+                            StatePair next) {
+    const Symbol out_p = protocol.output_fast(p);
+    const Symbol out_q = protocol.output_fast(q);
+    const Symbol out_pn = protocol.output_fast(next.initiator);
+    const Symbol out_qn = protocol.output_fast(next.responder);
+    return !((out_pn == out_p && out_qn == out_q) || (out_pn == out_q && out_qn == out_p));
+}
+
 struct EffectTables {
-    std::vector<std::uint8_t> eff_row;
+    std::vector<std::size_t> row_start;
+    std::vector<State> row_responders;
+    std::vector<PairMoves> row_moves;
     std::vector<std::size_t> col_start;
     std::vector<State> col_initiators;
     std::size_t num_states;
 
     explicit EffectTables(const TabulatedProtocol& protocol)
-        : eff_row(protocol.num_states() * protocol.num_states(), 0),
+        : row_start(protocol.num_states() + 1, 0),
           col_start(protocol.num_states() + 1, 0),
           num_states(protocol.num_states()) {
-        const std::vector<EffectiveTransition> transitions = protocol.effective_transitions();
-        for (const EffectiveTransition& t : transitions) {
-            eff_row[static_cast<std::size_t>(t.initiator) * num_states + t.responder] = 1;
-            ++col_start[t.responder + 1];
+        for (State p = 0; p < num_states; ++p) {
+            for (State q = 0; q < num_states; ++q) {
+                if (!changes_multiset(p, q, protocol.apply_fast(p, q))) continue;
+                ++row_start[p + 1];
+                ++col_start[q + 1];
+            }
         }
-        for (std::size_t s = 0; s < num_states; ++s) col_start[s + 1] += col_start[s];
-        // The list is row-major, so each column fills in ascending initiator
-        // order.
-        col_initiators.resize(transitions.size());
-        std::vector<std::size_t> fill(col_start.begin(), col_start.end() - 1);
-        for (const EffectiveTransition& t : transitions)
-            col_initiators[fill[t.responder]++] = t.initiator;
-    }
-
-    /// 1 iff delta(p, q) changes the multiset {p, q}.
-    std::uint8_t effective(State p, State q) const {
-        return eff_row[static_cast<std::size_t>(p) * num_states + q];
+        for (std::size_t s = 0; s < num_states; ++s) {
+            row_start[s + 1] += row_start[s];
+            col_start[s + 1] += col_start[s];
+        }
+        row_responders.resize(row_start[num_states]);
+        row_moves.resize(row_start[num_states]);
+        col_initiators.resize(col_start[num_states]);
+        // Row-major, so each row fills in ascending responder order and each
+        // column in ascending initiator order.  col_start[q] serves as
+        // column q's fill cursor, so it ends one column ahead; the shift
+        // below puts it back.
+        std::size_t entry = 0;
+        for (State p = 0; p < num_states; ++p) {
+            for (State q = 0; q < num_states; ++q) {
+                const StatePair next = protocol.apply_fast(p, q);
+                if (!changes_multiset(p, q, next)) continue;
+                PairMoves moves = net_moves(p, q, next);
+                moves.output_changed = changes_outputs(protocol, p, q, next);
+                row_responders[entry] = q;
+                row_moves[entry] = moves;
+                ++entry;
+                col_initiators[col_start[q]++] = p;
+            }
+        }
+        for (std::size_t s = num_states; s > 0; --s) col_start[s] = col_start[s - 1];
+        col_start[0] = 0;
     }
 };
 

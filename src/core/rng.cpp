@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
+
+#include "core/fast_log.h"
 
 namespace popproto {
 
@@ -250,12 +253,131 @@ std::uint64_t Rng::hypergeometric(std::uint64_t successes, std::uint64_t failure
 
 std::uint64_t Rng::geometric_skips(double success_probability) noexcept {
     if (success_probability >= 1.0) return 0;
-    double u = uniform01();
+    return rng_detail::geometric_skips(uniform01(), success_probability);
+}
+
+namespace rng_detail {
+
+namespace {
+
+// ln 2 split so that e * kLn2Hi is exact for |e| < 2^21 (fdlibm's
+// ln2_hi / ln2_lo).
+constexpr double kLn2Hi = 6.93147180369123816490e-01;  // 0x3fe62e42fee00000
+constexpr double kLn2Lo = 1.90821492927058770002e-10;  // 0x3dea39ef35793c76
+
+constexpr std::uint64_t kMantissaBits = (std::uint64_t{1} << 52) - 1;
+constexpr std::uint64_t kOneBits = 0x3ff0000000000000ULL;
+constexpr int kBinBits = 8;
+constexpr std::uint64_t kBinMask = ((std::uint64_t{1} << kBinBits) - 1) << (52 - kBinBits);
+constexpr std::uint64_t kHalfBin = std::uint64_t{1} << (51 - kBinBits);
+
+/// The bin of mantissas m in [1 + i/256, 1 + (i + 1)/256) is centred on
+/// c = 1 + (i + 1/2)/256: 1/c rounded, and ln c (libm, within an ulp).
+struct LogBin {
+    double inverse_centre;
+    double log_centre;
+};
+
+/// Built on first use, like the log-factorial table: a draw made while
+/// another translation unit is still being initialized never reads an
+/// unfilled table.
+const std::array<LogBin, std::size_t{1} << kBinBits>& log_bins() noexcept {
+    static const std::array<LogBin, std::size_t{1} << kBinBits> bins = [] {
+        std::array<LogBin, std::size_t{1} << kBinBits> table{};
+        for (std::size_t i = 0; i < table.size(); ++i) {
+            const double centre = 1.0 + (static_cast<double>(i) + 0.5) / 256.0;
+            table[i] = {1.0 / centre, std::log(centre)};
+        }
+        return table;
+    }();
+    return bins;
+}
+
+/// ln(1 + r) by its Taylor polynomial through r^5, in Estrin's order (the
+/// two halves run side by side): the omitted terms sum to at most |r|^6 / 5,
+/// so below 2^-56.3 for |r| <= 2^-9 and below 2^-62 relative for
+/// |r| <= 2^-12.
+double log1p_polynomial(double r) noexcept {
+    const double r2 = r * r;
+    return r + (r2 * (-0.5 + r * (1.0 / 3.0)) + (r2 * r2) * (-0.25 + r * 0.2));
+}
+
+// The fast path's range and error budget (fast_log.h).  With a = -ln u and
+// b = -ln(1 - p) as computed here, |a err| <= 2^-52 (1 + a), and |b err| <=
+// 2^-52 b below kSeriesBelow (the series) and 2^-52 b + 1.5 2^-52 from it
+// on (negative_log of the rounded 1 - p; there b >= 2^-12).  The quotient
+// q = a (1 / b) then lies within (2^-52 / b) (1 + a (5.5 + 1.5 [table] / b))
+// of libm's, counting one ulp for log, one for log1p and half for the
+// division on libm's side.  The tolerance (2^-51 + a c) / b doubles that:
+// c = 2^-48 >= 11 2^-52 for the series, 2^-38 >= (11 + 3 2^12) 2^-52 for
+// the table.
+constexpr double kFastMinProbability = 0x1p-40;
+constexpr double kSeriesBelow = 0x1p-12;
+constexpr double kAbsoluteTolerance = 0x1p-51;
+constexpr double kSeriesTolerance = 0x1p-48;
+constexpr double kTableTolerance = 0x1p-38;
+
+/// x = 2^exponent * centre * (1 + r) for a normal x, with centre the bin
+/// centre of x's mantissa and |r| <= 2^-9.
+struct LogParts {
+    double exponent;
+    double log_centre;
+    double r;
+};
+
+LogParts split_log(double x) noexcept {
+    const auto bits = std::bit_cast<std::uint64_t>(x);
+    const LogBin& bin = log_bins()[(bits & kBinMask) >> (52 - kBinBits)];
+    const double mantissa = std::bit_cast<double>((bits & kMantissaBits) | kOneBits);
+    const double centre = std::bit_cast<double>((bits & kBinMask) | kOneBits | kHalfBin);
+    // mantissa - centre is exact: both lie in [1, 2] and differ by <= 2^-9.
+    return {static_cast<double>(static_cast<int>(bits >> 52) - 1023), bin.log_centre,
+            (mantissa - centre) * bin.inverse_centre};
+}
+
+}  // namespace
+
+double negative_log(double x) noexcept {
+    const LogParts parts = split_log(x);
+    return -((parts.exponent * kLn2Hi + parts.log_centre) +
+             (log1p_polynomial(parts.r) + parts.exponent * kLn2Lo));
+}
+
+double negative_log_estimate(double x) noexcept {
+    const LogParts parts = split_log(x);
+    return -((parts.exponent * (kLn2Hi + kLn2Lo) + parts.log_centre) + parts.r);
+}
+
+std::uint64_t certified_geometric_skips(double u, double p) noexcept {
+    if (!(p >= kFastMinProbability && p < 1.0)) return kUndecided;
+    const double a = negative_log(u);
+    const bool series = p < kSeriesBelow;
+    const double b = series ? -log1p_polynomial(-p) : negative_log(1.0 - p);
+    const double inverse_b = 1.0 / b;
+    const double q = a * inverse_b;
+    const double tolerance =
+        (kAbsoluteTolerance + a * (series ? kSeriesTolerance : kTableTolerance)) * inverse_b;
+    if (!(q < 0x1p46 && tolerance < 0.25)) return kUndecided;
+    // libm's quotient is positive and within `tolerance` of q, and high > 0
+    // (a's error, 2^-52 (1 + a), is below 2^-51 + a c).  A truncation to 0
+    // means high < 1, so the floor is 0; otherwise it must also be <= low.
+    const double high = q + tolerance;
+    const auto skips = static_cast<std::int64_t>(high);
+    const bool decided = (skips == 0) | (static_cast<double>(skips) <= q - tolerance);
+    return decided ? static_cast<std::uint64_t>(skips) : kUndecided;
+}
+
+std::uint64_t geometric_skips(double u, double p) noexcept {
+    if (p >= 1.0) return 0;
     if (u <= 0.0) u = 1e-300;
-    const double skips = std::floor(std::log(u) / std::log1p(-success_probability));
+    const std::uint64_t certified = certified_geometric_skips(u, p);
+    if (certified != kUndecided) return certified;
+    const double skips = std::floor(std::log(u) / std::log1p(-p));
     if (skips < 0.0) return 0;
     if (skips > 1e18) return static_cast<std::uint64_t>(1e18);
     return static_cast<std::uint64_t>(skips);
 }
+
+}  // namespace rng_detail
 
 }  // namespace popproto

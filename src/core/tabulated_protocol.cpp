@@ -57,9 +57,7 @@ std::vector<EffectiveTransition> TabulatedProtocol::effective_transitions() cons
     for (State p = 0; p < num_states_; ++p) {
         for (State q = 0; q < num_states_; ++q) {
             const StatePair next = apply_fast(p, q);
-            const bool multiset_preserved = (next.initiator == p && next.responder == q) ||
-                                            (next.initiator == q && next.responder == p);
-            if (!multiset_preserved) transitions.push_back({p, q, next});
+            if (changes_multiset(p, q, next)) transitions.push_back({p, q, next});
         }
     }
     return transitions;

@@ -28,6 +28,13 @@ struct EffectiveTransition {
     StatePair result{0, 0};
 };
 
+/// True iff the interaction (p, q) -> next changes the multiset {p, q},
+/// i.e. is neither an identity nor a swap.
+inline bool changes_multiset(State p, State q, StatePair next) noexcept {
+    return !((next.initiator == p && next.responder == q) ||
+             (next.initiator == q && next.responder == p));
+}
+
 class TabulatedProtocol final : public Protocol {
 public:
     /// Raw tables; see field comments for the required shapes.
@@ -74,8 +81,8 @@ public:
 
     /// All multiset-changing ordered state pairs in row-major
     /// (initiator, responder) order.  One pass over the delta table; the
-    /// batch engine's effect tables and the mean-field drift quadratic
-    /// form are both assembled from this list.
+    /// mean-field drift quadratic form and the support silence test are
+    /// assembled from this list.
     std::vector<EffectiveTransition> effective_transitions() const;
 
 private:

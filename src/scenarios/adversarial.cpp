@@ -7,13 +7,23 @@
 
 namespace popproto {
 
+namespace {
+
+std::uint64_t checked_probe_window(std::uint64_t probe_window) {
+    require(probe_window <= AdversarialCoverModel::kMaxProbeWindow,
+            "AdversarialCoverModel: the probe window must be at most 65536 entries");
+    return probe_window;
+}
+
+}  // namespace
+
 AdversarialCoverModel::AdversarialCoverModel(const TabulatedProtocol& protocol,
                                              std::uint64_t num_agents,
                                              std::uint64_t probe_window)
     : protocol_(protocol),
       num_agents_(num_agents),
       num_pairs_(num_agents * (num_agents - 1)),
-      probe_window_(std::min(probe_window, num_pairs_)),
+      probe_window_(std::min(checked_probe_window(probe_window), num_pairs_)),
       window_(std::max<std::uint64_t>(1, probe_window_)),
       cursor_(num_agents * (num_agents - 1)),  // first propose_pair keys an epoch
       filled_(cursor_),

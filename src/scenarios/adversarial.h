@@ -45,10 +45,16 @@ public:
     static constexpr bool kCanSilence = true;
     static constexpr bool kHasState = true;
 
+    /// The largest accepted `probe_window`: 65,536 entries, a 2 MB window.
+    /// The window is allocated at that size, so a probe from outside input
+    /// (a wire submit, a command line) is refused above it by name.
+    static constexpr std::uint64_t kMaxProbeWindow = 65536;
+
     /// The model keeps a reference to `protocol` (it inspects deltas to
     /// find null interactions); the protocol must outlive the model.
     /// `probe_window` bounds the per-step look-ahead (0 disables probing,
-    /// degenerating to a pure random-permutation cover).
+    /// degenerating to a pure random-permutation cover); above
+    /// kMaxProbeWindow it throws std::invalid_argument before allocating.
     AdversarialCoverModel(const TabulatedProtocol& protocol, std::uint64_t num_agents,
                           std::uint64_t probe_window);
 

@@ -10,6 +10,7 @@
 #include "presburger/parser.h"
 #include "protocols/counting.h"
 #include "protocols/epidemic.h"
+#include "scenarios/adversarial.h"
 #include "scenarios/games.h"
 #include "scenarios/scenario_spec.h"
 
@@ -90,6 +91,9 @@ void validate_session_spec(const SessionSpec& spec) {
         require(spec.threads <= 1, "'model' other than uniform requires threads <= 1");
         if (spec.model == "dynamic_graph")
             require(!spec.phases.empty(), "model \"dynamic_graph\" requires 'phases'");
+        if (spec.model == "adversarial")
+            require(spec.probe <= AdversarialCoverModel::kMaxProbeWindow,
+                    "'probe' must be at most 65536 (the adversarial probe window cap)");
     }
 }
 

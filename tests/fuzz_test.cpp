@@ -184,12 +184,44 @@ State state_of_agent(const std::vector<std::uint64_t>& counts, std::uint64_t ind
     return s;
 }
 
+/// The count change that `moves` describes for (p, q) -> next, as a dense
+/// per-state vector; also fails if two non-zero slots name the same state
+/// (the netting left a state split across slots).
+std::vector<std::int64_t> moves_as_deltas(std::size_t num_states, State p, State q,
+                                          StatePair next, PairMoves moves) {
+    const State states[4] = {p, q, next.initiator, next.responder};
+    const std::int8_t slots[4] = {moves.initiator, moves.responder, moves.next_initiator,
+                                  moves.next_responder};
+    std::vector<std::int64_t> deltas(num_states, 0);
+    std::vector<int> named(num_states, 0);
+    for (std::size_t i = 0; i < 4; ++i) {
+        if (slots[i] == 0) continue;
+        deltas[states[i]] += slots[i];
+        EXPECT_EQ(++named[states[i]], 1) << "state " << states[i] << " split across slots";
+    }
+    return deltas;
+}
+
 TEST(Fuzz, EffectivePairTrackerMatchesARebuildAfterEveryTransition) {
-    // The incremental bookkeeping (net deltas over sparse columns) against
+    // The incremental bookkeeping (netted moves over sparse columns) against
     // a tracker built from scratch and a brute-force W, after every booked
-    // interaction.  The moves are drawn to hit every way the four unit
-    // moves p, q -> p', q' can alias; each pattern must occur.
-    enum Alias { kSameState, kSwap, kInitiatorStays, kSameTarget, kNetTwo, kAliasCount };
+    // interaction.  Each random protocol's stored row entries are checked
+    // against the definitions (ascending effective responders, netted moves
+    // equal to the four unit moves, output flag), and its own interactions
+    // are booked from those entries; the other moves are drawn to hit every
+    // way the four unit moves p, q -> p', q' can alias, netted by net_moves.
+    // Each pattern must occur, and stored entries must include p == q pairs
+    // and partial cancellations.
+    enum Alias {
+        kSameState,
+        kSwap,
+        kInitiatorStays,
+        kSameTarget,
+        kNetTwo,
+        kStoredSameState,
+        kStoredPartial,
+        kAliasCount
+    };
     std::array<int, kAliasCount> seen{};
     Rng rng(1848);
     for (int round = 0; round < 60; ++round) {
@@ -202,6 +234,32 @@ TEST(Fuzz, EffectivePairTrackerMatchesARebuildAfterEveryTransition) {
         for (const std::uint64_t count : counts) n += count;
         EffectivePairTracker tracker(*protocol, counts);
 
+        const EffectTables& tables = tracker.tables();
+        const std::vector<EffectiveTransition> transitions = protocol->effective_transitions();
+        ASSERT_EQ(tables.row_responders.size(), transitions.size()) << "round " << round;
+        for (State p = 0, e = 0; p < num_states; ++p) {
+            ASSERT_EQ(tables.row_start[p], e) << "round " << round;
+            for (; e < tables.row_start[p + 1]; ++e) {
+                const EffectiveTransition& t = transitions[e];  // row-major, as the rows
+                ASSERT_EQ(t.initiator, p);
+                ASSERT_EQ(tables.row_responders[e], t.responder) << "round " << round;
+                std::vector<std::int64_t> brute(num_states, 0);
+                --brute[p];
+                --brute[t.responder];
+                ++brute[t.result.initiator];
+                ++brute[t.result.responder];
+                const PairMoves moves = tables.row_moves[e];
+                EXPECT_EQ(moves_as_deltas(num_states, p, t.responder, t.result, moves), brute)
+                    << "round " << round << " pair " << p << "," << t.responder;
+                std::array<Symbol, 2> before = {protocol->output(p), protocol->output(t.responder)};
+                std::array<Symbol, 2> after = {protocol->output(t.result.initiator),
+                                               protocol->output(t.result.responder)};
+                std::sort(before.begin(), before.end());
+                std::sort(after.begin(), after.end());
+                EXPECT_EQ(moves.output_changed, before != after) << "round " << round;
+            }
+        }
+
         for (int step = 0; step < 100; ++step) {
             const State p = state_of_agent(counts, rng.below(n));
             --counts[p];
@@ -209,18 +267,35 @@ TEST(Fuzz, EffectivePairTrackerMatchesARebuildAfterEveryTransition) {
             ++counts[p];
             const auto any = [&] { return static_cast<State>(rng.below(num_states)); };
             StatePair next{};
+            PairMoves moves{};
+            bool stored = false;
             switch (rng.below(5)) {
-                case 0: next = protocol->apply_fast(p, q); break;
+                case 0: {
+                    // The protocol's own interaction, booked from its stored
+                    // row entry when it is effective.
+                    next = protocol->apply_fast(p, q);
+                    for (std::size_t e = tables.row_start[p]; e < tables.row_start[p + 1]; ++e) {
+                        if (tables.row_responders[e] != q) continue;
+                        moves = tables.row_moves[e];
+                        stored = true;
+                        if (p == q) ++seen[kStoredSameState];
+                        if (next.initiator == p || next.initiator == q ||
+                            next.responder == p || next.responder == q)
+                            ++seen[kStoredPartial];
+                    }
+                    break;
+                }
                 case 1: next = {q, p}; break;
                 case 2: next = {p, any()}; break;
                 case 3: next.initiator = next.responder = any(); break;
                 default: next = {any(), any()}; break;
             }
+            if (!stored) moves = net_moves(p, q, next);
             --counts[p];
             --counts[q];
             ++counts[next.initiator];
             ++counts[next.responder];
-            tracker.apply_transition(p, q, next);
+            tracker.apply_moves(p, q, next, moves);
 
             if (p == q) ++seen[kSameState];
             if (p != q && next.initiator == q && next.responder == p) ++seen[kSwap];
@@ -231,7 +306,7 @@ TEST(Fuzz, EffectivePairTrackerMatchesARebuildAfterEveryTransition) {
 
             const EffectivePairTracker fresh(*protocol, counts);
             std::uint64_t brute_w = 0;
-            for (const EffectiveTransition& t : protocol->effective_transitions())
+            for (const EffectiveTransition& t : transitions)
                 brute_w += counts[t.initiator] *
                            (counts[t.responder] - (t.initiator == t.responder ? 1 : 0));
             ASSERT_EQ(tracker.counts(), counts) << "round " << round << " step " << step;

@@ -132,6 +132,65 @@ TEST(PopulationMachine, PrologueInitializationUsuallyCompletes) {
     EXPECT_LE(incomplete, 4);
 }
 
+TEST(PopulationMachine, SeededRunsMatchPinnedResults) {
+    // Every leaderless stretch is one Rng::geometric_skips draw, so these
+    // pins hold its values fixed for a fixed seed: p = (n - 1)^-k of a timer
+    // streak, 2 / n, the prologue's election, the bulk zero test's
+    // 199^-5 ~ 2^-38 and, past the fast path's range, 999^-6 ~ 2^-60, whose
+    // waits reach the 10^18 cap (that run exhausts its budget).
+    struct Pinned {
+        const char* name;
+        CounterProgram program;
+        std::vector<std::uint64_t> initial;
+        std::uint64_t population;
+        std::uint32_t k;
+        std::uint64_t seed;
+        bool prologue;
+        bool halted;
+        std::vector<std::uint64_t> counters;
+        std::uint64_t interactions;
+        std::uint64_t leader_encounters;
+        std::uint64_t zero_tests;
+        std::uint64_t zero_test_errors;
+        std::uint64_t election_interactions;
+    };
+    const Pinned pinned[] = {
+        {"countdown", make_countdown_program(), {9}, 16, 3, 1, false, true, {0}, 45087, 5563,
+         10, 0, 0},
+        {"multiply", make_multiply_program(3), {6, 0}, 24, 4, 2, false, true, {18, 0}, 6234923,
+         519991, 26, 0, 0},
+        {"low timer", make_multiply_program(2), {8, 0}, 12, 1, 5, false, true, {9, 2}, 364, 65,
+         9, 2, 0},
+        {"prologue", make_countdown_program(), {6}, 32, 4, 7, true, true, {0}, 38608604,
+         2412053, 7, 0, 1042},
+        {"bulk zero test", make_countdown_program(), {3}, 200, 5, 11, false, true, {0},
+         7256476651516, 72564416538, 4, 0, 0},
+        {"capped waits", make_countdown_program(), {2}, 1000, 6, 13, false, false, {0},
+         1302846864758061763, 302846864757098820, 3, 0, 0},
+    };
+    for (const Pinned& run : pinned) {
+        SCOPED_TRACE(run.name);
+        PopulationMachineOptions options;
+        options.timer_parameter = run.k;
+        options.share_capacity = 4;
+        options.max_interactions = 1'000'000'000'000'000;
+        options.seed = run.seed;
+        options.leader_election_prologue = run.prologue;
+        const auto result =
+            run_population_counter_machine(run.program, run.initial, run.population, options);
+        EXPECT_EQ(result.halted, run.halted);
+        EXPECT_EQ(result.stuck, !run.halted);
+        EXPECT_EQ(result.exit_code, 0u);
+        EXPECT_EQ(result.counters, run.counters);
+        EXPECT_EQ(result.interactions, run.interactions);
+        EXPECT_EQ(result.leader_encounters, run.leader_encounters);
+        EXPECT_EQ(result.zero_tests, run.zero_tests);
+        EXPECT_EQ(result.zero_test_errors, run.zero_test_errors);
+        EXPECT_EQ(result.election_interactions, run.election_interactions);
+        EXPECT_FALSE(result.initialization_incomplete);
+    }
+}
+
 TEST(PopulationMachine, EndToEndMinskyParity) {
     // Theorem 10 end to end: simulate the parity TM via its Minsky program on
     // a population, with a high timer parameter for reliability.

@@ -2,9 +2,11 @@
 // branches of the hypergeometric sampler powering the collapsed super-step
 // engine (the mode-centered inverse-CDF walk below variance 20, Stadlober's
 // ratio-of-uniforms sampler at and above it, with Stirling log-factorials
-// for large arguments), and geometric_skips.  All tests use fixed seeds and
-// the 0.999-quantile helper from test_util.h, so they are deterministic; a
-// wrong sampler overshoots the critical value by orders of magnitude.
+// for large arguments), and geometric_skips, whose certified table-driven
+// fast path must also equal libm's inversion formula draw for draw.  All
+// tests use fixed seeds and the 0.999-quantile helper from test_util.h, so
+// they are deterministic; a wrong sampler overshoots the critical value by
+// orders of magnitude.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "core/fast_log.h"
 #include "core/rng.h"
 #include "test_util.h"
 
@@ -177,6 +180,98 @@ TEST(RngGeometricSkips, MatchesPmfAcrossRegimes) {
         }
         const ChiSquareResult gof = chi_square_gof(observed, pmf, kDraws);
         EXPECT_TRUE(gof.pass) << gof.summary();
+    }
+}
+
+/// floor(log u / log1p(-p)) with geometric_skips' substitution of u = 0 and
+/// its 10^18 cap, evaluated with libm independently of the library.
+std::uint64_t inversion_formula(double u, double p) {
+    if (p >= 1.0) return 0;
+    if (u <= 0.0) u = 1e-300;
+    const double skips = std::floor(std::log(u) / std::log1p(-p));
+    if (skips < 0.0) return 0;
+    if (skips > 1e18) return static_cast<std::uint64_t>(1e18);
+    return static_cast<std::uint64_t>(skips);
+}
+
+TEST(RngGeometricSkips, FastPathEqualsTheInversionFormula) {
+    // Every seeded trajectory depends on these values, so the fast path
+    // must not move one: whenever it certifies a floor, that floor must be
+    // libm's, and geometric_skips must return libm's everywhere else.
+    std::uint64_t mismatches = 0;
+    std::uint64_t certified = 0;
+    std::uint64_t certifiable = 0;  // pairs with p in [2^-30, 1)
+    const auto check = [&](double u, double p) {
+        const std::uint64_t expected = inversion_formula(u, p);
+        const std::uint64_t got = rng_detail::geometric_skips(u, p);
+        const std::uint64_t fast =
+            u > 0.0 && p < 1.0 ? rng_detail::certified_geometric_skips(u, p)
+                               : rng_detail::kUndecided;
+        if (p >= 0x1p-30 && p < 1.0 && u > 0.0) {
+            ++certifiable;
+            certified += fast != rng_detail::kUndecided ? 1 : 0;
+        }
+        if (got == expected && (fast == rng_detail::kUndecided || fast == expected)) return;
+        if (++mismatches <= 5)
+            ADD_FAILURE() << "u = " << std::hexfloat << u << ", p = " << p << std::defaultfloat
+                          << ": formula " << expected << ", geometric_skips " << got
+                          << ", fast path " << fast;
+    };
+
+    // 10^7 seeded pairs, p log-uniform on [2^-60, 1).
+    Rng rng(2604);
+    for (int i = 0; i < 10'000'000; ++i) {
+        const double u = rng.uniform01();
+        check(u, std::exp2(-60.0 * rng.uniform01()));
+    }
+    // u = 0 (geometric_skips substitutes 1e-300), and u one ulp either side
+    // of (1 - p)^k, where the floor steps from k - 1 to k.
+    const double probabilities[] = {0.5,     0.25,    0.1,     1e-3,   0x1p-12, 0x1.0000000000001p-12,
+                                    0x1p-20, 0x1p-33, 0x1p-40, 0.9999, 0.75};
+    for (const double p : probabilities) {
+        check(0.0, p);
+        for (int k = 1; k <= 64; ++k) {
+            const double boundary = std::exp(k * std::log1p(-p));
+            if (!(boundary > 0.0 && boundary < 1.0)) continue;
+            for (double u = std::nextafter(boundary, 0.0), steps = 0; steps < 3;
+                 u = std::nextafter(u, 1.0), ++steps)
+                check(u, p);
+        }
+    }
+    // p = 0.5, p just below 1, and p small enough for the 10^18 cap.
+    for (int i = 0; i < 100'000; ++i) {
+        const double u = rng.uniform01();
+        check(u, 0.5);
+        check(u, std::nextafter(1.0, 0.0));
+        check(u, 1.0 - 0x1p-30);
+        check(u, 1e-19);
+        check(u, 0x1p-64);
+    }
+    EXPECT_EQ(inversion_formula(0.5, 1e-19), static_cast<std::uint64_t>(1e18));
+    EXPECT_EQ(mismatches, 0u);
+    // The fast path carries the load: it decides essentially every draw
+    // whose p keeps the quotient below 2^36.
+    EXPECT_GT(certifiable, 4'000'000u);
+    EXPECT_GE(static_cast<double>(certified), 0.999 * static_cast<double>(certifiable));
+
+    // The member draws one uniform01 per call and returns the pure function
+    // of it.
+    Rng draws(77);
+    Rng uniforms(77);
+    for (int i = 0; i < 10'000; ++i) {
+        const double p = std::exp2(-40.0 * (i % 97 + 1) / 98.0);  // below 1: one draw
+        EXPECT_EQ(draws.geometric_skips(p), inversion_formula(uniforms.uniform01(), p)) << i;
+    }
+
+    // negative_log keeps its stated bound, 2^-52 (1 + |ln x|), against libm's
+    // log (within an ulp of its own).
+    for (int i = 0; i < 1'000'000; ++i) {
+        const double x = i % 2 == 0 ? rng.uniform01() : std::exp2(-1000.0 * rng.uniform01());
+        if (x <= 0.0) continue;
+        const double exact = -std::log(x);
+        ASSERT_LE(std::abs(rng_detail::negative_log(x) - exact),
+                  0x1p-52 * (1.0 + exact) + 0x1p-52 * exact)
+            << std::hexfloat << x;
     }
 }
 

@@ -22,6 +22,8 @@
 #include "core/batch_simulator.h"
 #include "core/run_loop.h"
 #include "core/simulator.h"
+#include "protocols/epidemic.h"
+#include "scenarios/adversarial.h"
 #include "service/checkpoint_store.h"
 #include "service/registry.h"
 #include "service/scheduler.h"
@@ -377,6 +379,31 @@ TEST(RunRegistryTest, SubmitRejectsInvalidScenarioSpecs) {
     no_phases.counts = {10, 2};
     no_phases.model = "dynamic_graph";
     EXPECT_THROW(registry.submit(no_phases), std::invalid_argument);
+
+    // The adversarial window is sized by the probe: n = 2^16 with a huge
+    // probe would ask for n(n - 1) 32-byte entries, so it is refused by name
+    // at the cap, and the cap itself is accepted.
+    SessionSpec huge_probe;
+    huge_probe.counts = {(1u << 16) - 1, 1};
+    huge_probe.model = "adversarial";
+    huge_probe.probe = 1'000'000'000'000;
+    try {
+        registry.submit(huge_probe);
+        ADD_FAILURE() << "submitted a probe past the cap";
+    } catch (const std::invalid_argument& error) {
+        EXPECT_NE(std::string(error.what()).find("at most 65536"), std::string::npos)
+            << error.what();
+    }
+    huge_probe.probe = AdversarialCoverModel::kMaxProbeWindow + 1;
+    EXPECT_THROW(registry.submit(huge_probe), std::invalid_argument);
+    EXPECT_TRUE(registry.list().empty());
+    const auto epidemic = make_epidemic_protocol();
+    EXPECT_THROW(AdversarialCoverModel(*epidemic, 1u << 16,
+                                       AdversarialCoverModel::kMaxProbeWindow + 1),
+                 std::invalid_argument);
+    EXPECT_EQ(AdversarialCoverModel(*epidemic, 1u << 16, AdversarialCoverModel::kMaxProbeWindow)
+                  .num_pairs(),
+              (std::uint64_t{1} << 16) * ((1u << 16) - 1));
 
     std::filesystem::remove_all(options.spill_dir);
 }
@@ -910,10 +937,15 @@ TEST(RunRegistryTest, FairSchedulingLetsTinyRunsFinishUnderAHugeRun) {
             wait_for(registry, id, [](const SessionStatus& s) { return is_terminal(s); });
         EXPECT_EQ(status.state, SessionState::kDone) << id;
     }
-    // The huge run progressed but is nowhere near done: nobody starved.
-    const SessionStatus huge_status = registry.status(huge_id);
-    EXPECT_FALSE(is_terminal(huge_status));
+    // Nobody starved: the huge run settles a quantum (waited for with a
+    // deadline, since its first quantum may still be in flight when the last
+    // tiny run finishes) and is nowhere near done, so the tiny runs did not
+    // wait for it.
+    const SessionStatus huge_status = wait_for(registry, huge_id, [](const SessionStatus& s) {
+        return s.quanta > 0 || is_terminal(s);
+    });
     EXPECT_GT(huge_status.quanta, 0u);
+    EXPECT_FALSE(is_terminal(huge_status));
     registry.cancel(huge_id);
     registry.wait_idle();
     std::filesystem::remove_all(options.spill_dir);
