@@ -462,9 +462,16 @@ int main(int argc, char** argv) {
         }
         // A parallel-collapsed checkpoint fixes the shard count; infer
         // --threads from the file (and reject a conflicting explicit value
-        // here, where the message can name both numbers).
+        // here, where the message can name both numbers).  One stopped
+        // before its first super-step carved the streams records none, and
+        // --threads names the count.
         const std::uint64_t file_threads = resume_checkpoint.shard_rngs.size();
-        if (resume_checkpoint.engine == ObservedEngine::kParallelCollapsed) {
+        if (resume_checkpoint.engine == ObservedEngine::kParallelCollapsed && file_threads == 0) {
+            if (!threads_given || threads < 2)
+                usage_error("--resume: " + resume_path +
+                            " was stopped before its shard streams were carved; give --threads "
+                            "(at least 2)");
+        } else if (resume_checkpoint.engine == ObservedEngine::kParallelCollapsed) {
             if (threads_given && threads != file_threads)
                 usage_error("--resume: " + resume_path + " was taken with " +
                             std::to_string(file_threads) + " threads, but --threads requests " +

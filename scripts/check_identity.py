@@ -1,24 +1,30 @@
 #!/usr/bin/env python3
 """Cross-build bit-identity: the working tree's seeded runs against REF's.
 
-Usage: scripts/check_identity.py [REF] [build-dir] [--engines E,E,...]
+Usage: scripts/check_identity.py [REF] [build-dir] [--engines ROW,ROW,...]
 
 REF defaults to HEAD and build-dir to <repo>/build.  REF is exported and
 both sides are built exactly as scripts/compare_bench.py does it (the
 export in <build-dir>/ab/base-src, Release builds through
 perfbench/CMakeLists.txt into <build-dir>/ab/{base,change}), here only the
 trace_run target.  Each side then runs the verify recipe's set: every
-engine in --engines (default agent,batch,collapsed,adaptive) x seeds 1-3 x
+engine row in --engines (default: all of ENGINES below, by name) x seeds
+1-3 x
 
   trace_run --predicate 'x0 - 19*x1 < 1' --counts 3891,205 --every 100000
       (the fever predicate, |Q| = 79: sparse columns and the row search)
   trace_run epidemic --n 1048576 --every 1048576
+  trace_run epidemic --n 1048576 --log 1.3
+      (log-spaced snapshots: super-steps clamped at many boundaries)
 
 and the two outputs are compared line by line with "wall_seconds" struck
 out: every start, snapshot and stop line and the final counts.  The sides
-stream side by side, so memory stays flat over the ~6.8M lines per side.
-A change that moves the collapsed super-step by design moves the collapsed
-and adaptive trajectories too; pass --engines agent,batch then.
+stream side by side, so memory stays flat however long the outputs are.
+The rows beyond the four engines are the sharded collapsed engine (K = 2)
+and the adaptive engine with its crossover forced to x* = 1, which
+switches step kind many more times.  A change that moves the collapsed
+super-step by design moves the collapsed, sharded and adaptive
+trajectories too; pass --engines agent,batch then.
 
 Exit status 0 when every line matches; 1 at the first differing line,
 which is printed with its command.
@@ -31,11 +37,19 @@ from pathlib import Path
 
 from compare_bench import ROOT, prepare
 
-ENGINES = ("agent", "batch", "collapsed", "adaptive")
+ENGINES = {
+    "agent": ["--engine", "agent"],
+    "batch": ["--engine", "batch"],
+    "collapsed": ["--engine", "collapsed"],
+    "sharded": ["--engine", "collapsed", "--threads", "2"],
+    "adaptive": ["--engine", "adaptive"],
+    "adaptive-switching": ["--engine", "adaptive", "--switch-thresholds", "1"],
+}
 SEEDS = (1, 2, 3)
 WORKLOADS = (
     ["--predicate", "x0 - 19*x1 < 1", "--counts", "3891,205", "--every", "100000"],
     ["epidemic", "--n", "1048576", "--every", "1048576"],
+    ["epidemic", "--n", "1048576", "--log", "1.3"],
 )
 WALL_SECONDS = re.compile(r',"wall_seconds":[^,}]*')
 
@@ -65,7 +79,7 @@ def compare(trace_runs, args):
 
 def main():
     argv = sys.argv[1:]
-    engines = ENGINES
+    engines = tuple(ENGINES)
     if "--engines" in argv:
         at = argv.index("--engines")
         if at + 1 >= len(argv):
@@ -86,7 +100,7 @@ def main():
     for engine in engines:
         for workload in WORKLOADS:
             for seed in SEEDS:
-                args = [*workload, "--engine", engine, "--seed", str(seed)]
+                args = [*workload, *ENGINES[engine], "--seed", str(seed)]
                 mismatch, compared = compare(trace_runs, args)
                 total += compared
                 if mismatch is not None:

@@ -15,8 +15,9 @@
 //
 // the expected number of effective interactions inside one super-step:
 // "how much useful work one super-step amortizes".  W, the exact
-// number of effective ordered pairs, is what both step kinds already keep
-// for their silence test, so the signal costs no extra pass.  At every
+// number of effective ordered pairs, lives in the one count state that both
+// step kinds step (count_batch_stepper.h): the signal costs no extra pass,
+// and a change of step kind hands nothing over.  At every
 // run-loop top the adaptive stepper takes a super-step when x >= x*
 // (RunOptions::adaptive.crossover) and a count-batch step (geometric null
 // skip plus one effective interaction) otherwise; the test is one integer

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <limits>
 #include <optional>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -25,53 +26,65 @@ namespace {
 /// cascade (EXPERIMENTS.md "Multibatch super-steps").
 constexpr double kSuperStepScale = 1.5;
 
-/// Machinery shared by the serial and the sharded collapsed steppers: the
-/// sequential pass of a super-step (fresh-fresh run lengths and the events
-/// between them), the multivariate-hypergeometric cascade, the
-/// split-and-match of a pool of deferred pairs, and the W recompute.  Both
-/// steppers compose exactly these pieces, so the sharded engine cannot drift
-/// from the serial law by re-implementing a sampler.
-class CollapsedEngineBase {
+class ParallelCollapsedStepper;
+
+/// The super-step sampler of the collapsed, sharded and adaptive steppers:
+/// the sequential pass of a super-step (fresh-fresh run lengths and the
+/// events between them), the multivariate-hypergeometric cascade, and the
+/// split-and-match of a pool of deferred pairs.  It keeps no configuration:
+/// a super-step copies the stepper's counts into its scratch P and hands the
+/// new counts back to the stepper's tracker.  The sharded stepper, a
+/// friend, composes the same pieces, so it cannot drift from the serial law.
+class SuperStepSampler {
 public:
-    std::uint64_t population() const { return population_; }
-
-    bool is_silent() const { return effective_pairs_ == 0; }
-
-    /// Exact W, maintained by the per-super-step recompute.
-    std::uint64_t effective_pairs() const { return effective_pairs_; }
-
-    const std::vector<std::uint64_t>& count_vector() const { return counts_; }
-
-    /// Takes over a valid count vector of this population and its exact W
-    /// (the adaptive stepper's change of step kind; O(|Q|)).
-    void adopt(const std::vector<std::uint64_t>& counts, std::uint64_t effective_pairs) {
-        counts_.assign(counts.begin(), counts.end());
-        effective_pairs_ = effective_pairs;
-    }
-
-    /// Attaches the run's telemetry collector (nullptr = disabled); the
-    /// steppers time the super-step sub-phases against it.  Probes never
-    /// touch the RNG stream, so results are bit-identical either way.
-    void set_telemetry(telemetry::RunTelemetryCollector* collector) { collector_ = collector; }
+    /// `collector` times the super-step sub-phases (nullptr = disabled).
+    /// Probes never touch the RNG stream, so results are bit-identical
+    /// either way.
+    SuperStepSampler(const TabulatedProtocol& protocol, std::uint64_t population,
+                     telemetry::RunTelemetryCollector* collector)
+        : protocol_(protocol),
+          num_states_(protocol.num_states()),
+          population_(population),
+          length_(engine_detail::super_step_length(population)),
+          survival_(population, length_),
+          collector_(collector) {}
 
     /// T: the interactions of an unclamped super-step.
     std::uint64_t super_step_length() const { return length_; }
 
-    CountConfiguration counts() const { return CountConfiguration::from_state_counts(counts_); }
+    /// Executes exactly `m` interactions of `state`'s configuration as one
+    /// super-step: its events are resolved one by one, and its deferred
+    /// pairs are realized by one pool/split/match cascade and applied as one
+    /// aggregate delta.
+    BatchOutcome apply(Rng& rng, std::uint64_t m, EffectivePairTracker& state) {
+        BatchOutcome outcome;
+        Touches at;
+        {
+            const telemetry::ScopedTimer timer(collector_, telemetry::Phase::kRunLengthDraw);
+            at = run_events(rng, m, state.counts(), outcome);
+        }
 
-protected:
-    /// `tables` must outlive the stepper: run_collapsed builds them for the
-    /// run, and the adaptive stepper shares its count-batch part's.
-    CollapsedEngineBase(const TabulatedProtocol& protocol, const EffectTables& tables,
-                        const CountConfiguration& initial)
-        : protocol_(protocol),
-          eff_(tables),
-          counts_(initial.counts()),
-          population_(initial.population_size()),
-          length_(engine_detail::super_step_length(population_)),
-          survival_(population_, length_) {
-        recompute_effective_pairs();
+        {
+            const telemetry::ScopedTimer timer(collector_, telemetry::Phase::kPairCascade);
+            // The deferred pairs' 2D agents: one without-replacement pool
+            // drawn out of P (which keeps the fresh agents), then split into
+            // initiators and responders and matched.
+            batch_.m = at.deferred;
+            draw_without_replacement(rng, unrealized_, at.unrealized(), 2 * at.deferred,
+                                     batch_.pool);
+            split_and_match(rng, batch_);
+        }
+
+        {
+            const telemetry::ScopedTimer timer(collector_, telemetry::Phase::kDeltaMerge);
+            merge({&batch_, 1}, outcome);
+        }
+        hand_back(state);
+        return outcome;
     }
+
+private:
+    friend class ParallelCollapsedStepper;
 
     /// A batch of m deferred pairs: the pool of its 2m agents (by
     /// pre-transition state) and the split_and_match results.
@@ -87,7 +100,7 @@ protected:
     /// Where a super-step's agents stand: `fresh` untouched agents,
     /// `deferred` pairs of fresh agents that interacted and are not yet
     /// realized, and `realized` agents whose state is in realized_ (R).
-    /// counts_ holds P, the states of the fresh and deferred agents, of
+    /// unrealized_ holds P, the states of the fresh and deferred agents, of
     /// size fresh + 2 deferred.
     struct Touches {
         std::uint64_t fresh = 0;
@@ -96,13 +109,16 @@ protected:
         std::uint64_t unrealized() const { return fresh + 2 * deferred; }
     };
 
-    /// The sequential pass of a super-step of m interactions: fresh-fresh
-    /// runs from the birthday law at the current fresh count, deferred, and
-    /// each interaction between them resolved on its own.  Returns where
-    /// the agents stand after the m-th interaction; counts_ is then P and
+    /// The sequential pass of a super-step of m interactions from the
+    /// configuration `counts`, copied into P: fresh-fresh runs from the
+    /// birthday law at the current fresh count, deferred, and each
+    /// interaction between them resolved on its own.  Returns where the
+    /// agents stand after the m-th interaction; unrealized_ is then P and
     /// realized_ is R.
-    Touches run_events(Rng& rng, std::uint64_t m, BatchOutcome& outcome) {
-        realized_.assign(eff_.num_states, 0);
+    Touches run_events(Rng& rng, std::uint64_t m, const std::vector<std::uint64_t>& counts,
+                       BatchOutcome& outcome) {
+        unrealized_.assign(counts.begin(), counts.end());
+        realized_.assign(num_states_, 0);
         Touches at{population_, 0, 0};
         std::uint64_t done = 0;
         while (true) {
@@ -115,6 +131,40 @@ protected:
             resolve_event(rng, at, outcome);
             if (++done == m) return at;
         }
+    }
+
+    /// Splits the batch's pool of 2m agents into m initiators (a uniform
+    /// m-subset) and m responders, matches them uniformly (match_rows), and
+    /// books the result into batch.touched / batch.outcome.  The agents of
+    /// a without-replacement sample are exchangeable, so conditioned on the
+    /// pool this is the law of drawing the m pairs one by one — for the
+    /// serial super-step's single pool and for each shard's carved pool alike.
+    void split_and_match(Rng& rng, PairBatch& batch) const {
+        batch.outcome = BatchOutcome{};
+        batch.touched.assign(num_states_, 0);
+        batch.remainder = batch.pool;
+        draw_without_replacement(rng, batch.remainder, 2 * batch.m, batch.m, batch.initiators);
+        match_rows(rng, batch.initiators, batch.remainder, batch.m, batch.touched,
+                   batch.outcome);
+    }
+
+    /// New counts after the bulk realization, in fixed batch order: P (the
+    /// fresh agents, left in it by the pool draws) + R + each batch's
+    /// post-transition states; each batch's outcome joins `outcome`.
+    void merge(std::span<const PairBatch> batches, BatchOutcome& outcome) {
+        for (std::size_t s = 0; s < num_states_; ++s) unrealized_[s] += realized_[s];
+        for (const PairBatch& batch : batches) {
+            for (std::size_t s = 0; s < num_states_; ++s) unrealized_[s] += batch.touched[s];
+            outcome.effective += batch.outcome.effective;
+            outcome.output_changed = outcome.output_changed || batch.outcome.output_changed;
+        }
+    }
+
+    /// Hands the merged counts back to the stepper's tracker, which recounts
+    /// W in O(|Q| + effective pairs), amortized over ~sqrt(n) interactions.
+    void hand_back(EffectivePairTracker& state) const {
+        const telemetry::ScopedTimer timer(collector_, telemetry::Phase::kWRecompute);
+        state.reset_counts(unrealized_);
     }
 
     /// Multivariate hypergeometric cascade: moves `draws` items, drawn
@@ -139,21 +189,6 @@ protected:
         }
     }
 
-    /// Splits the batch's pool of 2m agents into m initiators (a uniform
-    /// m-subset) and m responders, matches them uniformly (match_rows), and
-    /// books the result into batch.touched / batch.outcome.  The agents of
-    /// a without-replacement sample are exchangeable, so conditioned on the
-    /// pool this is the law of drawing the m pairs one by one — for the
-    /// serial stepper's single pool and for each shard's carved pool alike.
-    void split_and_match(Rng& rng, PairBatch& batch) const {
-        batch.outcome = BatchOutcome{};
-        batch.touched.assign(eff_.num_states, 0);
-        batch.remainder = batch.pool;
-        draw_without_replacement(rng, batch.remainder, 2 * batch.m, batch.m, batch.initiators);
-        match_rows(rng, batch.initiators, batch.remainder, batch.m, batch.touched,
-                   batch.outcome);
-    }
-
     /// Row-matching cascade: conditioned on the initiator multiset A and the
     /// responder multiset (passed as `remainder`, consumed in place), the
     /// bipartite initiator-responder matching is uniform, so row p of the
@@ -163,16 +198,15 @@ protected:
     void match_rows(Rng& rng, const std::vector<std::uint64_t>& initiators,
                     std::vector<std::uint64_t>& remainder, std::uint64_t m,
                     std::vector<std::uint64_t>& touched, BatchOutcome& outcome) const {
-        const std::size_t num_states = eff_.num_states;
         std::uint64_t unmatched = m;
-        for (State p = 0; p < num_states; ++p) {
+        for (State p = 0; p < num_states_; ++p) {
             std::uint64_t left = initiators[p];
             if (left == 0) continue;
             // Row cascade: `pool` counts the unmatched responders in states
             // not yet classified for this row, so each split is an exact
             // univariate hypergeometric of the row's remaining draws.
             std::uint64_t pool = unmatched;
-            for (State q = 0; q < num_states && left > 0; ++q) {
+            for (State q = 0; q < num_states_ && left > 0; ++q) {
                 const std::uint64_t available = remainder[q];
                 if (available == 0) continue;
                 const std::uint64_t k = rng.hypergeometric(available, pool - available, left);
@@ -200,49 +234,6 @@ protected:
         outcome.output_changed |= changes_outputs(protocol_, p, q, next);
     }
 
-    /// New counts after the bulk realization: P (the fresh agents, left in
-    /// counts_ by the pool draws) + the deferred pairs' post-transition
-    /// states + R.
-    void merge(const std::vector<std::uint64_t>& touched) {
-        for (std::size_t s = 0; s < eff_.num_states; ++s) counts_[s] += touched[s] + realized_[s];
-    }
-
-    // W = number of effective ordered agent pairs; W == 0 iff silent.
-    // Recomputed from the row lists, O(effective pairs of the present
-    // initiators), once per super-step (amortized over ~sqrt(n)
-    // interactions, unlike the count-batch engine's per-step bookkeeping).
-    void recompute_effective_pairs() {
-        std::uint64_t w = 0;
-        for (State p = 0; p < eff_.num_states; ++p) {
-            if (counts_[p] == 0) continue;
-            std::uint64_t partners = 0;  // a diagonal pair needs a second agent
-            for (std::size_t e = eff_.row_start[p]; e < eff_.row_start[p + 1]; ++e) {
-                const State q = eff_.row_responders[e];
-                partners += counts_[q] - (q == p ? 1 : 0);
-            }
-            w += counts_[p] * partners;
-        }
-        effective_pairs_ = w;
-    }
-
-    /// Checkpoint payload shared by both steppers: the count vector (the
-    /// sharded stepper additionally carries its shard streams).
-    void save_counts(RunCheckpoint& checkpoint) const { checkpoint.counts = counts_; }
-
-    void restore_counts(const RunCheckpoint& checkpoint) {
-        require_checkpoint_counts(checkpoint.counts, counts_.size(), population_, "collapsed");
-        counts_ = checkpoint.counts;
-        recompute_effective_pairs();
-    }
-
-    const TabulatedProtocol& protocol_;
-    const EffectTables& eff_;
-    std::vector<std::uint64_t> counts_;
-    std::uint64_t population_;
-    std::uint64_t effective_pairs_ = 0;
-    telemetry::RunTelemetryCollector* collector_ = nullptr;
-
-private:
     /// One interaction that touches an already-touched agent: a uniform
     /// ordered pair of distinct agents, conditioned on not both being fresh,
     /// resolved by exact without-replacement draws.  Its two results join R.
@@ -260,7 +251,7 @@ private:
         if (r < 2 * at.fresh) {
             const State other = touched_state(rng, at, rng.below(touched), outcome);
             std::uint64_t left = at.unrealized();
-            const State fresh = take(rng, counts_, left);
+            const State fresh = take(rng, unrealized_, left);
             --at.fresh;
             const bool fresh_first = (r & 1) != 0;
             xs = fresh_first ? fresh : other;
@@ -303,8 +294,8 @@ private:
     /// are two draws from P, and it executes now.
     StatePair realize_pair(Rng& rng, Touches& at, BatchOutcome& outcome) {
         std::uint64_t left = at.unrealized();
-        const State p = take(rng, counts_, left);
-        const State q = take(rng, counts_, left);
+        const State p = take(rng, unrealized_, left);
+        const State q = take(rng, unrealized_, left);
         --at.deferred;
         const StatePair next = protocol_.apply_fast(p, q);
         book(p, q, next, 1, outcome);
@@ -337,65 +328,38 @@ private:
         return s;
     }
 
+    const TabulatedProtocol& protocol_;
+    std::size_t num_states_;
+    std::uint64_t population_;
     std::uint64_t length_;
     engine_detail::SurvivalTable survival_;
-    std::vector<std::uint64_t> realized_;  // R, per super-step (a member: no reallocation)
+    telemetry::RunTelemetryCollector* collector_;
+    std::vector<std::uint64_t> unrealized_;  // P, per super-step (members: no reallocation)
+    std::vector<std::uint64_t> realized_;    // R
+    PairBatch batch_;                        // the serial super-step's one pool
 };
 
-/// The serial collapsed super-step sampler (collapsed_simulator.h): each
-/// super-step's events are resolved one by one, and its deferred pairs are
-/// realized by one pool/split/match cascade and applied as one aggregate
-/// delta.
-class CollapsedStepper : public CollapsedEngineBase {
+/// The serial collapsed stepper (collapsed_simulator.h): the shared count
+/// state, stepped by super-steps only.
+class CollapsedStepper : public engine_detail::CountStepperBase {
 public:
     static constexpr ObservedEngine kEngine = ObservedEngine::kCollapsed;
     static constexpr bool kGeometricSkips = false;
     static constexpr bool kSuperSteps = true;
 
-    CollapsedStepper(const TabulatedProtocol& protocol, const EffectTables& tables,
-                     const CountConfiguration& initial)
-        : CollapsedEngineBase(protocol, tables, initial) {}
+    CollapsedStepper(const TabulatedProtocol& protocol, const CountConfiguration& initial,
+                     telemetry::RunTelemetryCollector* collector)
+        : CountStepperBase(protocol, initial), sampler_(protocol, population_, collector) {}
+
+    std::uint64_t super_step_length() const { return sampler_.super_step_length(); }
 
     /// Executes exactly `m` interactions as one super-step.
     BatchOutcome apply_super_step(Rng& rng, std::uint64_t m) {
-        BatchOutcome outcome;
-        Touches at;
-        {
-            const telemetry::ScopedTimer timer(collector_, telemetry::Phase::kRunLengthDraw);
-            at = run_events(rng, m, outcome);
-        }
-
-        {
-            const telemetry::ScopedTimer timer(collector_, telemetry::Phase::kPairCascade);
-            // The deferred pairs' 2D agents: one without-replacement pool
-            // drawn out of P (which keeps the fresh agents), then split into
-            // initiators and responders and matched.
-            batch_.m = at.deferred;
-            draw_without_replacement(rng, counts_, at.unrealized(), 2 * at.deferred,
-                                     batch_.pool);
-            split_and_match(rng, batch_);
-        }
-
-        {
-            const telemetry::ScopedTimer timer(collector_, telemetry::Phase::kDeltaMerge);
-            merge(batch_.touched);
-        }
-        outcome.effective += batch_.outcome.effective;
-        outcome.output_changed = outcome.output_changed || batch_.outcome.output_changed;
-
-        {
-            const telemetry::ScopedTimer timer(collector_, telemetry::Phase::kWRecompute);
-            recompute_effective_pairs();
-        }
-        return outcome;
+        return sampler_.apply(rng, m, tracker_);
     }
 
-    void save(RunCheckpoint& checkpoint) const { save_counts(checkpoint); }
-
-    void restore(const RunCheckpoint& checkpoint) { restore_counts(checkpoint); }
-
 private:
-    PairBatch batch_;
+    SuperStepSampler sampler_;
 };
 
 /// The sharded collapsed stepper (RunOptions::threads = K >= 2): each
@@ -421,21 +385,28 @@ private:
 /// is bit-identical for a fixed (seed, K) across machines, pool schedules,
 /// and the inline small-batch path.  Different K consume different
 /// streams: agreement across thread counts is distributional.
-class ParallelCollapsedStepper : public CollapsedEngineBase {
+class ParallelCollapsedStepper : public engine_detail::CountStepperBase {
 public:
     static constexpr ObservedEngine kEngine = ObservedEngine::kParallelCollapsed;
     static constexpr bool kGeometricSkips = false;
     static constexpr bool kSuperSteps = true;
     static constexpr bool kParallel = true;
 
-    ParallelCollapsedStepper(const TabulatedProtocol& protocol, const EffectTables& tables,
-                             const CountConfiguration& initial, unsigned threads)
-        : CollapsedEngineBase(protocol, tables, initial), shards_(threads), pool_(threads) {
+    ParallelCollapsedStepper(const TabulatedProtocol& protocol, const CountConfiguration& initial,
+                             unsigned threads, telemetry::RunTelemetryCollector* collector)
+        : CountStepperBase(protocol, initial),
+          sampler_(protocol, population_, collector),
+          collector_(collector),
+          shard_rngs_(threads),
+          shard_batches_(threads),
+          pool_(threads) {
         require(threads >= 2, "collapsed: parallel stepper needs threads >= 2");
     }
 
     /// Resolved shard count, reported into RunTelemetry::threads.
-    unsigned threads() const { return static_cast<unsigned>(shards_.size()); }
+    unsigned threads() const { return static_cast<unsigned>(shard_rngs_.size()); }
+
+    std::uint64_t super_step_length() const { return sampler_.super_step_length(); }
 
     /// Executes exactly `m` interactions as one super-step.  The first call
     /// also carves the K shard streams off the parent stream (K splits = K
@@ -443,15 +414,14 @@ public:
     /// point of the parent stream keeps the whole run deterministic in
     /// (seed, K).
     BatchOutcome apply_super_step(Rng& rng, std::uint64_t m) {
-        const std::size_t num_states = eff_.num_states;
-        const std::size_t num_shards = shards_.size();
+        const std::size_t num_shards = shard_rngs_.size();
         if (!shard_streams_ready_) {
-            for (Shard& shard : shards_) shard.rng = rng.split();
+            for (Rng& shard_rng : shard_rngs_) shard_rng = rng.split();
             shard_streams_ready_ = true;
         }
 
         // Deferred until the first super-step: the collector's epoch is set
-        // by begin_run, which runs after set_telemetry.
+        // by begin_run, which runs after the stepper is built.
         if (collector_ != nullptr && !pool_telemetry_ready_) {
             collector_->pool().configure(num_shards, collector_->epoch(),
                                          collector_->max_spans());
@@ -460,10 +430,10 @@ public:
         }
 
         BatchOutcome outcome;
-        Touches at;
+        SuperStepSampler::Touches at;
         {
             const telemetry::ScopedTimer timer(collector_, telemetry::Phase::kRunLengthDraw);
-            at = run_events(rng, m, outcome);
+            at = sampler_.run_events(rng, m, tracker_.counts(), outcome);
         }
         const std::uint64_t deferred = at.deferred;
 
@@ -475,9 +445,11 @@ public:
             // D_k = D/K rounded, sum D; shards with D_k = 0 draw nothing.
             std::uint64_t remaining_items = at.unrealized();
             for (std::size_t k = 0; k < num_shards; ++k) {
-                PairBatch& batch = shards_[k].batch;
+                SuperStepSampler::PairBatch& batch = shard_batches_[k];
                 batch.m = deferred / num_shards + (k < deferred % num_shards ? 1 : 0);
-                draw_without_replacement(rng, counts_, remaining_items, 2 * batch.m, batch.pool);
+                SuperStepSampler::draw_without_replacement(rng, sampler_.unrealized_,
+                                                           remaining_items, 2 * batch.m,
+                                                           batch.pool);
                 remaining_items -= 2 * batch.m;
             }
         }
@@ -488,7 +460,7 @@ public:
         // and run inline — bit-identical, since the pool never influences
         // what a shard computes, only where it runs.
         const auto run_shard = [this](std::size_t k) {
-            split_and_match(shards_[k].rng, shards_[k].batch);
+            sampler_.split_and_match(shard_rngs_[k], shard_batches_[k]);
         };
         {
             const telemetry::ScopedTimer timer(collector_, telemetry::Phase::kShardTasks);
@@ -501,43 +473,36 @@ public:
         }
 
         {
+            // Phase 3: the shards merge in fixed order.
             const telemetry::ScopedTimer timer(collector_, telemetry::Phase::kDeltaMerge);
-            // Phase 3, fixed-order merge: touched multiset, effective count,
-            // output flag.  New counts = P + the merged post-transition
-            // multiset + R.
-            touched_.assign(num_states, 0);
-            for (const Shard& shard : shards_) {
-                for (std::size_t s = 0; s < num_states; ++s) touched_[s] += shard.batch.touched[s];
-                outcome.effective += shard.batch.outcome.effective;
-                outcome.output_changed =
-                    outcome.output_changed || shard.batch.outcome.output_changed;
-            }
-            merge(touched_);
+            sampler_.merge(shard_batches_, outcome);
         }
-
-        {
-            const telemetry::ScopedTimer timer(collector_, telemetry::Phase::kWRecompute);
-            recompute_effective_pairs();
-        }
+        sampler_.hand_back(tracker_);
         return outcome;
     }
 
+    /// A checkpoint taken before the first super-step (a stop flag raised
+    /// at the first loop top) carries no shard streams: none are carved yet.
     void save(RunCheckpoint& checkpoint) const {
-        save_counts(checkpoint);
-        ensure(shard_streams_ready_,
-               "collapsed: checkpoint requested before the first super-step");
-        checkpoint.shard_rngs.reserve(shards_.size());
-        for (const Shard& shard : shards_) checkpoint.shard_rngs.push_back(shard.rng.save_state());
+        CountStepperBase::save(checkpoint);
+        if (!shard_streams_ready_) return;
+        checkpoint.shard_rngs.reserve(shard_rngs_.size());
+        for (const Rng& shard_rng : shard_rngs_)
+            checkpoint.shard_rngs.push_back(shard_rng.save_state());
     }
 
+    /// A checkpoint without shard streams leaves them to the first
+    /// super-step, which carves them at the parent-stream position where the
+    /// interrupted run would have.
     void restore(const RunCheckpoint& checkpoint) {
-        restore_counts(checkpoint);
-        require(checkpoint.shard_rngs.size() == shards_.size(),
+        CountStepperBase::restore(checkpoint);
+        if (checkpoint.shard_rngs.empty()) return;
+        require(checkpoint.shard_rngs.size() == shard_rngs_.size(),
                 "collapsed: checkpoint was taken with " +
                     std::to_string(checkpoint.shard_rngs.size()) +
                     " shard streams; resume with RunOptions::threads equal to that count");
-        for (std::size_t k = 0; k < shards_.size(); ++k)
-            shards_[k].rng.restore_state(checkpoint.shard_rngs[k]);
+        for (std::size_t k = 0; k < shard_rngs_.size(); ++k)
+            shard_rngs_[k].restore_state(checkpoint.shard_rngs[k]);
         shard_streams_ready_ = true;
     }
 
@@ -547,106 +512,54 @@ private:
     /// fast.
     static constexpr std::uint64_t kMinPairsPerWorker = 64;
 
-    struct Shard {
-        Rng rng{0};  // replaced by a split of the parent stream before use
-        PairBatch batch;
-    };
-
-    std::vector<Shard> shards_;
+    SuperStepSampler sampler_;
+    telemetry::RunTelemetryCollector* collector_;
+    std::vector<Rng> shard_rngs_;  // split off the parent stream before use
+    std::vector<SuperStepSampler::PairBatch> shard_batches_;
     ThreadPool pool_;
     bool shard_streams_ready_ = false;
     bool pool_telemetry_ready_ = false;
-    std::vector<std::uint64_t> touched_;  // merged post-transition multiset
 };
 
-/// The phase-adaptive stepper (adaptive_simulator.h): count-batch steps
-/// while the density signal is below the crossover, collapsed super-steps
-/// at or above it, over one count configuration whose exact W both kinds
-/// keep.  The live configuration sits in the part of the current kind; a
-/// change of kind hands it over (set_step_kind).  The collapsed part, with
-/// its survival table, is built on the first super-step, so a run that never
-/// turns dense never pays for it; it reads the count-batch part's effect
-/// tables, so the stepper is neither copied nor moved.
-class AdaptiveStepper {
+/// The phase-adaptive stepper (adaptive_simulator.h): the count-batch
+/// stepper plus the super-step sampler.  Count-batch steps while the density
+/// signal is below the crossover, collapsed super-steps at or above it; both
+/// kinds step the one count state, so a change of kind hands nothing over.
+/// The sampler, with its survival table, is built on the first super-step,
+/// so a run that never turns dense never pays for it.
+class AdaptiveStepper : public engine_detail::CountBatchStepper {
 public:
     static constexpr ObservedEngine kEngine = ObservedEngine::kAdaptive;
     static constexpr ObservedEngine kSingleStepEngine = ObservedEngine::kCountBatch;
     static constexpr ObservedEngine kSuperStepEngine = ObservedEngine::kCollapsed;
-    static constexpr bool kGeometricSkips = true;
     static constexpr bool kSuperSteps = true;
 
     AdaptiveStepper(const TabulatedProtocol& protocol, const CountConfiguration& initial,
                     double crossover, telemetry::RunTelemetryCollector* collector)
-        : protocol_(protocol),
-          batch_(protocol, initial),
+        : CountBatchStepper(protocol, initial),
           crossover_(crossover),
-          crossover_pairs_(engine_detail::crossover_pairs(initial.population_size(), crossover)),
+          crossover_pairs_(engine_detail::crossover_pairs(population_, crossover)),
           collector_(collector) {}
-
-    AdaptiveStepper(const AdaptiveStepper&) = delete;
-    AdaptiveStepper& operator=(const AdaptiveStepper&) = delete;
-
-    std::uint64_t population() const { return batch_.population(); }
-
-    std::uint64_t effective_pairs() const {
-        return super_ ? collapsed_->effective_pairs() : batch_.effective_pairs();
-    }
-
-    bool is_silent() const { return effective_pairs() == 0; }
 
     bool super_step_due() const { return effective_pairs() >= crossover_pairs_; }
 
     double signal() const {
-        return engine_detail::crossover_signal(population(), effective_pairs());
+        return engine_detail::crossover_signal(population_, effective_pairs());
     }
 
     double crossover() const { return crossover_; }
 
     void set_step_kind(bool super) {
-        if (super == super_) return;
-        if (!super) {
-            batch_.adopt(collapsed_->count_vector());
-        } else if (collapsed_) {
-            collapsed_->adopt(batch_.count_vector(), batch_.effective_pairs());
-        } else {
-            collapsed_.emplace(protocol_, batch_.tables(), batch_.counts());
-            collapsed_->set_telemetry(collector_);
-        }
-        super_ = super;
+        if (super && !sampler_) sampler_.emplace(protocol_, population_, collector_);
     }
 
-    std::uint64_t propose_skip(Rng& rng) { return batch_.propose_skip(rng); }
-    StepOutcome step(Rng& rng) { return batch_.step(rng); }
-
-    std::uint64_t super_step_length() const { return collapsed_->super_step_length(); }
+    std::uint64_t super_step_length() const { return sampler_->super_step_length(); }
     BatchOutcome apply_super_step(Rng& rng, std::uint64_t m) {
-        return collapsed_->apply_super_step(rng, m);
-    }
-
-    CountConfiguration counts() const { return super_ ? collapsed_->counts() : batch_.counts(); }
-
-    void save(RunCheckpoint& checkpoint) const {
-        if (super_) {
-            collapsed_->save(checkpoint);
-        } else {
-            batch_.save(checkpoint);
-        }
-    }
-
-    /// The kernel restores before the first loop top, which picks the step
-    /// kind, so the checkpoint lands in the count-batch part.
-    void restore(const RunCheckpoint& checkpoint) {
-        require_checkpoint_counts(checkpoint.counts, protocol_.num_states(), population(),
-                                  observed_engine_name(checkpoint.engine));
-        batch_.adopt(checkpoint.counts);
-        super_ = false;
+        return sampler_->apply(rng, m, tracker_);
     }
 
 private:
-    const TabulatedProtocol& protocol_;
-    engine_detail::CountBatchStepper batch_;
-    std::optional<CollapsedStepper> collapsed_;
-    bool super_ = false;
+    std::optional<SuperStepSampler> sampler_;
     double crossover_;
     std::uint64_t crossover_pairs_;
     telemetry::RunTelemetryCollector* collector_;
@@ -713,14 +626,11 @@ RunResult run_collapsed(const TabulatedProtocol& protocol, const CountConfigurat
     require_count_engine_input(protocol, initial);
     const unsigned threads = resolved_threads(options);
     require(threads <= 4096, "run_simulation: threads must be at most 4096");
-    const EffectTables tables(protocol);
     if (threads <= 1) {
-        CollapsedStepper stepper(protocol, tables, initial);
-        stepper.set_telemetry(options.telemetry);
+        CollapsedStepper stepper(protocol, initial, options.telemetry);
         return run_loop(stepper, protocol, options, "run_simulation");
     }
-    ParallelCollapsedStepper stepper(protocol, tables, initial, threads);
-    stepper.set_telemetry(options.telemetry);
+    ParallelCollapsedStepper stepper(protocol, initial, threads, options.telemetry);
     return run_loop(stepper, protocol, options, "run_simulation");
 }
 

@@ -37,6 +37,11 @@
 // draw from P above has the law of looking up the chosen agent's state
 // (DESIGN.md "The collapsed super-step engine").
 //
+// The configuration lives in the count state every count stepper shares
+// (count_batch_stepper.h): a super-step copies the counts into P at its
+// start and hands the new counts back at its end, which recounts the exact
+// W once per super-step.
+//
 // Equivalence contract (sharper than the cross-engine one of the count-batch
 // engine): the distribution of trajectories and RunResults is identical to
 // the agent-array and count-batch engines', but equivalence is
@@ -83,7 +88,9 @@
 // counts give different — distribution-identical — trajectories.
 // Checkpoints record the K child streams (RunCheckpoint::shard_rngs) under
 // the distinct engine tag "parallel_collapsed", so a resume must use the
-// same thread count and serial/parallel checkpoints mutually reject.
+// same thread count and serial/parallel checkpoints mutually reject.  A
+// checkpoint taken before the first super-step carves the streams records
+// none; its resume carves them at the same parent-stream position.
 // threads == 1 *is* the serial engine; threads == 0 resolves to the
 // hardware concurrency.
 

@@ -1,8 +1,9 @@
 // The count-batch stepper (batch_simulator.h): pairs are drawn from the
 // count vector, runs of null interactions are proposed as exact geometric
 // jumps, and W == 0 detects silence exactly.  Private to src/core: the
-// count-batch engine runs it alone, and the adaptive stepper
-// (collapsed_simulator.cpp) takes its count-batch steps with it.
+// count-batch engine runs it alone, the adaptive stepper
+// (collapsed_simulator.cpp) is it plus the super-step sampler, and every
+// count stepper shares its state base.
 
 #ifndef POPPROTO_CORE_COUNT_BATCH_STEPPER_H
 #define POPPROTO_CORE_COUNT_BATCH_STEPPER_H
@@ -20,19 +21,13 @@
 
 namespace popproto::engine_detail {
 
-class CountBatchStepper {
+/// The one count state under every count stepper: the counts, the effect
+/// tables and the exact W of an EffectivePairTracker, and the kernel's
+/// accessors on them.  A count-batch step books its moves into the tracker
+/// and a collapsed super-step hands its new counts back through
+/// reset_counts, so both step kinds read and write the same configuration.
+class CountStepperBase {
 public:
-    static constexpr ObservedEngine kEngine = ObservedEngine::kCountBatch;
-    static constexpr bool kGeometricSkips = true;
-    static constexpr bool kSuperSteps = false;
-
-    CountBatchStepper(const TabulatedProtocol& protocol, const CountConfiguration& initial)
-        : protocol_(protocol),
-          tracker_(protocol, initial.counts()),
-          population_(initial.population_size()),
-          total_pairs_(static_cast<double>(population_) *
-                       static_cast<double>(population_ - 1)) {}
-
     std::uint64_t population() const { return population_; }
 
     bool is_silent() const { return tracker_.effective_pairs() == 0; }
@@ -40,10 +35,41 @@ public:
     /// Exact W, the adaptive stepper's density signal.
     std::uint64_t effective_pairs() const { return tracker_.effective_pairs(); }
 
-    const std::vector<std::uint64_t>& count_vector() const { return tracker_.counts(); }
+    CountConfiguration counts() const {
+        return CountConfiguration::from_state_counts(tracker_.counts());
+    }
 
-    /// The effect tables, which the adaptive stepper's collapsed part shares.
-    const EffectTables& tables() const { return tracker_.tables(); }
+    void save(RunCheckpoint& checkpoint) const { checkpoint.counts = tracker_.counts(); }
+
+    /// Rebuilds the row sums and W in O(|Q| + effective transitions).
+    /// Errors name the engine that took the checkpoint.
+    void restore(const RunCheckpoint& checkpoint) {
+        require_checkpoint_counts(checkpoint.counts, tracker_.counts().size(), population_,
+                                  observed_engine_name(checkpoint.engine));
+        tracker_.reset_counts(checkpoint.counts);
+    }
+
+protected:
+    CountStepperBase(const TabulatedProtocol& protocol, const CountConfiguration& initial)
+        : protocol_(protocol),
+          tracker_(protocol, initial.counts()),
+          population_(initial.population_size()) {}
+
+    const TabulatedProtocol& protocol_;
+    EffectivePairTracker tracker_;
+    std::uint64_t population_;
+};
+
+class CountBatchStepper : public CountStepperBase {
+public:
+    static constexpr ObservedEngine kEngine = ObservedEngine::kCountBatch;
+    static constexpr bool kGeometricSkips = true;
+    static constexpr bool kSuperSteps = false;
+
+    CountBatchStepper(const TabulatedProtocol& protocol, const CountConfiguration& initial)
+        : CountStepperBase(protocol, initial),
+          total_pairs_(static_cast<double>(population_) *
+                       static_cast<double>(population_ - 1)) {}
 
     std::uint64_t propose_skip(Rng& rng) {
         // Jump over the geometric run of null interactions preceding the
@@ -86,26 +112,7 @@ public:
         return StepOutcome{};
     }
 
-    CountConfiguration counts() const {
-        return CountConfiguration::from_state_counts(tracker_.counts());
-    }
-
-    void save(RunCheckpoint& checkpoint) const { checkpoint.counts = tracker_.counts(); }
-
-    void restore(const RunCheckpoint& checkpoint) {
-        require_checkpoint_counts(checkpoint.counts, tracker_.counts().size(), population_,
-                                  "count_batch");
-        adopt(checkpoint.counts);
-    }
-
-    /// Takes over a valid count vector of this population, rebuilding the
-    /// row sums and W in O(|Q| + effective transitions).
-    void adopt(const std::vector<std::uint64_t>& counts) { tracker_.reset_counts(counts); }
-
 private:
-    const TabulatedProtocol& protocol_;
-    EffectivePairTracker tracker_;
-    std::uint64_t population_;
     double total_pairs_;
 };
 

@@ -7,10 +7,12 @@
 // the effective-interaction fraction that both the count-batch engine's
 // geometric null skips and the phase-adaptive engine's signal consume.
 //
-// This tracker is the bookkeeping half of the count-batch stepper
-// (count_batch_stepper.h).  The per-agent steppers need only W == 0 and
-// keep the cheaper SupportSilenceTest (interaction_model.h) instead: this
-// tracker does O(column degree) work on every effective step.
+// This tracker is the one count state of every count stepper
+// (count_batch_stepper.h): a count-batch step books its moves into it, and a
+// collapsed super-step hands its new counts back through reset_counts.  The
+// per-agent steppers need only W == 0 and keep the cheaper
+// SupportSilenceTest (interaction_model.h) instead: this tracker does
+// O(column degree) work on every effective step.
 //
 // Cost model: O(#effective transitions) to build or reset.  One
 // interaction (p, q) -> (p', q') is booked from its netted moves
@@ -62,9 +64,13 @@ public:
         if (moves.next_responder != 0) adjust_count(next.responder, moves.next_responder);
     }
 
-    /// Replaces the count vector wholesale (checkpoint restore) and rebuilds
-    /// partners and W from scratch.
+    /// Replaces the count vector wholesale (a checkpoint restore, or the new
+    /// counts of a collapsed super-step) and rebuilds partners and W from
+    /// scratch.  The counts it already holds (a super-step whose
+    /// interactions were all null, the common case in a sparse phase) keep
+    /// partners and W as they are, in O(|Q|).
     void reset_counts(const std::vector<std::uint64_t>& counts) {
+        if (counts == counts_) return;
         counts_.assign(counts.begin(), counts.end());
         rebuild();
     }

@@ -14,15 +14,17 @@ SupportSilenceTest::SupportSilenceTest(const TabulatedProtocol& protocol,
       self_effective_(protocol.num_states(), 0),
       present_(words_, 0),
       level_(protocol.num_states(), 0) {
-    for (const EffectiveTransition& t : protocol.effective_transitions()) {
-        const State p = t.initiator;
-        const State q = t.responder;
-        if (p == q) {
-            self_effective_[p] = 1;
-            continue;
+    const std::size_t num_states = protocol.num_states();
+    for (State p = 0; p < num_states; ++p) {
+        for (State q = 0; q < num_states; ++q) {
+            if (!changes_multiset(p, q, protocol.apply_fast(p, q))) continue;
+            if (p == q) {
+                self_effective_[p] = 1;
+                continue;
+            }
+            partners_[p * words_ + q / 64] |= std::uint64_t{1} << (q % 64);
+            partners_[q * words_ + p / 64] |= std::uint64_t{1} << (p % 64);
         }
-        partners_[p * words_ + q / 64] |= std::uint64_t{1} << (q % 64);
-        partners_[q * words_ + p / 64] |= std::uint64_t{1} << (p % 64);
     }
     reset(counts);
 }

@@ -516,8 +516,6 @@ RunResult drive(S& stepper, const TabulatedProtocol& protocol, const RunOptions&
     const auto tally_null_run = [&](std::uint64_t length) {
         const auto width = static_cast<std::uint8_t>(std::bit_width(length));
         book_null_runs(progress.tallies, &width, 1, length);
-        if constexpr (kWatched)
-            if (collector) collector->record_skip(length);
     };
 
     std::chrono::steady_clock::time_point wall_start;
@@ -701,8 +699,6 @@ RunResult drive(S& stepper, const TabulatedProtocol& protocol, const RunOptions&
                             buffered = 0;
                             skipped = 0;
                         }
-                        if constexpr (kWatched)
-                            if (collector && skips != 0) collector->record_skip(skips);
                         t += skips;
                     }
                     ++t;
@@ -810,7 +806,9 @@ RunResult drive(S& stepper, const TabulatedProtocol& protocol, const RunOptions&
     // JSONL writer's "telemetry" event) see the completed RunTelemetry.
     if (collector) {
         close_segment();
-        collector->finish_run(result.interactions, result.effective_interactions);
+        collector->finish_run(result.interactions, result.effective_interactions,
+                              progress.tallies.null_runs, progress.tallies.null_interactions,
+                              progress.tallies.null_run_length_log2);
         result.telemetry = collector->share();
     }
     if (observer) observer->on_stop(result, seconds_since(wall_start));

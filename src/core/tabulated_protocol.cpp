@@ -52,17 +52,6 @@ std::unique_ptr<TabulatedProtocol> TabulatedProtocol::tabulate(const Protocol& p
     return std::make_unique<TabulatedProtocol>(std::move(tables));
 }
 
-std::vector<EffectiveTransition> TabulatedProtocol::effective_transitions() const {
-    std::vector<EffectiveTransition> transitions;
-    for (State p = 0; p < num_states_; ++p) {
-        for (State q = 0; q < num_states_; ++q) {
-            const StatePair next = apply_fast(p, q);
-            if (changes_multiset(p, q, next)) transitions.push_back({p, q, next});
-        }
-    }
-    return transitions;
-}
-
 State TabulatedProtocol::initial_state(Symbol x) const {
     require(x < tables_.initial.size(), "TabulatedProtocol: input symbol out of range");
     return tables_.initial[x];

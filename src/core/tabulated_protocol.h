@@ -16,20 +16,11 @@
 
 namespace popproto {
 
-/// One ordered state pair whose interaction changes the *multiset* {p, q}
-/// (identities delta(p,q) = (p,q) and swaps delta(p,q) = (q,p) are null),
-/// together with the resulting pair.  These are exactly the transitions
-/// that contribute to the batch engine's effective-pair count W and to the
-/// mean-field drift field (src/meanfield): every other pair leaves both
-/// the count vector and the density vector unchanged.
-struct EffectiveTransition {
-    State initiator = 0;
-    State responder = 0;
-    StatePair result{0, 0};
-};
-
 /// True iff the interaction (p, q) -> next changes the multiset {p, q},
-/// i.e. is neither an identity nor a swap.
+/// i.e. is neither an identity nor a swap.  These effective pairs are
+/// exactly the ones that contribute to the count engines' effective-pair
+/// count W, to the mean-field drift field (src/meanfield) and to the
+/// silence tests: every other pair leaves the count vector unchanged.
 inline bool changes_multiset(State p, State q, StatePair next) noexcept {
     return !((next.initiator == p && next.responder == q) ||
              (next.initiator == q && next.responder == p));
@@ -78,12 +69,6 @@ public:
 
     /// Unchecked output lookup for hot loops.
     Symbol output_fast(State q) const noexcept { return tables_.output[q]; }
-
-    /// All multiset-changing ordered state pairs in row-major
-    /// (initiator, responder) order.  One pass over the delta table; the
-    /// mean-field drift quadratic form and the support silence test are
-    /// assembled from this list.
-    std::vector<EffectiveTransition> effective_transitions() const;
 
 private:
     Tables tables_;

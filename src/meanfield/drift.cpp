@@ -1,29 +1,31 @@
 #include "meanfield/drift.h"
 
 #include <cmath>
+#include <cstdint>
 
+#include "core/effect_tables.h"
 #include "core/require.h"
 
 namespace popproto {
 
 DriftField::DriftField(const TabulatedProtocol& protocol)
     : num_states_(protocol.num_states()) {
-    for (const EffectiveTransition& t : protocol.effective_transitions()) {
-        // Accumulate the dense change vector of this pair, then sparsify.
-        // Effective transitions change the multiset, so at least two
-        // coefficients survive.
-        std::vector<double> change(num_states_, 0.0);
-        change[t.initiator] -= 1.0;
-        change[t.responder] -= 1.0;
-        change[t.result.initiator] += 1.0;
-        change[t.result.responder] += 1.0;
-        Term term;
-        term.p = t.initiator;
-        term.q = t.responder;
-        for (State s = 0; s < num_states_; ++s) {
-            if (change[s] != 0.0) term.changes.emplace_back(s, change[s]);
+    for (State p = 0; p < num_states_; ++p) {
+        for (State q = 0; q < num_states_; ++q) {
+            const StatePair next = protocol.apply_fast(p, q);
+            if (!changes_multiset(p, q, next)) continue;
+            // The pair's netted count moves hold each state in one slot, and
+            // an effective pair keeps at least two of them nonzero.
+            const PairMoves moves = net_moves(p, q, next);
+            const std::pair<State, std::int8_t> slots[] = {{p, moves.initiator},
+                                                           {q, moves.responder},
+                                                           {next.initiator, moves.next_initiator},
+                                                           {next.responder, moves.next_responder}};
+            Term term{p, q, {}};
+            for (const auto& [s, change] : slots)
+                if (change != 0) term.changes.emplace_back(s, change);
+            terms_.push_back(std::move(term));
         }
-        terms_.push_back(std::move(term));
     }
 }
 

@@ -11,9 +11,10 @@
 //                                - [p = s] - [q = s] ).
 //
 // Only multiset-changing ordered pairs contribute — identities and swaps
-// cancel exactly — so the drift is assembled once from
-// TabulatedProtocol::effective_transitions() as a sparse quadratic form
-// and evaluated in O(#effective pairs), independent of n.  Each term's
+// cancel exactly — so the drift is assembled once, one term per effective
+// pair in row-major order with its netted count moves (net_moves,
+// core/effect_tables.h), as a sparse quadratic form and evaluated in
+// O(#effective pairs), independent of n.  Each term's
 // coefficients sum to zero (an interaction conserves agents), so
 // sum_s F_s(x) = 0 identically and the simplex is invariant:
 // trajectories started at a density vector stay one.
@@ -38,7 +39,7 @@ public:
     std::size_t num_states() const { return num_states_; }
 
     /// Number of ordered state pairs with a nonzero drift contribution
-    /// (== the protocol's effective transitions).
+    /// (== the protocol's effective pairs).
     std::size_t num_terms() const { return terms_.size(); }
 
     /// Writes F(x) into `out` (resized to num_states()).  `x` must have
@@ -57,7 +58,7 @@ public:
 private:
     /// One ordered pair (p, q) with its sparse density changes: interacting
     /// moves weight x_p * x_q along `changes` (coefficients in {-2,-1,1,2},
-    /// summing to zero).
+    /// summing to zero; each state at most once).
     struct Term {
         State p = 0;
         State q = 0;

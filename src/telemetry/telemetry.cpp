@@ -24,8 +24,6 @@ const char* phase_name(Phase phase) {
             return "pair_cascade";
         case Phase::kDeltaMerge:
             return "delta_merge";
-        case Phase::kCollisionFixup:
-            return "collision_fixup";
         case Phase::kWRecompute:
             return "w_recompute";
         case Phase::kShardTask:
@@ -45,7 +43,6 @@ bool phase_is_nested(Phase phase) {
         case Phase::kShardTasks:
         case Phase::kPairCascade:
         case Phase::kDeltaMerge:
-        case Phase::kCollisionFixup:
         case Phase::kWRecompute:
         case Phase::kShardTask:
             return true;
@@ -118,12 +115,17 @@ void RunTelemetryCollector::begin_run(const char* engine, std::uint64_t populati
     data_->spans.reserve(std::min<std::size_t>(max_spans_, 4096));
 }
 
-void RunTelemetryCollector::finish_run(std::uint64_t interactions,
-                                       std::uint64_t effective_interactions) {
+void RunTelemetryCollector::finish_run(
+    std::uint64_t interactions, std::uint64_t effective_interactions, std::uint64_t null_runs,
+    std::uint64_t null_interactions,
+    const std::array<std::uint64_t, Log2Histogram::kNumBuckets>& null_run_length_log2) {
     RunTelemetry& data = *data_;
     data.wall_ns = now_ns();
     data.interactions = interactions;
     data.effective_interactions = effective_interactions;
+    data.geometric_skips = null_runs;
+    data.null_interactions_skipped = null_interactions;
+    data.null_skip_length_log2 = {null_run_length_log2, null_runs, null_interactions};
     publish_interactions(interactions);
     if (!data.engine_segments.empty()) data.engine_switches = data.engine_segments.size() - 1;
 
@@ -172,12 +174,6 @@ void RunTelemetryCollector::record_phase(Phase phase, std::uint64_t begin_ns,
     } else {
         ++data_->spans_dropped;
     }
-}
-
-void RunTelemetryCollector::record_skip(std::uint64_t length) {
-    ++data_->geometric_skips;
-    data_->null_interactions_skipped += length;
-    data_->null_skip_length_log2.record(length);
 }
 
 void RunTelemetryCollector::record_super_step(std::uint64_t pairs, bool clamped) {

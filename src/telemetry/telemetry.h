@@ -61,10 +61,9 @@ enum class Phase : std::uint8_t {
     kShardTasks,        ///< the parallel fan-out section, fork to merge (nested)
     kPairCascade,       ///< deferred pairs: pool, initiator split, row matching (nested)
     kDeltaMerge,        ///< aggregate count-delta application (nested)
-    kCollisionFixup,    ///< not recorded: events are timed in kRunLengthDraw (label kept)
     kWRecompute,        ///< effective-pair (W) recount (nested)
     kShardTask,         ///< one shard's task body (worker thread, span only)
-    kEngineSwitch,      ///< adaptive engine: hand-over to the other step kind
+    kEngineSwitch,      ///< adaptive engine: a change of step kind
     kCount
 };
 
@@ -150,7 +149,8 @@ struct RunTelemetry {
     std::uint64_t clamped_super_steps = 0;  ///< cut short of T at a boundary
     std::uint64_t super_step_pairs = 0;     ///< interactions executed in super-steps
 
-    // Count-batch geometric-skip accounting.
+    // Count-batch geometric-skip accounting, copied from the run's tallies
+    // (RunResult::tallies' null runs) when it finishes.
     std::uint64_t geometric_skips = 0;
     std::uint64_t null_interactions_skipped = 0;
 
@@ -250,7 +250,15 @@ public:
     // --- probes ------------------------------------------------------------
 
     void begin_run(const char* engine, std::uint64_t population, unsigned threads);
-    void finish_run(std::uint64_t interactions, std::uint64_t effective_interactions);
+
+    /// Ends the run.  The null-run figures are the kernel's tallies of the
+    /// count-batch steps' geometric skips (RunTallies' null_runs,
+    /// null_interactions and null_run_length_log2), which fill
+    /// geometric_skips, null_interactions_skipped and null_skip_length_log2.
+    void finish_run(std::uint64_t interactions, std::uint64_t effective_interactions,
+                    std::uint64_t null_runs, std::uint64_t null_interactions,
+                    const std::array<std::uint64_t, Log2Histogram::kNumBuckets>&
+                        null_run_length_log2);
 
     /// One engine segment of a phase-adaptive run, begun at `begin_ns` (a
     /// now_ns() stamp) and ending now.  The run-loop kernel closes one
@@ -261,9 +269,6 @@ public:
 
     void record_phase(Phase phase, std::uint64_t begin_ns, std::uint64_t end_ns,
                       std::uint32_t tid = 0);
-
-    /// One geometric null-skip proposal of `length` executed interactions.
-    void record_skip(std::uint64_t length);
 
     /// One super-step of `pairs` interactions; `clamped` when the kernel cut
     /// it short of T at a boundary.

@@ -202,6 +202,29 @@ std::vector<std::int64_t> moves_as_deltas(std::size_t num_states, State p, State
     return deltas;
 }
 
+/// One ordered state pair whose interaction changes the multiset {p, q},
+/// with the resulting pair.
+struct Transition {
+    State initiator = 0;
+    State responder = 0;
+    StatePair result{0, 0};
+};
+
+/// The reference list of `protocol`'s effective pairs, in row-major order,
+/// from the definition: delta(p, q) is neither (p, q) nor (q, p).
+std::vector<Transition> effective_pairs_of(const TabulatedProtocol& protocol) {
+    std::vector<Transition> transitions;
+    for (State p = 0; p < protocol.num_states(); ++p) {
+        for (State q = 0; q < protocol.num_states(); ++q) {
+            const StatePair next = protocol.apply(p, q);
+            const bool identity = next.initiator == p && next.responder == q;
+            const bool swap = next.initiator == q && next.responder == p;
+            if (!identity && !swap) transitions.push_back({p, q, next});
+        }
+    }
+    return transitions;
+}
+
 TEST(Fuzz, EffectivePairTrackerMatchesARebuildAfterEveryTransition) {
     // The incremental bookkeeping (netted moves over sparse columns) against
     // a tracker built from scratch and a brute-force W, after every booked
@@ -211,7 +234,9 @@ TEST(Fuzz, EffectivePairTrackerMatchesARebuildAfterEveryTransition) {
     // are booked from those entries; the other moves are drawn to hit every
     // way the four unit moves p, q -> p', q' can alias, netted by net_moves.
     // Each pattern must occur, and stored entries must include p == q pairs
-    // and partial cancellations.
+    // and partial cancellations.  Between the booked moves, the super-step
+    // path rewrites the counts wholesale (reset_counts, with random counts
+    // of the same population), checked the same way.
     enum Alias {
         kSameState,
         kSwap,
@@ -220,6 +245,7 @@ TEST(Fuzz, EffectivePairTrackerMatchesARebuildAfterEveryTransition) {
         kNetTwo,
         kStoredSameState,
         kStoredPartial,
+        kWholesaleRewrite,
         kAliasCount
     };
     std::array<int, kAliasCount> seen{};
@@ -235,12 +261,12 @@ TEST(Fuzz, EffectivePairTrackerMatchesARebuildAfterEveryTransition) {
         EffectivePairTracker tracker(*protocol, counts);
 
         const EffectTables& tables = tracker.tables();
-        const std::vector<EffectiveTransition> transitions = protocol->effective_transitions();
+        const std::vector<Transition> transitions = effective_pairs_of(*protocol);
         ASSERT_EQ(tables.row_responders.size(), transitions.size()) << "round " << round;
         for (State p = 0, e = 0; p < num_states; ++p) {
             ASSERT_EQ(tables.row_start[p], e) << "round " << round;
             for (; e < tables.row_start[p + 1]; ++e) {
-                const EffectiveTransition& t = transitions[e];  // row-major, as the rows
+                const Transition& t = transitions[e];  // row-major, as the rows
                 ASSERT_EQ(t.initiator, p);
                 ASSERT_EQ(tables.row_responders[e], t.responder) << "round " << round;
                 std::vector<std::int64_t> brute(num_states, 0);
@@ -304,18 +330,31 @@ TEST(Fuzz, EffectivePairTrackerMatchesARebuildAfterEveryTransition) {
             if (p == q && next.initiator == next.responder && next.initiator != p)
                 ++seen[kNetTwo];
 
-            const EffectivePairTracker fresh(*protocol, counts);
-            std::uint64_t brute_w = 0;
-            for (const EffectiveTransition& t : transitions)
-                brute_w += counts[t.initiator] *
-                           (counts[t.responder] - (t.initiator == t.responder ? 1 : 0));
-            ASSERT_EQ(tracker.counts(), counts) << "round " << round << " step " << step;
-            ASSERT_EQ(fresh.effective_pairs(), brute_w) << "round " << round;
-            ASSERT_EQ(tracker.effective_pairs(), brute_w)
-                << "round " << round << " step " << step;
-            for (State s = 0; s < num_states; ++s)
-                ASSERT_EQ(tracker.row_weight(s), fresh.row_weight(s))
-                    << "round " << round << " step " << step << " state " << s;
+            // A booked move, then on one step in four a wholesale rewrite.
+            for (int pass = 0; pass < 2; ++pass) {
+                if (pass == 1) {
+                    if (rng.below(4) != 0) break;
+                    std::fill(counts.begin(), counts.end(), 0);
+                    for (std::uint64_t agent = 0; agent < n; ++agent)
+                        ++counts[rng.below(num_states)];
+                    tracker.reset_counts(counts);
+                    ++seen[kWholesaleRewrite];
+                }
+                const EffectivePairTracker fresh(*protocol, counts);
+                std::uint64_t brute_w = 0;
+                for (const Transition& t : transitions)
+                    brute_w += counts[t.initiator] *
+                               (counts[t.responder] - (t.initiator == t.responder ? 1 : 0));
+                ASSERT_EQ(tracker.counts(), counts)
+                    << "round " << round << " step " << step << " pass " << pass;
+                ASSERT_EQ(fresh.effective_pairs(), brute_w) << "round " << round;
+                ASSERT_EQ(tracker.effective_pairs(), brute_w)
+                    << "round " << round << " step " << step << " pass " << pass;
+                for (State s = 0; s < num_states; ++s)
+                    ASSERT_EQ(tracker.row_weight(s), fresh.row_weight(s))
+                        << "round " << round << " step " << step << " pass " << pass
+                        << " state " << s;
+            }
         }
     }
     for (int alias = 0; alias < kAliasCount; ++alias)
@@ -339,7 +378,7 @@ TEST(Fuzz, SupportSilenceTestMatchesTheMultisetTestAfterEveryTransition) {
         std::uint64_t n = 0;
         for (const std::uint64_t count : counts) n += count;
         SupportSilenceTest test(*protocol, counts);
-        const std::vector<EffectiveTransition> transitions = protocol->effective_transitions();
+        const std::vector<Transition> transitions = effective_pairs_of(*protocol);
 
         for (int step = 0; step < 100; ++step) {
             const State p = state_of_agent(counts, rng.below(n));
@@ -358,7 +397,7 @@ TEST(Fuzz, SupportSilenceTestMatchesTheMultisetTestAfterEveryTransition) {
             test.update(counts, p, q, next);
 
             bool silent = true;
-            for (const EffectiveTransition& t : transitions)
+            for (const Transition& t : transitions)
                 if (counts[t.initiator] > 0 && counts[t.responder] > 0 &&
                     (t.initiator != t.responder || counts[t.initiator] > 1))
                     silent = false;

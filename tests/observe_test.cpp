@@ -211,8 +211,9 @@ TEST(Observe, ObservationDoesNotPerturbGraphEngine) {
 // --- Kernel tallies --------------------------------------------------------
 
 /// The per-event reference for RunResult::tallies: counts the observer
-/// calls one at a time.  Null runs are counted by the telemetry collector's
-/// per-skip probe.
+/// calls one at a time.  The telemetry collector's null-run counters are
+/// copied from the tallies when the run finishes, so they are checked for
+/// agreement only.
 class EventCounter final : public RunObserver {
 public:
     void on_snapshot(std::uint64_t, const CountConfiguration&) override { ++snapshots; }

@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -328,6 +329,40 @@ TEST(ParallelCollapsedCheckpointResume, RejectsMismatchedShardCounts) {
     resume.resume_from = &sink.checkpoints.front();
     resume.threads = 3;
     EXPECT_THROW(run_collapsed(*protocol, initial, resume), std::invalid_argument);
+}
+
+TEST(ParallelCollapsedCheckpointResume, StopBeforeTheFirstSuperStepPausesAndResumes) {
+    // A stop flag raised before the run starts (a daemon suspend or drain
+    // landing in a session's first quantum) checkpoints at the first loop
+    // top, before any shard stream is carved.  The run must pause there,
+    // and the checkpoint must resume into the uninterrupted run.
+    const auto protocol = make_epidemic_protocol();
+    const auto initial = CountConfiguration::from_input_counts(*protocol, {900, 24});
+    RunOptions options;
+    options.seed = 19;
+    options.threads = 2;
+    const RunResult uninterrupted = run_collapsed(*protocol, initial, options);
+    ASSERT_EQ(uninterrupted.engine, ObservedEngine::kParallelCollapsed);
+
+    std::atomic<bool> stop{true};
+    CollectingSink sink;
+    RunOptions stopped = options;
+    stopped.stop_flag = &stop;
+    stopped.checkpoint_sink = &sink;
+    const RunResult paused = run_collapsed(*protocol, initial, stopped);
+    EXPECT_EQ(paused.stop_reason, StopReason::kPaused);
+    EXPECT_EQ(paused.interactions, 0u);
+    ASSERT_EQ(sink.checkpoints.size(), 1u);
+    EXPECT_EQ(sink.checkpoints.front().engine, ObservedEngine::kParallelCollapsed);
+    EXPECT_TRUE(sink.checkpoints.front().shard_rngs.empty());
+
+    std::stringstream file;
+    write_checkpoint(file, sink.checkpoints.front());
+    const RunCheckpoint reloaded = read_checkpoint(file);
+    EXPECT_EQ(reloaded, sink.checkpoints.front());
+    RunOptions resumed = options;
+    resumed.resume_from = &reloaded;
+    expect_same_run(run_collapsed(*protocol, initial, resumed), uninterrupted);
 }
 
 // ---------------------------------------------------------------------------

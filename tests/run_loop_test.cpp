@@ -24,6 +24,7 @@
 #include "protocols/counting.h"
 #include "protocols/epidemic.h"
 #include "protocols/leader_election.h"
+#include "telemetry/telemetry.h"
 #include "test_util.h"
 
 namespace popproto {
@@ -747,6 +748,81 @@ TEST(RunLoop, SeededAgentArrayAndCountBatchRunsMatchPinnedResults) {
         run_simulation(*leader, CountConfiguration::from_input_counts(*leader, {5000}),
                        options(13, kBatch, 0, 1000000)),
         {"batch leader window", StopReason::kStableOutputs, 5425986, 4996, 4425986, {4996, 4}});
+}
+
+TEST(RunLoop, SeededSuperStepRunsMatchPinnedResults) {
+    // The collapsed, sharded and adaptive steppers share one count state:
+    // these trajectories must stay byte-identical through clamped
+    // super-steps, sharded realizations, changes of step kind both ways,
+    // and adaptive resumes of the static count engines' checkpoints.  The
+    // telemetry counts (which never perturb a run) show each path ran.
+    const auto epidemic = make_epidemic_protocol();
+    const auto e100k = CountConfiguration::from_input_counts(*epidemic, {99999, 1});
+    const auto options = [](std::uint64_t seed, SimulationEngine engine) {
+        RunOptions result;
+        result.seed = seed;
+        result.engine = engine;
+        return result;
+    };
+    constexpr auto kCollapsed = SimulationEngine::kCollapsedBatch;
+    constexpr auto kAdaptive = SimulationEngine::kAdaptive;
+    constexpr auto kSilent = StopReason::kSilent;
+    telemetry::RunTelemetryCollector collector;
+
+    CollectingSink sink;
+    RunOptions clamped = options(1, kCollapsed);
+    clamped.snapshots = SnapshotSchedule::every(25000);
+    clamped.checkpoint_every = 300000;
+    clamped.checkpoint_sink = &sink;
+    clamped.telemetry = &collector;
+    RunResult result = run_simulation(*epidemic, e100k, clamped);
+    expect_pinned(result, {"collapsed clamped", kSilent, 1188775, 99999, 1188775, {0, 100000}});
+    EXPECT_EQ(result.telemetry->clamped_super_steps, 47u);
+    EXPECT_EQ(sink.checkpoints.size(), 3u);
+
+    RunOptions sharded = options(2, kCollapsed);
+    sharded.threads = 2;
+    expect_pinned(run_simulation(*epidemic, e100k, sharded),
+                  {"sharded K=2", kSilent, 1225975, 99999, 1225975, {0, 100000}});
+
+    RunOptions adaptive = options(3, kAdaptive);
+    adaptive.telemetry = &collector;
+    result = run_simulation(*epidemic, e100k, adaptive);
+    expect_pinned(result, {"adaptive", kSilent, 1106422, 99999, 1106422, {0, 100000}});
+    EXPECT_EQ(result.telemetry->engine_switches, 2u);
+
+    // The war protocol (an initiator converts its responder) is a fair
+    // random walk of the R count, so at x* = 1 its density crosses the
+    // crossover back and forth.
+    TabulatedProtocol::Tables war_tables;
+    war_tables.num_output_symbols = 2;
+    war_tables.initial = {0, 1};
+    war_tables.output = {0, 1};
+    war_tables.delta = {{0, 0}, {0, 0}, {1, 1}, {1, 1}};
+    const TabulatedProtocol war(std::move(war_tables));
+    RunOptions switching = options(7, kAdaptive);
+    switching.adaptive.crossover = 1.0;
+    switching.telemetry = &collector;
+    result = run_simulation(war, CountConfiguration::from_input_counts(war, {200, 200}), switching);
+    expect_pinned(result, {"adaptive war x* = 1", kSilent, 27397, 10968, 27397, {400, 0}});
+    EXPECT_EQ(result.telemetry->engine_switches, 5u);
+
+    const PinnedRun resumed[] = {
+        {"adaptive from count_batch", kSilent, 1271922, 99999, 1271922, {0, 100000}},
+        {"adaptive from collapsed", kSilent, 1198986, 99999, 1198986, {0, 100000}},
+    };
+    const SimulationEngine checkpointed[] = {SimulationEngine::kCountBatch, kCollapsed};
+    for (int k = 0; k < 2; ++k) {
+        CollectingSink cuts;
+        RunOptions taken = options(4 + k, checkpointed[k]);
+        taken.checkpoint_every = 400000;
+        taken.checkpoint_sink = &cuts;
+        run_simulation(*epidemic, e100k, taken);
+        ASSERT_FALSE(cuts.checkpoints.empty());
+        RunOptions resume = options(0, kAdaptive);
+        resume.resume_from = &cuts.checkpoints.front();
+        expect_pinned(run_simulation(*epidemic, e100k, resume), resumed[k]);
+    }
 }
 
 TEST(RunLoop, DefaultBudgetSaturatesInsteadOfOverflowing) {

@@ -163,9 +163,10 @@ TEST(Telemetry, DoesNotPerturbBatchEngine) {
 }
 
 TEST(Telemetry, SkipAccountingMatchesObserverWithoutAnObserver) {
-    // The skip probes fire where the kernel tallies null runs but must
+    // The skip counters come from the kernel's null-run tallies and must
     // not depend on an observer being attached: the telemetry of an
-    // observer-free run equals the observer's tally of an observed one.
+    // observer-free run equals the observer's tally of an observed one,
+    // and its histogram equals the run's tallies bucket for bucket.
     const auto protocol = make_counting_protocol(5);
     const auto initial = CountConfiguration::from_input_counts(*protocol, {57, 7});
     const RunOptions plain = base_options(default_budget(64), 33);
@@ -181,6 +182,12 @@ TEST(Telemetry, SkipAccountingMatchesObserverWithoutAnObserver) {
     const RunResult result = run_count_batch(*protocol, initial, instrumented);
     EXPECT_EQ(result.telemetry->null_interactions_skipped,
               metrics.report().null_interactions_skipped);
+    const telemetry::Log2Histogram& histogram = result.telemetry->null_skip_length_log2;
+    EXPECT_GT(result.tallies.null_runs, 0u);
+    EXPECT_EQ(histogram.count, result.tallies.null_runs);
+    EXPECT_EQ(histogram.sum, result.tallies.null_interactions);
+    for (std::size_t b = 0; b < histogram.buckets.size(); ++b)
+        EXPECT_EQ(histogram.buckets[b], result.tallies.null_run_length_log2[b]) << "bucket " << b;
 }
 
 TEST(Telemetry, DoesNotPerturbWeightedEngine) {
